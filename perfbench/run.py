@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import gc
 import importlib
 import json
 import os
@@ -38,11 +39,13 @@ import time
 import numpy as np
 
 import workloads
-from tracer import Tracer
+from tracer import PACKAGE, Tracer
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_REPEATS = 7
+SETUP_REPEATS = 5     # set-ups before the run
+SETUP_SHARE = 0.05    # share of the run spent on more set-ups between
+                      # operations
 MODULES = ("cli", "config", "errors", "qgeometry", "solution")
 
 
@@ -87,32 +90,65 @@ def settings(args) -> dict:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
+def _program_modules() -> list[str]:
+    return [n for n in sys.modules if n.partition(".")[0] == PACKAGE]
+
+
 def import_program() -> dict:
     """(Re)import the qgevrey modules the workloads use."""
-    for name in [n for n in sys.modules
-                 if n == "qgevrey" or n.startswith("qgevrey.")]:
+    for name in _program_modules():
         del sys.modules[name]
     return {m: importlib.import_module("qgevrey." + m) for m in MODULES}
 
 
+def set_up_once(workload_cls, args, out_dir):
+    """Import the program and build the workload; returns both the workload
+    and the seconds taken."""
+    t0 = time.perf_counter()
+    modules = import_program()
+    workload = workload_cls(ROOT, args.seed, out_dir, modules)
+    return workload, time.perf_counter() - t0
+
+
 def set_up(workload_cls, args, out_dir):
-    """Import the program and build the workload SETUP_REPEATS times; the
-    last build is used.  Returns (workload, seconds of each set-up)."""
+    """SETUP_REPEATS set-ups; the last build is used.  Returns (workload,
+    seconds of each set-up)."""
     times = []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        modules = import_program()
-        workload = workload_cls(ROOT, args.seed, out_dir, modules)
-        times.append(time.perf_counter() - t0)
+        workload, dt = set_up_once(workload_cls, args, out_dir)
+        times.append(dt)
     return workload, times
 
 
-def timed_run(w, rec, seconds):
-    """Operations until ``seconds`` of measuring have passed."""
-    end = time.perf_counter() + seconds
+def sample_set_up(workload_cls, args, out_dir, times) -> float:
+    """One more set-up, its seconds appended to ``times`` and returned, with
+    the running workload's modules put back afterwards.  Taken between
+    operations, so that the set-up time is a median over the same stretch
+    of time as the operations rather than over the first half second of
+    the run."""
+    saved = {name: sys.modules[name] for name in _program_modules()}
+    try:
+        times.append(set_up_once(workload_cls, args, out_dir)[1])
+        return times[-1]
+    finally:
+        for name in _program_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+        gc.collect()  # the discarded build's garbage, outside any timing
+
+
+def timed_run(w, rec, seconds, set_up_again):
+    """Operations until ``seconds`` of measuring have passed.  After each,
+    ``set_up_again()`` (which returns its seconds) runs until set-ups have
+    taken SETUP_SHARE of the time so far."""
+    start = time.perf_counter()
+    spent = 0.0
     while True:
         w.operation(rec)
-        if time.perf_counter() >= end:
+        now = time.perf_counter()
+        while spent < SETUP_SHARE * (now - start):
+            spent += set_up_again()
+        if now >= start + seconds:
             break
     if hasattr(w, "verify"):
         w.verify(rec)
@@ -129,15 +165,14 @@ def traced_run(w, rec, seconds, trace_path):
     """Untraced and traced operations in turn until ``seconds`` have passed;
     per-layer metrics from the traced ones.  Only the first traced
     operation's spans are kept and written."""
-    op = getattr(w, "trace_operation", w.operation)
     plain, traced, summaries = [], [], []
     first = None
     end = time.perf_counter() + seconds
     while True:
-        plain.append(op(rec))
+        plain.append(w.operation(rec))
         tracer = Tracer()
         with tracer:
-            traced.append(op(rec, tracer))
+            traced.append(w.operation(rec, tracer))
         summaries.append(tracer.summary())
         first = first or tracer
         if time.perf_counter() >= end:
@@ -145,6 +180,8 @@ def traced_run(w, rec, seconds, trace_path):
     if hasattr(w, "verify"):
         w.verify(rec)
     first.write(trace_path)
+    for name in first.absent:
+        print("# absent: " + name)
     return layer_metrics(w, first, summaries, plain, traced)
 
 
@@ -231,7 +268,9 @@ def run_one(args) -> int:
                 trace_dir, "%s-seed%d.npz" % (args.workload, args.seed)))
             names = per_layer
         else:
-            detail = timed_run(w, rec, args.seconds)
+            detail = timed_run(w, rec, args.seconds, lambda: sample_set_up(
+                workloads.WORKLOADS[args.workload], args, out_dir,
+                setup_times))
             names = end_to_end
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
@@ -252,13 +291,18 @@ def run_one(args) -> int:
     print("detail: " + json.dumps({"settings": info, "metrics": {
         k: {"value": v, "unit": u, "samples": n}
         for k, (v, u, n) in sorted(detail.items())}}))
-    print(json.dumps({
-        "correct": rec.failed == 0, "attempted": rec.attempted,
-        "failed": rec.failed,
-        # a traced function a refactor removed reports 0 (see trace.absent)
-        "metrics": {k: {"value": detail.get(k, (0,))[0], "unit": unit}
-                    for k, unit in names.items()}}))
+    print(json.dumps(result(rec, detail, names)))
     return 0
+
+
+def result(rec, detail, names) -> dict:
+    """The result object: outcomes and the value of each metric in
+    ``names``.  A metric of a traced function that a refactor removed reads
+    0, and ``trace.absent`` (a per-layer metric) counts those functions."""
+    return {"correct": rec.failed == 0, "attempted": rec.attempted,
+            "failed": rec.failed,
+            "metrics": {k: {"value": detail.get(k, (0,))[0], "unit": unit}
+                        for k, unit in names.items()}}
 
 
 def run_all(args) -> int:

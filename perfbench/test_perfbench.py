@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -23,7 +24,7 @@ from tracer import TARGETS, Target, Tracer  # noqa: E402
 WORKLOAD_METRICS = {
     "gate-demo": ("gate_s", "check_s", "verify_residual_s",
                   "verify_flatness_s", "verify_asympt_s",
-                  "verify_properties_s"),
+                  "verify_properties_s", "solution.max_abs_err"),
     "solve-cold": ("solve_p50_ms", "solve_p99_ms", "solves_per_s",
                    "solution.max_abs_err"),
     "check-strict": ("check_s",),
@@ -94,12 +95,13 @@ def test_tracer_restores_every_original_and_reports_absent_names():
     qlaplace = sys.modules["qgevrey.qlaplace"]
     missing = Target("theta.removed", "theta", "removed_function")
     tracer = Tracer(TARGETS + (missing,))
+    rec = workloads.Recorder()
     try:
         with tracer:
             assert solution.log_theta is not before[("qgevrey.solution",
                                                      "log_theta")]
             assert qlaplace.log_theta is solution.log_theta
-            w.operation(workloads.Recorder(), tracer)
+            seconds = w.operation(rec, tracer)
     finally:
         shutil.rmtree(w.out, ignore_errors=True)
     after = _bindings()
@@ -110,6 +112,22 @@ def test_tracer_restores_every_original_and_reports_absent_names():
     summary = tracer.summary()
     assert summary["cli.run_check"]["calls"] == 1
     assert summary["covering.validate_family"]["calls"] == 1
+    # the removed name reaches the gated result, not only the detail line
+    detail = run.layer_metrics(w, tracer, [summary], [seconds], [seconds])
+    result = run.result(rec, detail, PER_LAYER)
+    assert result["metrics"]["trace.absent"] == {"value": 1, "unit": "count"}
+
+
+def test_set_up_sample_puts_the_running_modules_back():
+    run.import_program()
+    before = {name: sys.modules[name] for name in run._program_modules()}
+    times = []
+    run.sample_set_up(workloads.CheckStrict, argparse.Namespace(seed=3),
+                      None, times)
+    assert len(times) == 1 and times[0] > 0
+    after = {name: sys.modules[name] for name in run._program_modules()}
+    assert after.keys() == before.keys()
+    assert all(after[name] is before[name] for name in before)
 
 
 def test_tracer_restores_after_an_exception():

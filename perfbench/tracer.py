@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+PACKAGE = "qgevrey"
 
 def _arg(args, kwargs, index, name):
     return args[index] if len(args) > index else kwargs[name]
@@ -84,9 +85,8 @@ class Tracer:
     written by :meth:`write` once the traced work is done.
     """
 
-    def __init__(self, targets=TARGETS, package: str = "qgevrey"):
+    def __init__(self, targets=TARGETS):
         self.targets = tuple(targets)
-        self.package = package
         self.names: list[str] = []
         self._name_id: dict[str, int] = {}
         self.span_name = array("i")
@@ -153,14 +153,13 @@ class Tracer:
     # -- install / restore ---------------------------------------------------
 
     def _modules(self):
-        prefix = self.package + "."
         return [m for n, m in sorted(sys.modules.items())
-                if m is not None and (n == self.package or n.startswith(prefix))]
+                if m is not None and n.partition(".")[0] == PACKAGE]
 
     def __enter__(self):
         modules = self._modules()
         for target in self.targets:
-            module = sys.modules.get("%s.%s" % (self.package, target.module))
+            module = sys.modules.get("%s.%s" % (PACKAGE, target.module))
             owner_name, _, attr = target.qualname.rpartition(".")
             owner = module
             for part in owner_name.split(".") if owner_name else ():

@@ -3,7 +3,9 @@
 * ``gate-demo``: one pass runs ``check`` and the four ``verify`` modes on
   the shipped ``demo.json`` through ``qgevrey.cli.main``, each verify with
   its own quick pre-check, as a user's invocations do.  It exercises every
-  layer; ``verify residual`` reuses cached transform blocks.
+  layer; ``verify residual`` reuses cached transform blocks.  After the
+  run, ACCURACY_POINTS solve-cold points are checked against the
+  reference, untimed.
 * ``solve-cold``: ``solution.evaluate_solution`` at points drawn the way
   ``verify residual`` draws them, every ``(eps, t)`` distinct, so no
   transform block is reused and no covering work runs.
@@ -35,8 +37,9 @@ import reference
 GATE_COMMANDS = (("check",), ("verify", "residual"), ("verify", "flatness"),
                  ("verify", "asympt"), ("verify", "properties"))
 STRICT_FAILING_ROWS = {"term_exponents[k=0,s=1]"}
-SOLVE_BATCH = 100     # points drawn per batch in a timed run
-TRACE_POINTS = 400    # points of one traced solve-cold operation
+SOLVE_BATCH = 100     # points of one solve-cold operation
+ACCURACY_POINTS = 50  # demo points checked against the reference after a
+                      # gate-demo run
 
 
 def _median(values):
@@ -119,6 +122,8 @@ class _CliWorkload:
     config = ""
 
     def __init__(self, root, seed, out_dir, modules):
+        self.root = root
+        self.modules = modules
         self.cli = modules["cli"]
         self.path = _config_path(root, self.config)
         self.cfg = modules["config"].load_config(self.path)
@@ -149,6 +154,7 @@ class GateDemo(_CliWorkload):
         self.first_digest = None
         self.pass_s: list[float] = []
         self.cmd_s = {_label(c): [] for c in GATE_COMMANDS}
+        self.max_abs_err = 0.0
 
     def operation(self, rec: Recorder, tracer=None) -> float:
         shutil.rmtree(self.out, ignore_errors=True)
@@ -168,8 +174,19 @@ class GateDemo(_CliWorkload):
         self.pass_s.append(total)
         return total
 
+    def verify(self, rec: Recorder) -> None:
+        """Untimed, after the run: solve ACCURACY_POINTS points drawn from
+        the seed as solve-cold draws them, on freshly built charts, and
+        check each against the independent reference."""
+        probe = SolveCold(self.root, self.seed, None, self.modules)
+        probe.solve(probe.draw(ACCURACY_POINTS), Recorder(), record=False)
+        probe.verify(rec)
+        self.max_abs_err = probe.max_abs_err
+
     def metrics(self) -> dict:
-        m = {"gate_s": (_median(self.pass_s), "s", len(self.pass_s))}
+        m = {"gate_s": (_median(self.pass_s), "s", len(self.pass_s)),
+             "solution.max_abs_err": (self.max_abs_err, "abs",
+                                      ACCURACY_POINTS)}
         for label, values in self.cmd_s.items():
             m[label + "_s"] = (_median(values), "s", len(values))
         return m
@@ -219,21 +236,16 @@ class SolveCold:
 
     def __init__(self, root, seed, out_dir, modules):
         self.modules = modules
-        self.path = _config_path(root, "demo")
-        self._load()
+        self.cfg = modules["config"].load_config(_config_path(root, "demo"))
+        self.charts = [self.cfg.chart_solution(i)
+                       for i in range(len(self.cfg.covering.charts))]
         self.rng = np.random.default_rng(seed)
         self.seen: set = set()
         self.n_terms = len(self.cfg.problem.terms)
         self.latency_ms: list[float] = []
         self.batch_ms: list[float] = []
         self.points: list[tuple] = []   # (chart, eps, t, z, X or None)
-        self.trace_batch = None
         self.max_abs_err = 0.0
-
-    def _load(self):
-        self.cfg = self.modules["config"].load_config(self.path)
-        self.charts = [self.cfg.chart_solution(i)
-                       for i in range(len(self.cfg.covering.charts))]
 
     def draw(self, n: int) -> list[tuple]:
         """n points the way ``verify residual`` draws them; (eps, t) distinct."""
@@ -253,7 +265,7 @@ class SolveCold:
                 out.append((idx, eps, t, z))
         return out
 
-    def _solve(self, batch, rec: Recorder, record: bool) -> None:
+    def solve(self, batch, rec: Recorder, record: bool) -> None:
         evaluate = self.modules["solution"].evaluate_solution
         err = self.modules["errors"].QGevreyError
         for idx, eps, t, z in batch:
@@ -268,25 +280,16 @@ class SolveCold:
                 self.latency_ms.append(1e3 * (time.perf_counter() - t0))
             self.points.append((idx, eps, t, z, value))
 
-    def operation(self, rec: Recorder, tracer=None) -> None:
-        """A timed run's operation: one batch of fresh points."""
+    def operation(self, rec: Recorder, tracer=None) -> float:
+        """One batch of SOLVE_BATCH fresh points; returns its seconds."""
         batch = self.draw(SOLVE_BATCH)
         n = len(self.latency_ms)
-        self._solve(batch, rec, record=True)
-        self.batch_ms.append(sum(self.latency_ms[n:]))
-
-    def trace_operation(self, rec: Recorder, tracer=None) -> float:
-        """A traced run's operation: load the config, build the charts and
-        solve the seed's first TRACE_POINTS points (fresh caches each time)."""
-        if self.trace_batch is None:
-            self.trace_batch = self.draw(TRACE_POINTS)
-        t0 = time.perf_counter()
-        span = tracer.span("cmd.solve_batch") if tracer else contextlib.nullcontext()
+        span = (tracer.span("cmd.solve_batch") if tracer
+                else contextlib.nullcontext())
         with span:
-            with rec.timed():
-                self._load()
-            self._solve(self.trace_batch, rec, record=False)
-        return time.perf_counter() - t0
+            self.solve(batch, rec, record=True)
+        self.batch_ms.append(sum(self.latency_ms[n:]))
+        return self.batch_ms[-1] / 1e3
 
     def verify(self, rec: Recorder) -> None:
         """Compare every solved point with the independent reference."""
