@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -192,10 +193,8 @@ def _verify_residual(cfg: RunConfig, seed: int, report: Report,
     n_points = int(scfg.get("n_points", 100))
     z_max = float(scfg.get("z_max", 0.5))
     bound = float(scfg.get("max_abs", 1e-6))
-    quad = ql.QuadSettings(abs_tol=float(scfg.get("abs_tol", cfg.quad.abs_tol)),
-                           initial_step=cfg.quad.initial_step,
-                           max_halvings=cfg.quad.max_halvings,
-                           s_pad=cfg.quad.s_pad)
+    quad = replace(cfg.quad,
+                   abs_tol=float(scfg.get("abs_tol", cfg.quad.abs_tol)))
     rng = np.random.default_rng(seed)
     charts = {}
     rows = []
@@ -240,10 +239,8 @@ def _verify_flatness(cfg: RunConfig, seed: int, report: Report,
                    one_over_a=one_over_a,
                    note="nonpositive flatness exponent; run `check`")
         return
-    quad = ql.QuadSettings(abs_tol=float(scfg.get("abs_tol", 1e-12)),
-                           initial_step=cfg.quad.initial_step,
-                           max_halvings=max(cfg.quad.max_halvings, 16),
-                           s_pad=cfg.quad.s_pad)
+    quad = replace(cfg.quad, abs_tol=float(scfg.get("abs_tol", 1e-12)),
+                   max_halvings=max(cfg.quad.max_halvings, 16))
     sc1 = cfg.chart_solution(int(pair[0]), quad=quad)
     sc2 = cfg.chart_solution(int(pair[1]), quad=quad)
     eps0 = cov.overlap_point(sc1.chart, sc2.chart, cfg.base)
@@ -271,10 +268,8 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
     rel_match = float(scfg.get("rel_match", 1e-4))
     grid = _grid_from_config(scfg.get("grid", [{"t": [0.7, 0.0],
                                                 "z": [0.3, 0.0]}]))
-    quad = ql.QuadSettings(abs_tol=float(scfg.get("abs_tol", 1e-12)),
-                           initial_step=cfg.quad.initial_step,
-                           max_halvings=max(cfg.quad.max_halvings, 16),
-                           s_pad=cfg.quad.s_pad)
+    quad = replace(cfg.quad, abs_tol=float(scfg.get("abs_tol", 1e-12)),
+                   max_halvings=max(cfg.quad.max_halvings, 16))
     sc1 = cfg.chart_solution(int(pair[0]), quad=quad)
     sc2 = cfg.chart_solution(int(pair[1]), quad=quad)
     eps0 = cov.overlap_point(sc1.chart, sc2.chart, cfg.base)
@@ -347,10 +342,7 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
 
     lam = cfg.lambdas[0]
     cert = cfg.cert
-    settings = ql.QuadSettings(abs_tol=1e-10,
-                               initial_step=cfg.quad.initial_step,
-                               max_halvings=cfg.quad.max_halvings,
-                               s_pad=cfg.quad.s_pad)
+    settings = replace(cfg.quad, abs_tol=1e-10)
     t0 = 1.3 * lam / abs(lam)  # on the direction ray, hence theta-safe
     worst = 0.0
     for r in range(1, 4):

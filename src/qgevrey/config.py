@@ -25,7 +25,7 @@ from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm)
 from .qgeometry import ContinuousBase, QBase
 from .qlaplace import GrowthCertificate, QuadSettings
-from .solution import SolutionChart
+from .solution import BETA_MAX_LIMIT, SolutionChart
 from .theta import ThetaSettings
 
 TWO_PI = 2.0 * math.pi
@@ -97,8 +97,15 @@ class RunConfig:
 
 _TOP_KEYS = {"description", "base", "problem", "gevrey", "initial",
              "covering", "family", "solution", "quad", "theta", "sampling"}
-_SAMPLING_KEYS = {"seed", "n_cover_samples", "n_family_samples", "residual",
-                  "flatness", "asympt", "properties"}
+_SAMPLING_BLOCKS = {
+    "residual": {"n_points", "z_max", "max_abs", "abs_tol"},
+    "flatness": {"pair", "n_points", "abs_tol", "grid"},
+    "asympt": {"pair", "k_max", "tol", "abs_tol", "depth", "depths",
+               "rel_match", "grid"},
+    "properties": {"n_points"},
+}
+_SAMPLING_KEYS = {"seed", "n_cover_samples", "n_family_samples"} \
+    | set(_SAMPLING_BLOCKS)
 
 
 def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
@@ -208,6 +215,11 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
                 {"beta_max", "cert_c1", "cert_mbar"}, "solution")
     cert = GrowthCertificate(c1=float(sol["cert_c1"]),
                              mbar=float(sol["cert_mbar"]))
+    beta_max = int(sol["beta_max"])
+    _require(problem.s_order <= beta_max <= BETA_MAX_LIMIT,
+             "solution.beta_max = %d is unsupported: it must lie between "
+             "the equation order %d and %d"
+             % (beta_max, problem.s_order, BETA_MAX_LIMIT))
 
     qd = doc.get("quad", {})
     _check_keys(qd, {"abs_tol", "initial_step", "max_halvings", "s_pad"},
@@ -227,12 +239,23 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
 
     samp = doc.get("sampling", {})
     _check_keys(samp, _SAMPLING_KEYS, set(), "sampling")
+    for name, keys in _SAMPLING_BLOCKS.items():
+        where = "sampling." + name
+        block = samp.get(name, {})
+        _check_keys(block, keys, set(), where)
+        grid = block.get("grid", [])
+        _require(isinstance(grid, list), where + ".grid must be a list")
+        for gi, entry in enumerate(grid):
+            gw = "%s.grid[%d]" % (where, gi)
+            _check_keys(entry, {"t", "z"}, {"t", "z"}, gw)
+            _complex(entry["t"], gw + ".t")
+            _complex(entry["z"], gw + ".z")
 
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,
                      covering=covering, family=family, lambdas=lambdas,
                      quad=quad, theta=theta, cert=cert,
-                     beta_max=int(sol["beta_max"]), sampling=dict(samp),
+                     beta_max=beta_max, sampling=dict(samp),
                      raw=doc)
 
 

@@ -7,9 +7,12 @@ at most ``exp(mbar log^2|x|)`` growth, the transform along direction
     (log q / pi_q) * integral_{-inf}^{inf} F(q^s lam) / theta(q^s lam / z) ds,
 
 well defined whenever ``z`` is theta-safe for ``(lam, delta)`` and
-``mbar < 1 / (2 log|q|)``.  The doubly infinite path is truncated by an
-analytic Gaussian-tail bound on the integrand majorant and integrated by
-composite Simpson rule with global step halving.
+``mbar < 1 / (2 log|q|)``.  One core serves scalar ``F`` here and the
+all-orders block in :mod:`qgevrey.solution`: :func:`path_window` truncates
+the path by an analytic Gaussian-tail bound on the integrand majorant,
+widened until the integrand is negligible at both ends, and
+:func:`path_integral` applies composite Simpson on nested nodes, halving
+the step until every integrand row has settled.
 """
 
 from __future__ import annotations
@@ -120,67 +123,82 @@ def majorant(cert: GrowthCertificate, lam: complex, z: complex, base: QBase,
     return pref * cert.c1 / theta_floor * np.exp(np.minimum(expo, 700.0))
 
 
-def _simpson_nodes(s_lo: float, s_hi: float, step: float) -> np.ndarray:
-    n = max(int(math.ceil((s_hi - s_lo) / step)), 2)
-    if n % 2 == 1:
-        n += 1
-    return np.linspace(s_lo, s_hi, n + 1)
+def require_theta_safe(z: complex, lam: complex, base: QBase,
+                       delta: float) -> None:
+    """Raise :class:`DomainError` unless ``z`` is theta-safe for
+    ``(lam, delta)``."""
+    if not in_theta_safe(z, lam, base, delta):
+        raise DomainError(
+            "z = %s is not theta-safe for direction %s at delta = %g"
+            % (z, lam, delta), membership="theta_safe")
 
 
-def _simpson_weights(n_nodes: int) -> np.ndarray:
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
+def path_window(rows, cert: GrowthCertificate, lam: complex, z: complex,
+                base: QBase, settings: QuadSettings, xi: float, tol: float
+                ) -> tuple[float, float]:
+    """Window from :func:`truncation_window`, widened until the integrand
+    ``rows`` (every row) is below ``tol / width`` at both endpoints."""
+    s_lo, s_hi = truncation_window(cert, lam, z, base, xi, tol,
+                                   s_pad=settings.s_pad)
+    for _ in range(12):
+        edge = np.max(np.abs(rows(np.array([s_lo, s_hi]))))
+        if edge <= tol / max(s_hi - s_lo, 1.0):
+            break
+        pad = max(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo))
+        s_lo -= pad
+        s_hi += pad
+    return s_lo, s_hi
 
 
-def _eval_integrand(F, lam: complex, z: complex, base: QBase,
-                    s: np.ndarray) -> np.ndarray:
-    pts = qpow(base, s) * lam
-    kernel = np.exp(-log_theta(pts / z, base))
-    try:
-        num = np.asarray(F(pts), dtype=complex)
-        if num.shape != pts.shape:
-            raise TypeError
-    except TypeError:
-        num = np.array([F(p) for p in pts], dtype=complex)
-    return num * kernel
+def path_integral(rows, s_lo: float, s_hi: float,
+                  settings: QuadSettings) -> np.ndarray:
+    """Integral of ``rows`` over ``[s_lo, s_hi]``, one value per row.
 
-
-def _refine(F, lam, z, base, settings: QuadSettings,
-            s_lo: float, s_hi: float) -> complex:
-    """Composite Simpson with global step halving to abs_tol."""
-    pref = base.log_q / pi_q(base)
-    step = settings.initial_step
-    prev = None
+    ``rows(s)`` returns an array whose last axis runs over the nodes ``s``.
+    Composite Simpson is taken as ``(4 T(h) - T(2h)) / 3`` from nested
+    trapezoid sums, so each halving evaluates only the new midpoints; the
+    step starts at most ``initial_step`` and converges when every row moved
+    by less than ``abs_tol`` between Simpson levels.
+    """
+    n = max(int(math.ceil((s_hi - s_lo) / (2.0 * settings.initial_step))), 1)
+    h = (s_hi - s_lo) / n
+    vals = rows(np.linspace(s_lo, s_hi, n + 1))
+    acc = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
+    trap = h * acc
+    prev = cur = None
     for _ in range(settings.max_halvings + 1):
-        s = _simpson_nodes(s_lo, s_hi, step)
-        vals = _eval_integrand(F, lam, z, base, s)
-        h = s[1] - s[0]
-        cur = pref * (h / 3.0) * complex(np.dot(_simpson_weights(len(s)), vals))
-        if prev is not None and abs(cur - prev) < settings.abs_tol:
+        acc = acc + rows(s_lo + h * (np.arange(n) + 0.5)).sum(axis=-1)
+        n *= 2
+        h *= 0.5
+        trap, coarse = h * acc, trap
+        prev, cur = cur, (4.0 * trap - coarse) / 3.0
+        if prev is not None and np.max(np.abs(cur - prev)) < settings.abs_tol:
             return cur
-        prev = cur
-        step *= 0.5
     raise ConvergenceError(
         "path integral did not converge to %g within %d halvings"
         % (settings.abs_tol, settings.max_halvings),
         last=cur, previous=prev)
 
 
-def _window(F, lam, z, base, cert, settings, xi) -> tuple[float, float]:
-    s_lo, s_hi = truncation_window(cert, lam, z, base, xi, settings.abs_tol,
-                                   s_pad=settings.s_pad)
-    # endpoint guard: widen while the actual integrand is not yet negligible
-    for _ in range(5):
-        edge = np.abs(_eval_integrand(F, lam, z, base,
-                                      np.array([s_lo, s_hi])))
-        bound = settings.abs_tol / max(s_hi - s_lo, 1.0)
-        if edge.max() <= bound:
-            break
-        s_lo -= 2.0 * settings.s_pad
-        s_hi += 2.0 * settings.s_pad
-    return s_lo, s_hi
+def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
+    """Integrand rows of the transform of scalar ``F`` and their window."""
+    require_theta_safe(z, lam, base, delta)
+    pref = base.log_q / pi_q(base)
+
+    def rows(s: np.ndarray) -> np.ndarray:
+        pts = qpow(base, s) * lam
+        try:
+            num = np.asarray(F(pts), dtype=complex)
+            if num.shape != pts.shape:
+                raise TypeError
+        except TypeError:
+            num = np.array([F(p) for p in pts], dtype=complex)
+        return pref * num * np.exp(-log_theta(pts / z, base))
+
+    if xi is None:
+        xi = default_majorant_xi(cert, base)
+    return rows, path_window(rows, cert, lam, z, base, settings, xi,
+                             settings.abs_tol)
 
 
 def q_laplace(F, lam: complex, z: complex, base: QBase,
@@ -192,15 +210,9 @@ def q_laplace(F, lam: complex, z: complex, base: QBase,
     attempted).  ``z`` must be theta-safe for ``(lam, delta)``; violations
     raise :class:`DomainError` before any integration.
     """
-    if xi is None:
-        xi = default_majorant_xi(cert, base)
-    _check_admissible(cert, base, xi)
-    if not in_theta_safe(z, lam, base, delta):
-        raise DomainError(
-            "z = %s is not theta-safe for direction %s at delta = %g"
-            % (z, lam, delta), membership="theta_safe")
-    s_lo, s_hi = _window(F, lam, z, base, cert, settings, xi)
-    return _refine(F, lam, z, base, settings, s_lo, s_hi)
+    rows, (s_lo, s_hi) = _scalar_path(F, lam, z, base, cert, settings, xi,
+                                      delta)
+    return complex(path_integral(rows, s_lo, s_hi, settings))
 
 
 def q_laplace_split(F, lam: complex, z: complex, base: QBase,
@@ -213,16 +225,9 @@ def q_laplace_split(F, lam: complex, z: complex, base: QBase,
     Their sum equals the unsplit transform within twice the quadrature
     tolerance.
     """
-    if xi is None:
-        xi = default_majorant_xi(cert, base)
-    _check_admissible(cert, base, xi)
-    if not in_theta_safe(z, lam, base, delta):
-        raise DomainError(
-            "z = %s is not theta-safe for direction %s at delta = %g"
-            % (z, lam, delta), membership="theta_safe")
-    s_lo, s_hi = _window(F, lam, z, base, cert, settings, xi)
+    rows, (s_lo, s_hi) = _scalar_path(F, lam, z, base, cert, settings, xi,
+                                      delta)
     s_hi = max(s_hi, settings.initial_step)
     s_lo = min(s_lo, -settings.initial_step)
-    plus = _refine(F, lam, z, base, settings, 0.0, s_hi)
-    minus = _refine(F, lam, z, base, settings, s_lo, 0.0)
-    return plus, minus
+    return (complex(path_integral(rows, 0.0, s_hi, settings)),
+            complex(path_integral(rows, s_lo, 0.0, settings)))

@@ -36,9 +36,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .problem import CoefficientEvaluator, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
-    in_theta_safe, qpow
-from .qlaplace import GrowthCertificate, QuadSettings, _simpson_nodes, \
-    _simpson_weights, default_majorant_xi, truncation_window
+    qpow
+from .qlaplace import GrowthCertificate, QuadSettings, default_majorant_xi, \
+    path_integral, path_window, require_theta_safe
 from .theta import log_theta, pi_q
 
 
@@ -71,66 +71,31 @@ class SolutionChart:
         return self.evaluator.base
 
 
-def _block_window(sc: SolutionChart, eps: complex, z: complex,
-                  tol: float) -> tuple[float, float]:
-    """Seed window from the certificate, widened until the actual
-    integrand (max over all orders) is negligible at both endpoints."""
-    base = sc.base
-    xi = default_majorant_xi(sc.cert, base)
-    s_lo, s_hi = truncation_window(sc.cert, sc.lam, z, base, xi, tol,
-                                   s_pad=sc.quad.s_pad)
-    pref = abs(base.log_q / pi_q(base))
-    for _ in range(12):
-        edges = np.array([s_lo, s_hi])
-        tau = qpow(base, edges) * sc.lam
-        w = sc.evaluator.table(eps, tau, sc.beta_max)
-        kern = np.exp(-log_theta(tau / z, base))
-        worst = float(np.max(np.abs(w * kern[None, :]))) * pref
-        if worst <= tol / max(s_hi - s_lo, 1.0):
-            break
-        pad = max(4.0 * sc.quad.s_pad, 0.15 * (s_hi - s_lo))
-        s_lo -= pad
-        s_hi += pad
-    return s_lo, s_hi
-
-
 def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
     """All transforms T_beta(eps, eps t), beta <= beta_max, on shared nodes.
 
-    Composite Simpson with global halving; converged when every order
-    moved by less than abs_tol between refinements.  Cached per (eps, t).
+    One path integral whose rows are the orders: the window and the
+    nested-halving Simpson loop of :mod:`qgevrey.qlaplace`, converged when
+    every order moved by less than abs_tol.  Cached per (eps, t).
     """
     key = (complex(eps), complex(t))
     if key in sc._cache:
         return sc._cache[key]
     base = sc.base
     z = eps * t
-    if not in_theta_safe(z, sc.lam, base, sc.delta):
-        raise DomainError(
-            "eps*t = %s is not theta-safe for chart %d direction %s "
-            "(delta=%g)" % (z, sc.chart_index, sc.lam, sc.delta),
-            membership="theta_safe")
-    tol = sc.quad.abs_tol
-    s_lo, s_hi = _block_window(sc, eps, z, 0.01 * tol)
+    require_theta_safe(z, sc.lam, base, sc.delta)
     pref = base.log_q / pi_q(base)
-    step = sc.quad.initial_step
-    prev = None
-    for _ in range(sc.quad.max_halvings + 1):
-        s = _simpson_nodes(s_lo, s_hi, step)
+
+    def rows(s: np.ndarray) -> np.ndarray:
         tau = qpow(base, s) * sc.lam
-        w = sc.evaluator.table(eps, tau, sc.beta_max)
-        kern = np.exp(-log_theta(tau / z, base, tol=1e-16))
-        weights = _simpson_weights(len(s)) * ((s[1] - s[0]) / 3.0)
-        cur = pref * (w * kern[None, :]) @ weights
-        if prev is not None and float(np.max(np.abs(cur - prev))) < tol:
-            sc._cache[key] = cur
-            return cur
-        prev = cur
-        step *= 0.5
-    raise ConvergenceError(
-        "transform block at (eps=%s, t=%s) did not reach %g within %d "
-        "halvings" % (eps, t, tol, sc.quad.max_halvings),
-        last=cur, previous=prev)
+        kern = np.exp(-log_theta(tau / z, base))
+        return pref * sc.evaluator.table(eps, tau, sc.beta_max) * kern
+
+    s_lo, s_hi = path_window(rows, sc.cert, sc.lam, z, base, sc.quad,
+                             default_majorant_xi(sc.cert, base),
+                             0.01 * sc.quad.abs_tol)
+    sc._cache[key] = path_integral(rows, s_lo, s_hi, sc.quad)
+    return sc._cache[key]
 
 
 @dataclass(frozen=True)
@@ -162,6 +127,10 @@ def _decay_fit(mags: np.ndarray) -> tuple[float, float]:
     A = np.vstack([bb[good] ** 2, np.ones(int(good.sum()))]).T
     slope, intercept = np.linalg.lstsq(A, np.log(mags[good]), rcond=None)[0]
     return float(slope), float(intercept)
+
+
+# _tail_estimate divides by (beta_max + 1)!, which must stay a finite float
+BETA_MAX_LIMIT = 169
 
 
 def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:

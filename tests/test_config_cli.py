@@ -89,6 +89,34 @@ class TestConfigSchema:
         cfg = parse_config(copy.deepcopy(demo_doc))
         assert cfg.quad.abs_tol == 1e-7
 
+    def test_sampling_sub_block_typos_exit_two(self, demo_doc, tmp_path):
+        typos = {"residual": ("max_abz", 1e-6), "flatness": ("n_pionts", 8),
+                 "asympt": ("rel_macth", 1e-4), "properties": ("npoints", 9)}
+        for block, (key, value) in typos.items():
+            doc = trimmed(demo_doc)
+            doc["sampling"][block][key] = value
+            cfg = write_config(tmp_path, doc, name=block + ".json")
+            assert main(["check", "--config", cfg,
+                         "--out-dir", str(tmp_path / "out")]) == 2, block
+        for block in ("flatness", "asympt"):
+            doc = trimmed(demo_doc)
+            doc["sampling"][block]["grid"][0]["zz"] = [0.3, 0.0]
+            cfg = write_config(tmp_path, doc, name=block + "_grid.json")
+            assert main(["check", "--config", cfg,
+                         "--out-dir", str(tmp_path / "out")]) == 2, block
+
+    def test_beta_max_limit(self, demo_doc, tmp_path, capsys):
+        doc = copy.deepcopy(demo_doc)
+        doc["solution"]["beta_max"] = 169
+        assert parse_config(doc).beta_max == 169
+        doc["solution"]["beta_max"] = 170
+        with pytest.raises(ConfigError, match="169"):
+            parse_config(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "beta_max" in capsys.readouterr().err
+
     def test_unreadable_path_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "missing.json"))

@@ -162,15 +162,17 @@ class TestStepHalvingConvergence:
     def test_non_convergence_reported(self, base2):
         from qgevrey import ConvergenceError
 
-        def wild(x):
-            # oscillates on a scale the coarse refinement levels alias
-            return np.cos(57.0 * np.log(x) / base2.log_q) ** 2 / (1.0 + x)
+        def jump(x):
+            # a discontinuity on the path caps Simpson at first order
+            return (np.abs(x) > 1.1).astype(float)
 
         with pytest.raises(ConvergenceError) as err:
-            q_laplace(wild, 1.0, 2.0, base2, CERT,
-                      QuadSettings(abs_tol=1e-15, max_halvings=3))
+            q_laplace(jump, 1.0, 2.0, base2, CERT,
+                      QuadSettings(abs_tol=1e-10, max_halvings=3))
         assert err.value.last is not None
         assert err.value.previous is not None
+        # the two most recent levels, not one level reported twice
+        assert abs(err.value.last - err.value.previous) >= 1e-10
 
 
 class TestQuadSettings:

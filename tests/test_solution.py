@@ -107,6 +107,51 @@ class TestEvaluateSolution:
         assert any("patch" in w for w in val.warnings)
 
 
+def oracle_block(demo, lam, eps, t, step=1.0 / 32.0, s_max=30.0):
+    """Transforms of the demo's closed-form coefficients
+    ``W_h = (tau / ((tau + 1) eps))^h q^{-h(h-1)}``, h <= beta_max, by the
+    trapezoid rule on ``[-s_max, s_max]``.  ``1/theta`` sums the two-sided
+    series term by term around its largest term and ``log q / pi_q`` is
+    the product ``prod_{n>=1} (1 - q^{-n})``; no qgevrey numerics."""
+    term = demo.problem.terms[0]
+    assert (demo.problem.s_order, len(demo.problem.terms)) == (1, 1)
+    assert (term.k, term.m0, term.m1, term.coeffs) == (0, 1, 2,
+                                                      ((0, (1.0,)),))
+    q, log_q = demo.base.q, demo.base.log_q
+    s = np.arange(-s_max, s_max + step / 2, step)
+    tau = lam * np.exp(s * log_q)
+    log_x = np.log(tau / (eps * t))
+    c = np.rint(log_x.real / log_q.real + 0.5)
+    n = c[:, None] + np.arange(-20, 21)
+    log_terms = -0.5 * n * (n - 1) * log_q + n * log_x[:, None]
+    peak = log_terms.real.max(axis=1)
+    inv_theta = np.exp(-peak) / np.exp(log_terms - peak[:, None]).sum(axis=1)
+    pref = np.prod(1.0 - q ** -np.arange(1.0, 80.0))
+    ratio = tau / ((tau + 1.0) * eps)
+    w = np.ones_like(tau)
+    out = []
+    for h in range(demo.beta_max + 1):
+        f = w * inv_theta
+        out.append(pref * step * (f.sum() - 0.5 * (f[0] + f[-1])))
+        w = w * ratio * q ** (-2.0 * h)
+    return np.array(out)
+
+
+class TestTransformBlockOracle:
+    @pytest.mark.parametrize("abs_tol", [1e-8, 1e-12])
+    def test_block_within_abs_tol(self, demo, abs_tol):
+        from qgevrey.solution import _transform_block
+        quad = QuadSettings(abs_tol=abs_tol, max_halvings=16)
+        for idx in (20, 21, 0):
+            sc = demo.chart_solution(idx, quad=quad)
+            for level in (0, 2):
+                eps = (np.exp(2j * math.pi * sc.chart.u_mid)
+                       * demo.base.q ** (sc.chart.v_mid - level))
+                got = _transform_block(sc, eps, 0.7)
+                want = oracle_block(demo, sc.lam, eps, 0.7)
+                assert np.max(np.abs(got - want)) <= abs_tol, (idx, level)
+
+
 class TestInitialCondition:
     def test_matches_series_coefficient_bitwise(self, demo, chart20, eps20):
         from qgevrey.solution import _transform_block
