@@ -29,12 +29,19 @@ TWO_PI = 2.0 * math.pi
 
 
 def _parse_complex(text: str) -> complex:
+    """``re`` or ``re,im`` as a complex number with finite components."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ConfigError("cannot parse complex value %r (use re or re,im)" % text)
+    try:
+        if len(parts) > 2:
+            raise ValueError
+        comps = [float(p) for p in parts] + [0.0]
+    except ValueError:
+        raise ConfigError("cannot parse complex value %r (use re or re,im)"
+                          % text) from None
+    if not all(math.isfinite(c) for c in comps):
+        raise ConfigError("complex value %r must have finite components"
+                          % text)
+    return complex(comps[0], comps[1])
 
 
 def _grid_from_config(entries) -> list:
@@ -146,6 +153,9 @@ def cmd_solve(args) -> int:
     seed = _seed(cfg, args)
     report = Report(command="solve", config=os.path.basename(args.config),
                     seed=seed)
+    eps = _parse_complex(args.eps)
+    t = _parse_complex(args.t)
+    z = _parse_complex(args.z)
     if not args.force:
         pre = Report(command="check", config=report.config, seed=seed)
         run_check(cfg, seed, pre, quick=True)
@@ -155,9 +165,6 @@ def cmd_solve(args) -> int:
                   "anyway", file=sys.stderr)
             return 1
     sc = cfg.chart_solution(args.chart)
-    eps = _parse_complex(args.eps)
-    t = _parse_complex(args.t)
-    z = _parse_complex(args.z)
     try:
         value = sol.evaluate_solution(sc, eps, t, z)
         phis = [sol.initial_condition(sc, j, eps, t)

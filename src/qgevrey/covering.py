@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qgeometry import (ChartBase, ContinuousBase, QBase, in_discrete_spiral,
-                        qpow, spiral_min_distance)
+from .qgeometry import (BLOCK, ChartBase, ContinuousBase, QBase,
+                        in_discrete_spiral, qpow, spiral_min_distance)
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,7 +124,9 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
 
     The annulus top sits at the lowest chart-bottom modulus (below every
     chart's own patch, hence inside the covered neighborhood), three
-    q-levels deep.
+    q-levels deep.  The samples and the seam probes form one point array;
+    each chart tests it with one array-valued :func:`in_discrete_spiral`
+    call per block of points.
     """
     L = base.log_abs_q
     r_max = min(math.exp(ch.i2[0] * L) for ch in c.charts)
@@ -132,31 +134,31 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
     rng = np.random.default_rng(seed)
     mods = np.exp(rng.uniform(math.log(r_min), math.log(r_max), n_samples))
     args = rng.uniform(0.0, TWO_PI, n_samples)
-    pts = list(mods * np.exp(1j * args))
     # deterministic seam probes: chart boundaries (open sets!) must be
     # interior to a neighbor, pushed three levels down into the annulus
-    for ch in c.charts:
-        for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
-                     (ch.u_mid, ch.i2[0])):
-            pts.append(cmath.exp(TWO_PI * 1j * u) * qpow(base, v - 3.0))
-    counts = [0] * len(c.charts)
+    probes = [cmath.exp(TWO_PI * 1j * u) * qpow(base, v - 3.0)
+              for ch in c.charts
+              for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
+                           (ch.u_mid, ch.i2[0]))]
+    pts = np.concatenate([mods * np.exp(1j * args),
+                          np.array(probes, dtype=complex)])
+    counts = np.zeros(len(c.charts), dtype=np.int64)
     n_unc = 0
     max_mult = 0
     n_quad = 0
-    for p in pts:
-        mult = 0
+    for start in range(0, pts.size, BLOCK):
+        block = pts[start:start + BLOCK]
+        mult = np.zeros(block.size, dtype=np.int64)
         for idx, ch in enumerate(c.charts):
-            if in_discrete_spiral(complex(p), ch, base):
-                mult += 1
-                counts[idx] += 1
-        if mult == 0:
-            n_unc += 1
-        if mult >= 4:
-            n_quad += 1
-        max_mult = max(max_mult, mult)
+            inside = in_discrete_spiral(block, ch, base)
+            counts[idx] += np.count_nonzero(inside)
+            mult += inside
+        n_unc += int(np.count_nonzero(mult == 0))
+        n_quad += int(np.count_nonzero(mult >= 4))
+        max_mult = max(max_mult, int(mult.max(initial=0)))
     return CoveringReport(covered=n_unc == 0, max_multiplicity=max_mult,
                           n_uncovered=n_unc, n_quadruple=n_quad,
-                          per_chart_counts=tuple(counts),
+                          per_chart_counts=tuple(int(k) for k in counts),
                           r_min=r_min, r_max=r_max)
 
 
@@ -204,6 +206,9 @@ def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
     * for sampled chart points, t-points and directions, the full
       two-sided spiral of ``lam / (eps t)`` must keep distance > delta
       from -1 (scan plus local refinement).
+
+    The samples of every chart are drawn first; each clearance is then one
+    array-valued :func:`spiral_min_distance` call over all of them.
     """
     if len(lambdas) != len(c.charts) or len(f.v_sets) != len(c.charts):
         raise ValueError("need one direction and one patch per chart")
@@ -217,12 +222,10 @@ def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
         arg_ok = min(d, TWO_PI - d) <= half + 1e-9
         feasible = feasible and mod_ok and arg_ok
     per_chart = max(n_samples // len(c.charts), 4)
-    v_clear = math.inf
-    k_clear = math.inf
-    for idx, (ch, vset, lam) in enumerate(zip(c.charts, f.v_sets, lambdas)):
-        for v_pt in vset.sample(rng, per_chart):
-            v_clear = min(v_clear,
-                          spiral_min_distance(complex(v_pt), base, f.delta))
+    v_pts = []
+    kernel_pts = []
+    for ch, vset in zip(c.charts, f.v_sets):
+        v_pts.append(vset.sample(rng, per_chart))
         u = rng.uniform(ch.i1[0], ch.i1[1], per_chart)
         v = rng.uniform(ch.i2[0], ch.i2[1], per_chart)
         eps_pts = np.exp(2j * math.pi * u) * qpow(base, v)
@@ -231,9 +234,11 @@ def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
                                min(f.rho0, vset.mod[1]), per_chart)
         lam_args = rng.uniform(vset.arg[0], vset.arg[1], per_chart)
         lam_pts = lam_mods * np.exp(1j * lam_args)
-        for e_pt, t_pt, l_pt in zip(eps_pts, t_pts, lam_pts):
-            k_clear = min(k_clear, spiral_min_distance(
-                complex(l_pt / (e_pt * t_pt)), base, f.delta))
+        kernel_pts.append(lam_pts / (eps_pts * t_pts))
+    v_clear = float(spiral_min_distance(np.concatenate(v_pts), base,
+                                        f.delta).min())
+    k_clear = float(spiral_min_distance(np.concatenate(kernel_pts), base,
+                                        f.delta).min())
     return FamilyReport(
         lambda_feasible=bool(feasible),
         v_clearance=v_clear, v_clearance_ok=v_clear > f.delta,

@@ -16,11 +16,19 @@ A chart patch is written ``u, v -> exp(2*pi*i*u) * q**v`` with ``u`` in
 turns, so multiplication by ``q`` shifts ``v`` by one and leaves ``u``
 fixed.  Membership tests reduce to interval arithmetic in the ``(u, v)``
 coordinates.
+
+The discrete-spiral membership test (:func:`spiral_coordinates`,
+:func:`in_discrete_spiral`) and the clearance scan
+(:func:`spiral_min_distance`) are array-valued: one call tests a whole
+array of points, and a scalar point still gives a scalar answer.  Batched
+intermediates are capped at ``BLOCK`` elements and built without BLAS.
+A zero or non-finite point raises :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +37,16 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+
+#: Largest number of elements of one batched intermediate array: sweeps
+#: over more points run in row blocks of at most this size.
+BLOCK = 1 << 15
+
+# nested-grid refinement of the scan minimum in spiral_min_distance: each
+# level shrinks the bracket (_REFINE_POINTS - 1) / 2 = 16 times
+_REFINE_POINTS = 33
+_REFINE_LEVELS = 4
+_REFINE_GRID = np.arange(float(_REFINE_POINTS))
 
 
 @dataclass(frozen=True)
@@ -122,36 +140,47 @@ def qpow(base: QBase, t) -> complex:
     return cmath.exp(t * base.log_q)
 
 
-def spiral_coordinates(point: complex, base: QBase) -> tuple[float, float]:
-    """Unique ``(u, v)`` with ``point = exp(2*pi*i*u) q^v`` and u in [0, 1)."""
-    if point == 0:
-        raise DomainError("origin has no spiral coordinates", membership="nonzero")
-    L = base.log_abs_q
-    v = math.log(abs(point)) / L
-    u = (cmath.phase(point) - v * base.log_q.imag) / TWO_PI
-    return u % 1.0, v
+def _points(x, zero_message: str) -> np.ndarray:
+    """``x`` as a complex array; a zero or non-finite entry is a DomainError."""
+    p = np.asarray(x, dtype=complex)
+    if not np.isfinite(p).all():
+        raise DomainError("points must be finite", membership="finite")
+    if (p == 0).any():
+        raise DomainError(zero_message, membership="nonzero")
+    return p
 
 
-def _u_in_interval(u: float, lo: float, hi: float) -> bool:
-    # open interval of length < 1, compared modulo 1
-    return 0.0 < (u - lo) % 1.0 < (hi - lo)
+def spiral_coordinates(point, base: QBase):
+    """Unique ``(u, v)`` with ``point = exp(2*pi*i*u) q^v`` and u in [0, 1).
+
+    Array-valued: an array of points gives two arrays of its shape, a
+    scalar gives two floats.
+    """
+    p = _points(point, "origin has no spiral coordinates")
+    v = np.log(np.abs(p)) / base.log_abs_q
+    u = (np.angle(p) - v * base.log_q.imag) / TWO_PI % 1.0
+    if p.ndim == 0:
+        return float(u), float(v)
+    return u, v
 
 
-def in_discrete_spiral(eps: complex, chart: ChartBase, base: QBase) -> bool:
+def in_discrete_spiral(eps, chart: ChartBase, base: QBase):
     """Whether ``eps`` lies on the discrete spiral ``U_chart q^-N``.
 
     True iff ``eps * q^n`` lands in the chart patch for some integer
-    ``n >= 0``; in spiral coordinates this means ``u`` is in ``i1`` modulo
-    one and ``v + n`` hits ``i2``.
+    ``n >= 0``; in spiral coordinates this means ``u`` is in the open
+    interval ``i1`` modulo one and ``v + n`` hits the open interval ``i2``.
+    Array-valued: an array of points gives a boolean array of its shape, a
+    scalar gives a ``bool``.
     """
     u, v = spiral_coordinates(eps, base)
-    if not _u_in_interval(u, *chart.i1):
-        return False
+    u_lo, u_hi = chart.i1
+    du = (u - u_lo) % 1.0
     lo, hi = chart.i2
-    n = math.ceil(lo - v)
-    if lo - v == n:  # open interval: v + n must exceed lo strictly
-        n += 1
-    return n >= 0 and v + n < hi
+    n = np.ceil(lo - v)
+    n = n + (lo - v == n)  # open interval: v + n must exceed lo strictly
+    inside = (0.0 < du) & (du < u_hi - u_lo) & (n >= 0) & (v + n < hi)
+    return bool(inside) if np.ndim(inside) == 0 else inside
 
 
 def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,
@@ -194,46 +223,92 @@ def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,
     return False
 
 
-def spiral_min_distance(w: complex, base: QBase, delta: float,
-                        step: float = 1e-3, refine: int = 40) -> float:
+@functools.lru_cache(maxsize=8)
+def _scan_tables(base: QBase, delta: float, step: float):
+    """Modulus band and k-grid tables of :func:`spiral_min_distance`.
+
+    Only moduli ``|w q^-k|`` in ``[m_lo, m_hi]`` can come closer to -1 than
+    ``outside = min(1 - m_lo, m_hi - 1)``.  With ``k1`` the level at which
+    ``|w q^-k1| = m_hi`` and ``phi = arg w - k1 Im(log q)``, the grid
+    ``k_j = k1 + j step`` gives
+
+        |1 + w q^-k_j|^2 = A_j + cos(phi) B_j + sin(phi) C_j,
+
+    ``A_j = 1 + rho_j^2``, ``B_j = 2 rho_j cos(j step Im(log q))``,
+    ``C_j = 2 rho_j sin(j step Im(log q))``, ``rho_j = m_hi |q|^(-j step)``,
+    so the tables depend on ``(base, delta, step)`` only.  They are cached
+    and read-only.
+    """
+    m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
+    m_hi = 1.0 + 3.0 * delta
+    n = math.ceil(((math.log(m_hi) - math.log(m_lo)) / base.log_abs_q + step)
+                  / step)
+    ks = step * np.arange(n)
+    rho = m_hi * np.exp(-ks * base.log_abs_q)
+    turn = ks * base.log_q.imag
+    tables = (1.0 + rho * rho, 2.0 * rho * np.cos(turn),
+              2.0 * rho * np.sin(turn))
+    for t in tables:
+        t.flags.writeable = False
+    return (m_lo, m_hi) + tables
+
+
+def _scan_argmin(cos_w, sin_w, A, B, C) -> np.ndarray:
+    """Per row, the grid index of the least ``A + cos_w B + sin_w C``."""
+    i = np.empty(cos_w.size, dtype=np.intp)
+    rows = max(1, BLOCK // A.size)
+    for r in range(0, cos_w.size, rows):
+        sq = cos_w[r:r + rows, None] * B
+        sq += sin_w[r:r + rows, None] * C
+        sq += A
+        i[r:r + rows] = sq.argmin(axis=1)
+    return i
+
+
+def _distance(w: np.ndarray, k: np.ndarray, base: QBase) -> np.ndarray:
+    """``|1 + w q^-k|`` for broadcast ``w`` and real ``k``, built in place."""
+    z = k * -base.log_q
+    np.exp(z, out=z)
+    z *= w
+    z += 1.0
+    return np.abs(z)
+
+
+def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     """Min over real k of ``|1 + w q^-k|``, certified against ``delta``.
 
     Only the modulus band ``|w q^-k|`` near 1 can produce values below
-    ``min(3*delta, (1+delta)/2)``; the band is scanned densely and the best
-    grid point refined by golden-section steps.  The returned value is
-    exact enough to decide ``> delta`` for any delta in (0, 1).
+    ``min(3*delta, (1+delta)/2)``; the band is scanned on a k-grid of
+    spacing ``step`` (through the cached tables of :func:`_scan_tables`),
+    then the bracket around the best grid point is refined on nested grids
+    of exact values.  The returned value is exact enough to decide
+    ``> delta`` for any delta in (0, 1).  Array-valued: an array of ``w``
+    gives an array of its shape, swept in blocks of at most ``BLOCK``
+    elements; a scalar gives a float.
     """
-    if w == 0:
-        raise DomainError("spiral base must be nonzero", membership="nonzero")
-    L = base.log_abs_q
-    m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
-    m_hi = 1.0 + 3.0 * delta
-    outside = min(1.0 - m_lo, m_hi - 1.0)
-    k1 = (math.log(abs(w)) - math.log(m_hi)) / L
-    k2 = (math.log(abs(w)) - math.log(m_lo)) / L
-    ks = np.arange(k1, k2 + step, step)
-    vals = np.abs(1.0 + w * np.exp(-ks * base.log_q))
-    i = int(np.argmin(vals))
-    a = ks[max(i - 1, 0)]
-    b = ks[min(i + 1, len(ks) - 1)]
-
-    def g(k: float) -> float:
-        return abs(1.0 + w * cmath.exp(-k * base.log_q))
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(refine):
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - inv_phi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + inv_phi * (b - a)
-            gd = g(d)
-    return min(float(vals[i]), gc, gd, outside)
+    wa = _points(w, "spiral base must be nonzero")
+    m_lo, m_hi, A, B, C = _scan_tables(base, float(delta), float(step))
+    flat = wa.ravel()
+    k1 = (np.log(np.abs(flat)) - math.log(m_hi)) / base.log_abs_q
+    phi = np.angle(flat) - k1 * base.log_q.imag
+    i = _scan_argmin(np.cos(phi), np.sin(phi), A, B, C)
+    # exact values at the grid minimum and on nested grids around it: a
+    # level spaces _REFINE_POINTS points over the bracket of the previous
+    # minimum's two neighbouring cells (a bracket may stick out of the
+    # band; any real k is a valid point)
+    best = _distance(flat, k1 + step * i, base)
+    rows = BLOCK // _REFINE_POINTS
+    for r in range(0, flat.size, rows):
+        wb = flat[r:r + rows, None]
+        k_lo = k1[r:r + rows] + step * (i[r:r + rows] - 1)
+        h = 2.0 * step / (_REFINE_POINTS - 1)
+        for _ in range(_REFINE_LEVELS):
+            g = _distance(wb, k_lo[:, None] + h * _REFINE_GRID, base)
+            np.minimum(best[r:r + rows], g.min(axis=1), out=best[r:r + rows])
+            k_lo = k_lo + h * (g.argmin(axis=1) - 1)
+            h *= 2.0 / (_REFINE_POINTS - 1)
+    np.minimum(best, min(1.0 - m_lo, m_hi - 1.0), out=best)
+    return float(best[0]) if wa.ndim == 0 else best.reshape(wa.shape)
 
 
 def in_theta_safe(z: complex, lam: complex, base: QBase, delta: float,

@@ -162,6 +162,36 @@ class TestCheckCommand:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
 
+    # clearances of the shipped configs at their shipped seeds, as the
+    # scalar scan-and-golden-section implementation computed them
+    PINNED_CLEARANCES = {
+        "demo": (0.38181056448490486, 0.3009119648402555),
+        "strict_exponents_fail": (0.3811578594569783, 0.3210619620615746),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CLEARANCES))
+    def test_shipped_config_results_pinned(self, name, tmp_path):
+        cfg = tmp_path / (name + ".json")
+        cfg.write_text(shipped_config_text(name))
+        code = main(["check", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "check_report.json")
+                            .read_text())
+        rows = {c["name"]: c for c in report["checks"]}
+        assert rows["covering_coverage"]["n_uncovered"] == 0
+        assert rows["covering_multiplicity"]["max_multiplicity"] == 3
+        assert rows["covering_multiplicity"]["n_quadruple"] == 0
+        v_clear, k_clear = self.PINNED_CLEARANCES[name]
+        assert abs(rows["family_minus_one_clearance"]["clearance"]
+                   - v_clear) <= 1e-12
+        assert abs(rows["family_kernel_clearance"]["clearance"]
+                   - k_clear) <= 1e-12
+        failing = {n for n, c in rows.items() if c["status"] == "fail"}
+        if name == "demo":
+            assert code == 0 and failing == set()
+        else:
+            assert code == 1 and failing == {"term_exponents[k=0,s=1]"}
+
     def test_malformed_config_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, {"nonsense": True})
         assert main(["check", "--config", cfg,
@@ -182,6 +212,23 @@ class TestSolveCommand:
         x_val = lines[0].split("=")[-1].strip()
         phi_val = lines[1].split("=")[-1].strip()
         assert x_val == phi_val  # series at z = 0 is the order-0 transform
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--z", "nan,0"), ("--z", "inf"), ("--t", "0.7,-inf"),
+        ("--eps", "nan"), ("--t", "abc"), ("--z", "1,2,3")])
+    def test_bad_complex_value_exit_two(self, demo_doc, tmp_path, capsys,
+                                        flag, value):
+        cfg = write_config(tmp_path, trimmed(demo_doc))
+        values = {"--eps": "-0.58249,0.70411", "--t": "0.7", "--z": "0.3"}
+        values[flag] = value
+        argv = ["solve", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                "--chart", "20", "--force"]
+        for f, v in values.items():
+            argv.append("%s=%s" % (f, v))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "X(" not in captured.out
 
     def test_domain_violation_named(self, demo_doc, tmp_path, capsys):
         cfg = write_config(tmp_path, trimmed(demo_doc))

@@ -378,6 +378,39 @@ class TestAdmissibility:
                                 self.EPS_PATCH, tau_patch, g)
         assert not fit.passed
 
+    @staticmethod
+    def reference_grid_max(component, eps_patch, tau_patch, m, n):
+        """Grid maximum of |W| exp(-m log^2|tau/eps|), one eps at a time."""
+        def grid(patch):
+            mods = np.exp(np.linspace(math.log(patch.mod[0]),
+                                      math.log(patch.mod[1]), n))
+            args = np.linspace(patch.arg[0], patch.arg[1], n)
+            return (mods[:, None] * np.exp(1j * args[None, :])).ravel()
+        data = InitialData(components=(tuple(component),))
+        tau = grid(tau_patch)
+        worst = 0.0
+        for eps in grid(eps_patch):
+            weight = np.exp(-m * np.log(np.abs(tau / eps)) ** 2)
+            worst = max(worst, float(np.max(np.abs(data.value(0, eps, tau))
+                                            * weight)))
+        return worst
+
+    @pytest.mark.parametrize("component", [
+        (InitialTerm(c=1.0 + 2.0j, a=1, b=2, r=1),),
+        (InitialTerm(c=1.0, a=1, b=1, r=0), InitialTerm(c=-0.5j, a=0, b=1,
+                                                        r=2)),
+        (InitialTerm(c=1.0, a=2, b=0, r=1), InitialTerm(c=0.3, b=3, r=0),
+         InitialTerm(c=2.0j, a=1, b=1, r=3)),
+        (),
+    ])
+    def test_blocked_sweep_matches_pointwise_loop(self, component):
+        g = make_gevrey()
+        tau_patch = ContinuousBase(mod=(0.2, 3.0), arg=(0.2, 2.5))
+        fit = admissibility_fit(component, self.EPS_PATCH, tau_patch, g, n=9)
+        ref = self.reference_grid_max(component, self.EPS_PATCH, tau_patch,
+                                      fit.m_used, 18)
+        assert abs(fit.delta - ref) <= 1e-12 * ref
+
     def test_m_tilde_convention(self):
         g = make_gevrey(m_big=1.0, m_tilde=0.5)
         tau_patch = ContinuousBase(mod=(1.1, 2.0), arg=(0.2, 0.5))

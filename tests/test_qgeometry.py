@@ -3,10 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgevrey import (ChartBase, ContinuousBase, DomainError, QBase,
-                     in_continuous_spiral, in_discrete_spiral, in_theta_safe,
-                     qpow, spiral_coordinates, spiral_min_distance)
+                     build_covering, in_continuous_spiral, in_discrete_spiral,
+                     in_theta_safe, qpow, spiral_coordinates,
+                     spiral_min_distance, validate_covering)
+from qgevrey.config import load_shipped_config
+
+# deterministic property runs: the same examples on every run, no database
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+BASES = (2.0, 1.5 * cmath.exp(0.2j), 3.0 * cmath.exp(-0.1j),
+         2.0 * cmath.exp(0.1j), math.exp(1.0 / 16.0))
 
 
 class TestQBase:
@@ -193,3 +203,197 @@ class TestChartBase:
             ContinuousBase(mod=(0.0, 1.0), arg=(0.0, 0.1))
         with pytest.raises(ValueError):
             ContinuousBase(mod=(1.0, 2.0), arg=(0.0, 7.0))
+
+
+class TestDomainContract:
+    CHART = ChartBase(i1=(0.1, 0.3), i2=(-0.4, -0.2))
+
+    @pytest.mark.parametrize("bad,tag", [(0.0, "nonzero"),
+                                         (math.nan, "finite"),
+                                         (complex(math.inf, 0.0), "finite"),
+                                         (complex(0.3, math.nan), "finite")])
+    def test_membership_batch_entry(self, base2, bad, tag):
+        pts = np.array([0.3 + 0.1j, bad, 0.2j])
+        with pytest.raises(DomainError) as exc:
+            in_discrete_spiral(pts, self.CHART, base2)
+        assert exc.value.membership == tag
+        with pytest.raises(DomainError) as exc:
+            spiral_coordinates(pts, base2)
+        assert exc.value.membership == tag
+
+    @pytest.mark.parametrize("bad,tag", [(0.0, "nonzero"),
+                                         (math.nan, "finite"),
+                                         (complex(0.0, -math.inf), "finite")])
+    def test_min_distance_batch_entry(self, base2, bad, tag):
+        with pytest.raises(DomainError) as exc:
+            spiral_min_distance(np.array([0.5, bad]), base2, 0.2)
+        assert exc.value.membership == tag
+        with pytest.raises(DomainError) as exc:
+            spiral_min_distance(bad, base2, 0.2)
+        assert exc.value.membership == tag
+
+    def test_theta_safe_non_finite(self, base2):
+        with pytest.raises(DomainError):
+            in_theta_safe(complex(math.nan, 0.0), 1.0, base2, 0.3)
+
+
+def reference_in_discrete_spiral(u, v, chart):
+    """Scalar membership in spiral coordinates, the ``math`` formula."""
+    if not 0.0 < (u - chart.i1[0]) % 1.0 < (chart.i1[1] - chart.i1[0]):
+        return False
+    lo, hi = chart.i2
+    n = math.ceil(lo - v)
+    if lo - v == n:
+        n += 1
+    return n >= 0 and v + n < hi
+
+
+def reference_coordinates(eps, base):
+    v = math.log(abs(eps)) / base.log_abs_q
+    u = ((cmath.phase(eps) - v * base.log_q.imag) / (2.0 * math.pi)) % 1.0
+    return u, v
+
+
+def compare_with_reference(points, charts, base, tie=1e-9):
+    """Assert array membership equals the scalar reference; return ties.
+
+    A (point, chart) pair whose reference decision changes when u or v
+    moves by ``tie`` sits on the chart's (open) boundary, where rounding
+    of the coordinates decides; such pairs are counted, not compared.
+    """
+    coords = [reference_coordinates(complex(p), base) for p in points]
+    ties = 0
+    for chart in charts:
+        got = in_discrete_spiral(points, chart, base)
+        for k, (u, v) in enumerate(coords):
+            near = {reference_in_discrete_spiral(u + du, v + dv, chart)
+                    for du, dv in ((0, 0), (tie, 0), (-tie, 0), (0, tie),
+                                   (0, -tie))}
+            if len(near) > 1:
+                ties += 1
+            else:
+                assert got[k] == near.pop(), (chart, points[k])
+    return ties
+
+
+def seam_probes(covering, base):
+    """The seam probes of :func:`validate_covering`."""
+    return np.array([cmath.exp(2j * math.pi * u) * qpow(base, v - 3.0)
+                     for ch in covering.charts
+                     for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
+                                  (ch.u_mid, ch.i2[0]))])
+
+
+grids = st.tuples(st.integers(5, 8), st.integers(5, 8),
+                  st.floats(0.0, 0.95))
+
+
+def feasible_overlap(n_u, n_v, frac):
+    return frac * min(1.0 / n_v, 0.25 * n_u - 1.0, 0.25 * n_v - 1.0)
+
+
+class TestArrayMembership:
+    @PROPERTY
+    @given(q=st.sampled_from(BASES), grid=grids,
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_points_match_scalar_reference(self, q, grid, seed):
+        base = QBase(q)
+        n_u, n_v, frac = grid
+        covering = build_covering(n_u, n_v, feasible_overlap(n_u, n_v, frac))
+        rng = np.random.default_rng(seed)
+        pts = (np.exp(rng.uniform(-5.0, 1.0, 100) * base.log_abs_q)
+               * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 100)))
+        assert compare_with_reference(pts, covering.charts, base) == 0
+
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    def test_seam_probes_match_scalar_reference(self, name):
+        cfg = load_shipped_config(name)
+        probes = seam_probes(cfg.covering, cfg.base)
+        ties = compare_with_reference(probes, cfg.covering.charts, cfg.base)
+        # each probe sits on the boundary of the chart it was built from
+        assert 0 < ties <= len(probes)
+
+    def test_scalar_in_scalar_out(self, base2):
+        chart = ChartBase(i1=(0.1, 0.3), i2=(-0.4, -0.2))
+        pt = cmath.exp(0.4j * math.pi) * qpow(base2, -0.3)
+        assert in_discrete_spiral(pt, chart, base2) is True
+        assert in_discrete_spiral(np.array([pt, -pt]), chart,
+                                  base2).tolist() == [True, False]
+        u, v = spiral_coordinates(pt, base2)
+        assert isinstance(u, float) and isinstance(v, float)
+
+    def test_empty_batch(self, base2):
+        chart = ChartBase(i1=(0.1, 0.3), i2=(-0.4, -0.2))
+        empty = np.array([], dtype=complex)
+        assert in_discrete_spiral(empty, chart, base2).shape == (0,)
+        assert spiral_min_distance(empty, base2, 0.2).shape == (0,)
+
+    @PROPERTY
+    @given(q=st.sampled_from(BASES), grid=grids,
+           seed=st.integers(0, 2**32 - 1))
+    def test_membership_survives_division_by_q(self, q, grid, seed):
+        base = QBase(q)
+        n_u, n_v, frac = grid
+        covering = build_covering(n_u, n_v, feasible_overlap(n_u, n_v, frac))
+        rng = np.random.default_rng(seed)
+        pts = (np.exp(rng.uniform(-4.0, 0.0, 300) * base.log_abs_q)
+               * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 300)))
+        for chart in covering.charts:
+            inside = in_discrete_spiral(pts, chart, base)
+            assert in_discrete_spiral(pts[inside] / base.q, chart, base).all()
+
+    @PROPERTY
+    @given(q=st.sampled_from(BASES), grid=grids,
+           seed=st.integers(0, 2**32 - 1))
+    def test_grids_have_no_quadruple_points(self, q, grid, seed):
+        n_u, n_v, frac = grid
+        covering = build_covering(n_u, n_v, feasible_overlap(n_u, n_v, frac))
+        rep = validate_covering(covering, QBase(q), 1500, seed=seed)
+        assert rep.n_quadruple == 0
+        assert rep.max_multiplicity <= 3
+
+
+class TestBatchedMinDistance:
+    NEAR_CRITICAL = (0.31, -0.7, 1.9)
+
+    def batch(self, base, rng, n=12):
+        ws = [-qpow(base, s) for s in self.NEAR_CRITICAL]
+        ws += list(rng.uniform(0.3, 3.0, n)
+                   * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)))
+        return np.array(ws, dtype=complex)
+
+    @pytest.mark.parametrize("q", [2.0 * cmath.exp(0.1j), math.exp(1.0 / 16.0)])
+    def test_against_brute_force(self, q, rng):
+        b = QBase(q)
+        delta = 0.2
+        ws = self.batch(b, rng)
+        fast = spiral_min_distance(ws, b, delta)
+        assert fast.shape == ws.shape
+        outside = min(1.0 - max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta)),
+                      3.0 * delta)
+        for w, f in zip(ws, fast):
+            centre = math.log(abs(w)) / b.log_abs_q
+            oracle = min(brute_force_min_distance(
+                w, b, centre - 2.0 / b.log_abs_q, centre + 2.0 / b.log_abs_q),
+                outside)
+            if oracle > 0.05:
+                # smooth minimum: the oracle's 1e-4 grid overshoots it by
+                # O(1e-9), the refined value is exact to rounding
+                assert -1e-12 <= oracle - f < 1e-8
+            else:
+                # V-shaped minimum near -1: the last nested grid resolves
+                # k to ~1e-8, the oracle may hit the minimum exactly
+                assert f <= oracle + 1e-8
+        assert fast[:len(self.NEAR_CRITICAL)].max() < 1e-6
+
+    @pytest.mark.parametrize("q", [2.0 * cmath.exp(0.1j), math.exp(1.0 / 16.0),
+                                   2.0])
+    def test_batch_equals_elementwise(self, q, rng):
+        b = QBase(q)
+        ws = self.batch(b, rng, n=37)
+        batch = spiral_min_distance(ws, b, 0.2)
+        single = np.array([spiral_min_distance(complex(w), b, 0.2)
+                           for w in ws])
+        np.testing.assert_array_equal(batch, single)
+        grid = spiral_min_distance(ws.reshape(5, -1), b, 0.2)
+        np.testing.assert_array_equal(grid.ravel(), single)
