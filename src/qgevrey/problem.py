@@ -16,7 +16,9 @@ hypotheses and weighted norms under which the series is controlled.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -408,10 +410,9 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
     def grid_max(nn: int) -> float:
         # W(eps, tau) = sum_b eps^-b F_b(tau), F_b summing c tau^a
         # (1 + tau)^-r over the terms with that b: the F_b are computed
-        # once and eps swept in row blocks.  With a single b (the usual
-        # case) |W| = |eps^-b| |F_b| needs no complex block.  Both grids
-        # are polar (row-major over nn moduli x nn arguments), so the
-        # weight exp(-m log^2|tau/eps|) takes only nn x nn values.  A row
+        # once and eps swept in row blocks.  Both grids are polar
+        # (row-major over nn moduli x nn arguments), so the weight
+        # exp(-m log^2|tau/eps|) takes only nn x nn values.  A row
         # whose maximum is NaN does not count (np.fmax).
         eps_pts = _patch_grid(eps_patch, nn)
         tau_pts = _patch_grid(tau_patch, nn)
@@ -421,23 +422,19 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
                 term.c * tau_pts**term.a * (1.0 + tau_pts) ** (-term.r))
         if not by_b:
             by_b[0] = np.zeros(tau_pts.size, dtype=complex)
-        if len(by_b) == 1:
-            (b_only, f_only), = by_b.items()
-            abs_f = np.abs(f_only)
         log_ratio = (np.log(np.abs(tau_pts[::nn]))[None, :]
                      - np.log(np.abs(eps_pts[::nn]))[:, None])
         weight = np.exp(-m_used * log_ratio**2)
         worst = 0.0
-        rows = max(1, BLOCK // tau_pts.size)
+        # a complex value takes two doubles: BLOCK / 2 per complex block
+        rows = max(1, BLOCK // (2 * tau_pts.size))
         mags = np.empty((rows, tau_pts.size))
         for start in range(0, eps_pts.size, rows):
             eps = eps_pts[start:start + rows, None]
             m = eps.shape[0]
-            if len(by_b) == 1:
-                np.multiply(np.abs(eps ** (-b_only)), abs_f, out=mags[:m])
-            else:
-                np.abs(sum(eps ** (-b) * f for b, f in by_b.items()),
-                       out=mags[:m])
+            # summed in place into the first term
+            terms = (eps ** (-b) * f for b, f in by_b.items())
+            np.abs(functools.reduce(operator.iadd, terms), out=mags[:m])
             block = mags[:m].reshape(m, nn, nn)
             block *= weight[np.arange(start, start + m) // nn, :, None]
             worst = float(np.fmax.reduce(block.max(axis=(1, 2)),

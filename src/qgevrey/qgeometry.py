@@ -223,7 +223,7 @@ def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,
     return False
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _scan_tables(base: QBase, delta: float, step: float):
     """Modulus band and k-grid tables of :func:`spiral_min_distance`.
 
@@ -275,16 +275,19 @@ def _distance(w: np.ndarray, k: np.ndarray, base: QBase) -> np.ndarray:
 
 
 def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
-    """Min over real k of ``|1 + w q^-k|``, certified against ``delta``.
+    """Lower bound on the min over real k of ``|1 + w q^-k|``.
 
     Only the modulus band ``|w q^-k|`` near 1 can produce values below
     ``min(3*delta, (1+delta)/2)``; the band is scanned on a k-grid of
     spacing ``step`` (through the cached tables of :func:`_scan_tables`),
     then the bracket around the best grid point is refined on nested grids
-    of exact values.  The returned value is exact enough to decide
-    ``> delta`` for any delta in (0, 1).  Array-valued: an array of ``w``
-    gives an array of its shape, swept in blocks of at most ``BLOCK``
-    elements; a scalar gives a float.
+    of exact values.  The least value found is lowered by the most the
+    minimum can lie below it between two points of the last grid, so
+    ``> delta`` is a safe decision for any delta in (0, 1): the result
+    stays within ~1e-15 of the minimum where the minimum is away from 0,
+    and is 0 where the spiral passes through -1.  Array-valued: an array
+    of ``w`` gives an array of its shape, swept in blocks of at most
+    ``BLOCK`` elements; a scalar gives a float.
     """
     wa = _points(w, "spiral base must be nonzero")
     m_lo, m_hi, A, B, C = _scan_tables(base, float(delta), float(step))
@@ -307,6 +310,16 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
             np.minimum(best[r:r + rows], g.min(axis=1), out=best[r:r + rows])
             k_lo = k_lo + h * (g.argmin(axis=1) - 1)
             h *= 2.0 / (_REFINE_POINTS - 1)
+    # |1 + w q^-k|^2 has second derivative at most
+    # 2 |log q|^2 rho (2 rho + 1), rho = |w q^-k| <= m_hi |q|^step on every
+    # bracket, and its minimum lies within half a last-grid spacing of a
+    # last-grid point
+    rho = m_hi * math.exp(step * base.log_abs_q)
+    h_last = step * (2.0 / (_REFINE_POINTS - 1)) ** _REFINE_LEVELS
+    slack = (abs(base.log_q) * 0.5 * h_last) ** 2 * rho * (2.0 * rho + 1.0)
+    np.square(best, out=best)
+    best -= slack
+    np.sqrt(np.maximum(best, 0.0, out=best), out=best)
     np.minimum(best, min(1.0 - m_lo, m_hi - 1.0), out=best)
     return float(best[0]) if wa.ndim == 0 else best.reshape(wa.shape)
 
