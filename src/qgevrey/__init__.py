@@ -6,7 +6,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, QGevreyError,
 from .qgeometry import (ChartBase, ContinuousBase, QBase, in_continuous_spiral,
                         in_discrete_spiral, in_theta_safe, qpow,
                         spiral_coordinates, spiral_min_distance)
-from .theta import (ThetaSettings, log_theta, pi_q, theta, theta_lower_ratio)
+from .theta import log_theta, pi_q, theta, theta_lower_ratio
 from .qlaplace import (GrowthCertificate, QuadSettings, q_laplace,
                        q_laplace_split, truncation_window)
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,

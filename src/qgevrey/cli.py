@@ -330,8 +330,8 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
         x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(x) < 0.05:
             continue
-        lhs = theta_fn(base.q * x, base, cfg.theta)
-        rhs = base.q * x * theta_fn(x, base, cfg.theta)
+        lhs = theta_fn(base.q * x, base)
+        rhs = base.q * x * theta_fn(x, base)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     report.add("theta_functional_equation", "pass" if worst < 1e-10 else "fail",
                "relative 1e-10", worst_rel=worst, n=n)
@@ -342,7 +342,7 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
         x = mod * complex(np.exp(1j * rng.uniform(0, TWO_PI)))
         direct = sum((base.q ** (-k * (k - 1) / 2.0)) * x**k
                      for k in range(-100, 101))
-        worst = max(worst, abs(theta_fn(x, base, cfg.theta) - direct)
+        worst = max(worst, abs(theta_fn(x, base) - direct)
                     / abs(direct))
     report.add("theta_reduction_vs_direct", "pass" if worst < 1e-12 else "fail",
                "relative 1e-12 on the fundamental annulus", worst_rel=worst)

@@ -5,10 +5,12 @@ parameterization is ``exp(2*pi*i*u) q^v``); they are converted to radians
 once, here.  Complex numbers are ``[re, im]`` pairs.  Unknown fields are
 rejected so silent typos cannot weaken a verification run.
 
-Environment overrides (tolerances only):
+Environment override (tolerance only):
 
-* ``QGEVREY_ABS_TOL``  - quadrature absolute tolerance,
-* ``QGEVREY_THETA_TOL`` - theta truncation tolerance.
+* ``QGEVREY_ABS_TOL`` - quadrature absolute tolerance.
+
+The theta series has no settings: it is summed to a fixed uniform
+truncation order (see :mod:`qgevrey.theta`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
 from .qgeometry import ContinuousBase, QBase
 from .qlaplace import GrowthCertificate, QuadSettings
 from .solution import BETA_MAX_LIMIT, SolutionChart
-from .theta import ThetaSettings
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,7 +79,6 @@ class RunConfig:
     family: AssociatedFamily
     lambdas: tuple[complex, ...]
     quad: QuadSettings
-    theta: ThetaSettings
     cert: GrowthCertificate
     beta_max: int
     sampling: dict
@@ -96,7 +96,7 @@ class RunConfig:
 
 
 _TOP_KEYS = {"description", "base", "problem", "gevrey", "initial",
-             "covering", "family", "solution", "quad", "theta", "sampling"}
+             "covering", "family", "solution", "quad", "sampling"}
 _SAMPLING_BLOCKS = {
     "residual": {"n_points", "z_max", "max_abs", "abs_tol"},
     "flatness": {"pair", "n_points", "abs_tol", "grid"},
@@ -231,12 +231,6 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
                         max_halvings=int(qd.get("max_halvings", 14)),
                         s_pad=float(qd.get("s_pad", 2.0)))
 
-    th = doc.get("theta", {})
-    _check_keys(th, {"tol", "max_terms"}, set(), "theta")
-    theta = ThetaSettings(
-        tol=float(os.environ.get("QGEVREY_THETA_TOL", th.get("tol", 1e-14))),
-        max_terms=int(th.get("max_terms", 256)))
-
     samp = doc.get("sampling", {})
     _check_keys(samp, _SAMPLING_KEYS, set(), "sampling")
     for name, keys in _SAMPLING_BLOCKS.items():
@@ -254,7 +248,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,
                      covering=covering, family=family, lambdas=lambdas,
-                     quad=quad, theta=theta, cert=cert,
+                     quad=quad, cert=cert,
                      beta_max=beta_max, sampling=dict(samp),
                      raw=doc)
 

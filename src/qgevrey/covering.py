@@ -118,15 +118,31 @@ class CoveringReport:
         return self.covered and self.max_multiplicity <= 3
 
 
+def seam_probes(c: GoodCovering, base: QBase) -> np.ndarray:
+    """Three deterministic probes per chart, in chart order.
+
+    They sit on the chart's left, right and bottom edges (open sets!), at
+    the edge midpoints, pushed three levels down into the annulus of
+    :func:`validate_covering`; a good covering has each interior to a
+    neighbouring chart.
+    """
+    return np.array([cmath.exp(TWO_PI * 1j * u) * qpow(base, v - 3.0)
+                     for ch in c.charts
+                     for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
+                                  (ch.u_mid, ch.i2[0]))], dtype=complex)
+
+
 def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
                       seed: int = 0) -> CoveringReport:
     """Sample an annulus inside the covered neighborhood and count memberships.
 
     The annulus top sits at the lowest chart-bottom modulus (below every
     chart's own patch, hence inside the covered neighborhood), three
-    q-levels deep.  The samples and the seam probes form one point array;
-    each chart tests it with one array-valued :func:`in_discrete_spiral`
-    call per block of points.
+    q-levels deep.  The samples and the :func:`seam_probes` form one point
+    array; each chart tests it with one array-valued
+    :func:`in_discrete_spiral` call per block of points.  A probe never
+    counts for the chart it was built from: it lies on that chart's open
+    boundary, where rounding alone would decide.
     """
     L = base.log_abs_q
     r_max = min(math.exp(ch.i2[0] * L) for ch in c.charts)
@@ -134,23 +150,20 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
     rng = np.random.default_rng(seed)
     mods = np.exp(rng.uniform(math.log(r_min), math.log(r_max), n_samples))
     args = rng.uniform(0.0, TWO_PI, n_samples)
-    # deterministic seam probes: chart boundaries (open sets!) must be
-    # interior to a neighbor, pushed three levels down into the annulus
-    probes = [cmath.exp(TWO_PI * 1j * u) * qpow(base, v - 3.0)
-              for ch in c.charts
-              for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
-                           (ch.u_mid, ch.i2[0]))]
-    pts = np.concatenate([mods * np.exp(1j * args),
-                          np.array(probes, dtype=complex)])
+    probes = seam_probes(c, base)
+    pts = np.concatenate([mods * np.exp(1j * args), probes])
+    owner = np.concatenate([np.full(n_samples, -1),
+                            np.arange(probes.size) // 3])
     counts = np.zeros(len(c.charts), dtype=np.int64)
     n_unc = 0
     max_mult = 0
     n_quad = 0
     for start in range(0, pts.size, BLOCK):
         block = pts[start:start + BLOCK]
+        own = owner[start:start + BLOCK]
         mult = np.zeros(block.size, dtype=np.int64)
         for idx, ch in enumerate(c.charts):
-            inside = in_discrete_spiral(block, ch, base)
+            inside = in_discrete_spiral(block, ch, base) & (own != idx)
             counts[idx] += np.count_nonzero(inside)
             mult += inside
         n_unc += int(np.count_nonzero(mult == 0))

@@ -10,7 +10,7 @@ with ``b_k(eps, z) = sum_{s in I_k} b_{ks}(eps) z^s`` polynomial in both
 arguments.  After the kernel transform the z-series coefficients
 ``W_beta(eps, tau)`` obey a pointwise recursion in beta driven by
 ``tau^{m0_k} / ((tau + 1) eps^{m0_k})`` factors; this module evaluates that
-recursion (memoized, vectorized over tau) and provides the quantitative
+recursion (vectorized over tau) and provides the quantitative
 hypotheses and weighted norms under which the series is controlled.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,7 +232,7 @@ def check_constant_system(g: GevreyParams, base: QBase) -> ConstantSystemReport:
 
 @dataclass
 class CoefficientEvaluator:
-    """Memoized evaluator of the z-series coefficients W_beta(eps, tau).
+    """Evaluator of the z-series coefficients W_beta(eps, tau).
 
     For beta < S the initial data is returned exactly; for beta = h + S,
 
@@ -242,15 +242,12 @@ class CoefficientEvaluator:
 
     The recursion is pointwise in (eps, tau) and linear in the initial
     data.  ``table`` evaluates all orders on a tau-array in one pass; the
-    scalar ``coefficient`` is memoized per point and returns bit-identical
-    values on repeated calls.  The memo is single-writer: share an
-    evaluator across workers only for reading after it is populated.
+    scalar ``coefficient`` is one entry of a one-column table.
     """
 
     problem: CauchyProblem
     initial: InitialData
     base: QBase
-    memo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.initial.components) != self.problem.s_order:
@@ -287,14 +284,8 @@ class CoefficientEvaluator:
         return out
 
     def coefficient(self, beta: int, eps: complex, tau: complex) -> complex:
-        """Scalar coefficient value, memoized per (beta, eps, tau)."""
-        key = (beta, complex(eps), complex(tau))
-        if key not in self.memo:
-            col = self.table(eps, np.array([tau]), beta)
-            for b in range(beta + 1):
-                self.memo.setdefault((b, complex(eps), complex(tau)),
-                                     complex(col[b, 0]))
-        return self.memo[key]
+        """Scalar coefficient value ``W_beta(eps, tau)``."""
+        return complex(self.table(eps, np.array([tau]), beta)[beta, 0])
 
 
 # ---------------------------------------------------------------------------

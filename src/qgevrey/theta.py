@@ -5,10 +5,11 @@ The two-sided series
     theta(x) = sum_{n in Z} q^{-n(n-1)/2} x^n,   x != 0,
 
 satisfies ``theta(q x) = q x theta(x)`` and more generally
-``theta(q^m x) = q^{m(m+1)/2} x^m theta(x)``.  Evaluation reduces the
-argument to the fundamental annulus ``1 <= |x0| < |q|`` with that shift
-relation, sums the series there with a certified geometric tail bound, and
-re-applies the accumulated rescaling in log space.
+``theta(q^m x) = q^{m(m+1)/2} x^m theta(x)``.  One series core,
+:func:`log_theta`, serves scalars and arrays alike: it reduces the argument
+to the fundamental annulus ``1 <= |x0| < |q|`` with that shift relation,
+sums the series there to a uniform truncation order, and keeps the
+accumulated rescaling in log space.  :func:`theta` is its exponential.
 
 The zeros of theta sit on the spiral ``-q^Z``; all growth/lower-bound
 diagnostics live relative to ``exp(log^2|x| / (2 log|q|))``, the scale the
@@ -19,117 +20,88 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ThetaOverflowError
-from .qgeometry import QBase
+from .qgeometry import QBase, _points
 
 _EXP_MAX = 700.0  # log of largest double, with margin
+_TOL = 1e-15  # truncation tolerance of the series on the annulus
 
 
-@dataclass(frozen=True)
-class ThetaSettings:
-    tol: float = 1e-14
-    max_terms: int = 256
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-
-
-DEFAULT_SETTINGS = ThetaSettings()
-
-
-def _reduce(x: complex, base: QBase) -> tuple[complex, int]:
-    """Split ``x = q^m x0`` with ``|x0|`` in the fundamental annulus."""
-    m = math.floor(math.log(abs(x)) / base.log_abs_q)
-    return x * cmath.exp(-m * base.log_q), m
-
-
-def _annulus_sum(x0: complex, base: QBase, settings: ThetaSettings) -> complex:
-    """Two-sided series at a point of the fundamental annulus.
-
-    Terms are accumulated outward from n = 0; the loop stops once both
-    one-sided tails are below settings.tol by the geometric majorant
-    (term ratio <= 1/2 on each side).
-    """
-    q_inv = cmath.exp(-base.log_q)
-    abs_q_inv = abs(q_inv)
-    total = 1.0 + 0j  # n = 0 term
-    t_pos = 1.0 + 0j  # current positive-side term, n = 0
-    t_neg = 1.0 + 0j  # current negative-side term, n = 0
-    for n in range(settings.max_terms):
-        t_pos = t_pos * x0 * q_inv**n          # becomes term n+1
-        t_neg = t_neg * q_inv ** (n + 1) / x0  # becomes term -(n+1)
-        total += t_pos + t_neg
-        r_pos = abs(x0) * abs_q_inv ** (n + 1)
-        r_neg = abs_q_inv ** (n + 2) / abs(x0)
-        if r_pos <= 0.5 and r_neg <= 0.5:
-            tail = 2.0 * (abs(t_pos) * r_pos + abs(t_neg) * r_neg)
-            if tail < settings.tol:
-                return total
-    raise ConvergenceError("theta series did not reach tolerance within "
-                           "%d terms" % settings.max_terms, last=total)
-
-
-def theta(x: complex, base: QBase, settings: ThetaSettings = DEFAULT_SETTINGS) -> complex:
-    """Theta value at ``x`` with certified truncation.
-
-    Raises :class:`ThetaOverflowError` (carrying the reduction exponent)
-    when the rescaling factor leaves double range.
-    """
-    if x == 0:
-        raise DomainError("theta is undefined at 0", membership="nonzero")
-    x0, m = _reduce(x, base)
-    core = _annulus_sum(x0, base, settings)
-    log_factor = (m * (m + 1) / 2.0) * base.log_q + m * cmath.log(x0)
-    if core == 0:
-        return 0j
-    total_log = log_factor + cmath.log(core)
-    if total_log.real > _EXP_MAX:
-        raise ThetaOverflowError(
-            "theta rescaling overflows double range (reduction exponent %d)" % m,
-            exponent=m)
-    if abs(log_factor.real) < 600.0:
-        return cmath.exp(log_factor) * core
-    return cmath.exp(total_log)
-
-
-def _annulus_terms(base: QBase, tol: float) -> int:
+def _annulus_terms(base: QBase) -> int:
     """Uniform truncation order valid on the whole fundamental annulus."""
     L = base.log_abs_q
-    # |q|^{-n(n-1)/2} |x0|^n <= exp(L(-n(n-1)/2 + n)); solve the tail < tol
-    target = -math.log(0.25 * tol) / L
+    # |q|^{-n(n-1)/2} |x0|^n <= exp(L(-n(n-1)/2 + n)); solve the tail < _TOL
+    target = -math.log(0.25 * _TOL) / L
     n = int(math.ceil(1.5 + math.sqrt(max(2.25 + 2.0 * target, 0.0)))) + 2
     return n
 
 
-def log_theta(x: np.ndarray, base: QBase, tol: float = 1e-15) -> np.ndarray:
-    """Vectorized ``log theta(x)`` (a branch of it; exact under exp).
+@lru_cache(maxsize=8)
+def _horner_table(base: QBase) -> tuple[complex, tuple]:
+    """Coefficients of the annulus sum, ordered for Horner's scheme.
+
+    With ``N = _annulus_terms(base)``, ``a_n = q^{-n(n-1)/2}`` the
+    coefficient of ``x^n`` and ``b_n = q^{-n(n+1)/2}`` that of ``x^-n``,
+    returns ``a_N`` and the pairs ``(a_{n-1}, b_n)`` for ``n = N, ..., 1``.
+    """
+    n = np.arange(_annulus_terms(base) + 1.0)
+    a = np.exp(-0.5 * n * (n - 1.0) * base.log_q).tolist()
+    b = np.exp(-0.5 * n * (n + 1.0) * base.log_q).tolist()
+    return a[-1], tuple(zip(a[-2::-1], b[:0:-1]))
+
+
+def _shift_exponent(x, base: QBase):
+    """The ``m`` of ``x = q^m x0`` with ``x0`` in the fundamental annulus."""
+    return np.floor(np.log(np.abs(x)) / base.log_abs_q)
+
+
+def log_theta(x, base: QBase):
+    """``log theta(x)`` (a branch of it; exact under exp) at a scalar or array.
 
     Safe for arguments of any magnitude: the quadratically growing part of
     log theta is kept symbolic, so ``exp(-log_theta(x))`` underflows to 0
     gracefully instead of overflowing where theta is astronomically large.
+    Where the annulus sum cancels to exactly 0 the value is ``-inf``.  A zero
+    or non-finite entry of ``x`` raises :class:`DomainError`.
     """
     x = np.asarray(x, dtype=complex)
-    L = base.log_abs_q
-    m = np.floor(np.log(np.abs(x)) / L)
-    x0 = x * np.exp(-m * base.log_q)
-    n_terms = _annulus_terms(base, tol)
-    core = np.ones_like(x0)
-    t_pos = np.ones_like(x0)
-    t_neg = np.ones_like(x0)
-    q_inv = cmath.exp(-base.log_q)
-    for n in range(n_terms):
-        t_pos = t_pos * x0 * q_inv**n
-        t_neg = t_neg * (q_inv ** (n + 1)) / x0
-        core += t_pos + t_neg
-    return (m * (m + 1) / 2.0) * base.log_q + m * np.log(x0) + np.log(core)
+    with np.errstate(divide="ignore"):
+        m = _shift_exponent(x, base)
+        if not np.isfinite(m).all():  # some entry is 0, non-finite or huge
+            _points(x, "theta is undefined at 0")
+            raise DomainError("|x| overflows double range", membership="finite")
+        # log_q leads each product with m: Python complex times float64
+        # stays on the fast scalar path for 0-d input
+        x0 = x * np.exp(base.log_q * -m)
+        y0 = 1.0 / x0
+        # core = sum_{n=0}^N a_n x0^n + sum_{n=1}^N b_n y0^n
+        lead, pairs = _horner_table(base)
+        acc_pos, acc_neg = lead, 0.0
+        for a, b in pairs:
+            acc_pos = acc_pos * x0 + a
+            acc_neg = (acc_neg + b) * y0
+        log_core = np.log(acc_pos + acc_neg)
+    return base.log_q * (m * (m + 1) / 2.0) + m * np.log(x0) + log_core
+
+
+def theta(x: complex, base: QBase) -> complex:
+    """Theta value at ``x``: ``exp(log_theta(x))``.
+
+    Returns ``0j`` where the series cancels to exactly 0.  Raises
+    :class:`ThetaOverflowError` (carrying the reduction exponent) when the
+    value leaves double range.
+    """
+    lg = log_theta(x, base)
+    if lg.real > _EXP_MAX:
+        m = int(_shift_exponent(x, base))
+        raise ThetaOverflowError(
+            "theta rescaling overflows double range (reduction exponent %d)" % m,
+            exponent=m)
+    return cmath.exp(lg)
 
 
 @lru_cache(maxsize=32)
@@ -153,19 +125,16 @@ def pi_q(base: QBase) -> complex:
     return base.log_q * prod
 
 
-def theta_lower_ratio(x: complex, base: QBase, xi: float,
-                      settings: ThetaSettings = DEFAULT_SETTINGS) -> float:
+def theta_lower_ratio(x: complex, base: QBase, xi: float) -> float:
     """``|theta(x)| / exp(xi log^2|x| / (2 log|q|))``.
 
     On theta-safe samples this ratio is bounded below by a positive
     constant depending on (xi, delta); computed in log space so huge
     arguments do not overflow.
     """
-    if x == 0:
-        raise DomainError("theta is undefined at 0", membership="nonzero")
+    lg = log_theta(x, base)
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie in (0, 1)")
-    lg = log_theta(np.array([x]), base, tol=settings.tol)[0]
     expo = lg.real - xi * math.log(abs(x)) ** 2 / (2.0 * base.log_abs_q)
     if expo < -_EXP_MAX:
         return 0.0

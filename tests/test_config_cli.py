@@ -117,6 +117,15 @@ class TestConfigSchema:
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "beta_max" in capsys.readouterr().err
 
+    def test_theta_block_exit_two(self, demo_doc, tmp_path, capsys):
+        # the theta series has no settings; an old config's block is a typo
+        doc = trimmed(demo_doc)
+        doc["theta"] = {"tol": 1e-14, "max_terms": 256}
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "theta" in capsys.readouterr().err
+
     def test_unreadable_path_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "missing.json"))

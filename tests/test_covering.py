@@ -1,11 +1,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
                      QBase, build_covering, in_discrete_spiral, overlap_point,
                      pick_lambda, validate_covering, validate_family)
+from qgevrey.config import load_shipped_config
+from qgevrey.covering import seam_probes
 
 class TestBuildCovering:
     def test_default_grid(self, base2):
@@ -55,6 +58,22 @@ class TestValidateCovering:
         rep = validate_covering(c, base2, 400, seed=5)
         assert rep.max_multiplicity >= 4
         assert rep.n_quadruple > 0
+
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    def test_no_probe_counts_for_its_own_chart(self, name):
+        # with no random samples the counts come from the probes alone:
+        # chart idx counts exactly the other charts' probes inside it, and
+        # each probe is covered by a neighbour
+        cfg = load_shipped_config(name)
+        charts = cfg.covering.charts
+        probes = seam_probes(cfg.covering, cfg.base).reshape(len(charts), 3)
+        rep = validate_covering(cfg.covering, cfg.base, 0)
+        for idx, ch in enumerate(charts):
+            others = np.delete(probes, idx, axis=0).ravel()
+            inside = in_discrete_spiral(others, ch, cfg.base)
+            assert rep.per_chart_counts[idx] == np.count_nonzero(inside)
+        assert rep.n_uncovered == 0
+        assert rep.max_multiplicity <= 3
 
     def test_complex_base(self):
         b = QBase(1.8 * cmath.exp(0.15j))

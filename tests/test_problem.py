@@ -193,12 +193,12 @@ class TestCoefficientRecursion:
             b = ev2.coefficient(beta, 0.5 + 0.2j, 1.3 - 0.4j)
             assert abs(b - scale * a) < 1e-13 * max(abs(b), 1e-30)
 
-    def test_memoization_bit_identical(self, base2):
+    def test_repeated_calls_bit_identical(self, base2):
         ev = CoefficientEvaluator(problem=single_term_problem(),
                                   initial=CONST_INITIAL, base=base2)
         first = ev.coefficient(7, 0.3 + 0.1j, 1.1 + 0.9j)
         second = ev.coefficient(7, 0.3 + 0.1j, 1.1 + 0.9j)
-        assert first == second  # cached: identical object value
+        assert first == second
 
     def test_poles_rejected(self, base2):
         ev = CoefficientEvaluator(problem=single_term_problem(),

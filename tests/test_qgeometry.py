@@ -11,6 +11,7 @@ from qgevrey import (ChartBase, ContinuousBase, DomainError, QBase,
                      in_theta_safe, qpow, spiral_coordinates,
                      spiral_min_distance, validate_covering)
 from qgevrey.config import load_shipped_config
+from qgevrey.covering import seam_probes
 
 # deterministic property runs: the same examples on every run, no database
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -274,14 +275,6 @@ def compare_with_reference(points, charts, base, tie=1e-9):
             else:
                 assert got[k] == near.pop(), (chart, points[k])
     return ties
-
-
-def seam_probes(covering, base):
-    """The seam probes of :func:`validate_covering`."""
-    return np.array([cmath.exp(2j * math.pi * u) * qpow(base, v - 3.0)
-                     for ch in covering.charts
-                     for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
-                                  (ch.u_mid, ch.i2[0]))])
 
 
 grids = st.tuples(st.integers(5, 8), st.integers(5, 8),

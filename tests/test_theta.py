@@ -1,12 +1,19 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qgevrey import (DomainError, QBase, ThetaOverflowError, ThetaSettings,
-                     in_theta_safe, log_theta, pi_q, qpow, theta,
-                     theta_lower_ratio)
+from qgevrey import (DomainError, QBase, ThetaOverflowError, in_theta_safe,
+                     log_theta, pi_q, qpow, theta, theta_lower_ratio)
+
+# deterministic property runs: the same examples on every run, no database
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 def theta_direct(x, q, n_terms):
@@ -64,6 +71,18 @@ class TestFunctionalEquation:
                     rhs = (qpow(b, m * (m + 1) / 2.0) * x**m) * theta(x, b)
                     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
+    @PROPERTY
+    @given(which=st.integers(0, 2), m=st.integers(-5, 5),
+           mod=st.floats(0.3, 3.0), arg=st.floats(0.0, 2.0 * math.pi))
+    def test_shift_identity_property(self, bases, which, m, mod, arg):
+        # theta(q^m x) = q^{m(m+1)/2} x^m theta(x), away from the zeros
+        b = bases[which]
+        x = mod * cmath.exp(1j * arg)
+        assume(in_theta_safe(1.0, x, b, 0.1))
+        lhs = theta(qpow(b, float(m)) * x, b)
+        rhs = qpow(b, m * (m + 1) / 2.0) * x**m * theta(x, b)
+        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
 
 class TestReductionConsistency:
     def test_annulus_against_200_terms(self, base2, rng):
@@ -106,11 +125,63 @@ class TestLogTheta:
                 ref = theta(complex(x), b)
                 assert abs(v - ref) <= 1e-11 * abs(ref)
 
+    def test_scalar_matches_array_element(self, bases, rng):
+        # one code path for both; only the rounding of complex products
+        # differs (vector loops may fuse multiply-adds), amplified at most
+        # by the annulus sum's cancellation on theta-safe points
+        for b in bases:
+            xs = (rng.uniform(0.2, 5.0, 200)
+                  * np.exp(1j * rng.uniform(0, 2 * math.pi, 200)))
+            xs = np.array([x for x in xs
+                           if in_theta_safe(1.0, complex(x), b, 0.2)])
+            vals = log_theta(xs, b)
+            for x, v in zip(xs, vals):
+                one = log_theta(complex(x), b)
+                assert np.ndim(one) == 0
+                assert abs(one - v) <= 1e-12
+
     def test_huge_argument_no_overflow(self, base2):
         lg = log_theta(np.array([2.0**200]), base2)[0]
         assert math.isfinite(lg.real)
         # reciprocal kernel underflows gracefully
         assert np.exp(-lg) == 0.0
+
+
+class TestDomainContract:
+    @pytest.mark.parametrize("bad, membership", [
+        (0.0, "nonzero"), (0j, "nonzero"), (math.nan, "finite"),
+        (complex(math.inf, 0.0), "finite"), (complex(1.0, math.nan), "finite"),
+        (1.5e308 + 1.5e308j, "finite")])
+    def test_bad_scalar(self, base2, bad, membership):
+        for fn in (log_theta, theta):
+            with pytest.raises(DomainError) as err:
+                fn(bad, base2)
+            assert err.value.membership == membership
+
+    def test_bad_array_entry(self, base2):
+        with pytest.raises(DomainError) as err:
+            log_theta(np.array([1.0, 0.0, 2.0]), base2)
+        assert err.value.membership == "nonzero"
+        with pytest.raises(DomainError) as err:
+            log_theta(np.array([1.0, np.nan]), base2)
+        assert err.value.membership == "finite"
+
+    def test_exact_cancellation_gives_zero(self, rng):
+        # for |q| near 1 the annulus sum cancels far below its term mass,
+        # and on some points to exactly 0: theta is then 0j, log_theta is
+        # -inf, and no floating-point warning is raised
+        b = QBase(math.exp(1.0 / 16.0))
+        xs = (np.exp(rng.uniform(-3.0, 3.0, 4000) * b.log_abs_q)
+              * np.exp(1j * rng.uniform(0, 2 * math.pi, 4000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isneginf(log_theta(xs, b).real).any()
+            zeros = [complex(x) for x in xs
+                     if np.isneginf(log_theta(complex(x), b).real)]
+            assert zeros
+            for x in zeros:
+                assert theta(x, b) == 0
+                assert theta_lower_ratio(x, b, 0.5) == 0.0
 
 
 class TestOverflow:
@@ -148,6 +219,45 @@ class TestPiQ:
             for n in range(n_stop, n_stop + 10):
                 p2 *= 1.0 / (1.0 - q ** (-n - 1.0))
             assert abs(p1 - p2) * math.log(q) < 1e-14 * abs(p1)
+
+
+def mp_theta(x, q):
+    """50-digit two-sided direct sum, no reduction to the annulus."""
+    with mpmath.workdps(50):
+        x, log_q = mpmath.mpc(x), mpmath.log(mpmath.mpc(q))
+        total = mpmath.mpc(0)
+        for n in range(-80, 81):
+            total += mpmath.exp(-n * (n - 1) / 2 * log_q) * x**n
+        return complex(total)
+
+
+def mp_pi_q(q):
+    """50-digit ``log q * prod_{n >= 0} (1 - q^{-n-1})^{-1}``."""
+    with mpmath.workdps(50):
+        q = mpmath.mpc(q)
+        prod = mpmath.mpf(1)
+        for n in range(400):
+            prod /= 1 - q ** (-n - 1)
+        return complex(mpmath.log(q) * prod)
+
+
+class TestMpmathOracle:
+    def test_theta_against_direct_sum(self, bases, rng):
+        for b in bases:
+            count = 0
+            while count < 6:
+                x = complex(rng.uniform(0.2, 5.0)
+                            * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+                if not in_theta_safe(1.0, x, b, 0.2):
+                    continue
+                count += 1
+                ref = mp_theta(x, b.q)
+                assert abs(theta(x, b) - ref) <= 1e-12 * abs(ref)
+
+    def test_pi_q_against_product(self, bases):
+        for b in bases:
+            ref = mp_pi_q(b.q)
+            assert abs(pi_q(b) - ref) <= 1e-14 * abs(ref)
 
 
 class TestLowerRatio:
@@ -200,10 +310,3 @@ class TestLowerRatio:
         with pytest.raises(ValueError):
             theta_lower_ratio(1.0, base2, 1.2)
 
-
-class TestSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThetaSettings(tol=-1.0)
-        with pytest.raises(ValueError):
-            ThetaSettings(max_terms=4)
