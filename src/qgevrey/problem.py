@@ -241,8 +241,13 @@ class CoefficientEvaluator:
                   / ((tau + 1) eps^{m0_k} h2! q^{m1_k h2}).
 
     The recursion is pointwise in (eps, tau) and linear in the initial
-    data.  ``table`` evaluates all orders on a tau-array in one pass; the
-    scalar ``coefficient`` is one entry of a one-column table.
+    data.  ``table`` evaluates all orders on a tau-array in one pass.  Once
+    per call it computes, per term, the tau factor
+    ``tau^{m0_k} / ((tau + 1) eps^{m0_k})`` times each nonzero
+    ``b_{k h1}(eps)``, and the powers ``q^{-m1_k h2}``, plus the factorials;
+    each order is then accumulated in place into its row through one
+    scratch vector.  The scalar ``coefficient`` is one entry of a
+    one-column table.
     """
 
     problem: CauchyProblem
@@ -262,25 +267,37 @@ class CoefficientEvaluator:
             raise DomainError("tau = -1 is a pole of the recursion",
                               membership="tau_pole")
         S = self.problem.s_order
+        tau = tau.ravel()
         out = np.zeros((beta_max + 1, tau.size), dtype=complex)
         for j in range(min(S, beta_max + 1)):
-            out[j] = self.initial.value(j, eps, tau.ravel())
-        pole = 1.0 / (tau.ravel() + 1.0)
-        for h in range(beta_max + 1 - S):
-            acc = np.zeros(tau.size, dtype=complex)
-            for term in self.problem.terms:
-                tau_pow = tau.ravel() ** term.m0 * pole * eps ** (-term.m0)
-                for h1 in term.z_powers:
+            out[j] = self.initial.value(j, eps, tau)
+        n_h = beta_max + 1 - S
+        pole = 1.0 / (tau + 1.0)
+        # per term: k, q^{-m1 h2} for every h2, and the pairs
+        # (h1, b_{k h1}(eps) tau^{m0} / ((tau + 1) eps^{m0})) over the
+        # z-powers h1 whose b is not 0, in ascending h1
+        terms = []
+        for term in self.problem.terms:
+            tau_f = tau**term.m0 * pole * eps ** (-term.m0)
+            pairs = []
+            for h1 in term.z_powers:
+                b = term.b_value(h1, eps)
+                if b != 0:
+                    pairs.append((h1, b * tau_f))
+            q_pow = [self.base.q ** (-term.m1 * h2) for h2 in range(n_h)]
+            terms.append((term.k, q_pow, pairs))
+        fact = [math.factorial(h) for h in range(n_h)]
+        scratch = np.empty(tau.size, dtype=complex)
+        for h in range(n_h):
+            row = out[h + S]
+            for k, q_pow, pairs in terms:
+                for h1, b_tau_f in pairs:
                     h2 = h - h1
                     if h2 < 0:
-                        continue
-                    b = term.b_value(h1, eps)
-                    if b == 0:
-                        continue
-                    scale = (math.factorial(h) / math.factorial(h2)
-                             * self.base.q ** (-term.m1 * h2))
-                    acc += b * scale * tau_pow * out[h2 + term.k]
-            out[h + S] = acc
+                        break
+                    np.multiply(b_tau_f, out[h2 + k], out=scratch)
+                    scratch *= fact[h] / fact[h2] * q_pow[h2]
+                    row += scratch
         return out
 
     def coefficient(self, beta: int, eps: complex, tau: complex) -> complex:

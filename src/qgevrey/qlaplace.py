@@ -11,8 +11,11 @@ well defined whenever ``z`` is theta-safe for ``(lam, delta)`` and
 all-orders block in :mod:`qgevrey.solution`: :func:`path_window` truncates
 the path by an analytic Gaussian-tail bound on the integrand majorant,
 widened until the integrand is negligible at both ends, and
-:func:`path_integral` applies composite Simpson on nested nodes, halving
-the step until every integrand row has settled.
+:func:`path_integral` halves the step on nested trapezoid nodes until every
+integrand row has settled.  On such a window the trapezoid rule converges
+exponentially and settles first; where an end of the window is live (the
+split at ``s = 0``), composite Simpson built from the same sums settles
+first and is returned instead.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from .theta import log_theta, pi_q
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Composite-Simpson controls for the path integral."""
+    """Controls for the path integral: the tolerance on the change between
+    halvings (trapezoid first, Simpson as the fallback), the largest first
+    step, the number of halvings and the window padding."""
 
     abs_tol: float = 1e-10
     initial_step: float = 0.25
@@ -155,10 +160,15 @@ def path_integral(rows, s_lo: float, s_hi: float,
     """Integral of ``rows`` over ``[s_lo, s_hi]``, one value per row.
 
     ``rows(s)`` returns an array whose last axis runs over the nodes ``s``.
-    Composite Simpson is taken as ``(4 T(h) - T(2h)) / 3`` from nested
-    trapezoid sums, so each halving evaluates only the new midpoints; the
-    step starts at most ``initial_step`` and converges when every row moved
-    by less than ``abs_tol`` between Simpson levels.
+    The trapezoid sums ``T(h)`` are nested, so each halving evaluates only
+    the new midpoints; the step starts at most ``initial_step``.  After each
+    halving the loop returns ``T(h)`` once every row moved by less than
+    ``abs_tol`` from ``T(2h)``: on an analytic integrand that is negligible
+    at both ends the trapezoid error falls like ``exp(-c / h)``, so this
+    test settles first.  Otherwise it returns composite Simpson,
+    ``(4 T(h) - T(2h)) / 3``, once every row moved by less than ``abs_tol``
+    between Simpson levels; that test settles first where an end of the
+    window is live and the trapezoid error is only ``O(h^2)``.
     """
     n = max(int(math.ceil((s_hi - s_lo) / (2.0 * settings.initial_step))), 1)
     h = (s_hi - s_lo) / n
@@ -171,6 +181,8 @@ def path_integral(rows, s_lo: float, s_hi: float,
         n *= 2
         h *= 0.5
         trap, coarse = h * acc, trap
+        if np.max(np.abs(trap - coarse)) < settings.abs_tol:
+            return trap
         prev, cur = cur, (4.0 * trap - coarse) / 3.0
         if prev is not None and np.max(np.abs(cur - prev)) < settings.abs_tol:
             return cur

@@ -75,8 +75,10 @@ def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
     """All transforms T_beta(eps, eps t), beta <= beta_max, on shared nodes.
 
     One path integral whose rows are the orders: the window and the
-    nested-halving Simpson loop of :mod:`qgevrey.qlaplace`, converged when
-    every order moved by less than abs_tol.  Cached per (eps, t).
+    nested-halving loop of :mod:`qgevrey.qlaplace`.  The window leaves the
+    integrand negligible at both ends, where the trapezoid sums converge
+    exponentially, so the loop returns them as soon as every order moved
+    by less than abs_tol between halvings.  Cached per (eps, t).
     """
     key = (complex(eps), complex(t))
     if key in sc._cache:

@@ -242,6 +242,79 @@ class TestCoefficientRecursion:
             assert abs(got - w[beta]) <= 1e-12 * max(abs(w[beta]), 1e-30)
 
 
+def per_h_table(ev, eps, tau, beta_max):
+    """Reference: the recursion as a plain loop over h that recomputes the
+    tau factor, ``b_value`` and ``q^{-m1 h2}`` on every pass."""
+    S = ev.problem.s_order
+    out = np.zeros((beta_max + 1, tau.size), dtype=complex)
+    for j in range(min(S, beta_max + 1)):
+        out[j] = ev.initial.value(j, eps, tau)
+    pole = 1.0 / (tau + 1.0)
+    for h in range(beta_max + 1 - S):
+        acc = np.zeros(tau.size, dtype=complex)
+        for term in ev.problem.terms:
+            tau_pow = tau ** term.m0 * pole * eps ** (-term.m0)
+            for h1 in term.z_powers:
+                h2 = h - h1
+                if h2 < 0:
+                    continue
+                b = term.b_value(h1, eps)
+                if b == 0:
+                    continue
+                scale = (math.factorial(h) / math.factorial(h2)
+                         * ev.base.q ** (-term.m1 * h2))
+                acc += b * scale * tau_pow * out[h2 + term.k]
+        out[h + S] = acc
+    return out
+
+
+class TestTableAgainstPerHLoop:
+    # S = 4; two terms with several z-powers, an eps-dependent b, and a
+    # z-power (s = 2 of the k = 1 term) whose b is identically 0
+    PROBLEM = CauchyProblem(
+        s_order=4,
+        terms=(ProblemTerm(k=0, m0=3, m1=17,
+                           coeffs=((0, (1.0 + 0j,)),
+                                   (1, (0.5 - 0.25j, 0.75 + 0j, -0.2j)),
+                                   (3, (0.3 + 0j,)))),
+               ProblemTerm(k=1, m0=4, m1=21,
+                           coeffs=((1, (1.0 + 0j, -0.5 + 0j)),
+                                   (2, (0j, 0j)),
+                                   (4, (0.1j,))))))
+    INITIAL = InitialData(components=(
+        (InitialTerm(c=1.0),),
+        (InitialTerm(c=0.5, a=1, r=1),),
+        (InitialTerm(c=0.25 - 0.5j, b=1), InitialTerm(c=0.1, a=2, r=2)),
+        (InitialTerm(c=-0.3j, a=1, b=2, r=1),)))
+
+    def evaluator(self):
+        return CoefficientEvaluator(problem=self.PROBLEM,
+                                    initial=self.INITIAL,
+                                    base=QBase(math.exp(1.0 / 16.0)))
+
+    def test_matches_per_h_loop(self, rng):
+        ev = self.evaluator()
+        for _ in range(5):
+            eps = complex(rng.uniform(0.2, 0.9)
+                          * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+            tau = (rng.uniform(0.3, 3.0, 40)
+                   * np.exp(1j * rng.uniform(-2.5, 2.5, 40)))
+            got = ev.table(eps, tau, 25)
+            want = per_h_table(ev, eps, tau, 25)
+            assert got.shape == (26, 40)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_beta_max_below_order_gives_initial_rows(self):
+        ev = self.evaluator()
+        eps, tau = 0.5 + 0.2j, np.array([1.3 - 0.4j, 0.7 + 1.1j])
+        for beta_max in range(4):
+            got = ev.table(eps, tau, beta_max)
+            assert got.shape == (beta_max + 1, 2)
+            for j in range(beta_max + 1):
+                assert np.array_equal(got[j],
+                                      self.INITIAL.value(j, eps, tau))
+
+
 class TestWeightedNorm:
     def test_zero_function(self, base2):
         tau = np.linspace(1.0, 3.0, 11).astype(complex)

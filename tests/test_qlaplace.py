@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -117,6 +119,73 @@ class TestSplit:
         m_ref = reference_transform(F, 1.0, 2.0, base2, s_hi=0.0)
         assert abs(p - p_ref) < 1e-10
         assert abs(m - m_ref) < 1e-10
+
+
+def mp_halves(r, lam, z, q):
+    """Independent oracle: the outward (s >= 0) and inward (s <= 0) halves
+    of the transform of ``F(x) = x / (1 + x)^r`` by ``mpmath.quad``
+    (Gauss-Legendre, 20 digits) on half-lines split around the integrand's
+    peak; ``1/theta`` is the series summed around its largest term and
+    ``log q / pi_q`` the product ``prod_{n>=1} (1 - q^{-n})``."""
+    with mp.workdps(20):
+        q, lam, z = mp.mpf(q), mp.mpc(lam), mp.mpc(z)
+        log_q = mp.log(q)
+
+        def inv_theta(x):
+            c = int(mp.nint(mp.log(abs(x)) / log_q + 0.5))
+            peak = q ** (-mp.mpf(c) * (c - 1) / 2) * x**c
+            total, up, down = peak, peak, peak
+            for j in range(1, 16):
+                up = up * x / q ** (c + j - 1)
+                down = down * q ** (c - j) / x
+                total += up + down
+            return 1 / total
+
+        def f(s):
+            x = lam * q**s
+            return x / (1 + x) ** r * inv_theta(x / z)
+
+        s0 = float(mp.log(abs(z / lam)) / log_q)
+        marks = [s0 + d for d in range(-12, 13, 3)]
+        outward = [0.0] + [m for m in marks if m > 0] + [mp.inf]
+        inward = [-mp.inf] + [m for m in marks if m < 0] + [0.0]
+        pref = mp.nprod(lambda n: 1 - q ** (-n), [1, mp.inf])
+        return (complex(pref * mp.quad(f, outward, method="gauss-legendre")),
+                complex(pref * mp.quad(f, inward, method="gauss-legendre")))
+
+
+@pytest.fixture(scope="module")
+def demo_points(demo_cfg):
+    """(lam, z, F, outward and inward oracle halves) at the middle of demo
+    charts 20, 21 and 0, t = 0.7, for ``F(x) = x / (1 + x)^r``, r = 1, 2."""
+    assert demo_cfg.base.q == 2.0
+    out = []
+    for idx in (20, 21, 0):
+        sc = demo_cfg.chart_solution(idx)
+        eps = (np.exp(2j * math.pi * sc.chart.u_mid)
+               * demo_cfg.base.q ** sc.chart.v_mid)
+        z = complex(eps * 0.7)
+        for r in (1, 2):
+            F = (lambda rr: lambda x: x / (1.0 + x) ** rr)(r)
+            out.append((sc.lam, z, F, *mp_halves(r, sc.lam, z, 2.0)))
+    return out
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])
+    def test_full_line(self, demo_cfg, demo_points, abs_tol):
+        settings = QuadSettings(abs_tol=abs_tol)
+        for lam, z, F, p_ref, m_ref in demo_points:
+            val = q_laplace(F, lam, z, demo_cfg.base, CERT, settings)
+            assert abs(val - (p_ref + m_ref)) <= abs_tol, (lam, z)
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])
+    def test_split_halves(self, demo_cfg, demo_points, abs_tol):
+        settings = QuadSettings(abs_tol=abs_tol)
+        for lam, z, F, p_ref, m_ref in demo_points:
+            p, m = q_laplace_split(F, lam, z, demo_cfg.base, CERT, settings)
+            assert abs(p - p_ref) <= abs_tol, (lam, z)
+            assert abs(m - m_ref) <= abs_tol, (lam, z)
 
 
 class TestCommutation:

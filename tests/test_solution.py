@@ -151,6 +151,29 @@ class TestTransformBlockOracle:
                 want = oracle_block(demo, sc.lam, eps, 0.7)
                 assert np.max(np.abs(got - want)) <= abs_tol, (idx, level)
 
+    def test_node_columns_pinned(self, demo, eps20, monkeypatch):
+        # node-columns of one chart-20 block at abs_tol = 1e-8, counted by
+        # wrapping the integrand rows: the window probe (2), the coarse
+        # grid (61) and four halvings.  Nested Simpson stopping took one
+        # more halving: 963.
+        import qgevrey.solution as solution
+        columns = []
+
+        def counting(fn):
+            def wrapped(rows, *args, **kwargs):
+                def counted(s):
+                    columns.append(np.size(s))
+                    return rows(s)
+                return fn(counted, *args, **kwargs)
+            return wrapped
+
+        for name in ("path_window", "path_integral"):
+            monkeypatch.setattr(solution, name,
+                                counting(getattr(solution, name)))
+        sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
+        solution._transform_block(sc, eps20, 0.7)
+        assert sum(columns) == 483
+
 
 class TestInitialCondition:
     def test_matches_series_coefficient_bitwise(self, demo, chart20, eps20):
