@@ -204,21 +204,27 @@ def _verify_residual(cfg: RunConfig, seed: int, report: Report,
                    abs_tol=float(scfg.get("abs_tol", cfg.quad.abs_tol)))
     rng = np.random.default_rng(seed)
     charts = {}
-    rows = []
-    worst = 0.0
+    points = []
     for i in range(n_points):
         idx = i % len(cfg.covering.charts)
         if idx not in charts:
             charts[idx] = cfg.chart_solution(idx, quad=quad)
-        sc = charts[idx]
-        ch = sc.chart
+        ch = charts[idx].chart
         u = rng.uniform(*ch.i1)
         v = rng.uniform(*ch.i2) - rng.integers(0, 3)
         eps = complex(np.exp(2j * math.pi * u) * qg.qpow(cfg.base, v))
         t = complex(cfg.family.t_set.sample(rng, 1)[0])
         z = complex(rng.uniform(0.0, z_max)
                     * np.exp(1j * rng.uniform(0.0, TWO_PI)))
-        res = sol.equation_residual(sc, eps, t, z)
+        points.append((i, idx, eps, t, z))
+    # every transform block a chart's residuals read, as one batch per chart
+    for idx, sc in charts.items():
+        sol.prefetch_residuals(sc, [(eps, t) for _, j, eps, t, _ in points
+                                    if j == idx])
+    rows = []
+    worst = 0.0
+    for i, idx, eps, t, z in points:
+        res = sol.equation_residual(charts[idx], eps, t, z)
         worst = max(worst, abs(res.value))
         rows.append((i, idx, eps.real, eps.imag, t.real, t.imag,
                      z.real, z.imag, abs(res.value), abs(res.lhs),

@@ -33,13 +33,15 @@ class ConvergenceError(QGevreyError):
     """An iterative scheme did not reach its tolerance.
 
     ``last`` and ``previous`` carry the two most recent estimates so the
-    caller can judge how far the iteration got.
+    caller can judge how far the iteration got.  Where the scheme ran a
+    batch, ``block`` is the index of the failing member in it.
     """
 
-    def __init__(self, message, last=None, previous=None):
+    def __init__(self, message, last=None, previous=None, block=None):
         super().__init__(message)
         self.last = last
         self.previous = previous
+        self.block = block
 
 
 class ConfigError(QGevreyError):

@@ -112,6 +112,20 @@ class GevreyParams:
             self.xi / (2.0 * base.log_abs_q) - self.m_big)
 
 
+def _eps_columns(eps, f):
+    """``f(eps)`` for a scalar ``eps``; for an array of eps, one per column,
+    ``f`` of each distinct value (as a Python complex) spread back over the
+    columns.
+
+    Every column thus gets the bits a one-eps call computes, and
+    ``f`` runs once per distinct eps, not once per column.
+    """
+    if np.ndim(eps) == 0:
+        return f(eps)
+    values, where = np.unique(eps, return_inverse=True)
+    return np.array([f(complex(e)) for e in values])[where]
+
+
 @dataclass(frozen=True)
 class InitialTerm:
     """One building block ``c * tau^a * eps^-b * (1 + tau)^-r``."""
@@ -132,11 +146,14 @@ class InitialData:
 
     components: tuple[tuple[InitialTerm, ...], ...]
 
-    def value(self, j: int, eps: complex, tau) -> np.ndarray | complex:
+    def value(self, j: int, eps, tau) -> np.ndarray | complex:
+        """``W_j(eps, tau)``; ``eps`` is a scalar or one value per tau (see
+        :func:`_eps_columns`)."""
         tau_arr = np.asarray(tau, dtype=complex)
         out = np.zeros_like(tau_arr)
         for term in self.components[j]:
-            out = out + (term.c * tau_arr**term.a * eps ** (-term.b)
+            out = out + (term.c * tau_arr**term.a
+                         * _eps_columns(eps, lambda e: e ** (-term.b))
                          * (1.0 + tau_arr) ** (-term.r))
         return out if isinstance(tau, np.ndarray) else complex(out)
 
@@ -241,13 +258,13 @@ class CoefficientEvaluator:
                   / ((tau + 1) eps^{m0_k} h2! q^{m1_k h2}).
 
     The recursion is pointwise in (eps, tau) and linear in the initial
-    data.  ``table`` evaluates all orders on a tau-array in one pass.  Once
-    per call it computes, per term, the tau factor
-    ``tau^{m0_k} / ((tau + 1) eps^{m0_k})`` times each nonzero
-    ``b_{k h1}(eps)``, and the powers ``q^{-m1_k h2}``, plus the factorials;
-    each order is then accumulated in place into its row through one
-    scratch vector.  The scalar ``coefficient`` is one entry of a
-    one-column table.
+    data.  ``table`` evaluates all orders on a tau-array, at one eps or at
+    one eps per tau, in one pass.  Once per call it computes, per term, the
+    tau factor ``tau^{m0_k} / ((tau + 1) eps^{m0_k})`` times each nonzero
+    ``b_{k h1}(eps)`` (the eps factors once per distinct eps), and the
+    powers ``q^{-m1_k h2}``, plus the factorials; each order is then
+    accumulated in place into its row through one scratch vector.  The
+    scalar ``coefficient`` is one entry of a one-column table.
     """
 
     problem: CauchyProblem
@@ -258,9 +275,14 @@ class CoefficientEvaluator:
         if len(self.initial.components) != self.problem.s_order:
             raise ValueError("initial data must provide exactly S components")
 
-    def table(self, eps: complex, tau: np.ndarray, beta_max: int) -> np.ndarray:
-        """Array of shape (beta_max + 1, len(tau)) of coefficient values."""
-        if eps == 0:
+    def table(self, eps, tau: np.ndarray, beta_max: int) -> np.ndarray:
+        """Array of shape (beta_max + 1, len(tau)) of coefficient values.
+
+        ``eps`` is a scalar or an array with one value per tau, so that
+        transform blocks at several eps share one call; a column's values
+        are bit-identical to those of a one-eps call.
+        """
+        if np.any(np.asarray(eps) == 0):
             raise DomainError("eps = 0 is excluded", membership="nonzero")
         tau = np.asarray(tau, dtype=complex)
         if np.any(tau == -1.0):
@@ -268,6 +290,8 @@ class CoefficientEvaluator:
                               membership="tau_pole")
         S = self.problem.s_order
         tau = tau.ravel()
+        if np.ndim(eps):
+            eps = np.ravel(eps)
         out = np.zeros((beta_max + 1, tau.size), dtype=complex)
         for j in range(min(S, beta_max + 1)):
             out[j] = self.initial.value(j, eps, tau)
@@ -275,14 +299,15 @@ class CoefficientEvaluator:
         pole = 1.0 / (tau + 1.0)
         # per term: k, q^{-m1 h2} for every h2, and the pairs
         # (h1, b_{k h1}(eps) tau^{m0} / ((tau + 1) eps^{m0})) over the
-        # z-powers h1 whose b is not 0, in ascending h1
+        # z-powers h1 whose b is nonzero at some eps, in ascending h1
         terms = []
         for term in self.problem.terms:
-            tau_f = tau**term.m0 * pole * eps ** (-term.m0)
+            tau_f = tau**term.m0 * pole * _eps_columns(
+                eps, lambda e: e ** (-term.m0))
             pairs = []
             for h1 in term.z_powers:
-                b = term.b_value(h1, eps)
-                if b != 0:
+                b = _eps_columns(eps, lambda e: term.b_value(h1, e))
+                if np.any(b != 0):
                     pairs.append((h1, b * tau_f))
             q_pow = [self.base.q ** (-term.m1 * h2) for h2 in range(n_h)]
             terms.append((term.k, q_pow, pairs))

@@ -8,14 +8,21 @@ at most ``exp(mbar log^2|x|)`` growth, the transform along direction
 
 well defined whenever ``z`` is theta-safe for ``(lam, delta)`` and
 ``mbar < 1 / (2 log|q|)``.  One core serves scalar ``F`` here and the
-all-orders block in :mod:`qgevrey.solution`: :func:`path_window` truncates
-the path by an analytic Gaussian-tail bound on the integrand majorant,
-widened until the integrand is negligible at both ends, and
-:func:`path_integral` halves the step on nested trapezoid nodes until every
-integrand row has settled.  On such a window the trapezoid rule converges
-exponentially and settles first; where an end of the window is live (the
-split at ``s = 0``), composite Simpson built from the same sums settles
-first and is returned instead.
+all-orders blocks in :mod:`qgevrey.solution`, and it runs a batch of
+blocks (paths or windows) at once.  :func:`truncation_window` truncates
+each block's path by an analytic Gaussian-tail bound on the integrand
+majorant; :func:`path_window` widens each window until the integrand is
+negligible at both its ends, and :func:`path_integral` halves each block's
+step on nested trapezoid nodes until every one of its integrand rows has
+settled.  On such a window the trapezoid rule converges exponentially and
+settles first; where an end of the window is live (the split at
+``s = 0``), composite Simpson built from the same sums settles first and
+is returned instead.  Each block keeps its own window, halvings and
+stopping test, but every probe round and halving level evaluates the
+nodes of all blocks still open in as few integrand calls as hold
+``BLOCK // 2`` values, so the per-call cost of the integrand is paid once
+per level, not once per block.  ``q_laplace`` is a batch of one block and
+``q_laplace_split`` a batch of two.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qgeometry import QBase, in_theta_safe, qpow
+from .qgeometry import BLOCK, QBase, in_theta_safe, qpow
 from .theta import log_theta, pi_q
 
 
@@ -138,58 +145,157 @@ def require_theta_safe(z: complex, lam: complex, base: QBase,
             % (z, lam, delta), membership="theta_safe")
 
 
-def path_window(rows, cert: GrowthCertificate, lam: complex, z: complex,
-                base: QBase, settings: QuadSettings, xi: float, tol: float
-                ) -> tuple[float, float]:
-    """Window from :func:`truncation_window`, widened until the integrand
-    ``rows`` (every row) is below ``tol / width`` at both endpoints."""
-    s_lo, s_hi = truncation_window(cert, lam, z, base, xi, tol,
-                                   s_pad=settings.s_pad)
-    for _ in range(12):
-        edge = np.max(np.abs(rows(np.array([s_lo, s_hi]))))
-        if edge <= tol / max(s_hi - s_lo, 1.0):
-            break
-        pad = max(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo))
-        s_lo -= pad
-        s_hi += pad
-    return s_lo, s_hi
+def _sweep(rows, blocks, nodes, n_rows: int, reduce) -> list:
+    """``reduce`` of the integrand values on ``nodes(b)``, for each block
+    ``b`` of ``blocks`` in order.
 
-
-def path_integral(rows, s_lo: float, s_hi: float,
-                  settings: QuadSettings) -> np.ndarray:
-    """Integral of ``rows`` over ``[s_lo, s_hi]``, one value per row.
-
-    ``rows(s)`` returns an array whose last axis runs over the nodes ``s``.
-    The trapezoid sums ``T(h)`` are nested, so each halving evaluates only
-    the new midpoints; the step starts at most ``initial_step``.  After each
-    halving the loop returns ``T(h)`` once every row moved by less than
-    ``abs_tol`` from ``T(2h)``: on an analytic integrand that is negligible
-    at both ends the trapezoid error falls like ``exp(-c / h)``, so this
-    test settles first.  Otherwise it returns composite Simpson,
-    ``(4 T(h) - T(2h)) / 3``, once every row moved by less than ``abs_tol``
-    between Simpson levels; that test settles first where an end of the
-    window is live and the trapezoid error is only ``O(h^2)``.
+    Whole blocks are packed in order into as few ``rows(s, block)`` calls
+    as hold at most ``BLOCK // 2`` complex values (``n_rows`` per node); a
+    larger block gets a call of its own.  Nodes are built as their call is
+    packed, and each block is reduced on its contiguous slice of the call's
+    values right away, so neither outlives its call.
     """
-    n = max(int(math.ceil((s_hi - s_lo) / (2.0 * settings.initial_step))), 1)
-    h = (s_hi - s_lo) / n
-    vals = rows(np.linspace(s_lo, s_hi, n + 1))
-    acc = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
-    trap = h * acc
-    prev = cur = None
+    cap = max(BLOCK // 2 // n_rows, 1)
+    out = []
+
+    def call(group):
+        sizes = [s.size for _, s in group]
+        vals = rows(np.concatenate([s for _, s in group]),
+                    np.repeat([b for b, _ in group], sizes))
+        a = 0
+        for size in sizes:
+            out.append(reduce(vals[..., a:a + size]))
+            a += size
+
+    group, columns = [], 0
+    for b in blocks:
+        s = nodes(b)
+        if group and columns + s.size > cap:
+            call(group)
+            group, columns = [], 0
+        group.append((b, s))
+        columns += s.size
+    if group:
+        call(group)
+    return out
+
+
+def _edge(vals: np.ndarray) -> float:
+    return np.max(np.abs(vals))
+
+
+def _coarse_sum(vals: np.ndarray) -> np.ndarray:
+    return vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
+
+
+def _sum(vals: np.ndarray) -> np.ndarray:
+    return vals.sum(axis=-1)
+
+
+def path_window(rows, windows, settings: QuadSettings, tol: float,
+                n_rows: int = 1) -> list[tuple[float, float]]:
+    """A batch of windows, each widened until the integrand (every row) is
+    below ``tol`` over the window's width at both its endpoints.
+
+    ``windows`` holds one :func:`truncation_window` per block and
+    ``rows(s, block)`` evaluates the nodes ``s``, of the blocks ``block``,
+    ``n_rows`` values per node.  Each round probes the endpoints of every
+    block not yet negligible there, packed into as few calls as
+    :func:`_sweep` allows, and widens each such block on its own.
+    """
+    windows = list(windows)
+    pending = list(range(len(windows)))
+    for _ in range(12):
+        edges = _sweep(rows, pending, lambda i: np.array(windows[i]), n_rows,
+                       _edge)
+        widen = []
+        for i, edge in zip(pending, edges):
+            s_lo, s_hi = windows[i]
+            if edge <= tol / max(s_hi - s_lo, 1.0):
+                continue
+            pad = max(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo))
+            windows[i] = (s_lo - pad, s_hi + pad)
+            widen.append(i)
+        pending = widen
+        if not pending:
+            break
+    return windows
+
+
+class _Path:
+    """Nested-node state of one block of :func:`path_integral`."""
+
+    def __init__(self, s_lo: float, s_hi: float, step: float):
+        self.s_lo, self.s_hi = s_lo, s_hi
+        self.n = max(int(math.ceil((s_hi - s_lo) / (2.0 * step))), 1)
+        self.h = (s_hi - s_lo) / self.n
+        self.acc = self.trap = self.prev = self.cur = None
+
+    def grid(self) -> np.ndarray:
+        return np.linspace(self.s_lo, self.s_hi, self.n + 1)
+
+    def midpoints(self) -> np.ndarray:
+        return self.s_lo + self.h * (np.arange(self.n) + 0.5)
+
+
+def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
+    """Integrals of ``rows`` over a batch of windows, one value per row.
+
+    ``rows(s, block)`` is as in :func:`path_window`; the last axis of its
+    result runs over the nodes.  Yields ``(block, integral)`` as each block
+    settles; a settled block leaves the batch.  Each block keeps its own
+    nested trapezoid sums ``T(h)``, so each halving evaluates only the new
+    midpoints; its step starts at most ``initial_step``.  Every round
+    evaluates one level of all blocks still in the batch, packed into as
+    few calls as :func:`_sweep` allows.  After each halving a block settles
+    on ``T(h)`` once every row moved by less than ``abs_tol`` from
+    ``T(2h)``: on an analytic integrand that is negligible at both ends the
+    trapezoid error falls like ``exp(-c / h)``, so this test settles first.
+    Otherwise it settles on composite Simpson, ``(4 T(h) - T(2h)) / 3``,
+    once every row moved by less than ``abs_tol`` between Simpson levels;
+    that test settles first where an end of the window is live and the
+    trapezoid error is only ``O(h^2)``.  A block still open after
+    ``max_halvings`` halvings raises :class:`ConvergenceError` naming it,
+    its window and the halvings, after the blocks settled by then were
+    yielded.
+    """
+    paths = [_Path(s_lo, s_hi, settings.initial_step)
+             for s_lo, s_hi in windows]
+    active = list(range(len(paths)))
+    accs = _sweep(rows, active, lambda i: paths[i].grid(), n_rows,
+                  _coarse_sum)
+    for p, acc in zip(paths, accs):
+        p.acc = acc
+        p.trap = p.h * acc
     for _ in range(settings.max_halvings + 1):
-        acc = acc + rows(s_lo + h * (np.arange(n) + 0.5)).sum(axis=-1)
-        n *= 2
-        h *= 0.5
-        trap, coarse = h * acc, trap
-        if np.max(np.abs(trap - coarse)) < settings.abs_tol:
-            return trap
-        prev, cur = cur, (4.0 * trap - coarse) / 3.0
-        if prev is not None and np.max(np.abs(cur - prev)) < settings.abs_tol:
-            return cur
+        sums = _sweep(rows, active, lambda i: paths[i].midpoints(), n_rows,
+                      _sum)
+        still = []
+        for i, part in zip(active, sums):
+            p = paths[i]
+            p.acc = p.acc + part
+            p.n *= 2
+            p.h *= 0.5
+            p.trap, coarse = p.h * p.acc, p.trap
+            if np.max(np.abs(p.trap - coarse)) < settings.abs_tol:
+                yield i, p.trap
+                continue
+            p.prev, p.cur = p.cur, (4.0 * p.trap - coarse) / 3.0
+            if (p.prev is not None
+                    and np.max(np.abs(p.cur - p.prev)) < settings.abs_tol):
+                yield i, p.cur
+                continue
+            still.append(i)
+        active = still
+        if not active:
+            return
+    i = active[0]
+    p = paths[i]
     raise ConvergenceError(
-        "path integral did not converge to %g within %d halvings"
-        % (settings.abs_tol, settings.max_halvings),
-        last=cur, previous=prev)
+        "path integral of block %d on [%.6g, %.6g] did not converge to %g "
+        "within %d halvings" % (i, p.s_lo, p.s_hi, settings.abs_tol,
+                                settings.max_halvings),
+        last=p.cur, previous=p.prev, block=i)
 
 
 def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
@@ -197,7 +303,7 @@ def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
     require_theta_safe(z, lam, base, delta)
     pref = base.log_q / pi_q(base)
 
-    def rows(s: np.ndarray) -> np.ndarray:
+    def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         pts = qpow(base, s) * lam
         try:
             num = np.asarray(F(pts), dtype=complex)
@@ -209,8 +315,9 @@ def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
 
     if xi is None:
         xi = default_majorant_xi(cert, base)
-    return rows, path_window(rows, cert, lam, z, base, settings, xi,
-                             settings.abs_tol)
+    window = truncation_window(cert, lam, z, base, xi, settings.abs_tol,
+                               s_pad=settings.s_pad)
+    return rows, path_window(rows, [window], settings, settings.abs_tol)[0]
 
 
 def q_laplace(F, lam: complex, z: complex, base: QBase,
@@ -222,9 +329,9 @@ def q_laplace(F, lam: complex, z: complex, base: QBase,
     attempted).  ``z`` must be theta-safe for ``(lam, delta)``; violations
     raise :class:`DomainError` before any integration.
     """
-    rows, (s_lo, s_hi) = _scalar_path(F, lam, z, base, cert, settings, xi,
-                                      delta)
-    return complex(path_integral(rows, s_lo, s_hi, settings))
+    rows, window = _scalar_path(F, lam, z, base, cert, settings, xi, delta)
+    [(_, value)] = path_integral(rows, [window], settings)
+    return complex(value)
 
 
 def q_laplace_split(F, lam: complex, z: complex, base: QBase,
@@ -235,11 +342,11 @@ def q_laplace_split(F, lam: complex, z: complex, base: QBase,
     """Outward (s >= 0) and inward (s <= 0) halves of the transform.
 
     Their sum equals the unsplit transform within twice the quadrature
-    tolerance.
+    tolerance.  The two halves are one two-block batch.
     """
     rows, (s_lo, s_hi) = _scalar_path(F, lam, z, base, cert, settings, xi,
                                       delta)
     s_hi = max(s_hi, settings.initial_step)
     s_lo = min(s_lo, -settings.initial_step)
-    return (complex(path_integral(rows, 0.0, s_hi, settings)),
-            complex(path_integral(rows, s_lo, 0.0, settings)))
+    halves = dict(path_integral(rows, [(0.0, s_hi), (s_lo, 0.0)], settings))
+    return complex(halves[0]), complex(halves[1])

@@ -6,9 +6,13 @@ coefficients,
     X(eps, t, z) = sum_beta  T_beta(eps, eps t) z^beta / beta!,
 
 where ``T_beta`` is the transform of ``tau -> W_beta(eps, tau)`` along the
-chart direction.  All orders share one quadrature grid per ``(eps, t)``
-pair, so the per-order values are cached together and reused by the
-residual and the diagnostics.
+chart direction.  All orders at one ``(eps, t)`` pair share one quadrature
+grid, a transform block, and are cached together per pair for reuse by the
+residual and the diagnostics.  Each diagnostic requests all the pairs it
+needs on a chart up front, and they are computed as one batch: every probe
+round and halving level of the path quadrature evaluates the nodes of all
+blocks still open in as few integrand calls as fit one memory cap, while
+each block keeps its own window, halvings and stopping test.
 
 Quantitative experiments built on top:
 
@@ -38,7 +42,7 @@ from .problem import CoefficientEvaluator, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
     qpow
 from .qlaplace import GrowthCertificate, QuadSettings, default_majorant_xi, \
-    path_integral, path_window, require_theta_safe
+    path_integral, path_window, require_theta_safe, truncation_window
 from .theta import log_theta, pi_q
 
 
@@ -48,7 +52,9 @@ class SolutionChart:
 
     The per-(eps, t) transform cache is single-writer: populate from one
     thread (or use one chart object per worker) and share read-only
-    afterwards.  Distinct (eps, t) pairs are the natural parallel axis.
+    afterwards.  Distinct (eps, t) pairs are computed in batches
+    (:func:`_transform_blocks`): one integrand call evaluates a halving
+    level of many blocks.
     """
 
     chart_index: int
@@ -71,32 +77,80 @@ class SolutionChart:
         return self.evaluator.base
 
 
-def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
-    """All transforms T_beta(eps, eps t), beta <= beta_max, on shared nodes.
+def _require_on_spiral(sc: SolutionChart, eps_values) -> None:
+    """Raise :class:`DomainError` for the first eps off the chart's
+    discrete spiral; one array test covers all of them."""
+    inside = in_discrete_spiral(np.array(eps_values, dtype=complex),
+                                sc.chart, sc.base)
+    if not inside.all():
+        raise DomainError(
+            "eps = %s is outside the discrete spiral of chart %d"
+            % (eps_values[int(np.argmin(inside))], sc.chart_index),
+            membership="discrete_spiral")
 
-    One path integral whose rows are the orders: the window and the
-    nested-halving loop of :mod:`qgevrey.qlaplace`.  The window leaves the
-    integrand negligible at both ends, where the trapezoid sums converge
-    exponentially, so the loop returns them as soon as every order moved
-    by less than abs_tol between halvings.  Cached per (eps, t).
+
+def _transform_blocks(sc: SolutionChart, keys) -> None:
+    """Cache the transform block of every ``(eps, t)`` in ``keys``.
+
+    A block holds all transforms T_beta(eps, eps t), beta <= beta_max, on
+    shared nodes: one path integral whose rows are the orders.  The keys
+    not yet cached form one batch of :mod:`qgevrey.qlaplace`'s window and
+    nested-halving loop, in which each block keeps its own window, halvings
+    and stopping test.  The windows leave the integrand negligible at both
+    ends, where the trapezoid sums converge exponentially, so a block
+    returns them as soon as every order moved by less than abs_tol between
+    halvings.  Before any integrand call, every eps is tested against the
+    chart's discrete spiral and then every ``z = eps t`` for theta-safety;
+    each ``z`` is a Python scalar product, as a one-pair call computes it,
+    so a block's values do not depend on the batch around it.  A block
+    that does not settle raises :class:`ConvergenceError` naming its chart
+    and key; the blocks that settled stay cached.
     """
-    key = (complex(eps), complex(t))
-    if key in sc._cache:
-        return sc._cache[key]
+    new = [k for k in dict.fromkeys((complex(e), complex(t)) for e, t in keys)
+           if k not in sc._cache]
+    if not new:
+        return
     base = sc.base
-    z = eps * t
-    require_theta_safe(z, sc.lam, base, sc.delta)
+    _require_on_spiral(sc, [e for e, _ in new])
+    zs = [e * t for e, t in new]
+    for z in zs:
+        require_theta_safe(z, sc.lam, base, sc.delta)
     pref = base.log_q / pi_q(base)
+    eps_of = np.array([e for e, _ in new])
+    z_of = np.array(zs)
 
-    def rows(s: np.ndarray) -> np.ndarray:
+    def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         tau = qpow(base, s) * sc.lam
-        kern = np.exp(-log_theta(tau / z, base))
-        return pref * sc.evaluator.table(eps, tau, sc.beta_max) * kern
+        kern = np.exp(-log_theta(tau / z_of[block], base))
+        # pref * table * kern in place: complex products are not
+        # bitwise commutative (fused multiply-add), so pref stays left
+        out = sc.evaluator.table(eps_of[block], tau, sc.beta_max)
+        np.multiply(pref, out, out=out)
+        out *= kern
+        return out
 
-    s_lo, s_hi = path_window(rows, sc.cert, sc.lam, z, base, sc.quad,
-                             default_majorant_xi(sc.cert, base),
-                             0.01 * sc.quad.abs_tol)
-    sc._cache[key] = path_integral(rows, s_lo, s_hi, sc.quad)
+    xi = default_majorant_xi(sc.cert, base)
+    tol = 0.01 * sc.quad.abs_tol
+    n_rows = sc.beta_max + 1
+    windows = path_window(
+        rows, [truncation_window(sc.cert, sc.lam, z, base, xi, tol,
+                                 s_pad=sc.quad.s_pad) for z in zs],
+        sc.quad, tol, n_rows)
+    try:
+        for i, value in path_integral(rows, windows, sc.quad, n_rows):
+            sc._cache[new[i]] = value
+    except ConvergenceError as exc:
+        eps, t = new[exc.block]
+        raise ConvergenceError(
+            "chart %d, transform block (eps, t) = (%s, %s): %s"
+            % (sc.chart_index, eps, t, exc),
+            last=exc.last, previous=exc.previous, block=exc.block) from exc
+
+
+def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
+    """The cached transform block of one ``(eps, t)``: a one-key batch."""
+    key = (complex(eps), complex(t))
+    _transform_blocks(sc, [key])
     return sc._cache[key]
 
 
@@ -146,10 +200,7 @@ def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:
 
 def check_point(sc: SolutionChart, eps: complex, t: complex) -> list[str]:
     """Domain warnings for an evaluation point (hard failures raise)."""
-    if not in_discrete_spiral(eps, sc.chart, sc.base):
-        raise DomainError(
-            "eps = %s is outside the discrete spiral of chart %d"
-            % (eps, sc.chart_index), membership="discrete_spiral")
+    _require_on_spiral(sc, [eps])
     warns = []
     if sc.t_set is not None:
         inside = (sc.t_set.mod[0] <= abs(t) <= sc.t_set.mod[1]
@@ -190,6 +241,26 @@ def initial_condition(sc: SolutionChart, j: int, eps: complex,
     return complex(_transform_block(sc, eps, t)[j])
 
 
+def _residual_keys(sc: SolutionChart, eps: complex, t: complex) -> list:
+    """The ``(eps, t)`` keys :func:`equation_residual` reads: ``t``, ``q t``
+    and ``q**m0 * t`` per term, in that order.
+
+    Exact integer powers of q keep the t-dilations cache-coherent with the
+    left side (``q**1 * t`` is the same float as ``q * t``).
+    """
+    q = sc.base.q
+    return [(complex(eps), complex(t_key)) for t_key in
+            [t, q * t] + [q**term.m0 * t
+                          for term in sc.evaluator.problem.terms]]
+
+
+def prefetch_residuals(sc: SolutionChart, points) -> None:
+    """Compute every transform block :func:`equation_residual` needs at the
+    ``(eps, t)`` points as one batch."""
+    _transform_blocks(sc, [key for eps, t in points
+                           for key in _residual_keys(sc, eps, t)])
+
+
 @dataclass(frozen=True)
 class ResidualValue:
     value: complex
@@ -214,8 +285,9 @@ def equation_residual(sc: SolutionChart, eps: complex, t: complex,
     S = sc.evaluator.problem.s_order
     n_z = sc.beta_max - S
     warns = list(check_point(sc, eps, t))
-    c_t = _transform_block(sc, eps, t)
-    c_qt = _transform_block(sc, eps, q * t)
+    keys = _residual_keys(sc, eps, t)
+    _transform_blocks(sc, keys)
+    c_t, c_qt, *c_dils = [sc._cache[key] for key in keys]
     if sc.t_set is not None and abs(q * t) > sc.t_set.mod[1]:
         warns.append("q*t leaves the validated evaluation patch")
     lhs = 0j
@@ -224,14 +296,10 @@ def equation_residual(sc: SolutionChart, eps: complex, t: complex,
         lhs += (eps * t * c_qt[n + S] + c_t[n + S]) * zp / math.factorial(n)
         zp *= z
     rhs = 0j
-    for term in sc.evaluator.problem.terms:
-        # exact integer powers of q keep t-dilations cache-coherent with
-        # the left side (q**1 * t is the same float as q * t)
-        t_dil = q**term.m0 * t
-        if sc.t_set is not None and abs(t_dil) > sc.t_set.mod[1]:
+    for term, c_dil in zip(sc.evaluator.problem.terms, c_dils):
+        if sc.t_set is not None and abs(q**term.m0 * t) > sc.t_set.mod[1]:
             warns.append("q^%d*t leaves the validated evaluation patch"
                          % term.m0)
-        c_dil = _transform_block(sc, eps, t_dil)
         op_factor = t ** term.m0 * q ** (term.m0 * (term.m0 - 1) // 2)
         for s in term.z_powers:
             b = term.b_value(s, eps)
@@ -293,9 +361,12 @@ def flatness_fit(sc1: SolutionChart, sc2: SolutionChart, eps0: complex,
             "flatness exponent 1/A = %g is nonpositive; the constant pack "
             "admits no decay" % one_over_a)
     q = sc1.base.q
+    eps_values = [eps0 * q ** (-n) for n in range(n_points)]
+    keys = [(eps, t) for eps in eps_values for t, _ in grid]
+    _transform_blocks(sc1, keys)
+    _transform_blocks(sc2, keys)
     log2_eps, d_sup = [], []
-    for n in range(n_points):
-        eps = eps0 * q ** (-n)
+    for eps in eps_values:
         d = 0.0
         for (t, z) in grid:
             v1 = evaluate_solution(sc1, eps, t, z).value
@@ -351,6 +422,7 @@ class AsymptoticSeries:
 
 
 def _solution_samples(sc: SolutionChart, eps_values, grid) -> np.ndarray:
+    _transform_blocks(sc, [(eps, t) for eps in eps_values for t, _ in grid])
     out = np.empty((len(eps_values), len(grid)), dtype=complex)
     for i, eps in enumerate(eps_values):
         for gi, (t, z) in enumerate(grid):

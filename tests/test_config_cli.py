@@ -301,17 +301,18 @@ class TestVerifyCommands:
         assert report["checks"][0]["one_over_a"] <= 0
 
     def test_determinism_byte_identical(self, demo_doc, tmp_path):
+        # the modes whose transform blocks are computed in batches
         cfg = write_config(tmp_path, trimmed(demo_doc))
-        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        for out in (out1, out2):
-            assert main(["verify", "residual", "--config", cfg,
-                         "--out-dir", out]) == 0
-        csv1 = (tmp_path / "a" / "residual.csv").read_bytes()
-        csv2 = (tmp_path / "b" / "residual.csv").read_bytes()
-        assert csv1 == csv2
-        rep1 = (tmp_path / "a" / "verify_residual_report.json").read_bytes()
-        rep2 = (tmp_path / "b" / "verify_residual_report.json").read_bytes()
-        assert rep1 == rep2
+        for mode, csv in (("residual", "residual.csv"),
+                          ("flatness", "flatness.csv"),
+                          ("asympt", "asympt_coeffs.csv")):
+            runs = [tmp_path / mode / "a", tmp_path / mode / "b"]
+            for out in runs:
+                assert main(["verify", mode, "--config", cfg,
+                             "--out-dir", str(out)]) == 0
+            for name in (csv, "verify_%s_report.json" % mode):
+                assert (runs[0] / name).read_bytes() == \
+                    (runs[1] / name).read_bytes(), (mode, name)
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):
         cfg = write_config(tmp_path, trimmed(demo_doc))

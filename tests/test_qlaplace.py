@@ -112,6 +112,21 @@ class TestSplit:
         total = q_laplace(F, 1.0, 2.0, base2, CERT, TIGHT)
         assert abs((p + m) - total) <= 2.0 * TIGHT.abs_tol
 
+    @pytest.mark.parametrize("F", [lambda x: 1.0 / (1.0 + x),
+                                   lambda x: x / (1.0 + x) ** 2])
+    def test_halves_equal_one_block_calls_bitwise(self, base2, F):
+        # the split is one two-block batch; each half equals a batch of one
+        from qgevrey.qlaplace import _scalar_path, path_integral
+        halves = q_laplace_split(F, 1.0, 2.0, base2, CERT, TIGHT)
+        rows, (s_lo, s_hi) = _scalar_path(F, 1.0, 2.0, base2, CERT, TIGHT,
+                                          None, 0.05)
+        windows = [(0.0, max(s_hi, TIGHT.initial_step)),
+                   (min(s_lo, -TIGHT.initial_step), 0.0)]
+        for half, window in zip(halves, windows):
+            [(block, value)] = path_integral(rows, [window], TIGHT)
+            assert block == 0
+            assert half == complex(value)
+
     def test_branches_against_fine_oracle(self, base2):
         F = lambda x: np.ones_like(x)
         p, m = q_laplace_split(F, 1.0, 2.0, base2, CERT, TIGHT)

@@ -161,9 +161,9 @@ class TestTransformBlockOracle:
 
         def counting(fn):
             def wrapped(rows, *args, **kwargs):
-                def counted(s):
+                def counted(s, block):
                     columns.append(np.size(s))
-                    return rows(s)
+                    return rows(s, block)
                 return fn(counted, *args, **kwargs)
             return wrapped
 
@@ -173,6 +173,109 @@ class TestTransformBlockOracle:
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
         assert sum(columns) == 483
+
+
+def mid_eps(demo, sc, level):
+    return (np.exp(2j * math.pi * sc.chart.u_mid)
+            * demo.base.q ** (sc.chart.v_mid - level))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call of ``owner.name``."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestTransformBatch:
+    @pytest.mark.parametrize("abs_tol", [1e-8, 1e-12])
+    def test_batch_equals_one_block_calls_bitwise(self, demo, abs_tol):
+        from qgevrey.solution import _transform_block, _transform_blocks
+        quad = QuadSettings(abs_tol=abs_tol, max_halvings=16)
+        for idx in (20, 21, 0):
+            batch = demo.chart_solution(idx, quad=quad)
+            keys = [(mid_eps(demo, batch, level), t)
+                    for level in (0, 2) for t in (0.7, 0.6 - 0.2j)]
+            _transform_blocks(batch, keys)
+            for eps, t in keys:
+                one = demo.chart_solution(idx, quad=quad)
+                want = _transform_block(one, eps, t)
+                got = batch._cache[complex(eps), complex(t)]
+                assert np.array_equal(got, want), (idx, eps, t)
+
+    def test_flatness_batch_integrand_calls_pinned(self, demo, monkeypatch):
+        # one chart's 26 flatness blocks (13 eps levels, 2 grid points) at
+        # the demo's flatness settings: one batch, each probe round and
+        # halving level packed into calls of at most BLOCK // 2 values.
+        # One block at a time took 130 calls.
+        from qgevrey.cli import _grid_from_config
+        from qgevrey.qgeometry import BLOCK
+        cfg = demo.sampling["flatness"]
+        quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
+        sc1 = demo.chart_solution(cfg["pair"][0], quad=quad)
+        sc2 = demo.chart_solution(cfg["pair"][1], quad=quad)
+        eps0 = overlap_point(sc1.chart, sc2.chart, demo.base)
+        calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
+        flatness_fit(sc1, sc2, eps0, cfg["n_points"],
+                     _grid_from_config(cfg["grid"]), demo.gevrey)
+        assert len(sc1._cache) == 26
+        columns = [np.size(tau) for ev, eps, tau, beta_max in calls
+                   if ev is sc1.evaluator]
+        assert len(columns) == 29
+        assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
+
+    def test_failure_names_block_and_keeps_settled(self, demo):
+        # a small delta admits t close to the kernel's pole spiral, where
+        # the trapezoid sums converge slowly: that block cannot settle in
+        # 3 halvings, the ones at t = 0.7 and 0.6 do
+        from qgevrey import ConvergenceError
+        from qgevrey.solution import _transform_block, _transform_blocks
+        quad = QuadSettings(abs_tol=1e-10, max_halvings=3)
+        sc = demo.chart_solution(20, quad=quad, delta=0.02)
+        eps = mid_eps(demo, sc, 0)
+        slow = complex(0.7 * np.exp(1.01j))
+        keys = [(eps, 0.7), (eps, slow), (eps, 0.6)]
+        with pytest.raises(ConvergenceError) as err:
+            _transform_blocks(sc, keys)
+        assert err.value.block == 1
+        message = str(err.value)
+        assert str(complex(slow)) in message and str(complex(eps)) in message
+        assert "chart 20," in message and "block 1 on [" in message
+        assert "within 3 halvings" in message
+        assert err.value.last is not None and err.value.previous is not None
+        assert np.max(np.abs(err.value.last - err.value.previous)) >= 1e-10
+        assert set(sc._cache) == {(complex(eps), 0.7 + 0j),
+                                  (complex(eps), 0.6 + 0j)}
+        for t in (0.7, 0.6):
+            one = demo.chart_solution(20, quad=quad, delta=0.02)
+            assert np.array_equal(sc._cache[complex(eps), complex(t)],
+                                  _transform_block(one, eps, t))
+
+    @pytest.mark.parametrize("bad", ["discrete_spiral", "theta_safe"])
+    def test_bad_input_raises_before_any_integrand_call(self, demo, chart20,
+                                                        eps20, monkeypatch,
+                                                        bad):
+        # the batch tests every eps for the spiral, then every z for
+        # theta-safety, and raises what the one-at-a-time path raises
+        from qgevrey.solution import _transform_blocks
+        bad_t = -0.7 * chart20.lam / abs(chart20.lam) / (eps20 / abs(eps20))
+        bad_key = (0.9, 0.7) if bad == "discrete_spiral" else (eps20, bad_t)
+        with pytest.raises(DomainError) as one:
+            evaluate_solution(demo.chart_solution(20, quad=TIGHT), *bad_key,
+                              0.3)
+        assert one.value.membership == bad
+        calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
+        sc = demo.chart_solution(20, quad=TIGHT)
+        with pytest.raises(DomainError) as err:
+            _transform_blocks(sc, [(eps20, 0.7), bad_key, (eps20, 0.6)])
+        assert err.value.membership == bad
+        assert calls == [] and sc._cache == {}
 
 
 class TestInitialCondition:
@@ -225,6 +328,18 @@ class TestEquationResidual:
     def test_t_dilation_warning(self, demo, chart20, eps20):
         res = equation_residual(chart20, eps20, 0.9, 0.3)
         assert any("patch" in w for w in res.warnings)
+
+    def test_prefetch_covers_every_residual_block(self, demo, eps20,
+                                                  monkeypatch):
+        import qgevrey.solution as solution
+        sc = demo.chart_solution(20, quad=TIGHT)
+        points = [(eps20, 0.7), (eps20 / demo.base.q, 0.55), (eps20, 0.85)]
+        solution.prefetch_residuals(sc, points)
+        cached = len(sc._cache)
+        windows = count_calls(monkeypatch, solution, "truncation_window")
+        for eps, t in points:
+            equation_residual(sc, eps, t, 0.3)
+        assert windows == [] and len(sc._cache) == cached
 
 
 class TestCommutationAtSolutionLevel:
