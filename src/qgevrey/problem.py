@@ -112,18 +112,20 @@ class GevreyParams:
             self.xi / (2.0 * base.log_abs_q) - self.m_big)
 
 
-def _eps_columns(eps, f):
-    """``f(eps)`` for a scalar ``eps``; for an array of eps, one per column,
-    ``f`` of each distinct value (as a Python complex) spread back over the
-    columns.
+def _eps_columns(eps):
+    """The function ``spread(f)`` of an eps argument: ``f(eps)`` for a
+    scalar ``eps``; for an array of eps, one per column, ``f`` of each
+    distinct value (as a Python complex) spread back over the columns.
 
-    Every column thus gets the bits a one-eps call computes, and
-    ``f`` runs once per distinct eps, not once per column.
+    Every column thus gets the bits a one-eps call computes, ``f`` runs
+    once per distinct eps, not once per column, and the distinct eps are
+    found once for all the factors ``spread`` serves.
     """
     if np.ndim(eps) == 0:
-        return f(eps)
+        return lambda f: f(eps)
     values, where = np.unique(eps, return_inverse=True)
-    return np.array([f(complex(e)) for e in values])[where]
+    values = [complex(e) for e in values]
+    return lambda f: np.array([f(e) for e in values])[where]
 
 
 @dataclass(frozen=True)
@@ -149,11 +151,15 @@ class InitialData:
     def value(self, j: int, eps, tau) -> np.ndarray | complex:
         """``W_j(eps, tau)``; ``eps`` is a scalar or one value per tau (see
         :func:`_eps_columns`)."""
+        return self._value(j, _eps_columns(eps), tau)
+
+    def _value(self, j: int, spread, tau) -> np.ndarray | complex:
+        """:meth:`value` with the eps factors taken from ``spread``."""
         tau_arr = np.asarray(tau, dtype=complex)
         out = np.zeros_like(tau_arr)
         for term in self.components[j]:
             out = out + (term.c * tau_arr**term.a
-                         * _eps_columns(eps, lambda e: e ** (-term.b))
+                         * spread(lambda e: e ** (-term.b))
                          * (1.0 + tau_arr) ** (-term.r))
         return out if isinstance(tau, np.ndarray) else complex(out)
 
@@ -261,10 +267,11 @@ class CoefficientEvaluator:
     data.  ``table`` evaluates all orders on a tau-array, at one eps or at
     one eps per tau, in one pass.  Once per call it computes, per term, the
     tau factor ``tau^{m0_k} / ((tau + 1) eps^{m0_k})`` times each nonzero
-    ``b_{k h1}(eps)`` (the eps factors once per distinct eps), and the
-    powers ``q^{-m1_k h2}``, plus the factorials; each order is then
-    accumulated in place into its row through one scratch vector.  The
-    scalar ``coefficient`` is one entry of a one-column table.
+    ``b_{k h1}(eps)`` (the eps factors once per distinct eps, the
+    distinct eps found once per call), and the powers ``q^{-m1_k h2}``,
+    plus the factorials; each order is then accumulated in place into its
+    row through one scratch vector.  The scalar ``coefficient`` is one
+    entry of a one-column table.
     """
 
     problem: CauchyProblem
@@ -290,11 +297,10 @@ class CoefficientEvaluator:
                               membership="tau_pole")
         S = self.problem.s_order
         tau = tau.ravel()
-        if np.ndim(eps):
-            eps = np.ravel(eps)
+        spread = _eps_columns(np.ravel(eps) if np.ndim(eps) else eps)
         out = np.zeros((beta_max + 1, tau.size), dtype=complex)
         for j in range(min(S, beta_max + 1)):
-            out[j] = self.initial.value(j, eps, tau)
+            out[j] = self.initial._value(j, spread, tau)
         n_h = beta_max + 1 - S
         pole = 1.0 / (tau + 1.0)
         # per term: k, q^{-m1 h2} for every h2, and the pairs
@@ -302,11 +308,10 @@ class CoefficientEvaluator:
         # z-powers h1 whose b is nonzero at some eps, in ascending h1
         terms = []
         for term in self.problem.terms:
-            tau_f = tau**term.m0 * pole * _eps_columns(
-                eps, lambda e: e ** (-term.m0))
+            tau_f = tau**term.m0 * pole * spread(lambda e: e ** (-term.m0))
             pairs = []
             for h1 in term.z_powers:
-                b = _eps_columns(eps, lambda e: term.b_value(h1, e))
+                b = spread(lambda e: term.b_value(h1, e))
                 if np.any(b != 0):
                     pairs.append((h1, b * tau_f))
             q_pow = [self.base.q ** (-term.m1 * h2) for h2 in range(n_h)]
@@ -419,7 +424,6 @@ class AdmissibilityFit:
     delta: float
     m_used: float
     passed: bool
-    delta_refined: float
 
 
 def _patch_grid(patch: ContinuousBase, n: int) -> np.ndarray:
@@ -437,16 +441,25 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
     maximum of the weighted modulus; passes when the maximum is finite and
     stable (within 10%) under doubling the grid resolution.  A pole inside
     the patch reveals itself through blow-up under refinement.
+
+    The eps grid is polar: rings of one modulus, each at the same
+    arguments.  ``W`` depends on eps only through the factors ``eps^-b``
+    and the weight only through ``|eps|``, so a ring whose factors are
+    bit-equal at all its arguments (every ring, when every ``b`` is 0) has
+    bit-identical rows, and only its first point is swept; the other rings
+    are swept point by point.  The maximum is the full grid's, bit for bit.
     """
     m_used = 0.9 * g.m_big
 
     def grid_max(nn: int) -> float:
         # W(eps, tau) = sum_b eps^-b F_b(tau), F_b summing c tau^a
         # (1 + tau)^-r over the terms with that b: the F_b are computed
-        # once and eps swept in row blocks.  Both grids are polar
-        # (row-major over nn moduli x nn arguments), so the weight
-        # exp(-m log^2|tau/eps|) takes only nn x nn values.  A row
-        # whose maximum is NaN does not count (np.fmax).
+        # once, the factors eps^-b once over the eps grid, and eps swept in
+        # row blocks.  Both grids are polar (row-major over nn moduli x nn
+        # arguments), so the weight exp(-m log^2|tau/eps|) takes only
+        # nn x nn values, and a ring whose factors agree bit for bit has nn
+        # equal rows of |W| * weight: its first row stands for all of
+        # them.  A row whose maximum is NaN does not count (np.fmax).
         eps_pts = _patch_grid(eps_patch, nn)
         tau_pts = _patch_grid(tau_patch, nn)
         by_b = {}
@@ -455,6 +468,17 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
                 term.c * tau_pts**term.a * (1.0 + tau_pts) ** (-term.r))
         if not by_b:
             by_b[0] = np.zeros(tau_pts.size, dtype=complex)
+        factors = {b: eps_pts ** (-b) for b in by_b}
+        # sweep a ring's first point only where each factor's bits (real
+        # and imaginary parts as int64) equal those at its first argument
+        uniform = np.ones(nn, dtype=bool)
+        for f in factors.values():
+            bits = f.view(np.int64).reshape(nn, nn, 2)
+            uniform &= (bits == bits[:, :1]).all(axis=(1, 2))
+        keep = np.ones((nn, nn), dtype=bool)
+        keep[uniform, 1:] = False
+        swept = np.flatnonzero(keep)
+        factors = {b: f[swept, None] for b, f in factors.items()}
         log_ratio = (np.log(np.abs(tau_pts[::nn]))[None, :]
                      - np.log(np.abs(eps_pts[::nn]))[:, None])
         weight = np.exp(-m_used * log_ratio**2)
@@ -462,14 +486,14 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
         # a complex value takes two doubles: BLOCK / 2 per complex block
         rows = max(1, BLOCK // (2 * tau_pts.size))
         mags = np.empty((rows, tau_pts.size))
-        for start in range(0, eps_pts.size, rows):
-            eps = eps_pts[start:start + rows, None]
-            m = eps.shape[0]
+        for start in range(0, swept.size, rows):
+            stop = min(start + rows, swept.size)
+            m = stop - start
             # summed in place into the first term
-            terms = (eps ** (-b) * f for b, f in by_b.items())
+            terms = (factors[b][start:stop] * f for b, f in by_b.items())
             np.abs(functools.reduce(operator.iadd, terms), out=mags[:m])
             block = mags[:m].reshape(m, nn, nn)
-            block *= weight[np.arange(start, start + m) // nn, :, None]
+            block *= weight[swept[start:stop] // nn, :, None]
             worst = float(np.fmax.reduce(block.max(axis=(1, 2)),
                                          initial=worst))
         return worst
@@ -478,5 +502,4 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
     d2 = grid_max(2 * n)
     finite = math.isfinite(d1) and math.isfinite(d2)
     stable = finite and abs(d2 - d1) <= 0.1 * max(d1, 1e-300)
-    return AdmissibilityFit(delta=d2, m_used=m_used, passed=bool(stable),
-                            delta_refined=d2)
+    return AdmissibilityFit(delta=d2, m_used=m_used, passed=bool(stable))

@@ -324,12 +324,22 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     return float(best[0]) if wa.ndim == 0 else best.reshape(wa.shape)
 
 
-def in_theta_safe(z: complex, lam: complex, base: QBase, delta: float,
-                  step: float = 1e-3) -> bool:
-    """Whether ``|1 + lam / (z q^k)| > delta`` for every real ``k``."""
-    if z == 0 or lam == 0:
+def in_theta_safe(z, lam: complex, base: QBase, delta: float,
+                  step: float = 1e-3):
+    """Whether ``|1 + lam / (z q^k)| > delta`` for every real ``k``.
+
+    Array-valued in ``z``: an array gives a boolean array of its shape,
+    scanned in one :func:`spiral_min_distance` call, and a scalar gives a
+    ``bool``.  Each ``lam / z`` is the quotient a scalar ``z`` gives, so
+    an entry's answer does not depend on the array around it.
+    """
+    za = np.asarray(z, dtype=complex)
+    if lam == 0 or (za == 0).any():
         raise DomainError("theta-safe test needs z != 0 and lam != 0",
                           membership="nonzero")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return spiral_min_distance(lam / z, base, delta, step=step) > delta
+    w = lam / z if za.ndim == 0 else np.array(
+        [lam / x for x in za.ravel().tolist()],
+        dtype=complex).reshape(za.shape)
+    return spiral_min_distance(w, base, delta, step=step) > delta

@@ -135,14 +135,16 @@ def majorant(cert: GrowthCertificate, lam: complex, z: complex, base: QBase,
     return pref * cert.c1 / theta_floor * np.exp(np.minimum(expo, 700.0))
 
 
-def require_theta_safe(z: complex, lam: complex, base: QBase,
-                       delta: float) -> None:
+def require_theta_safe(z, lam: complex, base: QBase, delta: float) -> None:
     """Raise :class:`DomainError` unless ``z`` is theta-safe for
-    ``(lam, delta)``."""
-    if not in_theta_safe(z, lam, base, delta):
+    ``(lam, delta)``; for a list of ``z``, tested in one array call, the
+    error names the first unsafe one."""
+    safe = in_theta_safe(z, lam, base, delta)
+    if not np.all(safe):
+        bad = z if np.ndim(safe) == 0 else z[int(np.argmin(safe))]
         raise DomainError(
             "z = %s is not theta-safe for direction %s at delta = %g"
-            % (z, lam, delta), membership="theta_safe")
+            % (bad, lam, delta), membership="theta_safe")
 
 
 def _sweep(rows, blocks, nodes, n_rows: int, reduce) -> list:

@@ -100,9 +100,10 @@ def _transform_blocks(sc: SolutionChart, keys) -> None:
     ends, where the trapezoid sums converge exponentially, so a block
     returns them as soon as every order moved by less than abs_tol between
     halvings.  Before any integrand call, every eps is tested against the
-    chart's discrete spiral and then every ``z = eps t`` for theta-safety;
-    each ``z`` is a Python scalar product, as a one-pair call computes it,
-    so a block's values do not depend on the batch around it.  A block
+    chart's discrete spiral and then every ``z = eps t`` for theta-safety,
+    each in one array call that names the first failing key; each ``z`` is
+    a Python scalar product, as a one-pair call computes it, so a block's
+    values do not depend on the batch around it.  A block
     that does not settle raises :class:`ConvergenceError` naming its chart
     and key; the blocks that settled stay cached.
     """
@@ -113,8 +114,7 @@ def _transform_blocks(sc: SolutionChart, keys) -> None:
     base = sc.base
     _require_on_spiral(sc, [e for e, _ in new])
     zs = [e * t for e, t in new]
-    for z in zs:
-        require_theta_safe(z, sc.lam, base, sc.delta)
+    require_theta_safe(zs, sc.lam, base, sc.delta)
     pref = base.log_q / pi_q(base)
     eps_of = np.array([e for e, _ in new])
     z_of = np.array(zs)

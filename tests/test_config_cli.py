@@ -178,6 +178,14 @@ class TestCheckCommand:
         "strict_exponents_fail": (0.3811578594569783, 0.3210619620615746),
     }
 
+    # admissibility envelopes of the shipped configs, as the sweep over
+    # every eps point of the grid computed them: (spiral, disc) per
+    # component, the same for every component of the strict config
+    PINNED_ENVELOPES = {
+        "demo": (0.9531688947466005, 0.9999998913688011),
+        "strict_exponents_fail": (0.9771360162354387, 0.9999954641727012),
+    }
+
     @pytest.mark.parametrize("name", sorted(PINNED_CLEARANCES))
     def test_shipped_config_results_pinned(self, name, tmp_path):
         cfg = tmp_path / (name + ".json")
@@ -195,6 +203,12 @@ class TestCheckCommand:
                    - v_clear) <= 1e-12
         assert abs(rows["family_kernel_clearance"]["clearance"]
                    - k_clear) <= 1e-12
+        envelopes = {n: c["envelope"] for n, c in rows.items()
+                     if n.startswith("admissibility[")}
+        spiral, disc = self.PINNED_ENVELOPES[name]
+        assert envelopes == {
+            n: spiral if n.endswith(",spiral]") else disc for n in envelopes}
+        assert len(envelopes) == (2 if name == "demo" else 8)
         failing = {n for n, c in rows.items() if c["status"] == "fail"}
         if name == "demo":
             assert code == 0 and failing == set()

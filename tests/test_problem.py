@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qgevrey import (CauchyProblem, CoefficientEvaluator, ContinuousBase,
                      apply_shift_operator, check_constant_system,
                      check_growth_cap, check_term_exponents,
                      series_norm, shift_bound_constant, weighted_norm)
+from qgevrey.qgeometry import BLOCK
 
 
 def make_gevrey(**kw):
@@ -483,6 +486,80 @@ class TestAdmissibility:
         ref = self.reference_grid_max(component, self.EPS_PATCH, tau_patch,
                                       fit.m_used, 18)
         assert abs(fit.delta - ref) <= 1e-12 * ref
+
+    @staticmethod
+    def full_sweep_fit(component, eps_patch, tau_patch, g, n):
+        """``(delta, passed)`` as every eps point's row is swept: the
+        blocked sweep before rings with equal eps factors were swept once."""
+        m_used = 0.9 * g.m_big
+
+        def grid(patch, nn):
+            mods = np.exp(np.linspace(math.log(patch.mod[0]),
+                                      math.log(patch.mod[1]), nn))
+            args = np.linspace(patch.arg[0], patch.arg[1], nn)
+            return (mods[:, None] * np.exp(1j * args[None, :])).ravel()
+
+        def grid_max(nn):
+            eps_pts, tau_pts = grid(eps_patch, nn), grid(tau_patch, nn)
+            by_b = {}
+            for term in component:
+                by_b[term.b] = by_b.get(term.b, 0.0) + (
+                    term.c * tau_pts**term.a * (1.0 + tau_pts) ** (-term.r))
+            if not by_b:
+                by_b[0] = np.zeros(tau_pts.size, dtype=complex)
+            log_ratio = (np.log(np.abs(tau_pts[::nn]))[None, :]
+                         - np.log(np.abs(eps_pts[::nn]))[:, None])
+            weight = np.exp(-m_used * log_ratio**2)
+            worst = 0.0
+            rows = max(1, BLOCK // (2 * tau_pts.size))
+            mags = np.empty((rows, tau_pts.size))
+            for start in range(0, eps_pts.size, rows):
+                eps = eps_pts[start:start + rows, None]
+                m = eps.shape[0]
+                terms = (eps ** (-b) * f for b, f in by_b.items())
+                np.abs(functools.reduce(operator.iadd, terms), out=mags[:m])
+                block = mags[:m].reshape(m, nn, nn)
+                block *= weight[np.arange(start, start + m) // nn, :, None]
+                worst = float(np.fmax.reduce(block.max(axis=(1, 2)),
+                                             initial=worst))
+            return worst
+
+        d1, d2 = grid_max(n), grid_max(2 * n)
+        stable = (math.isfinite(d1) and math.isfinite(d2)
+                  and abs(d2 - d1) <= 0.1 * max(d1, 1e-300))
+        return d2, stable
+
+    TAU_PATCH = ContinuousBase(mod=(0.2, 3.0), arg=(0.2, 2.5))
+    POLE_PATCH = ContinuousBase(mod=(1.0 - 1e-9, 1.0 + 1e-9),
+                                arg=(math.pi - 1e-7, math.pi + 1e-7))
+    # |tau|^2 overflows: |W| is inf or NaN and the weight 0, so rows of
+    # |W| * weight hold NaN
+    HUGE_PATCH = ContinuousBase(mod=(1e150, 1e160), arg=(0.2, 2.5))
+
+    @pytest.mark.parametrize("n", [9, 16])
+    @pytest.mark.parametrize("component,patch", [
+        ((InitialTerm(c=3.0 - 4.0j),), "TAU_PATCH"),
+        ((InitialTerm(c=1.0, a=1, r=1),), "TAU_PATCH"),
+        ((InitialTerm(c=1.0 + 2.0j, a=1, b=2, r=1),), "TAU_PATCH"),
+        ((InitialTerm(c=1.0, a=1, b=1, r=0), InitialTerm(c=-0.5j, a=0, b=1,
+                                                        r=2)), "TAU_PATCH"),
+        ((InitialTerm(c=1.0, a=2, b=0, r=1), InitialTerm(c=0.3, b=3, r=0),
+          InitialTerm(c=2.0j, a=1, b=1, r=3)), "TAU_PATCH"),
+        ((), "TAU_PATCH"),
+        ((InitialTerm(c=1.0, a=0, r=2),), "POLE_PATCH"),
+        ((InitialTerm(c=1.0, a=2),), "HUGE_PATCH"),
+        ((InitialTerm(c=1.0, a=2), InitialTerm(c=1.0, a=2, b=1)),
+         "HUGE_PATCH"),
+    ])
+    def test_ring_sweep_equals_full_sweep(self, component, patch, n):
+        g = make_gevrey()
+        tau_patch = getattr(self, patch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = admissibility_fit(component, self.EPS_PATCH, tau_patch, g,
+                                    n=n)
+            delta, passed = self.full_sweep_fit(component, self.EPS_PATCH,
+                                                tau_patch, g, n)
+        assert fit.delta == delta and fit.passed == passed
 
     def test_m_tilde_convention(self):
         g = make_gevrey(m_big=1.0, m_tilde=0.5)

@@ -185,9 +185,27 @@ class TestThetaSafe:
                 assert in_theta_safe(z, lam, b, 0.3) == \
                     in_theta_safe(z * qpow(b, s), lam, b, 0.3)
 
+    @pytest.mark.parametrize("lam", [1.25 * cmath.exp(0.3j),
+                                     np.complex128(0.8 - 0.6j)])
+    def test_array_equals_scalar_elementwise(self, bases, rng, lam):
+        for b in bases:
+            # half the z put lam / z on or near the spiral through -1
+            zs = rng.uniform(0.5, 2.0, 24) * np.exp(
+                1j * rng.uniform(0.0, 2.0 * math.pi, 24))
+            zs[::2] = -lam / np.exp(rng.uniform(-2.0, 2.0, 12) * b.log_q) \
+                * np.exp(1j * rng.uniform(-0.2, 0.2, 12))
+            single = [in_theta_safe(complex(z), lam, b, 0.3) for z in zs]
+            assert all(type(s) is bool for s in single)
+            batch = in_theta_safe(zs.reshape(4, 6), lam, b, 0.3)
+            assert batch.shape == (4, 6)
+            assert batch.ravel().tolist() == single
+            assert 0 < sum(single) < len(single)
+
     def test_preconditions(self, base2):
         with pytest.raises(DomainError):
             in_theta_safe(0.0, 1.0, base2, 0.3)
+        with pytest.raises(DomainError):
+            in_theta_safe(np.array([1.0, 0.0]), 1.0, base2, 0.3)
         with pytest.raises(ValueError):
             in_theta_safe(1.0, 1.0, base2, 1.5)
 

@@ -277,6 +277,25 @@ class TestTransformBatch:
         assert err.value.membership == bad
         assert calls == [] and sc._cache == {}
 
+    def test_first_unsafe_z_in_key_order_named(self, demo, chart20, eps20,
+                                               monkeypatch):
+        # two unsafe z behind a safe key: one array test raises for the
+        # first of them in key order, before any integrand call
+        from qgevrey import qlaplace
+        from qgevrey.solution import _transform_blocks
+        unit = -chart20.lam / abs(chart20.lam) / (eps20 / abs(eps20))
+        keys = [(eps20, 0.7), (eps20, 0.65 * unit), (eps20, 0.6),
+                (eps20, 0.7 * unit)]
+        tests = count_calls(monkeypatch, qlaplace, "in_theta_safe")
+        calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
+        sc = demo.chart_solution(20, quad=TIGHT)
+        with pytest.raises(DomainError) as err:
+            _transform_blocks(sc, keys)
+        assert err.value.membership == "theta_safe"
+        z = complex(eps20) * complex(0.65 * unit)
+        assert str(err.value).startswith("z = %s is not theta-safe" % z)
+        assert len(tests) == 1 and calls == [] and sc._cache == {}
+
 
 class TestInitialCondition:
     def test_matches_series_coefficient_bitwise(self, demo, chart20, eps20):
