@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qgeometry import (BLOCK, ChartBase, ContinuousBase, QBase,
-                        in_discrete_spiral, qpow, spiral_min_distance)
+                        _in_chart_spiral, qpow, spiral_coordinates,
+                        spiral_min_distance)
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,8 +140,9 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
     The annulus top sits at the lowest chart-bottom modulus (below every
     chart's own patch, hence inside the covered neighborhood), three
     q-levels deep.  The samples and the :func:`seam_probes` form one point
-    array; each chart tests it with one array-valued
-    :func:`in_discrete_spiral` call per block of points.  A probe never
+    array; per block of points the spiral coordinates are computed once,
+    and each chart tests them with the interval test of
+    :func:`~qgevrey.qgeometry.in_discrete_spiral`.  A probe never
     counts for the chart it was built from: it lies on that chart's open
     boundary, where rounding alone would decide.
     """
@@ -161,9 +163,10 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
     for start in range(0, pts.size, BLOCK):
         block = pts[start:start + BLOCK]
         own = owner[start:start + BLOCK]
+        u, v = spiral_coordinates(block, base)
         mult = np.zeros(block.size, dtype=np.int64)
         for idx, ch in enumerate(c.charts):
-            inside = in_discrete_spiral(block, ch, base) & (own != idx)
+            inside = _in_chart_spiral(u, v, ch) & (own != idx)
             counts[idx] += np.count_nonzero(inside)
             mult += inside
         n_unc += int(np.count_nonzero(mult == 0))

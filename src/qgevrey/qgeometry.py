@@ -23,6 +23,16 @@ The discrete-spiral membership test (:func:`spiral_coordinates`,
 array of points, and a scalar point still gives a scalar answer.  Batched
 intermediates are capped at ``BLOCK`` elements and built without BLAS.
 A zero or non-finite point raises :class:`DomainError`.
+
+The clearance scan finds the least value of ``|1 + w q^-k|^2`` on a fine
+k-grid without evaluating the whole grid.  A coarse pass evaluates every
+``STRIDE``-th grid value; a bound on the second derivative says how far
+the grid values between two coarse ones can dip below the lesser of them,
+so every coarse cell that cannot reach below the least coarse value is
+skipped, and only the kept cells are swept in full.  Every grid index
+holding the least value lies in a kept cell, so the scan returns the same
+index as a sweep of the whole grid, and the refinement that follows is
+unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +51,11 @@ TWO_PI = 2.0 * math.pi
 #: Largest number of elements of one batched intermediate array: sweeps
 #: over more points run in row blocks of at most this size.
 BLOCK = 1 << 15
+
+#: Grid-index stride of the coarse pass of :func:`spiral_min_distance`.
+STRIDE = 64
+# cap on the elements of one intermediate of the clearance scan's passes
+_SCAN_VALUES = BLOCK // 8
 
 # nested-grid refinement of the scan minimum in spiral_min_distance: each
 # level shrinks the bracket (_REFINE_POINTS - 1) / 2 = 16 times
@@ -145,7 +160,7 @@ def _points(x, zero_message: str) -> np.ndarray:
     p = np.asarray(x, dtype=complex)
     if not np.isfinite(p).all():
         raise DomainError("points must be finite", membership="finite")
-    if (p == 0).any():
+    if not p.all():
         raise DomainError(zero_message, membership="nonzero")
     return p
 
@@ -173,14 +188,22 @@ def in_discrete_spiral(eps, chart: ChartBase, base: QBase):
     Array-valued: an array of points gives a boolean array of its shape, a
     scalar gives a ``bool``.
     """
-    u, v = spiral_coordinates(eps, base)
+    inside = _in_chart_spiral(*spiral_coordinates(eps, base), chart)
+    return bool(inside) if np.ndim(inside) == 0 else inside
+
+
+def _in_chart_spiral(u, v, chart: ChartBase):
+    """:func:`in_discrete_spiral` on the spiral coordinates ``(u, v)``.
+
+    Callers that test one point array against many charts compute the
+    coordinates once.
+    """
     u_lo, u_hi = chart.i1
     du = (u - u_lo) % 1.0
     lo, hi = chart.i2
     n = np.ceil(lo - v)
     n = n + (lo - v == n)  # open interval: v + n must exceed lo strictly
-    inside = (0.0 < du) & (du < u_hi - u_lo) & (n >= 0) & (v + n < hi)
-    return bool(inside) if np.ndim(inside) == 0 else inside
+    return (0.0 < du) & (du < u_hi - u_lo) & (n >= 0) & (v + n < hi)
 
 
 def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,
@@ -253,16 +276,83 @@ def _scan_tables(base: QBase, delta: float, step: float):
     return (m_lo, m_hi) + tables
 
 
-def _scan_argmin(cos_w, sin_w, A, B, C) -> np.ndarray:
-    """Per row, the grid index of the least ``A + cos_w B + sin_w C``."""
+@functools.lru_cache(maxsize=2)
+def _scan_cells(base: QBase, delta: float, step: float):
+    """Coarse cells of the k-grid of :func:`spiral_min_distance`.
+
+    With ``n`` grid points and ``s = min(STRIDE, n - 1)``, the cell ends
+    are the grid indices ``0, s, 2 s, ...`` and ``n - 1``.  Returns the
+    tables ``A, B, C`` at the cell ends, each cell's window start
+    ``min(c s, n - 1 - s)``, read-only views of every ``s + 1``
+    consecutive values of ``A, B, C`` (the window at a start holds its
+    whole cell; the last one may reach back into the previous cell, and
+    no table value is copied), and ``drop``: the most a grid value inside
+    a cell can lie below the lesser of the cell's end values.
+    """
+    m_hi, A, B, C = _scan_tables(base, delta, step)[1:]
+    n = A.size
+    s = min(STRIDE, n - 1)
+    ends = np.append(np.arange(0, n - 1, s), n - 1)
+    starts = np.minimum(ends[:-1], n - 1 - s)
+    windows = tuple(np.lib.stride_tricks.sliding_window_view(t, s + 1)
+                    for t in (A, B, C))
+    # rounding in the values: a few ulps of (1 + m_hi)^2, plus the rounding
+    # of the turn k Im(log q) times the 2 m_hi of B and C
+    margin = 1e-12 * (1.0 + m_hi) ** 2 * (1.0 + abs(base.log_q.imag)
+                                          * step * n)
+    drop = _curvature_drop(base, m_hi, s * step) + margin
+    return (A[ends], B[ends], C[ends], starts) + windows + (drop,)
+
+
+def _scan_argmin(cos_w, sin_w, cells) -> np.ndarray:
+    """Per row, the least grid index of the least ``A + cos_w B + sin_w C``.
+
+    ``cells`` is :func:`_scan_cells`.  A coarse pass evaluates the cell
+    ends; a cell whose lesser end value, lowered by ``drop``, exceeds the
+    least end value of its row holds no grid minimum and is skipped.  The
+    kept cells' windows are swept in full, with the values and the tie
+    rule (least index) of one sweep of the whole grid.
+    """
+    A, B, C, starts, Aw, Bw, Cw, drop = cells
     i = np.empty(cos_w.size, dtype=np.intp)
-    rows = max(1, BLOCK // A.size)
+    rows = max(1, _SCAN_VALUES // A.size)
+    pairs = max(1, _SCAN_VALUES // Aw.shape[1])
     for r in range(0, cos_w.size, rows):
-        sq = cos_w[r:r + rows, None] * B
-        sq += sin_w[r:r + rows, None] * C
+        cw = cos_w[r:r + rows, None]
+        sw = sin_w[r:r + rows, None]
+        sq = cw * B
+        sq += sw * C
         sq += A
-        i[r:r + rows] = sq.argmin(axis=1)
+        lo = np.minimum(sq[:, :-1], sq[:, 1:])
+        lo -= drop
+        row, cell = np.divmod(
+            np.flatnonzero(lo <= sq.min(axis=1, keepdims=True)), lo.shape[1])
+        # each kept (row, cell) window: its least value and the first
+        # index holding it; the windows come in (row, index) order
+        least = np.empty(row.size)
+        at = starts[cell]
+        for p in range(0, row.size, pairs):
+            rp, sp = row[p:p + pairs], at[p:p + pairs]
+            f = cw[rp] * Bw[sp]
+            f += sw[rp] * Cw[sp]
+            f += Aw[sp]
+            least[p:p + pairs] = f.min(axis=1)
+            at[p:p + pairs] += f.argmin(axis=1)
+        # per row (each keeps the cells at its least coarse value), the
+        # least index among its windows' least values
+        first = np.searchsorted(row, np.arange(cw.shape[0]))
+        i[r:r + rows] = at[np.lexsort((at, least, row))[first]]
     return i
+
+
+def _curvature_drop(base: QBase, rho: float, h: float) -> float:
+    """``M h^2 / 8``: the most ``|1 + w q^-k|^2`` can dip below the lesser
+    of its values at two points ``h`` apart in k.
+
+    ``M = 2 |log q|^2 rho (2 rho + 1)`` bounds its second derivative in k
+    wherever ``|w q^-k| <= rho``.
+    """
+    return (abs(base.log_q) * 0.5 * h) ** 2 * rho * (2.0 * rho + 1.0)
 
 
 def _distance(w: np.ndarray, k: np.ndarray, base: QBase) -> np.ndarray:
@@ -281,20 +371,36 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     ``min(3*delta, (1+delta)/2)``; the band is scanned on a k-grid of
     spacing ``step`` (through the cached tables of :func:`_scan_tables`),
     then the bracket around the best grid point is refined on nested grids
-    of exact values.  The least value found is lowered by the most the
-    minimum can lie below it between two points of the last grid, so
-    ``> delta`` is a safe decision for any delta in (0, 1): the result
-    stays within ~1e-15 of the minimum where the minimum is away from 0,
-    and is 0 where the spiral passes through -1.  Array-valued: an array
-    of ``w`` gives an array of its shape, swept in blocks of at most
-    ``BLOCK`` elements; a scalar gives a float.
+    of exact values.
+
+    The scan is pruned.  A coarse pass evaluates every ``STRIDE``-th grid
+    value.  ``M = 2 |log q|^2 m_hi (2 m_hi + 1)`` bounds the second
+    derivative of ``|1 + w q^-k|^2`` in k on the band, so inside a coarse
+    cell of width ``h`` no grid value lies more than ``M h^2 / 8`` (plus a
+    rounding margin) below the lesser end value; a cell that cannot reach
+    below the least coarse value holds no grid minimum and is skipped.
+    The kept cells are swept in full, and the index found is the least
+    index of the least grid value, exactly as a sweep of the whole grid
+    finds it.
+
+    The least value found is lowered by the same bound on the last nested
+    grid (the most the minimum can lie below it between two points of that
+    grid), so ``> delta`` is a safe decision for any delta in (0, 1): the
+    result stays within ~1e-15 of the minimum where the minimum is away
+    from 0, and is 0 where the spiral passes through -1.  Array-valued: an
+    array of ``w`` gives an array of its shape, swept in blocks of at most
+    ``BLOCK`` elements; a scalar gives a float.  A ``delta`` outside
+    ``(0, 1)`` raises ``ValueError`` before any other check.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     wa = _points(w, "spiral base must be nonzero")
-    m_lo, m_hi, A, B, C = _scan_tables(base, float(delta), float(step))
+    m_lo, m_hi = _scan_tables(base, float(delta), float(step))[:2]
     flat = wa.ravel()
     k1 = (np.log(np.abs(flat)) - math.log(m_hi)) / base.log_abs_q
     phi = np.angle(flat) - k1 * base.log_q.imag
-    i = _scan_argmin(np.cos(phi), np.sin(phi), A, B, C)
+    i = _scan_argmin(np.cos(phi), np.sin(phi),
+                     _scan_cells(base, float(delta), float(step)))
     # exact values at the grid minimum and on nested grids around it: a
     # level spaces _REFINE_POINTS points over the bracket of the previous
     # minimum's two neighbouring cells (a bracket may stick out of the
@@ -310,13 +416,11 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
             np.minimum(best[r:r + rows], g.min(axis=1), out=best[r:r + rows])
             k_lo = k_lo + h * (g.argmin(axis=1) - 1)
             h *= 2.0 / (_REFINE_POINTS - 1)
-    # |1 + w q^-k|^2 has second derivative at most
-    # 2 |log q|^2 rho (2 rho + 1), rho = |w q^-k| <= m_hi |q|^step on every
-    # bracket, and its minimum lies within half a last-grid spacing of a
-    # last-grid point
+    # rho = |w q^-k| <= m_hi |q|^step on every bracket, and the minimum
+    # lies within half a last-grid spacing of a last-grid point
     rho = m_hi * math.exp(step * base.log_abs_q)
     h_last = step * (2.0 / (_REFINE_POINTS - 1)) ** _REFINE_LEVELS
-    slack = (abs(base.log_q) * 0.5 * h_last) ** 2 * rho * (2.0 * rho + 1.0)
+    slack = _curvature_drop(base, rho, h_last)
     np.square(best, out=best)
     best -= slack
     np.sqrt(np.maximum(best, 0.0, out=best), out=best)
@@ -331,14 +435,13 @@ def in_theta_safe(z, lam: complex, base: QBase, delta: float,
     Array-valued in ``z``: an array gives a boolean array of its shape,
     scanned in one :func:`spiral_min_distance` call, and a scalar gives a
     ``bool``.  Each ``lam / z`` is the quotient a scalar ``z`` gives, so
-    an entry's answer does not depend on the array around it.
+    an entry's answer does not depend on the array around it.  A zero
+    ``lam``, or a zero or non-finite ``z``, raises :class:`DomainError`.
     """
-    za = np.asarray(z, dtype=complex)
-    if lam == 0 or (za == 0).any():
-        raise DomainError("theta-safe test needs z != 0 and lam != 0",
-                          membership="nonzero")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    message = "theta-safe test needs z != 0 and lam != 0"
+    if lam == 0:
+        raise DomainError(message, membership="nonzero")
+    za = _points(z, message)
     w = lam / z if za.ndim == 0 else np.array(
         [lam / x for x in za.ravel().tolist()],
         dtype=complex).reshape(za.shape)

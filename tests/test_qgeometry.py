@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from qgevrey import (ChartBase, ContinuousBase, DomainError, QBase,
                      build_covering, in_continuous_spiral, in_discrete_spiral,
                      in_theta_safe, qpow, spiral_coordinates,
                      spiral_min_distance, validate_covering)
+from qgevrey import qgeometry
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import seam_probes
+from qgevrey.qgeometry import _scan_argmin, _scan_cells, _scan_tables
 
 # deterministic property runs: the same examples on every run, no database
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -252,8 +255,21 @@ class TestDomainContract:
         assert exc.value.membership == tag
 
     def test_theta_safe_non_finite(self, base2):
-        with pytest.raises(DomainError):
-            in_theta_safe(complex(math.nan, 0.0), 1.0, base2, 0.3)
+        # lam / inf is 0: the tag must name the infinite z, not the zero
+        for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0),
+                    complex(-math.inf, 0.0), complex(0.0, math.inf),
+                    complex(1.0, -math.inf)):
+            for z in (bad, np.array([0.5 + 0.2j, bad])):
+                with pytest.raises(DomainError) as exc:
+                    in_theta_safe(z, 1.0, base2, 0.3)
+                assert exc.value.membership == "finite", z
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, 0.0, -0.1])
+    def test_min_distance_rejects_delta(self, base2, delta):
+        # checked before any work: a zero w does not get its DomainError
+        for w in (0.5 + 0.1j, np.array([0.5, -1.0]), 0.0):
+            with pytest.raises(ValueError, match=r"delta must lie in"):
+                spiral_min_distance(w, base2, delta)
 
 
 def reference_in_discrete_spiral(u, v, chart):
@@ -422,3 +438,152 @@ class TestBatchedMinDistance:
         np.testing.assert_array_equal(batch, single)
         grid = spiral_min_distance(ws.reshape(5, -1), b, 0.2)
         np.testing.assert_array_equal(grid.ravel(), single)
+
+
+def full_scan_argmin(cos_w, sin_w, A, B, C):
+    """Per row, the argmin of ``A + cos_w B + sin_w C`` over the whole grid.
+
+    The sweep of every grid value that the pruned scan replaced, kept as
+    the reference for its index.
+    """
+    i = np.empty(cos_w.size, dtype=np.intp)
+    rows = max(1, qgeometry.BLOCK // A.size)
+    for r in range(0, cos_w.size, rows):
+        sq = cos_w[r:r + rows, None] * B
+        sq += sin_w[r:r + rows, None] * C
+        sq += A
+        i[r:r + rows] = sq.argmin(axis=1)
+    return i
+
+
+def scan_inputs(w, base, delta, step):
+    """``cos(phi), sin(phi)`` of each ``w`` as spiral_min_distance has
+    them."""
+    m_hi = _scan_tables(base, delta, step)[1]
+    flat = np.asarray(w, dtype=complex).ravel()
+    k1 = (np.log(np.abs(flat)) - math.log(m_hi)) / base.log_abs_q
+    phi = np.angle(flat) - k1 * base.log_q.imag
+    return np.cos(phi), np.sin(phi)
+
+
+def assert_scan_matches_full(w, base, delta=0.2, step=1e-3):
+    """The pruned scan's grid index and spiral_min_distance equal the full
+    sweep's, bit for bit; returns the full sweep's indices."""
+    A, B, C = _scan_tables(base, delta, step)[2:]
+    cos_w, sin_w = scan_inputs(w, base, delta, step)
+    want = full_scan_argmin(cos_w, sin_w, A, B, C)
+    got = _scan_argmin(cos_w, sin_w, _scan_cells(base, delta, step))
+    assert np.array_equal(got, want)
+
+    def full(c, s, cells):
+        return full_scan_argmin(c, s, A, B, C)
+
+    with mock.patch.object(qgeometry, "_scan_argmin", full):
+        reference = spiral_min_distance(w, base, delta, step)
+    pruned = spiral_min_distance(w, base, delta, step)
+    assert type(pruned) is type(reference)
+    assert np.array_equal(pruned, reference)
+    return want
+
+
+SCAN_BASES = (2.0, math.exp(1.0 / 16.0), 1.0645 * cmath.exp(0.05j),
+              1.5 * cmath.exp(0.2j), 3.0 * cmath.exp(-0.1j),
+              cmath.exp(1.0 / 16.0 + 0.3j))
+
+
+def on_circle(angles):
+    """``e^{i a}``: the scan depends on ``w`` through ``phi`` only, and
+    ``phi`` runs over every angle with ``a`` at modulus one."""
+    return np.exp(1j * np.asarray(angles))
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("q", SCAN_BASES)
+    def test_random_and_critical_w(self, q, rng):
+        b = QBase(q)
+        ws = rng.uniform(0.3, 3.0, 400) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, 400))
+        # spirals through -1: w q^-k = -1 at k = s
+        ws[::10] = -np.exp(rng.uniform(-2.0, 2.0, 40) * b.log_q)
+        assert_scan_matches_full(ws, b)
+
+    @pytest.mark.parametrize("q", [1.0645 * cmath.exp(0.05j),
+                                   1.5 * cmath.exp(0.2j),
+                                   cmath.exp(1.0 / 16.0 + 0.3j)])
+    def test_equal_depth_basins(self, q):
+        # where the deepest basin jumps to another one far along the grid,
+        # the two are equally deep; next to that angle the coarse values
+        # rank them by how near a cell end each minimum falls, so only the
+        # curvature bound keeps the deeper one's cell
+        b = QBase(q)
+        A, B, C = _scan_tables(b, 0.2, 1e-3)[2:]
+
+        def index(a):
+            return full_scan_argmin(*scan_inputs(on_circle(a), b, 0.2, 1e-3),
+                                    A, B, C)
+
+        angles = np.linspace(0.0, 2.0 * math.pi, 2001)
+        i = index(angles)
+        j = np.flatnonzero(np.abs(np.diff(i)) > 3 * qgeometry.STRIDE)[0]
+        lo, hi = angles[j], angles[j + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if abs(int(index([mid])[0]) - i[j]) <= 3 * qgeometry.STRIDE:
+                lo = mid
+            else:
+                hi = mid
+        d = np.logspace(-14.0, -3.0, 45)
+        ws = on_circle(lo + np.concatenate([-d, [0.0], d]))
+        found = assert_scan_matches_full(ws, b)
+        assert np.ptp(found) > 3 * qgeometry.STRIDE
+
+    def test_minimum_at_grid_ends(self):
+        # positive w: |1 + w q^-k| falls with |w q^-k|, least at the last
+        # grid index; a fast-turning base over a short band: the spiral
+        # turns away from -1 along the grid, least at the first index
+        b = QBase(2.0)
+        n = _scan_tables(b, 0.2, 1e-3)[2].size
+        assert (assert_scan_matches_full(np.array([1.0, 2.5, 0.7]), b)
+                == n - 1).all()
+        b = QBase(cmath.exp(1.0 / 16.0 + 0.3j))
+        ws = on_circle(np.linspace(0.0, 2.0 * math.pi, 720))
+        found = assert_scan_matches_full(ws, b, delta=0.01)
+        n = _scan_tables(b, 0.01, 1e-3)[2].size
+        assert (found == 0).any() and (found == n - 1).any()
+
+    @pytest.mark.parametrize("delta,step,cells", [
+        (0.2, 1e-3, "partial"),         # 2001 grid values
+        (0.2, 2.0 / 1023.5, "whole"),   # 1025
+        (0.005, 1e-3, "one"),           # 45
+        (1e-6, 1e-3, "one")])           # 2
+    def test_grid_lengths(self, delta, step, cells, rng):
+        b = QBase(2.0)
+        n = _scan_tables(b, delta, step)[2].size
+        kind = ("one" if n <= qgeometry.STRIDE + 1 else
+                "whole" if (n - 1) % qgeometry.STRIDE == 0 else "partial")
+        assert kind == cells
+        ws = rng.uniform(0.3, 3.0, 50) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, 50))
+        ws[::5] = -np.exp(rng.uniform(-2.0, 2.0, 10) * b.log_q)
+        assert_scan_matches_full(ws, b, delta, step)
+
+    @pytest.mark.parametrize("q", [2.0, math.exp(1.0 / 16.0)])
+    def test_shapes(self, q, rng):
+        b = QBase(q)
+        ws = rng.uniform(0.3, 3.0, 400) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, 400))
+        assert_scan_matches_full(complex(ws[0]), b)
+        assert_scan_matches_full(ws[:1], b)
+        # more rows than one coarse block; at q = 2 one block's kept
+        # windows also fill more than one fine-pass chunk
+        rows = qgeometry._SCAN_VALUES // _scan_cells(b, 0.2, 1e-3)[0].size
+        assert ws.size > rows
+        assert_scan_matches_full(ws.reshape(5, 80), b)
+
+    @PROPERTY
+    @given(q=st.sampled_from(SCAN_BASES), level=st.floats(-3.0, 3.0),
+           angle=st.floats(0.0, 2.0 * math.pi))
+    def test_any_w(self, q, level, angle):
+        b = QBase(q)
+        w = cmath.exp(level * b.log_q + 1j * angle)
+        assert_scan_matches_full(np.array([w, -w, -qpow(b, level)]), b)
