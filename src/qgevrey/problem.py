@@ -16,6 +16,7 @@ hypotheses and weighted norms under which the series is controlled.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
@@ -112,22 +113,6 @@ class GevreyParams:
             self.xi / (2.0 * base.log_abs_q) - self.m_big)
 
 
-def _eps_columns(eps):
-    """The function ``spread(f)`` of an eps argument: ``f(eps)`` for a
-    scalar ``eps``; for an array of eps, one per column, ``f`` of each
-    distinct value (as a Python complex) spread back over the columns.
-
-    Every column thus gets the bits a one-eps call computes, ``f`` runs
-    once per distinct eps, not once per column, and the distinct eps are
-    found once for all the factors ``spread`` serves.
-    """
-    if np.ndim(eps) == 0:
-        return lambda f: f(eps)
-    values, where = np.unique(eps, return_inverse=True)
-    values = [complex(e) for e in values]
-    return lambda f: np.array([f(e) for e in values])[where]
-
-
 @dataclass(frozen=True)
 class InitialTerm:
     """One building block ``c * tau^a * eps^-b * (1 + tau)^-r``."""
@@ -150,18 +135,48 @@ class InitialData:
 
     def value(self, j: int, eps, tau) -> np.ndarray | complex:
         """``W_j(eps, tau)``; ``eps`` is a scalar or one value per tau (see
-        :func:`_eps_columns`)."""
-        return self._value(j, _eps_columns(eps), tau)
+        :class:`EpsFactors`)."""
+        return self._value(j, EpsFactors(self, (), eps), tau)
 
-    def _value(self, j: int, spread, tau) -> np.ndarray | complex:
-        """:meth:`value` with the eps factors taken from ``spread``."""
+    def _value(self, j: int, factors, tau) -> np.ndarray | complex:
+        """:meth:`value` with the eps factors taken from ``factors``."""
         tau_arr = np.asarray(tau, dtype=complex)
         out = np.zeros_like(tau_arr)
-        for term in self.components[j]:
-            out = out + (term.c * tau_arr**term.a
-                         * spread(lambda e: e ** (-term.b))
+        for term, f in zip(self.components[j], factors.initial[j]):
+            out = out + (term.c * tau_arr**term.a * f[factors.where]
                          * (1.0 + tau_arr) ** (-term.r))
         return out if isinstance(tau, np.ndarray) else complex(out)
+
+
+class EpsFactors:
+    """The recursion's eps factors (``eps^-b`` per initial term; per problem
+    term ``eps^-m0`` and ``b_{k h1}(eps)``), each an array over the values
+    of ``eps``, computed per value in Python complex.  ``where`` gives each
+    table column its value (``0`` for a scalar eps: scalar factors); a
+    caller evaluating many tables at a few eps builds the factors once and
+    passes ``factors.at(where)`` as ``eps``.
+    """
+
+    def __init__(self, initial: InitialData, terms, eps):
+        values = [complex(e) for e in np.ravel(eps).tolist()]
+        if 0 in values:
+            raise DomainError("eps = 0 is excluded", membership="nonzero")
+
+        def over(f):
+            return np.array([f(e) for e in values])
+
+        self.initial = [[over(lambda e: e ** (-t.b)) for t in component]
+                        for component in initial.components]
+        self.m0 = [over(lambda e: e ** (-t.m0)) for t in terms]
+        self.b = [[(h1, over(lambda e: t.b_value(h1, e)))
+                   for h1 in t.z_powers] for t in terms]
+        self.where = 0 if np.ndim(eps) == 0 else np.arange(len(values))
+
+    def at(self, where) -> "EpsFactors":
+        """The same factors, column ``i`` taking value ``where[i]``."""
+        out = copy.copy(self)
+        out.where = where
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +268,16 @@ def check_constant_system(g: GevreyParams, base: QBase) -> ConstantSystemReport:
 # coefficient recursion
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _scales(q: complex, m1s: tuple, n_h: int) -> tuple:
+    """Per dilation order ``m1``, ``[h][h2] -> h! / h2! q^{-m1 h2}`` for
+    ``h2 <= h < n_h``: the recursion's scalars, once per (q, m1, n_h)."""
+    f = [math.factorial(h) for h in range(n_h)]
+    return tuple(tuple(tuple(f[h] / f[h2] * q ** (-m1 * h2)
+                             for h2 in range(h + 1)) for h in range(n_h))
+                 for m1 in m1s)
+
+
 @dataclass
 class CoefficientEvaluator:
     """Evaluator of the z-series coefficients W_beta(eps, tau).
@@ -265,13 +290,14 @@ class CoefficientEvaluator:
 
     The recursion is pointwise in (eps, tau) and linear in the initial
     data.  ``table`` evaluates all orders on a tau-array, at one eps or at
-    one eps per tau, in one pass.  Once per call it computes, per term, the
-    tau factor ``tau^{m0_k} / ((tau + 1) eps^{m0_k})`` times each nonzero
-    ``b_{k h1}(eps)`` (the eps factors once per distinct eps, the
-    distinct eps found once per call), and the powers ``q^{-m1_k h2}``,
-    plus the factorials; each order is then accumulated in place into its
-    row through one scratch vector.  The scalar ``coefficient`` is one
-    entry of a one-column table.
+    one eps per tau, in one pass.  Its eps factors come from an
+    :class:`EpsFactors`, built once per eps (by the caller, once for many
+    tables, or by ``table`` from a raw eps), and the scalars ``h! / h2!
+    q^{-m1_k h2}`` once per ``q``, ``m1`` and ``beta_max``.  Per call it
+    forms, per term, the tau factor ``tau^{m0_k} / ((tau + 1) eps^{m0_k})``
+    times each nonzero ``b_{k h1}(eps)``, and accumulates each order in
+    place into its row through one scratch vector.  The scalar
+    ``coefficient`` is one entry of a one-column table.
     """
 
     problem: CauchyProblem
@@ -285,48 +311,48 @@ class CoefficientEvaluator:
     def table(self, eps, tau: np.ndarray, beta_max: int) -> np.ndarray:
         """Array of shape (beta_max + 1, len(tau)) of coefficient values.
 
-        ``eps`` is a scalar or an array with one value per tau, so that
-        transform blocks at several eps share one call; a column's values
-        are bit-identical to those of a one-eps call.
+        ``eps`` is a scalar, an array with one value per tau, or an
+        :class:`EpsFactors` whose ``where`` gives one value per tau, so
+        that transform blocks at several eps share one call; a column's
+        values are bit-identical to those of a one-eps call.
         """
-        if np.any(np.asarray(eps) == 0):
-            raise DomainError("eps = 0 is excluded", membership="nonzero")
+        if not isinstance(eps, EpsFactors):
+            eps = EpsFactors(self.initial, self.problem.terms, eps)
         tau = np.asarray(tau, dtype=complex)
         if np.any(tau == -1.0):
             raise DomainError("tau = -1 is a pole of the recursion",
                               membership="tau_pole")
         S = self.problem.s_order
         tau = tau.ravel()
-        spread = _eps_columns(np.ravel(eps) if np.ndim(eps) else eps)
         out = np.zeros((beta_max + 1, tau.size), dtype=complex)
         for j in range(min(S, beta_max + 1)):
-            out[j] = self.initial._value(j, spread, tau)
+            out[j] = self.initial._value(j, eps, tau)
         n_h = beta_max + 1 - S
         pole = 1.0 / (tau + 1.0)
-        # per term: k, q^{-m1 h2} for every h2, and the pairs
-        # (h1, b_{k h1}(eps) tau^{m0} / ((tau + 1) eps^{m0})) over the
-        # z-powers h1 whose b is nonzero at some eps, in ascending h1
+        # per term: k and the pairs (h1, b_{k h1}(eps) tau^{m0} / ((tau + 1)
+        # eps^{m0})) over the z-powers h1 whose b is nonzero at some
+        # column's eps, in ascending h1
         terms = []
-        for term in self.problem.terms:
-            tau_f = tau**term.m0 * pole * spread(lambda e: e ** (-term.m0))
+        for term, eps_m0, bs in zip(self.problem.terms, eps.m0, eps.b):
+            tau_f = tau**term.m0 * pole * eps_m0[eps.where]
             pairs = []
-            for h1 in term.z_powers:
-                b = spread(lambda e: term.b_value(h1, e))
+            for h1, b in bs:
+                b = b[eps.where]
                 if np.any(b != 0):
                     pairs.append((h1, b * tau_f))
-            q_pow = [self.base.q ** (-term.m1 * h2) for h2 in range(n_h)]
-            terms.append((term.k, q_pow, pairs))
-        fact = [math.factorial(h) for h in range(n_h)]
+            terms.append((term.k, pairs))
         scratch = np.empty(tau.size, dtype=complex)
+        scales = _scales(self.base.q, tuple(t.m1 for t in self.problem.terms),
+                         n_h)
         for h in range(n_h):
             row = out[h + S]
-            for k, q_pow, pairs in terms:
+            for (k, pairs), scale in zip(terms, scales):
                 for h1, b_tau_f in pairs:
                     h2 = h - h1
                     if h2 < 0:
                         break
                     np.multiply(b_tau_f, out[h2 + k], out=scratch)
-                    scratch *= fact[h] / fact[h2] * q_pow[h2]
+                    scratch *= scale[h][h2]
                     row += scratch
         return out
 

@@ -17,24 +17,27 @@ step on nested trapezoid nodes until every one of its integrand rows has
 settled.  On such a window the trapezoid rule converges exponentially and
 settles first; where an end of the window is live (the split at
 ``s = 0``), composite Simpson built from the same sums settles first and
-is returned instead.  Each block keeps its own window, halvings and
-stopping test, but every probe round and halving level evaluates the
-nodes of all blocks still open in as few integrand calls as hold
-``BLOCK // 2`` values, so the per-call cost of the integrand is paid once
-per level, not once per block.  ``q_laplace`` is a batch of one block and
+is returned instead.  All nodes lie on one dyadic s-lattice, on which
+:func:`kernel` sums the theta series once per residue of ``s mod 1``.
+Each block keeps its own window, halvings and stopping test, but every
+probe round and halving level evaluates the nodes of all blocks still open
+in as few integrand calls as hold ``BLOCK // 2`` values (a larger block is
+split), so the per-call cost of the integrand is paid once per level, not
+once per block.  ``q_laplace`` is a batch of one block and
 ``q_laplace_split`` a batch of two.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .qgeometry import BLOCK, QBase, in_theta_safe, qpow
-from .theta import log_theta, pi_q
+from .theta import log_theta, log_theta_shifted, pi_q
 
 
 @dataclass(frozen=True)
@@ -147,76 +150,99 @@ def require_theta_safe(z, lam: complex, base: QBase, delta: float) -> None:
             % (bad, lam, delta), membership="theta_safe")
 
 
-def _sweep(rows, blocks, nodes, n_rows: int, reduce) -> list:
+def _sweep(rows, blocks, nodes, n_rows: int, reduce, combine) -> list:
     """``reduce`` of the integrand values on ``nodes(b)``, for each block
     ``b`` of ``blocks`` in order.
 
-    Whole blocks are packed in order into as few ``rows(s, block)`` calls
-    as hold at most ``BLOCK // 2`` complex values (``n_rows`` per node); a
-    larger block gets a call of its own.  Nodes are built as their call is
-    packed, and each block is reduced on its contiguous slice of the call's
-    values right away, so neither outlives its call.
+    Nodes are packed in order into as few ``rows(s, block)`` calls as hold
+    at most ``BLOCK // 2`` complex values (``n_rows`` per node): whole
+    blocks while they fit, and a block larger than that cap in pieces of at
+    most the cap, one call each.  ``reduce(vals, first, last)`` reduces a
+    block's contiguous slice of a call's values right away, told whether
+    the slice holds the block's first and last node, and ``combine`` joins
+    the pieces of a split block.  Nodes are built as their block is packed,
+    and values do not outlive their call.
     """
     cap = max(BLOCK // 2 // n_rows, 1)
-    out = []
+    out = [None] * len(blocks)
 
     def call(group):
-        sizes = [s.size for _, s in group]
-        vals = rows(np.concatenate([s for _, s in group]),
-                    np.repeat([b for b, _ in group], sizes))
+        sizes = [piece.size for _, _, piece, _, _ in group]
+        vals = rows(np.concatenate([piece for _, _, piece, _, _ in group]),
+                    np.repeat([b for _, b, _, _, _ in group], sizes))
         a = 0
-        for size in sizes:
-            out.append(reduce(vals[..., a:a + size]))
+        for (i, _, _, first, last), size in zip(group, sizes):
+            part = reduce(vals[..., a:a + size], first, last)
+            out[i] = part if first else combine(out[i], part)
             a += size
 
     group, columns = [], 0
-    for b in blocks:
+    for i, b in enumerate(blocks):
         s = nodes(b)
-        if group and columns + s.size > cap:
-            call(group)
-            group, columns = [], 0
-        group.append((b, s))
-        columns += s.size
+        for a in range(0, s.size, cap):
+            piece = s[a:a + cap]
+            if group and columns + piece.size > cap:
+                call(group)
+                group, columns = [], 0
+            group.append((i, b, piece, a == 0, a + cap >= s.size))
+            columns += piece.size
     if group:
         call(group)
     return out
 
 
-def _edge(vals: np.ndarray) -> float:
+def _edge(vals: np.ndarray, first: bool, last: bool) -> float:
     return np.max(np.abs(vals))
 
 
-def _coarse_sum(vals: np.ndarray) -> np.ndarray:
-    return vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
+def _coarse_sum(vals: np.ndarray, first: bool, last: bool) -> np.ndarray:
+    # the trapezoid end weights: half of the block's first and last node
+    ends = vals[..., [0] * first + [-1] * last]
+    return vals.sum(axis=-1) - 0.5 * ends.sum(axis=-1)
 
 
-def _sum(vals: np.ndarray) -> np.ndarray:
+def _sum(vals: np.ndarray, first: bool, last: bool) -> np.ndarray:
     return vals.sum(axis=-1)
+
+
+def _coarse_step(settings: QuadSettings) -> float:
+    """``h0``, the coarse grid step: the largest power of two at most
+    ``2 initial_step``, so the first halving's step ``h0 / 2`` is at most
+    ``initial_step``."""
+    return math.ldexp(0.5, math.frexp(2.0 * settings.initial_step)[1])
+
+
+def _on_lattice(s_lo: float, s_hi: float, h0: float) -> tuple[float, float]:
+    """``[s_lo, s_hi]`` rounded outward to multiples of ``h0``."""
+    return math.floor(s_lo / h0) * h0, math.ceil(s_hi / h0) * h0
 
 
 def path_window(rows, windows, settings: QuadSettings, tol: float,
                 n_rows: int = 1) -> list[tuple[float, float]]:
-    """A batch of windows, each widened until the integrand (every row) is
-    below ``tol`` over the window's width at both its endpoints.
+    """A batch of windows on the lattice ``h0 Z`` (:func:`_coarse_step`),
+    each widened until the integrand (every row) is below ``tol`` over the
+    window's width at both its endpoints.
 
     ``windows`` holds one :func:`truncation_window` per block and
     ``rows(s, block)`` evaluates the nodes ``s``, of the blocks ``block``,
     ``n_rows`` values per node.  Each round probes the endpoints of every
     block not yet negligible there, packed into as few calls as
-    :func:`_sweep` allows, and widens each such block on its own.
+    :func:`_sweep` allows, and widens each such block on its own.  The
+    probed ends are the ends :func:`path_integral` integrates over.
     """
-    windows = list(windows)
+    h0 = _coarse_step(settings)
+    windows = [_on_lattice(s_lo, s_hi, h0) for s_lo, s_hi in windows]
     pending = list(range(len(windows)))
     for _ in range(12):
         edges = _sweep(rows, pending, lambda i: np.array(windows[i]), n_rows,
-                       _edge)
+                       _edge, max)
         widen = []
         for i, edge in zip(pending, edges):
             s_lo, s_hi = windows[i]
             if edge <= tol / max(s_hi - s_lo, 1.0):
                 continue
             pad = max(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo))
-            windows[i] = (s_lo - pad, s_hi + pad)
+            windows[i] = _on_lattice(s_lo - pad, s_hi + pad, h0)
             widen.append(i)
         pending = widen
         if not pending:
@@ -227,14 +253,14 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
 class _Path:
     """Nested-node state of one block of :func:`path_integral`."""
 
-    def __init__(self, s_lo: float, s_hi: float, step: float):
-        self.s_lo, self.s_hi = s_lo, s_hi
-        self.n = max(int(math.ceil((s_hi - s_lo) / (2.0 * step))), 1)
-        self.h = (s_hi - s_lo) / self.n
+    def __init__(self, s_lo: float, s_hi: float, h0: float):
+        self.s_lo, self.s_hi = _on_lattice(s_lo, s_hi, h0)
+        self.n = max(round((self.s_hi - self.s_lo) / h0), 1)
+        self.h = h0
         self.acc = self.trap = self.prev = self.cur = None
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.s_lo, self.s_hi, self.n + 1)
+        return self.s_lo + self.h * np.arange(self.n + 1.0)
 
     def midpoints(self) -> np.ndarray:
         return self.s_lo + self.h * (np.arange(self.n) + 0.5)
@@ -247,7 +273,9 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
     result runs over the nodes.  Yields ``(block, integral)`` as each block
     settles; a settled block leaves the batch.  Each block keeps its own
     nested trapezoid sums ``T(h)``, so each halving evaluates only the new
-    midpoints; its step starts at most ``initial_step``.  Every round
+    midpoints.  Its window is rounded outward to the coarse lattice ``h0 Z``
+    (:func:`_coarse_step`), so halving ``l`` adds the odd multiples of
+    ``h0 2^-l``: one dyadic s-lattice for every block.  Every round
     evaluates one level of all blocks still in the batch, packed into as
     few calls as :func:`_sweep` allows.  After each halving a block settles
     on ``T(h)`` once every row moved by less than ``abs_tol`` from
@@ -261,17 +289,17 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
     its window and the halvings, after the blocks settled by then were
     yielded.
     """
-    paths = [_Path(s_lo, s_hi, settings.initial_step)
-             for s_lo, s_hi in windows]
+    h0 = _coarse_step(settings)
+    paths = [_Path(s_lo, s_hi, h0) for s_lo, s_hi in windows]
     active = list(range(len(paths)))
     accs = _sweep(rows, active, lambda i: paths[i].grid(), n_rows,
-                  _coarse_sum)
+                  _coarse_sum, operator.add)
     for p, acc in zip(paths, accs):
         p.acc = acc
         p.trap = p.h * acc
     for _ in range(settings.max_halvings + 1):
         sums = _sweep(rows, active, lambda i: paths[i].midpoints(), n_rows,
-                      _sum)
+                      _sum, operator.add)
         still = []
         for i, part in zip(active, sums):
             p = paths[i]
@@ -300,10 +328,50 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
         last=p.cur, previous=p.prev, block=i)
 
 
+def kernel(base: QBase, lam: complex, zs):
+    """The kernel ``1 / theta(q^s lam / z_b)`` as a function ``kern(s,
+    block)`` of lattice nodes ``s`` of blocks ``b``, ``z_b = zs[b]``.
+
+    With ``s = j + r``, ``j`` an integer and ``0 <= r < 1``, :func:`log_theta`
+    runs once per block and residue at ``y = q^{r + a_b} lam / z_b`` and
+    each node is assembled by :func:`log_theta_shifted`, ``m = j - a_b``;
+    the anchor ``a_b = floor(log|z_b / lam| / log|q|)`` keeps ``m`` small
+    where the kernel is large.  Each block's nodes in a call must be one
+    contiguous arithmetic progression, as :func:`_sweep` passes them: if
+    its step ``h`` has ``1 / h`` an integer P, node ``k`` shares the residue
+    of node ``k mod P``, else (an edge probe) each node is its own.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    anchor = np.floor(np.log(np.abs(zs / lam)) / base.log_abs_q)
+
+    def kern(s: np.ndarray, block: np.ndarray) -> np.ndarray:
+        # each block's run of nodes: its start, size and residue period P
+        start = np.flatnonzero(np.concatenate(([True],
+                                               block[1:] != block[:-1])))
+        size = np.append(start[1:], s.size) - start
+        step = s[np.minimum(start + 1, s.size - 1)] - s[start]
+        per = 1.0 / np.where(size > 1, step, 2.0)  # one node: 1/2, its own
+        period = np.repeat(np.where(per % 1.0 == 0.0, per, size), size)
+        # node k of a run is summed if k < P, and k reads node k mod P
+        first = np.repeat(start, size)
+        k = np.arange(s.size) - first
+        own = k < period
+        slot = (np.cumsum(own) - 1)[first + (k % period).astype(np.intp)]
+        j = np.floor(s)
+        b_own = block[own]
+        y = (qpow(base, s[own] - j[own] + anchor[b_own]) * lam
+             / zs[b_own])
+        return np.exp(-log_theta_shifted(j - anchor[block], np.log(y)[slot],
+                                         log_theta(y, base)[slot], base))
+
+    return kern
+
+
 def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
     """Integrand rows of the transform of scalar ``F`` and their window."""
     require_theta_safe(z, lam, base, delta)
     pref = base.log_q / pi_q(base)
+    kern = kernel(base, lam, [z, z])  # blocks 0 and 1: the split's halves
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         pts = qpow(base, s) * lam
@@ -313,7 +381,7 @@ def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
                 raise TypeError
         except TypeError:
             num = np.array([F(p) for p in pts], dtype=complex)
-        return pref * num * np.exp(-log_theta(pts / z, base))
+        return pref * num * kern(s, block)
 
     if xi is None:
         xi = default_majorant_xi(cert, base)
@@ -344,7 +412,8 @@ def q_laplace_split(F, lam: complex, z: complex, base: QBase,
     """Outward (s >= 0) and inward (s <= 0) halves of the transform.
 
     Their sum equals the unsplit transform within twice the quadrature
-    tolerance.  The two halves are one two-block batch.
+    tolerance.  The two halves are one two-block batch, split at the
+    lattice node 0.
     """
     rows, (s_lo, s_hi) = _scalar_path(F, lam, z, base, cert, settings, xi,
                                       delta)

@@ -12,7 +12,9 @@ residual and the diagnostics.  Each diagnostic requests all the pairs it
 needs on a chart up front, and they are computed as one batch: every probe
 round and halving level of the path quadrature evaluates the nodes of all
 blocks still open in as few integrand calls as fit one memory cap, while
-each block keeps its own window, halvings and stopping test.
+each block keeps its own window, halvings and stopping test.  A batch
+computes the recursion's eps factors once per eps, and its kernel sums the
+theta series once per block and residue of the dyadic s-lattice.
 
 Quantitative experiments built on top:
 
@@ -38,12 +40,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .problem import CoefficientEvaluator, GevreyParams
+from .problem import CoefficientEvaluator, EpsFactors, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
     qpow
 from .qlaplace import GrowthCertificate, QuadSettings, default_majorant_xi, \
-    path_integral, path_window, require_theta_safe, truncation_window
-from .theta import log_theta, pi_q
+    kernel, path_integral, path_window, require_theta_safe, truncation_window
+from .theta import log_theta, pi_q  # noqa: F401 (perfbench traces it here)
 
 
 @dataclass
@@ -101,9 +103,11 @@ def _transform_blocks(sc: SolutionChart, keys) -> None:
     returns them as soon as every order moved by less than abs_tol between
     halvings.  Before any integrand call, every eps is tested against the
     chart's discrete spiral and then every ``z = eps t`` for theta-safety,
-    each in one array call that names the first failing key; each ``z`` is
-    a Python scalar product, as a one-pair call computes it, so a block's
-    values do not depend on the batch around it.  A block
+    each in one array call that names the first failing key.  The batch
+    builds the :class:`EpsFactors` of its distinct eps once and one
+    :func:`qgevrey.qlaplace.kernel` for its ``z``; each ``z`` is a Python
+    scalar product, as a one-pair call computes it, so a block's values do
+    not depend on the batch around it.  A block
     that does not settle raises :class:`ConvergenceError` naming its chart
     and key; the blocks that settled stay cached.
     """
@@ -116,17 +120,19 @@ def _transform_blocks(sc: SolutionChart, keys) -> None:
     zs = [e * t for e, t in new]
     require_theta_safe(zs, sc.lam, base, sc.delta)
     pref = base.log_q / pi_q(base)
-    eps_of = np.array([e for e, _ in new])
-    z_of = np.array(zs)
+    kern = kernel(base, sc.lam, zs)
+    eps_index = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in new))}
+    factors = EpsFactors(sc.evaluator.initial, sc.evaluator.problem.terms,
+                         list(eps_index))
+    eps_of = np.array([eps_index[e] for e, _ in new])
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         tau = qpow(base, s) * sc.lam
-        kern = np.exp(-log_theta(tau / z_of[block], base))
         # pref * table * kern in place: complex products are not
         # bitwise commutative (fused multiply-add), so pref stays left
-        out = sc.evaluator.table(eps_of[block], tau, sc.beta_max)
+        out = sc.evaluator.table(factors.at(eps_of[block]), tau, sc.beta_max)
         np.multiply(pref, out, out=out)
-        out *= kern
+        out *= kern(s, block)
         return out
 
     xi = default_majorant_xi(sc.cert, base)

@@ -10,6 +10,8 @@ satisfies ``theta(q x) = q x theta(x)`` and more generally
 to the fundamental annulus ``1 <= |x0| < |q|`` with that shift relation,
 sums the series there to a uniform truncation order, and keeps the
 accumulated rescaling in log space.  :func:`theta` is its exponential.
+Its shift step, :func:`log_theta_shifted`, also assembles the transform
+kernel of :mod:`qgevrey.qlaplace` from one sum per residue of ``s mod 1``.
 
 The zeros of theta sit on the spiral ``-q^Z``; all growth/lower-bound
 diagnostics live relative to ``exp(log^2|x| / (2 log|q|))``, the scale the
@@ -59,6 +61,12 @@ def _shift_exponent(x, base: QBase):
     return np.floor(np.log(np.abs(x)) / base.log_abs_q)
 
 
+def log_theta_shifted(m, log_y, log_theta_y, base: QBase):
+    """``log theta(q^m y)`` from ``log y`` and ``log theta(y)``, for integer
+    ``m``: ``log q m (m + 1) / 2 + m log y + log theta(y)``."""
+    return base.log_q * (m * (m + 1) / 2.0) + m * log_y + log_theta_y
+
+
 def log_theta(x, base: QBase):
     """``log theta(x)`` (a branch of it; exact under exp) at a scalar or array.
 
@@ -88,7 +96,7 @@ def log_theta(x, base: QBase):
             acc_pos = acc_pos * x0 + a
             acc_neg = (acc_neg + b) * y0
         log_core = np.log(acc_pos + acc_neg)
-    return base.log_q * (m * (m + 1) / 2.0) + m * np.log(x0) + log_core
+    return log_theta_shifted(m, np.log(x0), log_core, base)
 
 
 def theta(x: complex, base: QBase) -> complex:

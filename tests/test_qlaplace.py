@@ -269,3 +269,157 @@ class TestQuadSettings:
             QuadSettings(max_halvings=2)
         with pytest.raises(ValueError):
             GrowthCertificate(c1=-1.0, mbar=0.1)
+
+
+def mp_inv_theta(x, q):
+    """``1 / theta(x)`` in mpmath: the two-sided series summed around its
+    largest term until the terms fall below 1e-40 of it."""
+    log_q = mp.log(q)
+    c = int(mp.nint(mp.re(mp.log(x) / log_q) + 0.5))
+    peak = q ** (-mp.mpf(c) * (c - 1) / 2) * x**c
+    total, up, down = peak, peak, peak
+    for j in range(1, 60):
+        up = up * x / q ** (c + j - 1)
+        down = down * q ** (c - j) / x
+        total += up + down
+        if abs(up) + abs(down) < 1e-40 * abs(peak):
+            break
+    return 1 / total
+
+
+class TestLatticeKernel:
+    """:func:`qlaplace.kernel`: theta summed once per residue class of
+    ``s mod 1`` and each node assembled by the shift relation."""
+
+    @pytest.mark.parametrize("n", [0, 20, 30])
+    def test_against_mpmath_near_peak(self, demo_cfg, n):
+        # along eps0 q^-n, |z| shrinks like 2^-n: the anchor keeps the
+        # shift m small near the kernel's peak, where a residue summed at
+        # |y| ~ 2^n would lose digits to the shift
+        from qgevrey.qlaplace import kernel
+        base = demo_cfg.base
+        assert base.q == 2.0
+        sc = demo_cfg.chart_solution(20)
+        eps = (np.exp(2j * math.pi * sc.chart.u_mid)
+               * base.q ** (sc.chart.v_mid - n))
+        z = complex(eps * 0.7)
+        peak = math.log(abs(z / sc.lam)) / base.log_abs_q
+        s = np.floor(peak) + np.arange(-48, 49) / 16.0
+        got = kernel(base, sc.lam, [z])(s, np.zeros(s.size, dtype=int))
+        with mp.workdps(40):
+            q, lam, zz = mp.mpf(2), mp.mpc(sc.lam), mp.mpc(z)
+            want = [complex(mp_inv_theta(q ** mp.mpf(si) * lam / zz, q))
+                    for si in s]
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-14
+
+    def test_agrees_with_log_theta_per_node(self, bases, rng):
+        from qgevrey.qlaplace import kernel
+        for base in bases:
+            lam = complex(1.3 * np.exp(0.4j))
+            for _ in range(3):
+                z = complex(rng.uniform(0.01, 50.0)
+                            * np.exp(1j * (0.4 + rng.uniform(-0.3, 0.3))))
+                anchor = math.floor(math.log(abs(z / lam)) / base.log_abs_q)
+                # two blocks of one call: coarse grid and midpoints
+                s0 = anchor - 25 + np.arange(0.0, 50.0, 0.5)
+                s1 = anchor - 25 + 0.125 + np.arange(0.0, 50.0, 0.25)
+                s = np.concatenate([s0, s1])
+                block = np.repeat([0, 1], [s0.size, s1.size])
+                got = kernel(base, lam, [z, z])(s, block)
+                want = np.exp(-log_theta(np.exp(s * base.log_q) * lam / z,
+                                         base))
+                near = np.abs(np.floor(s) - anchor) <= 25
+                assert near.sum() > 200
+                rel = np.abs(got[near] / want[near] - 1.0)
+                assert np.max(rel) <= 2e-13, base
+
+    def test_nodes_on_nested_dyadic_lattice(self, base2):
+        # every node reaching the integrand is a multiple of h0 2^-l: the
+        # probed ends are the coarse grid's ends (multiples of h0), and
+        # halving l adds the odd multiples of h0 2^-l.  A discontinuous F
+        # keeps the block open through every level.
+        from qgevrey import ConvergenceError
+        from qgevrey.qlaplace import _scalar_path, path_integral
+        settings = QuadSettings(abs_tol=1e-10, initial_step=0.2,
+                                max_halvings=4)
+        h0 = 0.25  # the largest power of two at most 2 * 0.2
+        F = lambda x: (np.abs(x) > 1.1).astype(float)
+        rows, (s_lo, s_hi) = _scalar_path(F, 1.0, 2.0, base2, CERT, settings,
+                                          None, 0.05)
+        assert s_lo / h0 == math.floor(s_lo / h0)
+        assert s_hi / h0 == math.floor(s_hi / h0)
+        seen = []
+
+        def recorded(s, block):
+            seen.append(s.copy())
+            return rows(s, block)
+
+        with pytest.raises(ConvergenceError):
+            list(path_integral(recorded, [(s_lo, s_hi)], settings))
+        assert len(seen) == 6
+        assert seen[0][0] == s_lo and seen[0][-1] == s_hi
+        for level, s in enumerate(seen):
+            units = s / (h0 * 2.0 ** -level)
+            assert np.array_equal(units, np.round(units))
+            if level:
+                assert np.all(units % 2 == 1)
+        assert np.unique(np.concatenate(seen)).size == sum(map(len, seen))
+
+
+def record_sweep_calls(monkeypatch):
+    """The node count of every integrand call :func:`qlaplace._sweep` makes."""
+    from qgevrey import qlaplace
+    sizes = []
+    original = qlaplace._sweep
+
+    def recorded(rows, *args):
+        def counted(s, block):
+            sizes.append(s.size)
+            return rows(s, block)
+        return original(counted, *args)
+
+    monkeypatch.setattr(qlaplace, "_sweep", recorded)
+    return sizes
+
+
+class TestSweepCap:
+    def test_large_block_split_across_calls(self, demo_cfg, monkeypatch):
+        # with a small BLOCK a block's levels exceed the cap: they are
+        # split across calls, none above the cap, and the pieces' sums
+        # (the coarse grid's ends half-weighted once) give the block
+        from qgevrey import qlaplace
+        from qgevrey.solution import _transform_blocks
+        chart = demo_cfg.covering.charts[20]
+        eps = (np.exp(2j * math.pi * chart.u_mid)
+               * demo_cfg.base.q ** chart.v_mid)
+        keys = [(eps, 0.7), (eps, 0.6 - 0.2j)]
+        whole = demo_cfg.chart_solution(20)
+        cap = (1 << 10) // (whole.beta_max + 1)
+        sizes = record_sweep_calls(monkeypatch)
+        _transform_blocks(whole, keys)
+        assert max(sizes) > cap
+        sizes.clear()
+        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 11)
+        split = demo_cfg.chart_solution(20)
+        _transform_blocks(split, keys)
+        assert max(sizes) <= cap
+        for key, want in whole._cache.items():
+            got = split._cache[key]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_unsettled_block_stays_under_cap(self, demo_cfg, monkeypatch):
+        # a block near the kernel's pole spiral that has not settled after
+        # 5 halvings: its last level (1,040 nodes) is split, not one call
+        from qgevrey import ConvergenceError
+        from qgevrey.qgeometry import BLOCK
+        from qgevrey.solution import _transform_blocks
+        sc = demo_cfg.chart_solution(20, quad=QuadSettings(abs_tol=1e-10,
+                                                           max_halvings=4),
+                                     delta=0.02)
+        eps = (np.exp(2j * math.pi * sc.chart.u_mid)
+               * demo_cfg.base.q ** sc.chart.v_mid)
+        sizes = record_sweep_calls(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            _transform_blocks(sc, [(eps, complex(0.7 * np.exp(1.01j)))])
+        cap = BLOCK // 2 // (sc.beta_max + 1)
+        assert max(sizes) == cap and sizes[-2:] == [cap, 1040 - cap]

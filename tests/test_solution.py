@@ -154,8 +154,7 @@ class TestTransformBlockOracle:
     def test_node_columns_pinned(self, demo, eps20, monkeypatch):
         # node-columns of one chart-20 block at abs_tol = 1e-8, counted by
         # wrapping the integrand rows: the window probe (2), the coarse
-        # grid (61) and four halvings.  Nested Simpson stopping took one
-        # more halving: 963.
+        # grid on the h0 = 1/2 lattice (62) and three halvings.
         import qgevrey.solution as solution
         columns = []
 
@@ -172,7 +171,18 @@ class TestTransformBlockOracle:
                                 counting(getattr(solution, name)))
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
-        assert sum(columns) == 483
+        assert sum(columns) == 491
+
+    def test_kernel_points_pinned(self, demo, eps20, monkeypatch):
+        # the same block's theta series points, one per residue of s mod 1
+        # and call, not one per node: the probe's two ends, the coarse
+        # grid's residues 0 and 1/2, then 2, 4 and 8 new ones per halving
+        from qgevrey import qlaplace
+        from qgevrey.solution import _transform_block
+        calls = count_calls(monkeypatch, qlaplace, "log_theta")
+        sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
+        _transform_block(sc, eps20, 0.7)
+        assert [np.size(x) for x, base in calls] == [2, 2, 2, 4, 8]
 
 
 def mid_eps(demo, sc, level):
@@ -227,7 +237,7 @@ class TestTransformBatch:
         assert len(sc1._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls
                    if ev is sc1.evaluator]
-        assert len(columns) == 29
+        assert len(columns) == 25
         assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
 
     def test_failure_names_block_and_keeps_settled(self, demo):
