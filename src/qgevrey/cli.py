@@ -44,18 +44,10 @@ def _parse_complex(text: str) -> complex:
     return complex(comps[0], comps[1])
 
 
-def _grid_from_config(entries) -> list:
-    grid = []
-    for e in entries:
-        grid.append((complex(e["t"][0], e["t"][1]),
-                     complex(e["z"][0], e["z"][1])))
-    return grid
-
-
 def _seed(cfg: RunConfig, args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.sampling.get("seed", 0))
+    return cfg.sampling.get("seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +77,8 @@ def run_check(cfg: RunConfig, seed: int, report: Report,
                "positivity of (1-xi_bar)(xi/(2 log|q|) - M)",
                one_over_a=cs.one_over_a)
 
-    n_cov = int(cfg.sampling.get("n_cover_samples", 10000))
-    n_fam = int(cfg.sampling.get("n_family_samples", 600))
+    n_cov = cfg.sampling.get("n_cover_samples", 10000)
+    n_fam = cfg.sampling.get("n_family_samples", 600)
     if quick:
         n_cov, n_fam = min(n_cov, 1500), min(n_fam, 200)
     cov_rep = cov.validate_covering(cfg.covering, cfg.base, n_cov, seed=seed)
@@ -196,12 +188,11 @@ def cmd_solve(args) -> int:
 
 def _verify_residual(cfg: RunConfig, seed: int, report: Report,
                      out_dir: str) -> None:
-    scfg = cfg.sampling.get("residual", {})
-    n_points = int(scfg.get("n_points", 100))
-    z_max = float(scfg.get("z_max", 0.5))
-    bound = float(scfg.get("max_abs", 1e-6))
-    quad = replace(cfg.quad,
-                   abs_tol=float(scfg.get("abs_tol", cfg.quad.abs_tol)))
+    scfg = cfg.sampling["residual"]
+    n_points = scfg.get("n_points", 100)
+    z_max = scfg.get("z_max", 0.5)
+    bound = scfg.get("max_abs", 1e-6)
+    quad = replace(cfg.quad, abs_tol=scfg.get("abs_tol", cfg.quad.abs_tol))
     rng = np.random.default_rng(seed)
     charts = {}
     points = []
@@ -240,11 +231,10 @@ def _verify_residual(cfg: RunConfig, seed: int, report: Report,
 
 def _verify_flatness(cfg: RunConfig, seed: int, report: Report,
                      out_dir: str) -> None:
-    scfg = cfg.sampling.get("flatness", {})
-    pair = scfg.get("pair", [0, 1])
-    n_points = int(scfg.get("n_points", 13))
-    grid = _grid_from_config(scfg.get("grid", [{"t": [0.7, 0.0],
-                                                "z": [0.3, 0.0]}]))
+    scfg = cfg.sampling["flatness"]
+    pair = scfg.get("pair", (0, 1))
+    n_points = scfg.get("n_points", 13)
+    grid = scfg.get("grid", [(complex(0.7), complex(0.3))])
     one_over_a = cfg.gevrey.one_over_a(cfg.base)
     if one_over_a <= 0:
         report.add("flatness_exponent", "fail",
@@ -252,10 +242,10 @@ def _verify_flatness(cfg: RunConfig, seed: int, report: Report,
                    one_over_a=one_over_a,
                    note="nonpositive flatness exponent; run `check`")
         return
-    quad = replace(cfg.quad, abs_tol=float(scfg.get("abs_tol", 1e-12)),
+    quad = replace(cfg.quad, abs_tol=scfg.get("abs_tol", 1e-12),
                    max_halvings=max(cfg.quad.max_halvings, 16))
-    sc1 = cfg.chart_solution(int(pair[0]), quad=quad)
-    sc2 = cfg.chart_solution(int(pair[1]), quad=quad)
+    sc1 = cfg.chart_solution(pair[0], quad=quad)
+    sc2 = cfg.chart_solution(pair[1], quad=quad)
     eps0 = cov.overlap_point(sc1.chart, sc2.chart, cfg.base)
     fit = sol.flatness_fit(sc1, sc2, eps0, n_points, grid, cfg.gevrey)
     rows = []
@@ -273,21 +263,19 @@ def _verify_flatness(cfg: RunConfig, seed: int, report: Report,
 
 def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
                    out_dir: str) -> None:
-    scfg = cfg.sampling.get("asympt", {})
-    pair = scfg.get("pair", [0, 1])
-    k_max = int(scfg.get("k_max", 3))
-    tol = float(scfg.get("tol", 2e-3))
-    depth = int(scfg.get("depth", 30))
-    rel_match = float(scfg.get("rel_match", 1e-4))
-    grid = _grid_from_config(scfg.get("grid", [{"t": [0.7, 0.0],
-                                                "z": [0.3, 0.0]}]))
-    quad = replace(cfg.quad, abs_tol=float(scfg.get("abs_tol", 1e-12)),
+    scfg = cfg.sampling["asympt"]
+    pair = scfg.get("pair", (0, 1))
+    k_max = scfg.get("k_max", 3)
+    tol = scfg.get("tol", 2e-3)
+    depth = scfg.get("depth", 30)
+    rel_match = scfg.get("rel_match", 1e-4)
+    grid = scfg.get("grid", [(complex(0.7), complex(0.3))])
+    quad = replace(cfg.quad, abs_tol=scfg.get("abs_tol", 1e-12),
                    max_halvings=max(cfg.quad.max_halvings, 16))
-    sc1 = cfg.chart_solution(int(pair[0]), quad=quad)
-    sc2 = cfg.chart_solution(int(pair[1]), quad=quad)
+    sc1 = cfg.chart_solution(pair[0], quad=quad)
+    sc2 = cfg.chart_solution(pair[1], quad=quad)
     eps0 = cov.overlap_point(sc1.chart, sc2.chart, cfg.base)
-    schedule = scfg.get("depths")
-    schedule = tuple(schedule) if schedule else None
+    schedule = scfg.get("depths") or None
     series1 = sol.extract_coefficients(sc1, eps0, k_max, tol, grid,
                                        depth=depth, depth_override=schedule)
     series2 = sol.extract_coefficients(sc2, eps0, min(k_max, series1.k_max),
@@ -329,7 +317,7 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
                        out_dir: str) -> None:
     rng = np.random.default_rng(seed)
     base = cfg.base
-    n = int(cfg.sampling.get("properties", {}).get("n_points", 200))
+    n = cfg.sampling["properties"].get("n_points", 200)
 
     worst = 0.0
     for _ in range(n):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .covering import AssociatedFamily, GoodCovering, build_covering, pick_lambda
@@ -37,14 +38,43 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+@contextmanager
+def _field(where: str):
+    """A ValueError or TypeError raised in the block, as a
+    :class:`ConfigError` that names the field ``where``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from None
+
+
 def _check_keys(obj: dict, allowed: set, required: set, where: str):
     _require(isinstance(obj, dict), "%s must be an object" % where)
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(allowed)
     _require(not unknown, "%s has unknown field(s): %s"
              % (where, ", ".join(sorted(unknown))))
     missing = required - set(obj)
     _require(not missing, "%s is missing field(s): %s"
              % (where, ", ".join(sorted(missing))))
+
+
+def _fields(obj: dict, kinds: dict, required: set, where: str, build=dict):
+    """``build(**values)`` of ``obj``, checked as by :func:`_check_keys`
+    against the keys of ``kinds``, each value converted by its entry
+    there."""
+    _check_keys(obj, kinds, required, where)
+    values = {}
+    try:
+        for key, value in obj.items():
+            values[key] = kinds[key](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("%s.%s: %s" % (where, key, exc)) from None
+    with _field(where):
+        return build(**values)
+
+
+def _ints(v) -> tuple[int, ...]:
+    return tuple(int(i) for i in v)
 
 
 def _complex(v, where: str) -> complex:
@@ -81,7 +111,7 @@ class RunConfig:
     quad: QuadSettings
     cert: GrowthCertificate
     beta_max: int
-    sampling: dict
+    sampling: dict  # converted values; grid entries as (t, z) pairs
     raw: dict
 
     def chart_solution(self, index: int, **overrides) -> SolutionChart:
@@ -98,14 +128,17 @@ class RunConfig:
 _TOP_KEYS = {"description", "base", "problem", "gevrey", "initial",
              "covering", "family", "solution", "quad", "sampling"}
 _SAMPLING_BLOCKS = {
-    "residual": {"n_points", "z_max", "max_abs", "abs_tol"},
-    "flatness": {"pair", "n_points", "abs_tol", "grid"},
-    "asympt": {"pair", "k_max", "tol", "abs_tol", "depth", "depths",
-               "rel_match", "grid"},
-    "properties": {"n_points"},
+    "residual": {"n_points": int, "z_max": float, "max_abs": float,
+                 "abs_tol": float},
+    "flatness": {"pair": _ints, "n_points": int, "abs_tol": float,
+                 "grid": list},
+    "asympt": {"pair": _ints, "k_max": int, "tol": float, "abs_tol": float,
+               "depth": int, "depths": _ints, "rel_match": float,
+               "grid": list},
+    "properties": {"n_points": int},
 }
-_SAMPLING_KEYS = {"seed", "n_cover_samples", "n_family_samples"} \
-    | set(_SAMPLING_BLOCKS)
+_SAMPLING_KEYS = dict(seed=int, n_cover_samples=int, n_family_samples=int,
+                      **dict.fromkeys(_SAMPLING_BLOCKS, dict))
 
 
 def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
@@ -120,9 +153,8 @@ def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
     """
     psi = fam_cfg["lambda_offset_turns"] * TWO_PI
     hw = fam_cfg["v_arg_halfwidth_turns"] * TWO_PI
-    mod = _interval(fam_cfg["v_mod"], "family.v_mod")
-    delta = float(fam_cfg["delta"])
-    rho0 = float(fam_cfg["rho0"])
+    mod, delta, rho0 = fam_cfg["v_mod"], fam_cfg["delta"], fam_cfg["rho0"]
+    _require(0.0 < delta < 1.0, "family.delta must lie in (0, 1)")
     guard = math.asin(min(1.5 * delta, 0.99)) + hw + 0.05
     n_u = covering.n_u
     v_sets, lams = [], []
@@ -147,109 +179,100 @@ def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
 
 
 def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
+    """The run configuration of ``doc``; a malformed field, or a value the
+    domain types reject, raises :class:`ConfigError` naming the field."""
     _check_keys(doc, _TOP_KEYS, _TOP_KEYS - {"description"}, source)
 
-    b = doc["base"]
-    _check_keys(b, {"q"}, {"q"}, "base")
-    base = QBase(_complex(b["q"], "base.q"))
+    base = _fields(doc["base"], {"q": lambda v: QBase(_complex(v, "base.q"))},
+                   {"q"}, "base")["q"]
 
-    p = doc["problem"]
-    _check_keys(p, {"s_order", "r0", "terms"}, {"s_order", "terms"}, "problem")
+    p = _fields(doc["problem"], {"s_order": int, "r0": float, "terms": list},
+                {"s_order", "terms"}, "problem")
     terms = []
     for ti, t in enumerate(p["terms"]):
         where = "problem.terms[%d]" % ti
-        _check_keys(t, {"k", "m0", "m1", "coeffs"},
+        t = _fields(t, {"k": int, "m0": int, "m1": int, "coeffs": list},
                     {"k", "m0", "m1", "coeffs"}, where)
         coeffs = []
         for ci, c in enumerate(t["coeffs"]):
             cw = "%s.coeffs[%d]" % (where, ci)
-            _check_keys(c, {"s", "poly"}, {"s", "poly"}, cw)
+            c = _fields(c, {"s": int, "poly": list}, {"s", "poly"}, cw)
             poly = tuple(_complex(v, cw + ".poly") for v in c["poly"])
-            coeffs.append((int(c["s"]), poly))
-        terms.append(ProblemTerm(k=int(t["k"]), m0=int(t["m0"]),
-                                 m1=int(t["m1"]), coeffs=tuple(coeffs)))
-    problem = CauchyProblem(s_order=int(p["s_order"]), terms=tuple(terms),
-                            r0=float(p.get("r0", 1.0)))
+            coeffs.append((c["s"], poly))
+        with _field(where):
+            terms.append(ProblemTerm(**dict(t, coeffs=tuple(coeffs))))
+    with _field("problem"):
+        problem = CauchyProblem(**dict(p, terms=tuple(terms)))
 
-    g = doc["gevrey"]
-    gk = {"m_big", "m_tilde", "a1_type", "c_geom", "delta_theta", "xi",
-          "xi_bar", "a1", "a2", "b1", "b2", "d1", "d2"}
-    _check_keys(g, gk, gk, "gevrey")
-    gevrey = GevreyParams(**{k: float(v) for k, v in g.items()})
+    gk = dict.fromkeys("m_big m_tilde a1_type c_geom delta_theta xi xi_bar "
+                       "a1 a2 b1 b2 d1 d2".split(), float)
+    gevrey = _fields(doc["gevrey"], gk, set(gk), "gevrey", GevreyParams)
 
     init = doc["initial"]
     _require(isinstance(init, list) and len(init) == problem.s_order,
              "initial must list exactly S = %d components" % problem.s_order)
     components = []
     for j, comp in enumerate(init):
+        _require(isinstance(comp, list), "initial[%d] must be a list" % j)
         terms_j = []
         for wi, w in enumerate(comp):
             ww = "initial[%d][%d]" % (j, wi)
-            _check_keys(w, {"c", "a", "b", "r"}, {"c"}, ww)
-            terms_j.append(InitialTerm(c=_complex(w["c"], ww + ".c"),
-                                       a=int(w.get("a", 0)),
-                                       b=int(w.get("b", 0)),
-                                       r=int(w.get("r", 0))))
+            terms_j.append(_fields(w, {"c": lambda v: _complex(v, ww + ".c"),
+                                       "a": int, "b": int, "r": int},
+                                   {"c"}, ww, InitialTerm))
         components.append(tuple(terms_j))
     initial = InitialData(components=tuple(components))
 
-    cov = doc["covering"]
-    _check_keys(cov, {"n_u", "n_v", "overlap", "v_top"},
-                {"n_u", "n_v", "overlap"}, "covering")
-    covering = build_covering(int(cov["n_u"]), int(cov["n_v"]),
-                              float(cov["overlap"]),
-                              v_top=float(cov.get("v_top", -0.02)))
+    covering = _fields(doc["covering"], {"n_u": int, "n_v": int,
+                                         "overlap": float, "v_top": float},
+                       {"n_u", "n_v", "overlap"}, "covering", build_covering)
 
-    fam = doc["family"]
-    fk = {"rho0", "delta", "t_set", "v_mod", "v_arg_halfwidth_turns",
-          "lambda_offset_turns"}
-    _check_keys(fam, fk, fk, "family")
-    t_set = _patch(fam["t_set"], "family.t_set")
-    v_sets, lambdas = _build_directions(covering, fam, base)
-    family = AssociatedFamily(v_sets=v_sets, t_set=t_set,
-                              rho0=float(fam["rho0"]),
-                              delta=float(fam["delta"]))
+    fk = {"rho0": float, "delta": float,
+          "t_set": lambda v: _patch(v, "family.t_set"),
+          "v_mod": lambda v: _interval(v, "family.v_mod"),
+          "v_arg_halfwidth_turns": float, "lambda_offset_turns": float}
+    fam = _fields(doc["family"], fk, set(fk), "family")
+    with _field("family"):
+        v_sets, lambdas = _build_directions(covering, fam, base)
+        family = AssociatedFamily(v_sets=v_sets, t_set=fam["t_set"],
+                                  rho0=fam["rho0"], delta=fam["delta"])
 
-    sol = doc["solution"]
-    _check_keys(sol, {"beta_max", "cert_c1", "cert_mbar"},
-                {"beta_max", "cert_c1", "cert_mbar"}, "solution")
-    cert = GrowthCertificate(c1=float(sol["cert_c1"]),
-                             mbar=float(sol["cert_mbar"]))
-    beta_max = int(sol["beta_max"])
+    sk = {"beta_max": int, "cert_c1": float, "cert_mbar": float}
+    sol = _fields(doc["solution"], sk, set(sk), "solution")
+    with _field("solution"):
+        cert = GrowthCertificate(c1=sol["cert_c1"], mbar=sol["cert_mbar"])
+    beta_max = sol["beta_max"]
     _require(problem.s_order <= beta_max <= BETA_MAX_LIMIT,
              "solution.beta_max = %d is unsupported: it must lie between "
              "the equation order %d and %d"
              % (beta_max, problem.s_order, BETA_MAX_LIMIT))
 
-    qd = doc.get("quad", {})
-    _check_keys(qd, {"abs_tol", "initial_step", "max_halvings", "s_pad"},
-                set(), "quad")
-    abs_tol = float(os.environ.get("QGEVREY_ABS_TOL",
-                                   qd.get("abs_tol", 1e-10)))
-    quad = QuadSettings(abs_tol=abs_tol,
-                        initial_step=float(qd.get("initial_step", 0.25)),
-                        max_halvings=int(qd.get("max_halvings", 14)),
-                        s_pad=float(qd.get("s_pad", 2.0)))
+    qk = {"abs_tol": float, "initial_step": float, "max_halvings": int,
+          "s_pad": float}
+    quad = _fields(doc.get("quad", {}), qk, set(), "quad", QuadSettings)
+    if "QGEVREY_ABS_TOL" in os.environ:
+        with _field("QGEVREY_ABS_TOL"):
+            quad = replace(quad, abs_tol=float(os.environ["QGEVREY_ABS_TOL"]))
 
-    samp = doc.get("sampling", {})
-    _check_keys(samp, _SAMPLING_KEYS, set(), "sampling")
-    for name, keys in _SAMPLING_BLOCKS.items():
+    samp = _fields(doc.get("sampling", {}), _SAMPLING_KEYS, set(), "sampling")
+    for name, kinds in _SAMPLING_BLOCKS.items():
         where = "sampling." + name
-        block = samp.get(name, {})
-        _check_keys(block, keys, set(), where)
+        block = samp[name] = _fields(samp.get(name, {}), kinds, set(), where)
+        n, pair = len(covering.charts), block.get("pair", (0, 1))
+        _require(len(pair) == 2 and all(0 <= i < n for i in pair),
+                 "%s.pair must be two chart indices below %d" % (where, n))
         grid = block.get("grid", [])
-        _require(isinstance(grid, list), where + ".grid must be a list")
         for gi, entry in enumerate(grid):
             gw = "%s.grid[%d]" % (where, gi)
             _check_keys(entry, {"t", "z"}, {"t", "z"}, gw)
-            _complex(entry["t"], gw + ".t")
-            _complex(entry["z"], gw + ".z")
+            grid[gi] = (_complex(entry["t"], gw + ".t"),
+                        _complex(entry["z"], gw + ".z"))
 
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,
                      covering=covering, family=family, lambdas=lambdas,
                      quad=quad, cert=cert,
-                     beta_max=beta_max, sampling=dict(samp),
+                     beta_max=beta_max, sampling=samp,
                      raw=doc)
 
 

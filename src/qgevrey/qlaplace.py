@@ -7,24 +7,21 @@ at most ``exp(mbar log^2|x|)`` growth, the transform along direction
     (log q / pi_q) * integral_{-inf}^{inf} F(q^s lam) / theta(q^s lam / z) ds,
 
 well defined whenever ``z`` is theta-safe for ``(lam, delta)`` and
-``mbar < 1 / (2 log|q|)``.  One core serves scalar ``F`` here and the
-all-orders blocks in :mod:`qgevrey.solution`, and it runs a batch of
-blocks (paths or windows) at once.  :func:`truncation_window` truncates
-each block's path by an analytic Gaussian-tail bound on the integrand
+``mbar < 1 / (2 log|q|)``.  One core serves array functions ``F`` here and
+the all-orders blocks in :mod:`qgevrey.solution`, and it runs a batch of
+blocks (windows) at once.  :func:`truncation_window` truncates each
+block's path by an analytic Gaussian-tail bound on the integrand
 majorant; :func:`path_window` widens each window until the integrand is
 negligible at both its ends, and :func:`path_integral` halves each block's
 step on nested trapezoid nodes until every one of its integrand rows has
-settled.  On such a window the trapezoid rule converges exponentially and
-settles first; where an end of the window is live (the split at
-``s = 0``), composite Simpson built from the same sums settles first and
-is returned instead.  All nodes lie on one dyadic s-lattice, on which
-:func:`kernel` sums the theta series once per residue of ``s mod 1``.
-Each block keeps its own window, halvings and stopping test, but every
-probe round and halving level evaluates the nodes of all blocks still open
-in as few integrand calls as hold ``BLOCK // 2`` values (a larger block is
-split), so the per-call cost of the integrand is paid once per level, not
-once per block.  ``q_laplace`` is a batch of one block and
-``q_laplace_split`` a batch of two.
+settled.  On such a window the trapezoid rule converges exponentially.
+All nodes lie on one dyadic s-lattice, on which :func:`kernel` sums the
+theta series once per residue of ``s mod 1``.  Each block keeps its own
+window, halvings and stopping test, but every probe round and halving
+level evaluates the nodes of all blocks still open in as few integrand
+calls as hold ``BLOCK // 2`` values (a larger block is split), so the
+per-call cost of the integrand is paid once per level, not once per
+block.  ``q_laplace`` is a batch of one block.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ from .theta import log_theta, log_theta_shifted, pi_q
 @dataclass(frozen=True)
 class QuadSettings:
     """Controls for the path integral: the tolerance on the change between
-    halvings (trapezoid first, Simpson as the fallback), the largest first
-    step, the number of halvings and the window padding."""
+    trapezoid halvings, the largest first step, the number of halvings and
+    the window padding."""
 
     abs_tol: float = 1e-10
     initial_step: float = 0.25
@@ -95,8 +92,7 @@ def _check_admissible(cert: GrowthCertificate, base: QBase, xi: float) -> None:
 
 def truncation_window(cert: GrowthCertificate, lam: complex, z: complex,
                       base: QBase, xi: float, tol: float,
-                      s_pad: float = 0.0, theta_floor: float = 1.0
-                      ) -> tuple[float, float]:
+                      s_pad: float = 0.0) -> tuple[float, float]:
     """Window ``[s_lo, s_hi]`` outside which the integrand majorant sums below tol.
 
     The majorant (growth numerator over the theta lower bound, including
@@ -113,7 +109,7 @@ def truncation_window(cert: GrowthCertificate, lam: complex, z: complex,
     lz = math.log(abs(z))
     x_c = g * lz / a
     e_max = g * lz * lz * (g / a - 1.0)
-    amp = pref * cert.c1 / theta_floor * math.exp(min(e_max, 700.0)) / L
+    amp = pref * cert.c1 * math.exp(min(e_max, 700.0)) / L
     if amp <= 0.25 * tol:
         u = 1.0
     else:
@@ -126,16 +122,6 @@ def truncation_window(cert: GrowthCertificate, lam: complex, z: complex,
     s_lo = (x_lo - l_lam) / L - s_pad
     s_hi = (x_hi - l_lam) / L + s_pad
     return s_lo, s_hi
-
-
-def majorant(cert: GrowthCertificate, lam: complex, z: complex, base: QBase,
-             xi: float, s, theta_floor: float = 1.0):
-    """Value of the truncation majorant at path parameter(s) ``s``."""
-    L = base.log_abs_q
-    pref = abs(base.log_q / pi_q(base))
-    x = np.asarray(s, dtype=float) * L + math.log(abs(lam))
-    expo = cert.mbar * x**2 - xi / (2.0 * L) * (x - math.log(abs(z))) ** 2
-    return pref * cert.c1 / theta_floor * np.exp(np.minimum(expo, 700.0))
 
 
 def require_theta_safe(z, lam: complex, base: QBase, delta: float) -> None:
@@ -257,7 +243,7 @@ class _Path:
         self.s_lo, self.s_hi = _on_lattice(s_lo, s_hi, h0)
         self.n = max(round((self.s_hi - self.s_lo) / h0), 1)
         self.h = h0
-        self.acc = self.trap = self.prev = self.cur = None
+        self.acc = self.trap = self.coarse = None
 
     def grid(self) -> np.ndarray:
         return self.s_lo + self.h * np.arange(self.n + 1.0)
@@ -279,15 +265,12 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
     evaluates one level of all blocks still in the batch, packed into as
     few calls as :func:`_sweep` allows.  After each halving a block settles
     on ``T(h)`` once every row moved by less than ``abs_tol`` from
-    ``T(2h)``: on an analytic integrand that is negligible at both ends the
-    trapezoid error falls like ``exp(-c / h)``, so this test settles first.
-    Otherwise it settles on composite Simpson, ``(4 T(h) - T(2h)) / 3``,
-    once every row moved by less than ``abs_tol`` between Simpson levels;
-    that test settles first where an end of the window is live and the
-    trapezoid error is only ``O(h^2)``.  A block still open after
-    ``max_halvings`` halvings raises :class:`ConvergenceError` naming it,
-    its window and the halvings, after the blocks settled by then were
-    yielded.
+    ``T(2h)``: on an analytic integrand that is negligible at both ends of
+    the window, as :func:`path_window` makes it, the trapezoid error falls
+    like ``exp(-c / h)``.  A block still open after ``max_halvings``
+    halvings raises :class:`ConvergenceError` naming it, its window and the
+    halvings, and carrying its last two levels ``T(h)`` and ``T(2h)``,
+    after the blocks settled by then were yielded.
     """
     h0 = _coarse_step(settings)
     paths = [_Path(s_lo, s_hi, h0) for s_lo, s_hi in windows]
@@ -306,16 +289,11 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
             p.acc = p.acc + part
             p.n *= 2
             p.h *= 0.5
-            p.trap, coarse = p.h * p.acc, p.trap
-            if np.max(np.abs(p.trap - coarse)) < settings.abs_tol:
+            p.trap, p.coarse = p.h * p.acc, p.trap
+            if np.max(np.abs(p.trap - p.coarse)) < settings.abs_tol:
                 yield i, p.trap
-                continue
-            p.prev, p.cur = p.cur, (4.0 * p.trap - coarse) / 3.0
-            if (p.prev is not None
-                    and np.max(np.abs(p.cur - p.prev)) < settings.abs_tol):
-                yield i, p.cur
-                continue
-            still.append(i)
+            else:
+                still.append(i)
         active = still
         if not active:
             return
@@ -325,7 +303,7 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
         "path integral of block %d on [%.6g, %.6g] did not converge to %g "
         "within %d halvings" % (i, p.s_lo, p.s_hi, settings.abs_tol,
                                 settings.max_halvings),
-        last=p.cur, previous=p.prev, block=i)
+        last=p.trap, previous=p.coarse, block=i)
 
 
 def kernel(base: QBase, lam: complex, zs):
@@ -367,57 +345,31 @@ def kernel(base: QBase, lam: complex, zs):
     return kern
 
 
-def _scalar_path(F, lam, z, base, cert, settings, xi, delta):
-    """Integrand rows of the transform of scalar ``F`` and their window."""
-    require_theta_safe(z, lam, base, delta)
+def _scalar_path(F, lam, z, base, cert, settings):
+    """Integrand rows of the transform of ``F`` and their window."""
+    require_theta_safe(z, lam, base, 0.05)
     pref = base.log_q / pi_q(base)
-    kern = kernel(base, lam, [z, z])  # blocks 0 and 1: the split's halves
+    kern = kernel(base, lam, [z])
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
-        pts = qpow(base, s) * lam
-        try:
-            num = np.asarray(F(pts), dtype=complex)
-            if num.shape != pts.shape:
-                raise TypeError
-        except TypeError:
-            num = np.array([F(p) for p in pts], dtype=complex)
+        num = np.asarray(F(qpow(base, s) * lam), dtype=complex)
         return pref * num * kern(s, block)
 
-    if xi is None:
-        xi = default_majorant_xi(cert, base)
-    window = truncation_window(cert, lam, z, base, xi, settings.abs_tol,
-                               s_pad=settings.s_pad)
+    window = truncation_window(cert, lam, z, base,
+                               default_majorant_xi(cert, base),
+                               settings.abs_tol, s_pad=settings.s_pad)
     return rows, path_window(rows, [window], settings, settings.abs_tol)[0]
 
 
 def q_laplace(F, lam: complex, z: complex, base: QBase,
-              cert: GrowthCertificate, settings: QuadSettings = QuadSettings(),
-              xi: float = None, delta: float = 0.05) -> complex:
+              cert: GrowthCertificate,
+              settings: QuadSettings = QuadSettings()) -> complex:
     """Transform of ``F`` along direction ``lam``, evaluated at ``z``.
 
-    ``F`` is called with an ndarray of path points (a scalar fallback is
-    attempted).  ``z`` must be theta-safe for ``(lam, delta)``; violations
-    raise :class:`DomainError` before any integration.
+    ``F`` is called with an ndarray of path points.  ``z`` must be
+    theta-safe for ``(lam, 0.05)``; violations raise :class:`DomainError`
+    before any integration.
     """
-    rows, window = _scalar_path(F, lam, z, base, cert, settings, xi, delta)
+    rows, window = _scalar_path(F, lam, z, base, cert, settings)
     [(_, value)] = path_integral(rows, [window], settings)
     return complex(value)
-
-
-def q_laplace_split(F, lam: complex, z: complex, base: QBase,
-                    cert: GrowthCertificate,
-                    settings: QuadSettings = QuadSettings(),
-                    xi: float = None, delta: float = 0.05
-                    ) -> tuple[complex, complex]:
-    """Outward (s >= 0) and inward (s <= 0) halves of the transform.
-
-    Their sum equals the unsplit transform within twice the quadrature
-    tolerance.  The two halves are one two-block batch, split at the
-    lattice node 0.
-    """
-    rows, (s_lo, s_hi) = _scalar_path(F, lam, z, base, cert, settings, xi,
-                                      delta)
-    s_hi = max(s_hi, settings.initial_step)
-    s_lo = min(s_lo, -settings.initial_step)
-    halves = dict(path_integral(rows, [(0.0, s_hi), (s_lo, 0.0)], settings))
-    return complex(halves[0]), complex(halves[1])

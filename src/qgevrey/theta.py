@@ -13,9 +13,8 @@ accumulated rescaling in log space.  :func:`theta` is its exponential.
 Its shift step, :func:`log_theta_shifted`, also assembles the transform
 kernel of :mod:`qgevrey.qlaplace` from one sum per residue of ``s mod 1``.
 
-The zeros of theta sit on the spiral ``-q^Z``; all growth/lower-bound
-diagnostics live relative to ``exp(log^2|x| / (2 log|q|))``, the scale the
-series actually attains away from the zeros.
+The zeros of theta sit on the spiral ``-q^Z``; away from them the series
+attains the scale ``exp(log^2|x| / (2 log|q|))``.
 """
 
 from __future__ import annotations
@@ -135,18 +134,3 @@ def pi_q(base: QBase) -> complex:
         raise ConvergenceError("pi_q product did not settle", last=prod)
     return base.log_q * prod
 
-
-def theta_lower_ratio(x: complex, base: QBase, xi: float) -> float:
-    """``|theta(x)| / exp(xi log^2|x| / (2 log|q|))``.
-
-    On theta-safe samples this ratio is bounded below by a positive
-    constant depending on (xi, delta); computed in log space so huge
-    arguments do not overflow.
-    """
-    lg = log_theta(x, base)
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must lie in (0, 1)")
-    expo = lg.real - xi * math.log(abs(x)) ** 2 / (2.0 * base.log_abs_q)
-    if expo < -_EXP_MAX:
-        return 0.0
-    return math.exp(expo)

@@ -40,7 +40,53 @@ def trimmed(demo_doc, **sampling):
     return doc
 
 
+# field path (or environment variable), bad value, command: each must end
+# in a configuration error, not a traceback
+BAD_VALUES = [
+    (("problem", "terms"), 5, "check"),
+    (("problem", "terms", 0, "k"), "abc", "check"),
+    (("problem", "s_order"), 0, "check"),
+    (("gevrey", "xi"), "x", "check"),
+    (("covering", "n_u"), "five", "check"),
+    (("covering", "n_u"), 0, "check"),
+    (("covering", "overlap"), 5, "check"),
+    (("solution", "beta_max"), None, "check"),
+    (("solution", "cert_c1"), -1, "check"),
+    (("quad", "initial_step"), 2.0, "check"),
+    (("quad", "abs_tol"), "a", "check"),
+    (("base", "q"), [1, 0], "check"),
+    (("base", "q"), [0.5, 0], "check"),
+    (("family", "delta"), -1, "check"),
+    (("sampling", "seed"), "x", "check"),
+    (("sampling", "residual", "n_points"), "x", "verify residual"),
+    (("sampling", "flatness", "pair"), [99, 100], "verify flatness"),
+    ("QGEVREY_ABS_TOL", "abc", "check"),
+]
+
+
 class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "path,value,command", BAD_VALUES,
+        ids=["%s=%r" % (p if isinstance(p, str) else ".".join(map(str, p)), v)
+             for p, v, _ in BAD_VALUES])
+    def test_bad_value_exit_two(self, demo_doc, tmp_path, capsys, monkeypatch,
+                                path, value, command):
+        doc = trimmed(demo_doc)
+        if isinstance(path, str):
+            monkeypatch.setenv(path, value)
+        else:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(command.split() + ["--config", cfg,
+                                       "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_shipped_configs_load(self):
         demo = load_shipped_config("demo")
         assert len(demo.covering.charts) == 25

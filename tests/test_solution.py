@@ -6,14 +6,14 @@ import pytest
 from qgevrey import (CoefficientEvaluator, DomainError,
                      InitialData, InitialTerm, QBase, QuadSettings,
                      equation_residual, evaluate_solution,
-                     extract_coefficients, extract_from_samples,
-                     fit_log_decay, flatness_fit, flatness_from_null_expansion,
-                     gevrey_fit, initial_condition, log_theta,
-                     null_expansion_envelope, pi_q, qpow, transform_decay_fit,
-                     young_conjugate)
+                     extract_coefficients, fit_log_decay, flatness_fit,
+                     flatness_from_null_expansion, gevrey_fit,
+                     initial_condition, log_theta, null_expansion_envelope,
+                     pi_q, qpow, transform_decay_fit, young_conjugate)
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import overlap_point
 from qgevrey.problem import CauchyProblem, ProblemTerm
+from qgevrey.solution import extract_from_samples
 
 TIGHT = QuadSettings(abs_tol=1e-12, max_halvings=16)
 
@@ -224,7 +224,6 @@ class TestTransformBatch:
         # the demo's flatness settings: one batch, each probe round and
         # halving level packed into calls of at most BLOCK // 2 values.
         # One block at a time took 130 calls.
-        from qgevrey.cli import _grid_from_config
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -232,8 +231,8 @@ class TestTransformBatch:
         sc2 = demo.chart_solution(cfg["pair"][1], quad=quad)
         eps0 = overlap_point(sc1.chart, sc2.chart, demo.base)
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
-        flatness_fit(sc1, sc2, eps0, cfg["n_points"],
-                     _grid_from_config(cfg["grid"]), demo.gevrey)
+        flatness_fit(sc1, sc2, eps0, cfg["n_points"], cfg["grid"],
+                     demo.gevrey)
         assert len(sc1._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls
                    if ev is sc1.evaluator]
@@ -379,10 +378,10 @@ class TestCommutationAtSolutionLevel:
         base = demo.base
         t = 0.7
         lhs = q_laplace(lambda x: x.copy(), chart20.lam, eps20 * t, base,
-                        chart20.cert, TIGHT, delta=0.05)
+                        chart20.cert, TIGHT)
         rhs = eps20 * t * q_laplace(lambda x: np.ones_like(x), chart20.lam,
                                     base.q * eps20 * t, base, chart20.cert,
-                                    TIGHT, delta=0.05)
+                                    TIGHT)
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), 1e-12)
 
 
