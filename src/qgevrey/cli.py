@@ -208,10 +208,9 @@ def _verify_residual(cfg: RunConfig, seed: int, report: Report,
         z = complex(rng.uniform(0.0, z_max)
                     * np.exp(1j * rng.uniform(0.0, TWO_PI)))
         points.append((i, idx, eps, t, z))
-    # every transform block a chart's residuals read, as one batch per chart
-    for idx, sc in charts.items():
-        sol.prefetch_residuals(sc, [(eps, t) for _, j, eps, t, _ in points
-                                    if j == idx])
+    # every transform block the residuals read, of all charts, as one batch
+    sol.prefetch_residuals([(charts[idx], eps, t)
+                            for _, idx, eps, t, _ in points])
     rows = []
     worst = 0.0
     for i, idx, eps, t, z in points:
@@ -276,6 +275,9 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
     sc2 = cfg.chart_solution(pair[1], quad=quad)
     eps0 = cov.overlap_point(sc1.chart, sc2.chart, cfg.base)
     schedule = scfg.get("depths") or None
+    # both charts' samples as one batch; extraction then reads the cache
+    sol.prefetch_samples((sc1, sc2),
+                         sol.eps_sequence(eps0, cfg.base.q, depth + 1), grid)
     series1 = sol.extract_coefficients(sc1, eps0, k_max, tol, grid,
                                        depth=depth, depth_override=schedule)
     series2 = sol.extract_coefficients(sc2, eps0, min(k_max, series1.k_max),

@@ -306,21 +306,24 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
         last=p.trap, previous=p.coarse, block=i)
 
 
-def kernel(base: QBase, lam: complex, zs):
-    """The kernel ``1 / theta(q^s lam / z_b)`` as a function ``kern(s,
-    block)`` of lattice nodes ``s`` of blocks ``b``, ``z_b = zs[b]``.
+def kernel(base: QBase, lams, zs):
+    """The kernel ``1 / theta(q^s lam_b / z_b)`` as a function ``kern(s,
+    block)`` of lattice nodes ``s`` of blocks ``b``, ``lam_b = lams[b]``
+    and ``z_b = zs[b]``: one direction and one point per block, so blocks
+    of several charts share a call.
 
     With ``s = j + r``, ``j`` an integer and ``0 <= r < 1``, :func:`log_theta`
-    runs once per block and residue at ``y = q^{r + a_b} lam / z_b`` and
+    runs once per block and residue at ``y = q^{r + a_b} lam_b / z_b`` and
     each node is assembled by :func:`log_theta_shifted`, ``m = j - a_b``;
-    the anchor ``a_b = floor(log|z_b / lam| / log|q|)`` keeps ``m`` small
+    the anchor ``a_b = floor(log|z_b / lam_b| / log|q|)`` keeps ``m`` small
     where the kernel is large.  Each block's nodes in a call must be one
     contiguous arithmetic progression, as :func:`_sweep` passes them: if
     its step ``h`` has ``1 / h`` an integer P, node ``k`` shares the residue
     of node ``k mod P``, else (an edge probe) each node is its own.
     """
+    lams = np.asarray(lams, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
-    anchor = np.floor(np.log(np.abs(zs / lam)) / base.log_abs_q)
+    anchor = np.floor(np.log(np.abs(zs / lams)) / base.log_abs_q)
 
     def kern(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         # each block's run of nodes: its start, size and residue period P
@@ -337,7 +340,7 @@ def kernel(base: QBase, lam: complex, zs):
         slot = (np.cumsum(own) - 1)[first + (k % period).astype(np.intp)]
         j = np.floor(s)
         b_own = block[own]
-        y = (qpow(base, s[own] - j[own] + anchor[b_own]) * lam
+        y = (qpow(base, s[own] - j[own] + anchor[b_own]) * lams[b_own]
              / zs[b_own])
         return np.exp(-log_theta_shifted(j - anchor[block], np.log(y)[slot],
                                          log_theta(y, base)[slot], base))
@@ -349,7 +352,7 @@ def _scalar_path(F, lam, z, base, cert, settings):
     """Integrand rows of the transform of ``F`` and their window."""
     require_theta_safe(z, lam, base, 0.05)
     pref = base.log_q / pi_q(base)
-    kern = kernel(base, lam, [z])
+    kern = kernel(base, [lam], [z])
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         num = np.asarray(F(qpow(base, s) * lam), dtype=complex)

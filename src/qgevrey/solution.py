@@ -91,62 +91,88 @@ def _require_on_spiral(sc: SolutionChart, eps_values) -> None:
             membership="discrete_spiral")
 
 
-def _transform_blocks(sc: SolutionChart, keys) -> None:
-    """Cache the transform block of every ``(eps, t)`` in ``keys``.
+def _shared(sc: SolutionChart) -> tuple:
+    """What the charts of one batch must have in common."""
+    ev = sc.evaluator
+    return ev.problem, ev.initial, ev.base, sc.beta_max, sc.quad
+
+
+def _transform_blocks(items) -> None:
+    """Cache the transform block of every ``(chart, (eps, t))`` in ``items``.
 
     A block holds all transforms T_beta(eps, eps t), beta <= beta_max, on
-    shared nodes: one path integral whose rows are the orders.  The keys
-    not yet cached form one batch of :mod:`qgevrey.qlaplace`'s window and
-    nested-halving loop, in which each block keeps its own window, halvings
-    and stopping test.  The windows leave the integrand negligible at both
-    ends, where the trapezoid sums converge exponentially, so a block
-    returns them as soon as every order moved by less than abs_tol between
-    halvings.  Before any integrand call, every eps is tested against the
-    chart's discrete spiral and then every ``z = eps t`` for theta-safety,
-    each in one array call that names the first failing key.  The batch
-    builds the :class:`EpsFactors` of its distinct eps once and one
-    :func:`qgevrey.qlaplace.kernel` for its ``z``; each ``z`` is a Python
-    scalar product, as a one-pair call computes it, so a block's values do
-    not depend on the batch around it.  A block
-    that does not settle raises :class:`ConvergenceError` naming its chart
-    and key; the blocks that settled stay cached.
+    shared nodes: one path integral whose rows are the orders.  The items
+    not yet cached, from any number of charts, form one batch of
+    :mod:`qgevrey.qlaplace`'s window and nested-halving loop, in which each
+    block keeps its own direction, window, halvings and stopping test.  The
+    charts must share problem, initial data, base, ``beta_max`` and
+    ``quad`` (else ``ValueError``).  The windows leave the integrand
+    negligible at both ends, where the trapezoid sums converge
+    exponentially, so a block returns them as soon as every order moved by
+    less than abs_tol between halvings.  Before any integrand call, per
+    chart, every eps is tested against the chart's discrete spiral and
+    then every ``z = eps t`` for theta-safety, each in one array call that
+    names the first failing key.  The batch builds the
+    :class:`EpsFactors` of its distinct eps once and one
+    :func:`qgevrey.qlaplace.kernel` for its ``(lam, z)``; each ``z`` is a
+    Python scalar product, as a one-pair call computes it, so a block's
+    values do not depend on the batch around it.  A block that does not
+    settle raises :class:`ConvergenceError` naming its chart and key; the
+    blocks that settled stay cached.
     """
-    new = [k for k in dict.fromkeys((complex(e), complex(t)) for e, t in keys)
-           if k not in sc._cache]
+    new, charts = {}, {}
+    for sc, (e, t) in items:
+        key = (complex(e), complex(t))
+        if key not in sc._cache:
+            new[id(sc), key] = sc, key
+            charts.setdefault(id(sc), sc)
     if not new:
         return
-    base = sc.base
-    _require_on_spiral(sc, [e for e, _ in new])
-    zs = [e * t for e, t in new]
-    require_theta_safe(zs, sc.lam, base, sc.delta)
+    new = list(new.values())
+    first = next(iter(charts.values()))
+    for sc in charts.values():
+        if _shared(sc) != _shared(first):
+            raise ValueError("charts %d and %d differ in problem, initial "
+                             "data, base, beta_max or quad"
+                             % (first.chart_index, sc.chart_index))
+        keys = [key for owner, key in new if owner is sc]
+        _require_on_spiral(sc, [e for e, _ in keys])
+        require_theta_safe([e * t for e, t in keys], sc.lam, sc.base,
+                           sc.delta)
+    base, quad, n_rows = first.base, first.quad, first.beta_max + 1
+    zs = [e * t for _, (e, t) in new]
+    lams = np.array([sc.lam for sc, _ in new])
     pref = base.log_q / pi_q(base)
-    kern = kernel(base, sc.lam, zs)
-    eps_index = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in new))}
-    factors = EpsFactors(sc.evaluator.initial, sc.evaluator.problem.terms,
-                         list(eps_index))
-    eps_of = np.array([eps_index[e] for e, _ in new])
+    kern = kernel(base, lams, zs)
+    eps_index = {e: i for i, e in
+                 enumerate(dict.fromkeys(key[0] for _, key in new))}
+    factors = EpsFactors(first.evaluator.initial,
+                         first.evaluator.problem.terms, list(eps_index))
+    eps_of = np.array([eps_index[key[0]] for _, key in new])
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
-        tau = qpow(base, s) * sc.lam
+        tau = qpow(base, s) * lams[block]
         # pref * table * kern in place: complex products are not
         # bitwise commutative (fused multiply-add), so pref stays left
-        out = sc.evaluator.table(factors.at(eps_of[block]), tau, sc.beta_max)
+        out = first.evaluator.table(factors.at(eps_of[block]), tau,
+                                    first.beta_max)
         np.multiply(pref, out, out=out)
         out *= kern(s, block)
         return out
 
-    xi = default_majorant_xi(sc.cert, base)
-    tol = 0.01 * sc.quad.abs_tol
-    n_rows = sc.beta_max + 1
+    tol = 0.01 * quad.abs_tol
     windows = path_window(
-        rows, [truncation_window(sc.cert, sc.lam, z, base, xi, tol,
-                                 s_pad=sc.quad.s_pad) for z in zs],
-        sc.quad, tol, n_rows)
+        rows, [truncation_window(sc.cert, sc.lam, z, base,
+                                 default_majorant_xi(sc.cert, base), tol,
+                                 s_pad=quad.s_pad)
+               for (sc, _), z in zip(new, zs)],
+        quad, tol, n_rows)
     try:
-        for i, value in path_integral(rows, windows, sc.quad, n_rows):
-            sc._cache[new[i]] = value
+        for i, value in path_integral(rows, windows, quad, n_rows):
+            sc, key = new[i]
+            sc._cache[key] = value
     except ConvergenceError as exc:
-        eps, t = new[exc.block]
+        sc, (eps, t) = new[exc.block]
         raise ConvergenceError(
             "chart %d, transform block (eps, t) = (%s, %s): %s"
             % (sc.chart_index, eps, t, exc),
@@ -156,7 +182,7 @@ def _transform_blocks(sc: SolutionChart, keys) -> None:
 def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
     """The cached transform block of one ``(eps, t)``: a one-key batch."""
     key = (complex(eps), complex(t))
-    _transform_blocks(sc, [key])
+    _transform_blocks([(sc, key)])
     return sc._cache[key]
 
 
@@ -260,11 +286,23 @@ def _residual_keys(sc: SolutionChart, eps: complex, t: complex) -> list:
                           for term in sc.evaluator.problem.terms]]
 
 
-def prefetch_residuals(sc: SolutionChart, points) -> None:
+def prefetch_residuals(points) -> None:
     """Compute every transform block :func:`equation_residual` needs at the
-    ``(eps, t)`` points as one batch."""
-    _transform_blocks(sc, [key for eps, t in points
-                           for key in _residual_keys(sc, eps, t)])
+    ``(chart, eps, t)`` points, of any charts, as one batch."""
+    _transform_blocks([(sc, key) for sc, eps, t in points
+                       for key in _residual_keys(sc, eps, t)])
+
+
+def eps_sequence(eps0: complex, q: complex, n: int) -> list:
+    """``eps0 q^-i`` for ``i < n``: the sequence the diagnostics sample."""
+    return [eps0 * q ** (-i) for i in range(n)]
+
+
+def prefetch_samples(charts, eps_values, grid) -> None:
+    """Compute the transform block of every chart at every ``(eps, t)``,
+    ``t`` from the ``(t, z)`` grid, as one batch."""
+    _transform_blocks([(sc, (eps, t)) for sc in charts
+                       for eps in eps_values for t, _ in grid])
 
 
 @dataclass(frozen=True)
@@ -292,7 +330,7 @@ def equation_residual(sc: SolutionChart, eps: complex, t: complex,
     n_z = sc.beta_max - S
     warns = list(check_point(sc, eps, t))
     keys = _residual_keys(sc, eps, t)
-    _transform_blocks(sc, keys)
+    _transform_blocks([(sc, key) for key in keys])
     c_t, c_qt, *c_dils = [sc._cache[key] for key in keys]
     if sc.t_set is not None and abs(q * t) > sc.t_set.mod[1]:
         warns.append("q*t leaves the validated evaluation patch")
@@ -366,11 +404,8 @@ def flatness_fit(sc1: SolutionChart, sc2: SolutionChart, eps0: complex,
         raise ValueError(
             "flatness exponent 1/A = %g is nonpositive; the constant pack "
             "admits no decay" % one_over_a)
-    q = sc1.base.q
-    eps_values = [eps0 * q ** (-n) for n in range(n_points)]
-    keys = [(eps, t) for eps in eps_values for t, _ in grid]
-    _transform_blocks(sc1, keys)
-    _transform_blocks(sc2, keys)
+    eps_values = eps_sequence(eps0, sc1.base.q, n_points)
+    prefetch_samples((sc1, sc2), eps_values, grid)
     log2_eps, d_sup = [], []
     for eps in eps_values:
         d = 0.0
@@ -428,7 +463,7 @@ class AsymptoticSeries:
 
 
 def _solution_samples(sc: SolutionChart, eps_values, grid) -> np.ndarray:
-    _transform_blocks(sc, [(eps, t) for eps in eps_values for t, _ in grid])
+    prefetch_samples((sc,), eps_values, grid)
     out = np.empty((len(eps_values), len(grid)), dtype=complex)
     for i, eps in enumerate(eps_values):
         for gi, (t, z) in enumerate(grid):
@@ -455,7 +490,7 @@ def extract_coefficients(sc: SolutionChart, eps0: complex, k_max: int,
         raise ValueError("extraction beyond order 4 exceeds the double-"
                          "precision noise budget")
     q = sc.base.q
-    eps_values = [eps0 * q ** (-n) for n in range(depth + 1)]
+    eps_values = eps_sequence(eps0, q, depth + 1)
     samples = _solution_samples(sc, eps_values, grid)
     return extract_from_samples(samples, eps_values, q, k_max, tol,
                                 grid=grid, depth_override=depth_override)

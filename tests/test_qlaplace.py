@@ -264,7 +264,7 @@ class TestLatticeKernel:
         z = complex(eps * 0.7)
         peak = math.log(abs(z / sc.lam)) / base.log_abs_q
         s = np.floor(peak) + np.arange(-48, 49) / 16.0
-        got = kernel(base, sc.lam, [z])(s, np.zeros(s.size, dtype=int))
+        got = kernel(base, [sc.lam], [z])(s, np.zeros(s.size, dtype=int))
         with mp.workdps(40):
             q, lam, zz = mp.mpf(2), mp.mpc(sc.lam), mp.mpc(z)
             want = [complex(mp_inv_theta(q ** mp.mpf(si) * lam / zz, q))
@@ -284,7 +284,7 @@ class TestLatticeKernel:
                 s1 = anchor - 25 + 0.125 + np.arange(0.0, 50.0, 0.25)
                 s = np.concatenate([s0, s1])
                 block = np.repeat([0, 1], [s0.size, s1.size])
-                got = kernel(base, lam, [z, z])(s, block)
+                got = kernel(base, [lam, lam], [z, z])(s, block)
                 want = np.exp(-log_theta(np.exp(s * base.log_q) * lam / z,
                                          base))
                 near = np.abs(np.floor(s) - anchor) <= 25
@@ -354,12 +354,12 @@ class TestSweepCap:
         whole = demo_cfg.chart_solution(20)
         cap = (1 << 10) // (whole.beta_max + 1)
         sizes = record_sweep_calls(monkeypatch)
-        _transform_blocks(whole, keys)
+        _transform_blocks([(whole, key) for key in keys])
         assert max(sizes) > cap
         sizes.clear()
         monkeypatch.setattr(qlaplace, "BLOCK", 1 << 11)
         split = demo_cfg.chart_solution(20)
-        _transform_blocks(split, keys)
+        _transform_blocks([(split, key) for key in keys])
         assert max(sizes) <= cap
         for key, want in whole._cache.items():
             got = split._cache[key]
@@ -378,6 +378,6 @@ class TestSweepCap:
                * demo_cfg.base.q ** sc.chart.v_mid)
         sizes = record_sweep_calls(monkeypatch)
         with pytest.raises(ConvergenceError):
-            _transform_blocks(sc, [(eps, complex(0.7 * np.exp(1.01j)))])
+            _transform_blocks([(sc, (eps, complex(0.7 * np.exp(1.01j))))])
         cap = BLOCK // 2 // (sc.beta_max + 1)
         assert max(sizes) == cap and sizes[-2:] == [cap, 1040 - cap]

@@ -212,7 +212,7 @@ class TestTransformBatch:
             batch = demo.chart_solution(idx, quad=quad)
             keys = [(mid_eps(demo, batch, level), t)
                     for level in (0, 2) for t in (0.7, 0.6 - 0.2j)]
-            _transform_blocks(batch, keys)
+            _transform_blocks([(batch, key) for key in keys])
             for eps, t in keys:
                 one = demo.chart_solution(idx, quad=quad)
                 want = _transform_block(one, eps, t)
@@ -220,10 +220,11 @@ class TestTransformBatch:
                 assert np.array_equal(got, want), (idx, eps, t)
 
     def test_flatness_batch_integrand_calls_pinned(self, demo, monkeypatch):
-        # one chart's 26 flatness blocks (13 eps levels, 2 grid points) at
-        # the demo's flatness settings: one batch, each probe round and
-        # halving level packed into calls of at most BLOCK // 2 values.
-        # One block at a time took 130 calls.
+        # both charts' 26 flatness blocks each (13 eps levels, 2 grid
+        # points) at the demo's flatness settings: one batch, each probe
+        # round and halving level packed into calls of at most BLOCK // 2
+        # values.  One block at a time took 260 calls, one batch per
+        # chart 50.
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -233,10 +234,9 @@ class TestTransformBatch:
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
         flatness_fit(sc1, sc2, eps0, cfg["n_points"], cfg["grid"],
                      demo.gevrey)
-        assert len(sc1._cache) == 26
-        columns = [np.size(tau) for ev, eps, tau, beta_max in calls
-                   if ev is sc1.evaluator]
-        assert len(columns) == 25
+        assert len(sc1._cache) == len(sc2._cache) == 26
+        columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
+        assert len(columns) == 46
         assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
 
     def test_failure_names_block_and_keeps_settled(self, demo):
@@ -251,7 +251,7 @@ class TestTransformBatch:
         slow = complex(0.7 * np.exp(1.01j))
         keys = [(eps, 0.7), (eps, slow), (eps, 0.6)]
         with pytest.raises(ConvergenceError) as err:
-            _transform_blocks(sc, keys)
+            _transform_blocks([(sc, key) for key in keys])
         assert err.value.block == 1
         message = str(err.value)
         assert str(complex(slow)) in message and str(complex(eps)) in message
@@ -282,7 +282,8 @@ class TestTransformBatch:
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
         sc = demo.chart_solution(20, quad=TIGHT)
         with pytest.raises(DomainError) as err:
-            _transform_blocks(sc, [(eps20, 0.7), bad_key, (eps20, 0.6)])
+            _transform_blocks([(sc, key) for key in
+                               [(eps20, 0.7), bad_key, (eps20, 0.6)]])
         assert err.value.membership == bad
         assert calls == [] and sc._cache == {}
 
@@ -299,7 +300,7 @@ class TestTransformBatch:
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
         sc = demo.chart_solution(20, quad=TIGHT)
         with pytest.raises(DomainError) as err:
-            _transform_blocks(sc, keys)
+            _transform_blocks([(sc, key) for key in keys])
         assert err.value.membership == "theta_safe"
         z = complex(eps20) * complex(0.65 * unit)
         assert str(err.value).startswith("z = %s is not theta-safe" % z)
@@ -362,7 +363,7 @@ class TestEquationResidual:
         import qgevrey.solution as solution
         sc = demo.chart_solution(20, quad=TIGHT)
         points = [(eps20, 0.7), (eps20 / demo.base.q, 0.55), (eps20, 0.85)]
-        solution.prefetch_residuals(sc, points)
+        solution.prefetch_residuals([(sc, eps, t) for eps, t in points])
         cached = len(sc._cache)
         windows = count_calls(monkeypatch, solution, "truncation_window")
         for eps, t in points:
