@@ -139,6 +139,15 @@ _SAMPLING_BLOCKS = {
 }
 _SAMPLING_KEYS = dict(seed=int, n_cover_samples=int, n_family_samples=int,
                       **dict.fromkeys(_SAMPLING_BLOCKS, dict))
+# the range of each sampling count: a verification on fewer points checks
+# nothing or fails inside a fit (the flatness fit takes 8 levels, the
+# type fit 3 orders, an extraction step 3 levels), and extraction stops at
+# order 4
+_SAMPLING_RANGES = {("residual", "n_points"): (1, math.inf),
+                    ("flatness", "n_points"): (8, math.inf),
+                    ("asympt", "k_max"): (2, 4),
+                    ("asympt", "depth"): (2, math.inf),
+                    ("properties", "n_points"): (1, math.inf)}
 
 
 def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
@@ -267,6 +276,11 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
             _check_keys(entry, {"t", "z"}, {"t", "z"}, gw)
             grid[gi] = (_complex(entry["t"], gw + ".t"),
                         _complex(entry["z"], gw + ".z"))
+    for (name, key), (lo, hi) in _SAMPLING_RANGES.items():
+        value = samp[name].get(key, lo)
+        _require(lo <= value <= hi, "sampling.%s.%s = %d must be %s"
+                 % (name, key, value, "at least %d" % lo if hi == math.inf
+                    else "between %d and %d" % (lo, hi)))
 
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,

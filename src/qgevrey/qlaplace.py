@@ -146,8 +146,9 @@ def _sweep(rows, blocks, nodes, n_rows: int, reduce, combine) -> list:
     most the cap, one call each.  ``reduce(vals, first, last)`` reduces a
     block's contiguous slice of a call's values right away, told whether
     the slice holds the block's first and last node, and ``combine`` joins
-    the pieces of a split block.  Nodes are built as their block is packed,
-    and values do not outlive their call.
+    the pieces of a split block; a block without nodes gets ``None``.
+    Nodes are built as their block is packed, and values do not outlive
+    their call.
     """
     cap = max(BLOCK // 2 // n_rows, 1)
     out = [None] * len(blocks)
@@ -181,10 +182,17 @@ def _edge(vals: np.ndarray, first: bool, last: bool) -> float:
     return np.max(np.abs(vals))
 
 
-def _coarse_sum(vals: np.ndarray, first: bool, last: bool) -> np.ndarray:
-    # the trapezoid end weights: half of the block's first and last node
+def _coarse(vals: np.ndarray, first: bool, last: bool) -> tuple:
+    """The coarse sum, with the trapezoid end weights (half of the block's
+    first and last node), and each node's envelope ``max over rows
+    |value|``."""
     ends = vals[..., [0] * first + [-1] * last]
-    return vals.sum(axis=-1) - 0.5 * ends.sum(axis=-1)
+    envelope = np.max(np.abs(vals), axis=tuple(range(vals.ndim - 1)))
+    return vals.sum(axis=-1) - 0.5 * ends.sum(axis=-1), envelope
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], np.concatenate((a[1], b[1]))
 
 
 def _sum(vals: np.ndarray, first: bool, last: bool) -> np.ndarray:
@@ -201,6 +209,12 @@ def _coarse_step(settings: QuadSettings) -> float:
 def _on_lattice(s_lo: float, s_hi: float, h0: float) -> tuple[float, float]:
     """``[s_lo, s_hi]`` rounded outward to multiples of ``h0``."""
     return math.floor(s_lo / h0) * h0, math.ceil(s_hi / h0) * h0
+
+
+def _negligible(tol: float, s_lo: float, s_hi: float) -> float:
+    """The integrand value below which a node of the window ``[s_lo,
+    s_hi]`` is negligible: ``tol`` over the window's width (at least 1)."""
+    return tol / max(s_hi - s_lo, 1.0)
 
 
 def path_window(rows, windows, settings: QuadSettings, tol: float,
@@ -225,7 +239,7 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
         widen = []
         for i, edge in zip(pending, edges):
             s_lo, s_hi = windows[i]
-            if edge <= tol / max(s_hi - s_lo, 1.0):
+            if edge <= _negligible(tol, s_lo, s_hi):
                 continue
             pad = max(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo))
             windows[i] = _on_lattice(s_lo - pad, s_hi + pad, h0)
@@ -237,33 +251,55 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
 
 
 class _Path:
-    """Nested-node state of one block of :func:`path_integral`."""
+    """Nested-node state of one block of :func:`path_integral`: its
+    window, and the ``m`` cells of step ``h`` from ``a`` that it halves."""
 
     def __init__(self, s_lo: float, s_hi: float, h0: float):
         self.s_lo, self.s_hi = _on_lattice(s_lo, s_hi, h0)
-        self.n = max(round((self.s_hi - self.s_lo) / h0), 1)
-        self.h = h0
+        self.a, self.h = self.s_lo, h0
+        self.m = max(round((self.s_hi - self.s_lo) / h0), 1)
         self.acc = self.trap = self.coarse = None
 
     def grid(self) -> np.ndarray:
-        return self.s_lo + self.h * np.arange(self.n + 1.0)
+        return self.s_lo + self.h * np.arange(self.m + 1.0)
+
+    def confine(self, envelope: np.ndarray, tol: float) -> None:
+        """Halve only the coarse cells from one cell before the first node
+        above :func:`_negligible` to one cell after the last (none if no
+        node is above it)."""
+        above = np.flatnonzero(envelope > _negligible(tol, self.s_lo,
+                                                      self.s_hi))
+        if above.size == 0:
+            self.m = 0
+            return
+        lo, hi = max(above[0] - 1, 0), min(above[-1] + 1, self.m)
+        self.a, self.m = self.s_lo + lo * self.h, hi - lo
 
     def midpoints(self) -> np.ndarray:
-        return self.s_lo + self.h * (np.arange(self.n) + 0.5)
+        return self.a + self.h * (np.arange(self.m) + 0.5)
 
 
-def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
+def path_integral(rows, windows, settings: QuadSettings, tol: float,
+                  n_rows: int = 1):
     """Integrals of ``rows`` over a batch of windows, one value per row.
 
-    ``rows(s, block)`` is as in :func:`path_window`; the last axis of its
-    result runs over the nodes.  Yields ``(block, integral)`` as each block
-    settles; a settled block leaves the batch.  Each block keeps its own
-    nested trapezoid sums ``T(h)``, so each halving evaluates only the new
-    midpoints.  Its window is rounded outward to the coarse lattice ``h0 Z``
-    (:func:`_coarse_step`), so halving ``l`` adds the odd multiples of
-    ``h0 2^-l``: one dyadic s-lattice for every block.  Every round
-    evaluates one level of all blocks still in the batch, packed into as
-    few calls as :func:`_sweep` allows.  After each halving a block settles
+    ``rows(s, block)``, ``windows`` and ``tol`` are as in
+    :func:`path_window`; the last axis of ``rows``' result runs over the
+    nodes.  Yields ``(block, integral)`` as each block settles; a settled
+    block leaves the batch.  Each block keeps its own nested trapezoid sums
+    ``T(h)``, so each halving evaluates only new midpoints.  Its window is
+    rounded outward to the coarse lattice ``h0 Z`` (:func:`_coarse_step`),
+    so halving ``l`` adds odd multiples of ``h0 2^-l``: one dyadic
+    s-lattice for every block.  The coarse sum runs over the whole window,
+    but halvings add only the midpoints of the block's measured support:
+    the coarse cells from one cell before its first node whose envelope
+    (``max over rows |value|``) exceeds ``tol`` over the window's width to
+    one cell after its last.  The omitted midpoints lie beyond nodes that
+    are negligible in this sense, so, times ``h``, they sum to at most
+    ``tol`` (``0.01 abs_tol`` for the transform blocks), the budget the
+    window's ends already use.  Every round evaluates one level of all
+    blocks still in the batch, packed into as few calls as :func:`_sweep`
+    allows.  After each halving a block settles
     on ``T(h)`` once every row moved by less than ``abs_tol`` from
     ``T(2h)``: on an analytic integrand that is negligible at both ends of
     the window, as :func:`path_window` makes it, the trapezoid error falls
@@ -275,19 +311,21 @@ def path_integral(rows, windows, settings: QuadSettings, n_rows: int = 1):
     h0 = _coarse_step(settings)
     paths = [_Path(s_lo, s_hi, h0) for s_lo, s_hi in windows]
     active = list(range(len(paths)))
-    accs = _sweep(rows, active, lambda i: paths[i].grid(), n_rows,
-                  _coarse_sum, operator.add)
-    for p, acc in zip(paths, accs):
+    coarse = _sweep(rows, active, lambda i: paths[i].grid(), n_rows,
+                    _coarse, _join)
+    for p, (acc, envelope) in zip(paths, coarse):
         p.acc = acc
         p.trap = p.h * acc
+        p.confine(envelope, tol)
     for _ in range(settings.max_halvings + 1):
         sums = _sweep(rows, active, lambda i: paths[i].midpoints(), n_rows,
                       _sum, operator.add)
         still = []
         for i, part in zip(active, sums):
             p = paths[i]
-            p.acc = p.acc + part
-            p.n *= 2
+            if part is not None:  # None: no midpoint in the support
+                p.acc = p.acc + part
+            p.m *= 2
             p.h *= 0.5
             p.trap, p.coarse = p.h * p.acc, p.trap
             if np.max(np.abs(p.trap - p.coarse)) < settings.abs_tol:
@@ -374,5 +412,5 @@ def q_laplace(F, lam: complex, z: complex, base: QBase,
     before any integration.
     """
     rows, window = _scalar_path(F, lam, z, base, cert, settings)
-    [(_, value)] = path_integral(rows, [window], settings)
+    [(_, value)] = path_integral(rows, [window], settings, settings.abs_tol)
     return complex(value)

@@ -168,7 +168,7 @@ def _transform_blocks(items) -> None:
                for (sc, _), z in zip(new, zs)],
         quad, tol, n_rows)
     try:
-        for i, value in path_integral(rows, windows, quad, n_rows):
+        for i, value in path_integral(rows, windows, quad, tol, n_rows):
             sc, key = new[i]
             sc._cache[key] = value
     except ConvergenceError as exc:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qgevrey.cli import main
@@ -60,6 +61,14 @@ BAD_VALUES = [
     (("sampling", "seed"), "x", "check"),
     (("sampling", "residual", "n_points"), "x", "verify residual"),
     (("sampling", "flatness", "pair"), [99, 100], "verify flatness"),
+    (("sampling", "residual", "n_points"), -5, "verify residual"),
+    (("sampling", "properties", "n_points"), 0, "verify properties"),
+    (("sampling", "flatness", "n_points"), 0, "verify flatness"),
+    (("sampling", "asympt", "k_max"), 5, "verify asympt"),
+    (("sampling", "asympt", "k_max"), -1, "verify asympt"),
+    (("sampling", "asympt", "k_max"), 1, "verify asympt"),
+    (("sampling", "asympt", "depth"), 0, "verify asympt"),
+    (("sampling", "asympt", "depth"), 1, "verify asympt"),
     ("QGEVREY_ABS_TOL", "abc", "check"),
 ]
 
@@ -373,6 +382,32 @@ class TestVerifyCommands:
             for name in (csv, "verify_%s_report.json" % mode):
                 assert (runs[0] / name).read_bytes() == \
                     (runs[1] / name).read_bytes(), (mode, name)
+
+    def test_demo_integrand_calls_pinned(self, tmp_path, monkeypatch):
+        # CoefficientEvaluator.table calls of each verify mode on the
+        # shipped demo.json: the transform modes make one batch of all the
+        # blocks they read (across charts), so a change that splits the
+        # batches again, or halves beyond each block's support, shows here.
+        # One batch per chart over whole windows took 126, 50 and 58;
+        # verify properties took 80 one-column calls.
+        from qgevrey.problem import CoefficientEvaluator
+        table = CoefficientEvaluator.table
+        calls = []
+
+        def counted(self, eps, tau, beta_max):
+            calls.append(np.size(tau))
+            return table(self, eps, tau, beta_max)
+
+        monkeypatch.setattr(CoefficientEvaluator, "table", counted)
+        cfg = write_config(tmp_path, json.loads(shipped_config_text("demo")))
+        counts = {}
+        for mode in ("residual", "flatness", "asympt", "properties"):
+            calls.clear()
+            assert main(["verify", mode, "--config", cfg, "--out-dir",
+                         str(tmp_path / mode)]) == 0
+            counts[mode] = len(calls)
+        assert counts == {"residual": 57, "flatness": 33, "asympt": 41,
+                          "properties": 1}
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):
         cfg = write_config(tmp_path, trimmed(demo_doc))

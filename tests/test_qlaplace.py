@@ -313,7 +313,8 @@ class TestLatticeKernel:
             return rows(s, block)
 
         with pytest.raises(ConvergenceError):
-            list(path_integral(recorded, [(s_lo, s_hi)], settings))
+            list(path_integral(recorded, [(s_lo, s_hi)], settings,
+                               settings.abs_tol))
         assert len(seen) == 6
         assert seen[0][0] == s_lo and seen[0][-1] == s_hi
         for level, s in enumerate(seen):
@@ -367,7 +368,8 @@ class TestSweepCap:
 
     def test_unsettled_block_stays_under_cap(self, demo_cfg, monkeypatch):
         # a block near the kernel's pole spiral that has not settled after
-        # 5 halvings: its last level (1,040 nodes) is split, not one call
+        # 5 halvings: its last level (672 nodes, the midpoints of its
+        # support) is split, not one call
         from qgevrey import ConvergenceError
         from qgevrey.qgeometry import BLOCK
         from qgevrey.solution import _transform_blocks
@@ -380,4 +382,4 @@ class TestSweepCap:
         with pytest.raises(ConvergenceError):
             _transform_blocks([(sc, (eps, complex(0.7 * np.exp(1.01j))))])
         cap = BLOCK // 2 // (sc.beta_max + 1)
-        assert max(sizes) == cap and sizes[-2:] == [cap, 1040 - cap]
+        assert max(sizes) == cap and sizes[-2:] == [cap, 672 - cap]

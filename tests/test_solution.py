@@ -140,6 +140,8 @@ def oracle_block(demo, lam, eps, t, step=1.0 / 32.0, s_max=30.0):
 class TestTransformBlockOracle:
     @pytest.mark.parametrize("abs_tol", [1e-8, 1e-12])
     def test_block_within_abs_tol(self, demo, abs_tol):
+        # blocks whose halvings run on the measured support only, at t and
+        # at the residual's dilated key q t
         from qgevrey.solution import _transform_block
         quad = QuadSettings(abs_tol=abs_tol, max_halvings=16)
         for idx in (20, 21, 0):
@@ -147,14 +149,18 @@ class TestTransformBlockOracle:
             for level in (0, 2):
                 eps = (np.exp(2j * math.pi * sc.chart.u_mid)
                        * demo.base.q ** (sc.chart.v_mid - level))
-                got = _transform_block(sc, eps, 0.7)
-                want = oracle_block(demo, sc.lam, eps, 0.7)
-                assert np.max(np.abs(got - want)) <= abs_tol, (idx, level)
+                for t in (0.7, demo.base.q * 0.7):
+                    got = _transform_block(sc, eps, t)
+                    want = oracle_block(demo, sc.lam, eps, t)
+                    assert np.max(np.abs(got - want)) <= abs_tol, \
+                        (idx, level, t)
 
     def test_node_columns_pinned(self, demo, eps20, monkeypatch):
         # node-columns of one chart-20 block at abs_tol = 1e-8, counted by
         # wrapping the integrand rows: the window probe (2), the coarse
-        # grid on the h0 = 1/2 lattice (62) and three halvings.
+        # grid on the h0 = 1/2 lattice (62) and three halvings of the 38
+        # coarse cells of its support (38, 76, 152; 61, 122, 244 over the
+        # whole window).  491 node-columns over the whole window.
         import qgevrey.solution as solution
         columns = []
 
@@ -171,7 +177,7 @@ class TestTransformBlockOracle:
                                 counting(getattr(solution, name)))
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
-        assert sum(columns) == 491
+        assert columns == [2, 62, 38, 76, 152]
 
     def test_kernel_points_pinned(self, demo, eps20, monkeypatch):
         # the same block's theta series points, one per residue of s mod 1
@@ -219,12 +225,41 @@ class TestTransformBatch:
                 got = batch._cache[complex(eps), complex(t)]
                 assert np.array_equal(got, want), (idx, eps, t)
 
+    @pytest.mark.parametrize("abs_tol", [1e-8, 1e-12])
+    def test_batch_across_charts_equals_one_chart_batches_bitwise(
+            self, demo, abs_tol):
+        from qgevrey.solution import _transform_blocks
+        quad = QuadSettings(abs_tol=abs_tol, max_halvings=16)
+        charts = [demo.chart_solution(idx, quad=quad) for idx in (20, 21, 0)]
+        items = [(sc, (mid_eps(demo, sc, level), t)) for sc in charts
+                 for level in (0, 2) for t in (0.7, 0.6 - 0.2j)]
+        _transform_blocks(items)
+        for sc in charts:
+            one = demo.chart_solution(sc.chart_index, quad=quad)
+            _transform_blocks([(one, key) for owner, key in items
+                               if owner is sc])
+            assert len(one._cache) == 4
+            for key, want in one._cache.items():
+                assert np.array_equal(sc._cache[key], want), \
+                    (sc.chart_index, key)
+
+    def test_batch_rejects_charts_that_differ(self, demo, monkeypatch):
+        from qgevrey.solution import _transform_blocks
+        sc20 = demo.chart_solution(20, quad=TIGHT)
+        sc21 = demo.chart_solution(21, quad=QuadSettings(abs_tol=1e-8))
+        calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
+        with pytest.raises(ValueError, match="charts 20 and 21 differ"):
+            _transform_blocks([(sc20, (mid_eps(demo, sc20, 0), 0.7)),
+                               (sc21, (mid_eps(demo, sc21, 0), 0.7))])
+        assert calls == [] and sc20._cache == {} == sc21._cache
+
     def test_flatness_batch_integrand_calls_pinned(self, demo, monkeypatch):
         # both charts' 26 flatness blocks each (13 eps levels, 2 grid
         # points) at the demo's flatness settings: one batch, each probe
         # round and halving level packed into calls of at most BLOCK // 2
-        # values.  One block at a time took 260 calls, one batch per
-        # chart 50.
+        # values, each halving only on its block's support.  One block at
+        # a time took 260 calls, one batch per chart 50, one batch for
+        # both charts over whole windows 46.
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -236,7 +271,7 @@ class TestTransformBatch:
                      demo.gevrey)
         assert len(sc1._cache) == len(sc2._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
-        assert len(columns) == 46
+        assert len(columns) == 33
         assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
 
     def test_failure_names_block_and_keeps_settled(self, demo):
