@@ -15,9 +15,13 @@ majorant; :func:`path_window` widens each window until the integrand is
 negligible at both its ends, and :func:`path_integral` halves each block's
 step on nested trapezoid nodes until every one of its integrand rows has
 settled.  On such a window the trapezoid rule converges exponentially.
-All nodes lie on one dyadic s-lattice, on which :func:`kernel` sums the
-theta series once per residue of ``s mod 1``.  Each block keeps its own
-window, halvings and stopping test, but every probe round and halving
+The halvings add midpoints only on the support the coarse pass measured,
+where the integrand is above the same negligibility threshold as the
+window ends, so the omitted ones stay within the same ``tol``.  All nodes
+lie on one dyadic s-lattice, on which :func:`kernel` sums the theta
+series once per block and residue of ``s mod 1``, each block with its own
+direction ``lam`` and point ``z``.  Each block keeps its own window,
+halvings and stopping test, but every probe round and halving
 level evaluates the nodes of all blocks still open in as few integrand
 calls as hold ``BLOCK // 2`` values (a larger block is split), so the
 per-call cost of the integrand is paid once per level, not once per

@@ -9,12 +9,13 @@ where ``T_beta`` is the transform of ``tau -> W_beta(eps, tau)`` along the
 chart direction.  All orders at one ``(eps, t)`` pair share one quadrature
 grid, a transform block, and are cached together per pair for reuse by the
 residual and the diagnostics.  Each diagnostic requests all the pairs it
-needs on a chart up front, and they are computed as one batch: every probe
-round and halving level of the path quadrature evaluates the nodes of all
-blocks still open in as few integrand calls as fit one memory cap, while
-each block keeps its own window, halvings and stopping test.  A batch
-computes the recursion's eps factors once per eps, and its kernel sums the
-theta series once per block and residue of the dyadic s-lattice.
+needs, on all its charts, up front, and they are computed as one batch:
+every probe round and halving level of the path quadrature evaluates the
+nodes of all blocks still open in as few integrand calls as fit one memory
+cap, while each block keeps its own direction, window, halvings and
+stopping test.  A batch computes the recursion's eps factors once per eps,
+and its kernel sums the theta series once per block and residue of the
+dyadic s-lattice.
 
 Quantitative experiments built on top:
 
@@ -54,9 +55,9 @@ class SolutionChart:
 
     The per-(eps, t) transform cache is single-writer: populate from one
     thread (or use one chart object per worker) and share read-only
-    afterwards.  Distinct (eps, t) pairs are computed in batches
-    (:func:`_transform_blocks`): one integrand call evaluates a halving
-    level of many blocks.
+    afterwards.  Distinct (eps, t) pairs, of this chart and others, are
+    computed in batches (:func:`_transform_blocks`): one integrand call
+    evaluates a halving level of many blocks.
     """
 
     chart_index: int
@@ -106,13 +107,15 @@ def _transform_blocks(items) -> None:
     :mod:`qgevrey.qlaplace`'s window and nested-halving loop, in which each
     block keeps its own direction, window, halvings and stopping test.  The
     charts must share problem, initial data, base, ``beta_max`` and
-    ``quad`` (else ``ValueError``).  The windows leave the integrand
-    negligible at both ends, where the trapezoid sums converge
-    exponentially, so a block returns them as soon as every order moved by
-    less than abs_tol between halvings.  Before any integrand call, per
-    chart, every eps is tested against the chart's discrete spiral and
-    then every ``z = eps t`` for theta-safety, each in one array call that
-    names the first failing key.  The batch builds the
+    ``quad`` (else ``ValueError``).  The windows leave the integrand below
+    ``tol = 0.01 abs_tol`` over their width at both ends, where the
+    trapezoid sums converge exponentially; the halvings add midpoints only
+    where the coarse pass found the integrand above that threshold, within
+    the same ``tol``; and a block returns its sums as soon as every order
+    moved by less than abs_tol between halvings.  Before any integrand
+    call, per chart, every eps is tested against the chart's discrete
+    spiral and then every ``z = eps t`` for theta-safety, each in one array
+    call that names the first failing key.  The batch builds the
     :class:`EpsFactors` of its distinct eps once and one
     :func:`qgevrey.qlaplace.kernel` for its ``(lam, z)``; each ``z`` is a
     Python scalar product, as a one-pair call computes it, so a block's
