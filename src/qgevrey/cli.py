@@ -299,7 +299,6 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
               ["k", "grid_index", "t_re", "t_im", "z_re", "z_im",
                "chart1_re", "chart1_im", "chart2_re", "chart2_im",
                "rel_difference", "stabilization"], rows)
-    gf = sol.gevrey_fit(series1, cfg.base)
     report.add("asympt_orders", "pass" if series1.k_max >= k_max else "fail",
                "stabilization within config.sampling.asympt.depth",
                extracted=series1.k_max, requested=k_max,
@@ -308,6 +307,12 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
                "pass" if worst_rel <= rel_match else "fail",
                "config.sampling.asympt.rel_match",
                worst_rel=worst_rel, rel_match=rel_match)
+    if len(series1.coeffs) < sol.GEVREY_FIT_ORDERS:
+        report.add("gevrey_type", "fail", "least squares on remainder growth",
+                   note="the type fit needs %d extracted orders, got %d"
+                   % (sol.GEVREY_FIT_ORDERS, len(series1.coeffs)))
+        return
+    gf = sol.gevrey_fit(series1, cfg.base)
     report.add("gevrey_type",
                "pass" if (gf.degenerate or gf.b_type > 0) else "warn",
                "least squares on remainder growth",

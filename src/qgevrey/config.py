@@ -281,6 +281,12 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
         _require(lo <= value <= hi, "sampling.%s.%s = %d must be %s"
                  % (name, key, value, "at least %d" % lo if hi == math.inf
                     else "between %d and %d" % (lo, hi)))
+    # a depth schedule names one depth per extracted order
+    asympt = samp["asympt"]
+    depths, k_max = asympt.get("depths", []), asympt.get("k_max", 3)
+    _require(not depths or len(depths) > k_max,
+             "sampling.asympt.depths lists %d depths; k_max = %d needs %d"
+             % (len(depths), k_max, k_max + 1))
 
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,

@@ -24,15 +24,22 @@ array of points, and a scalar point still gives a scalar answer.  Batched
 intermediates are capped at ``BLOCK`` elements and built without BLAS.
 A zero or non-finite point raises :class:`DomainError`.
 
-The clearance scan finds the least value of ``|1 + w q^-k|^2`` on a fine
-k-grid without evaluating the whole grid.  A coarse pass evaluates every
+The clearance scan finds the grid minima of ``|1 + w q^-k|^2`` on a
+k-grid without evaluating the whole grid.  The grid spacing is ``step``
+along the spiral's logarithm ``log(w q^-k)``, so ``step / |log q|`` in k:
+the grid length depends on the base only through ``|log q| / log|q|``,
+which is 1 at every real base (1,388 grid values at ``delta = 0.2``,
+where a fixed spacing in k took 2,001 at ``q = 2`` and 22,182 at
+``e^{1/16}``).  A coarse pass evaluates every
 ``STRIDE``-th grid value; a bound on the second derivative says how far
-the grid values between two coarse ones can dip below the lesser of them,
-so every coarse cell that cannot reach below the least coarse value is
-skipped, and only the kept cells are swept in full.  Every grid index
-holding the least value lies in a kept cell, so the scan returns the same
-index as a sweep of the whole grid, and the refinement that follows is
-unchanged bit for bit.
+the values between two coarse ones can dip below the lesser of them, so
+every coarse cell that cannot reach below the least coarse value is
+skipped, and only the kept cells are swept in full.  The same bound over
+one grid spacing says how far the minimum between two grid points can lie
+below them: every grid minimum within that bound of the row's least value
+is refined (the tie rule), so a basin whose minimum falls between grid
+points is refined even when another basin holds the least grid value.
+The candidates are those of a sweep of the whole grid.
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ _SCAN_VALUES = BLOCK // 8
 # level shrinks the bracket (_REFINE_POINTS - 1) / 2 = 16 times
 _REFINE_POINTS = 33
 _REFINE_LEVELS = 4
-_REFINE_GRID = np.arange(float(_REFINE_POINTS))
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,8 @@ def _scan_tables(base: QBase, delta: float, step: float):
     ``A_j = 1 + rho_j^2``, ``B_j = 2 rho_j cos(j step Im(log q))``,
     ``C_j = 2 rho_j sin(j step Im(log q))``, ``rho_j = m_hi |q|^(-j step)``,
     so the tables depend on ``(base, delta, step)`` only.  They are cached
-    and read-only.
+    and read-only.  ``step`` is the spacing in k here:
+    :func:`spiral_min_distance` passes its ``step / |log q|``.
     """
     m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
     m_hi = 1.0 + 3.0 * delta
@@ -286,8 +293,10 @@ def _scan_cells(base: QBase, delta: float, step: float):
     ``min(c s, n - 1 - s)``, read-only views of every ``s + 1``
     consecutive values of ``A, B, C`` (the window at a start holds its
     whole cell; the last one may reach back into the previous cell, and
-    no table value is copied), and ``drop``: the most a grid value inside
-    a cell can lie below the lesser of the cell's end values.
+    no table value is copied), ``tie``: the most the minimum between two
+    neighbouring grid points can lie below the lesser of them, and
+    ``drop``: the most a grid value inside a cell can lie below the lesser
+    of the cell's end values, plus ``tie``.
     """
     m_hi, A, B, C = _scan_tables(base, delta, step)[1:]
     n = A.size
@@ -300,21 +309,29 @@ def _scan_cells(base: QBase, delta: float, step: float):
     # of the turn k Im(log q) times the 2 m_hi of B and C
     margin = 1e-12 * (1.0 + m_hi) ** 2 * (1.0 + abs(base.log_q.imag)
                                           * step * n)
-    drop = _curvature_drop(base, m_hi, s * step) + margin
-    return (A[ends], B[ends], C[ends], starts) + windows + (drop,)
+    tie = _curvature_drop(base, m_hi, step) + margin
+    drop = _curvature_drop(base, m_hi, s * step) + tie
+    return (A[ends], B[ends], C[ends], starts) + windows + (drop, tie)
 
 
-def _scan_argmin(cos_w, sin_w, cells) -> np.ndarray:
-    """Per row, the least grid index of the least ``A + cos_w B + sin_w C``.
+def _scan_candidates(cos_w, sin_w, cells):
+    """Rows and grid indices of the grid minima that may hold a row's minimum.
 
-    ``cells`` is :func:`_scan_cells`.  A coarse pass evaluates the cell
-    ends; a cell whose lesser end value, lowered by ``drop``, exceeds the
-    least end value of its row holds no grid minimum and is skipped.  The
-    kept cells' windows are swept in full, with the values and the tie
-    rule (least index) of one sweep of the whole grid.
+    ``cells`` is :func:`_scan_cells`; the grid values of a row are
+    ``A + cos_w B + sin_w C``.  A coarse pass evaluates the cell ends; a
+    cell whose lesser end value, lowered by ``drop``, exceeds the least
+    end value of its row holds no candidate and is skipped.  The kept
+    cells' windows are swept in full, each giving its least value and the
+    first index holding it.  A window is a candidate when its least value
+    lies within ``tie`` of its row's least value: the continuous minimum
+    of a window outside that band lies above a grid value of the row, so
+    it cannot be the row's minimum.  The candidates are those of a sweep
+    of the whole grid, in (row, index) order, each row at least once and
+    no pair twice.
     """
-    A, B, C, starts, Aw, Bw, Cw, drop = cells
-    i = np.empty(cos_w.size, dtype=np.intp)
+    A, B, C, starts, Aw, Bw, Cw, drop, tie = cells
+    found_rows = [np.empty(0, dtype=np.intp)]
+    found_at = [np.empty(0, dtype=np.intp)]
     rows = max(1, _SCAN_VALUES // A.size)
     pairs = max(1, _SCAN_VALUES // Aw.shape[1])
     for r in range(0, cos_w.size, rows):
@@ -338,11 +355,14 @@ def _scan_argmin(cos_w, sin_w, cells) -> np.ndarray:
             f += Aw[sp]
             least[p:p + pairs] = f.min(axis=1)
             at[p:p + pairs] += f.argmin(axis=1)
-        # per row (each keeps the cells at its least coarse value), the
-        # least index among its windows' least values
         first = np.searchsorted(row, np.arange(cw.shape[0]))
-        i[r:r + rows] = at[np.lexsort((at, least, row))[first]]
-    return i
+        near = least <= np.minimum.reduceat(least, first)[row] + tie
+        # neighbouring windows share an end: an index found by both
+        # comes twice in a row, with the same value
+        near[1:] &= (at[1:] != at[:-1]) | (row[1:] != row[:-1])
+        found_rows.append(row[near] + r)
+        found_at.append(at[near])
+    return np.concatenate(found_rows), np.concatenate(found_at)
 
 
 def _curvature_drop(base: QBase, rho: float, h: float) -> float:
@@ -355,36 +375,57 @@ def _curvature_drop(base: QBase, rho: float, h: float) -> float:
     return (abs(base.log_q) * 0.5 * h) ** 2 * rho * (2.0 * rho + 1.0)
 
 
-def _distance(w: np.ndarray, k: np.ndarray, base: QBase) -> np.ndarray:
-    """``|1 + w q^-k|`` for broadcast ``w`` and real ``k``, built in place."""
-    z = k * -base.log_q
-    np.exp(z, out=z)
-    z *= w
-    z += 1.0
-    return np.abs(z)
+@functools.lru_cache(maxsize=2)
+def _refine_powers(base: QBase, step: float) -> np.ndarray:
+    """``q^(-h j)`` for ``j = -1, ..., _REFINE_POINTS - 1``, one row per
+    nested-grid level of :func:`spiral_min_distance`: level ``l`` spaces
+    its points ``h = step (2 / (_REFINE_POINTS - 1))^(l + 1)`` apart.
+    Cached and read-only."""
+    h = step * (2.0 / (_REFINE_POINTS - 1)) ** np.arange(
+        1.0, _REFINE_LEVELS + 1)
+    powers = np.exp(h[:, None] * np.arange(-1.0, _REFINE_POINTS)
+                    * -base.log_q)
+    powers.flags.writeable = False
+    return powers
 
 
 def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     """Lower bound on the min over real k of ``|1 + w q^-k|``.
 
     Only the modulus band ``|w q^-k|`` near 1 can produce values below
-    ``min(3*delta, (1+delta)/2)``; the band is scanned on a k-grid of
-    spacing ``step`` (through the cached tables of :func:`_scan_tables`),
-    then the bracket around the best grid point is refined on nested grids
-    of exact values.
+    ``min(3*delta, (1+delta)/2)``; the band is scanned on a k-grid (through
+    the cached tables of :func:`_scan_tables`), then the grid minima that
+    may hold the minimum are refined on nested grids of exact values.
+
+    ``step`` is the grid spacing along the spiral's logarithm
+    ``log(w q^-k)``, that is ``step / |log q|`` in k, so the grid costs
+    as much near ``|q| = 1`` as at ``q = 2``.  At ``delta = 0.2`` the band
+    spans ``log 4`` in ``log|w q^-k|``: every real base takes 1,388 grid
+    values, and a complex base ``|log q| / log|q|`` times as many (1,547
+    at ``1.5 e^{0.2i}``, 1,777 at ``1.0645 e^{0.05i}``, 6,799 at
+    ``e^{1/16 + 0.3i}``, which turns 0.3 rad per level).
 
     The scan is pruned.  A coarse pass evaluates every ``STRIDE``-th grid
     value.  ``M = 2 |log q|^2 m_hi (2 m_hi + 1)`` bounds the second
     derivative of ``|1 + w q^-k|^2`` in k on the band, so inside a coarse
-    cell of width ``h`` no grid value lies more than ``M h^2 / 8`` (plus a
+    cell of width ``h`` no value lies more than ``M h^2 / 8`` (plus a
     rounding margin) below the lesser end value; a cell that cannot reach
-    below the least coarse value holds no grid minimum and is skipped.
-    The kept cells are swept in full, and the index found is the least
-    index of the least grid value, exactly as a sweep of the whole grid
-    finds it.
+    below the least coarse value is skipped, and the kept cells are swept
+    in full.
 
-    The least value found is lowered by the same bound on the last nested
-    grid (the most the minimum can lie below it between two points of that
+    Ties are refined too.  Between two neighbouring grid points the
+    minimum lies at most ``tie = M step^2 / 8`` (k units, plus the rounding
+    margin) below the lesser of them, so every window whose least grid
+    value is within ``tie`` of its row's least value is a candidate: near
+    an angle where two basins are equally deep the deeper one need not
+    hold the least grid value.  Each candidate's bracket (its two
+    neighbouring grid cells) is refined on nested grids; the values
+    ``w q^-(k_lo + h j)`` are ``(w q^-k_lo) (q^-h)^j``, one complex
+    exponential per candidate and one table of powers per level.  A row
+    takes the least value over its candidates.
+
+    That value is lowered by the curvature bound on the last nested grid
+    (the most the minimum can lie below it between two points of that
     grid), so ``> delta`` is a safe decision for any delta in (0, 1): the
     result stays within ~1e-15 of the minimum where the minimum is away
     from 0, and is 0 where the spiral passes through -1.  Array-valued: an
@@ -395,27 +436,42 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     wa = _points(w, "spiral base must be nonzero")
-    m_lo, m_hi = _scan_tables(base, float(delta), float(step))[:2]
+    step = float(step) / abs(base.log_q)  # k units from here on
+    m_lo, m_hi = _scan_tables(base, float(delta), step)[:2]
     flat = wa.ravel()
     k1 = (np.log(np.abs(flat)) - math.log(m_hi)) / base.log_abs_q
     phi = np.angle(flat) - k1 * base.log_q.imag
-    i = _scan_argmin(np.cos(phi), np.sin(phi),
-                     _scan_cells(base, float(delta), float(step)))
-    # exact values at the grid minimum and on nested grids around it: a
-    # level spaces _REFINE_POINTS points over the bracket of the previous
-    # minimum's two neighbouring cells (a bracket may stick out of the
-    # band; any real k is a valid point)
-    best = _distance(flat, k1 + step * i, base)
-    rows = BLOCK // _REFINE_POINTS
-    for r in range(0, flat.size, rows):
-        wb = flat[r:r + rows, None]
-        k_lo = k1[r:r + rows] + step * (i[r:r + rows] - 1)
-        h = 2.0 * step / (_REFINE_POINTS - 1)
-        for _ in range(_REFINE_LEVELS):
-            g = _distance(wb, k_lo[:, None] + h * _REFINE_GRID, base)
-            np.minimum(best[r:r + rows], g.min(axis=1), out=best[r:r + rows])
-            k_lo = k_lo + h * (g.argmin(axis=1) - 1)
-            h *= 2.0 / (_REFINE_POINTS - 1)
+    row, i = _scan_candidates(np.cos(phi), np.sin(phi),
+                              _scan_cells(base, float(delta), step))
+    # exact values on nested grids around each candidate: a level spaces
+    # _REFINE_POINTS points over the bracket of the previous minimum's two
+    # neighbouring cells (a bracket may stick out of the band; any real k
+    # is a valid point).  powers[l, a] moves the bracket start by a - 1
+    # points of level l.
+    powers = _refine_powers(base, step)
+    least = np.empty(row.size)
+    rows = _SCAN_VALUES // _REFINE_POINTS
+    z = np.empty((min(rows, row.size), _REFINE_POINTS), dtype=complex)
+    g = np.empty(z.shape)
+    for c in range(0, row.size, rows):
+        rc = row[c:c + rows]
+        zc, gc, lc = z[:rc.size], g[:rc.size], least[c:c + rows]
+        # complex products out of place: numpy rounds an in-place product
+        # of one element differently, and a row's value must not depend
+        # on the batch around it
+        start = flat[rc] * np.exp((k1[rc] + step * (i[c:c + rows] - 1))
+                                  * -base.log_q)
+        lc[:] = np.inf
+        for p in powers:
+            np.multiply(start[:, None], p[1:], out=zc)
+            zc += 1.0
+            np.abs(zc, out=gc)
+            a = gc.argmin(axis=1)
+            np.minimum(lc, gc[np.arange(rc.size), a], out=lc)
+            start = start * p[a]
+    # each row is a candidate at least once: its least refined value
+    best = np.minimum.reduceat(least,
+                               np.searchsorted(row, np.arange(flat.size)))
     # rho = |w q^-k| <= m_hi |q|^step on every bracket, and the minimum
     # lies within half a last-grid spacing of a last-grid point
     rho = m_hi * math.exp(step * base.log_abs_q)
@@ -432,11 +488,14 @@ def in_theta_safe(z, lam: complex, base: QBase, delta: float,
                   step: float = 1e-3):
     """Whether ``|1 + lam / (z q^k)| > delta`` for every real ``k``.
 
-    Array-valued in ``z``: an array gives a boolean array of its shape,
-    scanned in one :func:`spiral_min_distance` call, and a scalar gives a
-    ``bool``.  Each ``lam / z`` is the quotient a scalar ``z`` gives, so
-    an entry's answer does not depend on the array around it.  A zero
-    ``lam``, or a zero or non-finite ``z``, raises :class:`DomainError`.
+    Decided by the certified lower bound of :func:`spiral_min_distance`,
+    whose ``step`` is the grid spacing along the spiral's logarithm: the
+    test costs the same near ``|q| = 1`` as at ``q = 2``.  Array-valued in
+    ``z``: an array gives a boolean array of its shape, scanned in one
+    :func:`spiral_min_distance` call, and a scalar gives a ``bool``.  Each
+    ``lam / z`` is the quotient a scalar ``z`` gives, so an entry's answer
+    does not depend on the array around it.  A zero ``lam``, or a zero or
+    non-finite ``z``, raises :class:`DomainError`.
     """
     message = "theta-safe test needs z != 0 and lam != 0"
     if lam == 0:

@@ -234,8 +234,13 @@ def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:
 
 
 def check_point(sc: SolutionChart, eps: complex, t: complex) -> list[str]:
-    """Domain warnings for an evaluation point (hard failures raise)."""
-    _require_on_spiral(sc, [eps])
+    """Domain warnings for an evaluation point.
+
+    The hard failures come from the transform blocks every caller reads:
+    :func:`_transform_blocks` tests each eps against the chart's discrete
+    spiral before it computes a block, or tested it when the block was
+    cached, so the point is not tested again here.
+    """
     warns = []
     if sc.t_set is not None:
         inside = (sc.t_set.mod[0] <= abs(t) <= sc.t_set.mod[1]
@@ -552,6 +557,11 @@ def extract_from_samples(samples: np.ndarray, eps_values, q: complex,
                             grid=tuple(grid))
 
 
+#: Fewest extracted orders :func:`gevrey_fit` takes: it fits three
+#: parameters to one remainder per order.
+GEVREY_FIT_ORDERS = 3
+
+
 @dataclass(frozen=True)
 class GevreyFit:
     c1: float
@@ -572,8 +582,9 @@ def gevrey_fit(series: AsymptoticSeries, base: QBase) -> GevreyFit:
     an exact polynomial).
     """
     n_orders = len(series.coeffs)
-    if n_orders < 3:
-        raise ValueError("need at least 3 extracted orders")
+    if n_orders < GEVREY_FIT_ORDERS:
+        raise ValueError("need at least %d extracted orders"
+                         % GEVREY_FIT_ORDERS)
     L = base.log_abs_q
     remainders = []
     for N in range(n_orders):

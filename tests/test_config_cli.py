@@ -69,6 +69,7 @@ BAD_VALUES = [
     (("sampling", "asympt", "k_max"), 1, "verify asympt"),
     (("sampling", "asympt", "depth"), 0, "verify asympt"),
     (("sampling", "asympt", "depth"), 1, "verify asympt"),
+    (("sampling", "asympt", "depths"), [14, 8], "verify asympt"),
     ("QGEVREY_ABS_TOL", "abc", "check"),
 ]
 
@@ -345,6 +346,23 @@ class TestVerifyCommands:
                      "--out-dir", out]) == 0
         rows = (tmp_path / "out" / "asympt_coeffs.csv").read_text()
         assert "rel_difference" in rows
+
+    def test_asympt_too_few_orders_for_the_type_fit(self, demo_doc, tmp_path,
+                                                    capsys):
+        # an extraction that stops before order 2 leaves the type fit too
+        # few orders: a failed row with a note and a report, no traceback
+        doc = trimmed(demo_doc)
+        doc["sampling"]["asympt"].update(depths=[], tol=1e-5)
+        cfg = write_config(tmp_path, doc)
+        assert main(["verify", "asympt", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" /
+                             "verify_asympt_report.json").read_text())
+        rows = {c["name"]: c for c in report["checks"]}
+        assert rows["asympt_orders"]["extracted"] < 2
+        assert rows["gevrey_type"]["status"] == "fail"
+        assert "needs 3 extracted orders" in rows["gevrey_type"]["note"]
 
     def test_properties_mode(self, demo_doc, tmp_path):
         cfg = write_config(tmp_path, trimmed(demo_doc))

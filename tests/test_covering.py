@@ -8,7 +8,8 @@ from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
                      QBase, build_covering, in_discrete_spiral, overlap_point,
                      pick_lambda, validate_covering, validate_family)
 from qgevrey.config import load_shipped_config
-from qgevrey.covering import seam_probes
+from qgevrey.covering import CoveringReport, seam_probes
+from qgevrey.qgeometry import BLOCK
 
 class TestBuildCovering:
     def test_default_grid(self, base2):
@@ -80,6 +81,81 @@ class TestValidateCovering:
         c = build_covering(5, 5, 0.1)
         rep = validate_covering(c, b, 3000, seed=9)
         assert rep.ok
+
+
+def full_covering_report(c, base, n_samples, seed=0):
+    """validate_covering's report with every point tested against every
+    chart: the same samples and probes, no sorting and no u-slices."""
+    L = base.log_abs_q
+    r_max = min(math.exp(ch.i2[0] * L) for ch in c.charts)
+    r_min = r_max * math.exp(-3.0 * L)
+    rng = np.random.default_rng(seed)
+    mods = np.exp(rng.uniform(math.log(r_min), math.log(r_max), n_samples))
+    args = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    probes = seam_probes(c, base)
+    pts = np.concatenate([mods * np.exp(1j * args), probes])
+    owner = np.concatenate([np.full(n_samples, -1),
+                            np.arange(probes.size) // 3])
+    counts = np.zeros(len(c.charts), dtype=np.int64)
+    mult = np.zeros(pts.size, dtype=np.int64)
+    for idx, ch in enumerate(c.charts):
+        inside = in_discrete_spiral(pts, ch, base) & (owner != idx)
+        counts[idx] = np.count_nonzero(inside)
+        mult += inside
+    n_unc = int(np.count_nonzero(mult == 0))
+    return CoveringReport(covered=n_unc == 0,
+                          max_multiplicity=int(mult.max(initial=0)),
+                          n_uncovered=n_unc,
+                          n_quadruple=int(np.count_nonzero(mult >= 4)),
+                          per_chart_counts=tuple(int(k) for k in counts),
+                          r_min=r_min, r_max=r_max)
+
+
+class TestUSlices:
+    """Each chart tests only its own u-slice of the sorted points; the
+    report must equal the one of testing every point against every
+    chart."""
+
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shipped_configs(self, name, seed):
+        cfg = load_shipped_config(name)
+        n = cfg.sampling["n_cover_samples"]
+        assert validate_covering(cfg.covering, cfg.base, n, seed=seed) == \
+            full_covering_report(cfg.covering, cfg.base, n, seed=seed)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(7)
+        for q in (2.0, math.exp(1.0 / 16.0), 1.5 * cmath.exp(0.2j),
+                  1.8 * cmath.exp(-0.4j)):
+            base = QBase(q)
+            for _ in range(6):
+                n_u, n_v = (int(k) for k in rng.integers(5, 9, 2))
+                overlap = rng.uniform(0.0, 0.95) * min(
+                    1.0 / n_v, 0.25 * n_u - 1.0, 0.25 * n_v - 1.0)
+                c = build_covering(n_u, n_v, overlap)
+                seed = int(rng.integers(2**31))
+                assert validate_covering(c, base, 3000, seed=seed) == \
+                    full_covering_report(c, base, 3000, seed=seed)
+
+    def test_charts_wrapping_past_one(self, base2):
+        # u-intervals reaching below 0 or past 1, or starting a hair below
+        # 0 (whose remainder mod 1 rounds to 1.0)
+        c = GoodCovering(charts=(
+            ChartBase(i1=(-0.1, 0.1), i2=(-0.4, -0.2)),
+            ChartBase(i1=(0.9, 1.1), i2=(-0.3, -0.1)),
+            ChartBase(i1=(-1e-17, 0.2), i2=(-0.5, -0.3)),
+            ChartBase(i1=(0.8, 1.0), i2=(-0.45, -0.25)),
+            ChartBase(i1=(0.0, 0.15), i2=(-0.35, -0.15))))
+        for seed in range(4):
+            assert validate_covering(c, base2, 5000, seed=seed) == \
+                full_covering_report(c, base2, 5000, seed=seed)
+
+    def test_more_points_than_one_block(self, base2):
+        c = build_covering(5, 5, 0.1)
+        n = BLOCK + 5000
+        assert validate_covering(c, base2, n, seed=4) == \
+            full_covering_report(c, base2, n, seed=4)
 
 
 class TestPickLambda:

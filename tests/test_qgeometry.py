@@ -14,7 +14,7 @@ from qgevrey import (ChartBase, ContinuousBase, DomainError, QBase,
 from qgevrey import qgeometry
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import seam_probes
-from qgevrey.qgeometry import _scan_argmin, _scan_cells, _scan_tables
+from qgevrey.qgeometry import _scan_candidates, _scan_cells, _scan_tables
 
 # deterministic property runs: the same examples on every run, no database
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -440,26 +440,48 @@ class TestBatchedMinDistance:
         np.testing.assert_array_equal(grid.ravel(), single)
 
 
-def full_scan_argmin(cos_w, sin_w, A, B, C):
-    """Per row, the argmin of ``A + cos_w B + sin_w C`` over the whole grid.
+def full_scan_values(cos_w, sin_w, A, B, C):
+    """Every grid value ``A + cos_w B + sin_w C``, one row per ``w``: the
+    sweep of the whole grid that the pruned scan replaced."""
+    sq = cos_w[:, None] * B
+    sq += sin_w[:, None] * C
+    sq += A
+    return sq
 
-    The sweep of every grid value that the pruned scan replaced, kept as
-    the reference for its index.
+
+def full_scan_candidates(cos_w, sin_w, cells, A, B, C):
+    """Per row, the candidates of a sweep of the whole grid.
+
+    Every window of ``cells`` is swept: its least value and the first
+    index holding it.  The windows whose least value lies within ``tie``
+    of the row's least value are the candidates, in (row, index) order
+    and each pair once.  Also returns each row's least index of its
+    least grid value.
     """
-    i = np.empty(cos_w.size, dtype=np.intp)
-    rows = max(1, qgeometry.BLOCK // A.size)
-    for r in range(0, cos_w.size, rows):
-        sq = cos_w[r:r + rows, None] * B
-        sq += sin_w[r:r + rows, None] * C
-        sq += A
-        i[r:r + rows] = sq.argmin(axis=1)
-    return i
+    starts, window, tie = cells[3], cells[4].shape[1], cells[-1]
+    rows, found, argmin = [], [], []
+    for r in range(cos_w.size):
+        sq = full_scan_values(cos_w[r:r + 1], sin_w[r:r + 1], A, B, C)[0]
+        f = sq[starts[:, None] + np.arange(window)]
+        least = f.min(axis=1)
+        near = least <= least.min() + tie
+        at = np.unique(starts[near] + f.argmin(axis=1)[near])
+        rows.append(np.full(at.size, r))
+        found.append(at)
+        argmin.append(sq.argmin())
+    return np.concatenate(rows), np.concatenate(found), np.array(argmin)
+
+
+def k_step(base, step):
+    """The k-grid spacing of spiral_min_distance at spacing ``step`` along
+    ``log(w q^-k)``."""
+    return step / abs(base.log_q)
 
 
 def scan_inputs(w, base, delta, step):
     """``cos(phi), sin(phi)`` of each ``w`` as spiral_min_distance has
-    them."""
-    m_hi = _scan_tables(base, delta, step)[1]
+    them (``step`` along the spiral)."""
+    m_hi = _scan_tables(base, delta, k_step(base, step))[1]
     flat = np.asarray(w, dtype=complex).ravel()
     k1 = (np.log(np.abs(flat)) - math.log(m_hi)) / base.log_abs_q
     phi = np.angle(flat) - k1 * base.log_q.imag
@@ -467,23 +489,30 @@ def scan_inputs(w, base, delta, step):
 
 
 def assert_scan_matches_full(w, base, delta=0.2, step=1e-3):
-    """The pruned scan's grid index and spiral_min_distance equal the full
-    sweep's, bit for bit; returns the full sweep's indices."""
-    A, B, C = _scan_tables(base, delta, step)[2:]
+    """The pruned scan's candidates and spiral_min_distance equal those of
+    a sweep of the whole grid, bit for bit; each candidate's grid value
+    lies within ``tie`` of its row's least value, and the least index of
+    that value is a candidate.  Returns the candidates' rows and indices
+    and each row's least index."""
+    cells = _scan_cells(base, delta, k_step(base, step))
+    A, B, C = _scan_tables(base, delta, k_step(base, step))[2:]
     cos_w, sin_w = scan_inputs(w, base, delta, step)
-    want = full_scan_argmin(cos_w, sin_w, A, B, C)
-    got = _scan_argmin(cos_w, sin_w, _scan_cells(base, delta, step))
-    assert np.array_equal(got, want)
+    row, at, argmin = full_scan_candidates(cos_w, sin_w, cells, A, B, C)
+    got = _scan_candidates(cos_w, sin_w, cells)
+    assert np.array_equal(got[0], row) and np.array_equal(got[1], at)
+    sq = full_scan_values(cos_w, sin_w, A, B, C)
+    assert (sq[row, at] <= sq.min(axis=1)[row] + cells[-1]).all()
+    assert set(zip(range(argmin.size), argmin)) <= set(zip(row, at))
 
     def full(c, s, cells):
-        return full_scan_argmin(c, s, A, B, C)
+        return full_scan_candidates(c, s, cells, A, B, C)[:2]
 
-    with mock.patch.object(qgeometry, "_scan_argmin", full):
+    with mock.patch.object(qgeometry, "_scan_candidates", full):
         reference = spiral_min_distance(w, base, delta, step)
     pruned = spiral_min_distance(w, base, delta, step)
     assert type(pruned) is type(reference)
     assert np.array_equal(pruned, reference)
-    return want
+    return row, at, argmin
 
 
 SCAN_BASES = (2.0, math.exp(1.0 / 16.0), 1.0645 * cmath.exp(0.05j),
@@ -514,13 +543,15 @@ class TestPrunedScan:
         # where the deepest basin jumps to another one far along the grid,
         # the two are equally deep; next to that angle the coarse values
         # rank them by how near a cell end each minimum falls, so only the
-        # curvature bound keeps the deeper one's cell
+        # curvature bound keeps the deeper one's cell; at the angle both
+        # basins are candidates, since the deeper one need not hold the
+        # least grid value
         b = QBase(q)
-        A, B, C = _scan_tables(b, 0.2, 1e-3)[2:]
+        A, B, C = _scan_tables(b, 0.2, k_step(b, 1e-3))[2:]
 
         def index(a):
-            return full_scan_argmin(*scan_inputs(on_circle(a), b, 0.2, 1e-3),
-                                    A, B, C)
+            return full_scan_values(*scan_inputs(on_circle(a), b, 0.2, 1e-3),
+                                    A, B, C).argmin(axis=1)
 
         angles = np.linspace(0.0, 2.0 * math.pi, 2001)
         i = index(angles)
@@ -534,21 +565,22 @@ class TestPrunedScan:
                 hi = mid
         d = np.logspace(-14.0, -3.0, 45)
         ws = on_circle(lo + np.concatenate([-d, [0.0], d]))
-        found = assert_scan_matches_full(ws, b)
-        assert np.ptp(found) > 3 * qgeometry.STRIDE
+        row, at, argmin = assert_scan_matches_full(ws, b)
+        assert np.ptp(argmin) > 3 * qgeometry.STRIDE
+        assert np.ptp(at[row == d.size]) > 3 * qgeometry.STRIDE
 
     def test_minimum_at_grid_ends(self):
         # positive w: |1 + w q^-k| falls with |w q^-k|, least at the last
         # grid index; a fast-turning base over a short band: the spiral
         # turns away from -1 along the grid, least at the first index
         b = QBase(2.0)
-        n = _scan_tables(b, 0.2, 1e-3)[2].size
-        assert (assert_scan_matches_full(np.array([1.0, 2.5, 0.7]), b)
+        n = _scan_tables(b, 0.2, k_step(b, 1e-3))[2].size
+        assert (assert_scan_matches_full(np.array([1.0, 2.5, 0.7]), b)[2]
                 == n - 1).all()
         b = QBase(cmath.exp(1.0 / 16.0 + 0.3j))
         ws = on_circle(np.linspace(0.0, 2.0 * math.pi, 720))
-        found = assert_scan_matches_full(ws, b, delta=0.01)
-        n = _scan_tables(b, 0.01, 1e-3)[2].size
+        found = assert_scan_matches_full(ws, b, delta=0.01)[2]
+        n = _scan_tables(b, 0.01, k_step(b, 1e-3))[2].size
         assert (found == 0).any() and (found == n - 1).any()
 
     @pytest.mark.parametrize("delta,step,cells", [
@@ -557,6 +589,8 @@ class TestPrunedScan:
         (0.005, 1e-3, "one"),           # 45
         (1e-6, 1e-3, "one")])           # 2
     def test_grid_lengths(self, delta, step, cells, rng):
+        # step is the spacing in k here; spiral_min_distance takes it
+        # along the spiral, log(2) times as long
         b = QBase(2.0)
         n = _scan_tables(b, delta, step)[2].size
         kind = ("one" if n <= qgeometry.STRIDE + 1 else
@@ -565,6 +599,8 @@ class TestPrunedScan:
         ws = rng.uniform(0.3, 3.0, 50) * np.exp(
             1j * rng.uniform(0.0, 2.0 * math.pi, 50))
         ws[::5] = -np.exp(rng.uniform(-2.0, 2.0, 10) * b.log_q)
+        step = step * abs(b.log_q)
+        assert _scan_tables(b, delta, k_step(b, step))[2].size == n
         assert_scan_matches_full(ws, b, delta, step)
 
     @pytest.mark.parametrize("q", [2.0, math.exp(1.0 / 16.0)])
@@ -576,7 +612,8 @@ class TestPrunedScan:
         assert_scan_matches_full(ws[:1], b)
         # more rows than one coarse block; at q = 2 one block's kept
         # windows also fill more than one fine-pass chunk
-        rows = qgeometry._SCAN_VALUES // _scan_cells(b, 0.2, 1e-3)[0].size
+        rows = qgeometry._SCAN_VALUES // _scan_cells(
+            b, 0.2, k_step(b, 1e-3))[0].size
         assert ws.size > rows
         assert_scan_matches_full(ws.reshape(5, 80), b)
 
@@ -587,3 +624,125 @@ class TestPrunedScan:
         b = QBase(q)
         w = cmath.exp(level * b.log_q + 1j * angle)
         assert_scan_matches_full(np.array([w, -w, -qpow(b, level)]), b)
+
+
+def closed_form_real(w, delta):
+    """The clearance of ``w`` at a real base: ``w q^-k`` runs over the ray
+    through ``w``, nearest to -1 at ``|sin arg w|`` when ``cos arg w < 0``;
+    capped at the band floor ``min(1 - m_lo, m_hi - 1)``."""
+    m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
+    a = np.angle(w)
+    near = np.where(np.cos(a) < 0.0, np.abs(np.sin(a)), 1.0)
+    return np.minimum(near, min(1.0 - m_lo, 3.0 * delta))
+
+
+def golden_min(f, lo, hi, iters=120):
+    """Least value of ``f`` found by golden-section search on each
+    bracket ``[lo, hi]`` (arrays), ``f`` vectorized."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo.copy(), hi.copy()
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    best = np.minimum(np.minimum(f(a), f(b)), np.minimum(fc, fd))
+    for _ in range(iters):
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c, d = b - g * (b - a), a + g * (b - a)
+        fc, fd = f(c), f(d)
+        best = np.minimum(best, np.minimum(fc, fd))
+    return best
+
+
+def band_grid(w, base, delta, n=4001):
+    """``f(k) = |1 + w q^-k|``, a grid of ``n`` values of k over the band
+    where ``|w q^-k|`` lies in ``[m_lo, m_hi]``, and ``f`` on it."""
+    m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
+    m_hi = 1.0 + 3.0 * delta
+    L = base.log_abs_q
+    k = np.linspace((math.log(abs(w)) - math.log(m_hi)) / L,
+                    (math.log(abs(w)) - math.log(m_lo)) / L, n)
+
+    def f(kk):
+        return np.abs(1.0 + w * np.exp(-kk * base.log_q))
+
+    return f, k, f(k)
+
+
+def true_min_distance(w, base, delta):
+    """Min over real k of ``|1 + w q^-k|``, capped at the band floor
+    ``min(1 - m_lo, m_hi - 1)`` (outside the band no value lies below
+    it): every local minimum of a fine grid over the band is polished by
+    golden-section search on its two neighbouring cells, and the least is
+    taken.  Uses no qgevrey numerics."""
+    f, k, v = band_grid(w, base, delta)
+    pad = np.concatenate([[np.inf], v, [np.inf]])
+    basins = np.flatnonzero((v <= pad[:-2]) & (v <= pad[2:]))
+    lo = k[np.maximum(basins - 1, 0)]
+    hi = k[np.minimum(basins + 1, k.size - 1)]
+    return min(float(golden_min(f, lo, hi).min()), 3.0 * delta,
+               1.0 - max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta)))
+
+
+class TestClearanceOracle:
+    """spiral_min_distance against references that use none of its code."""
+
+    @pytest.mark.parametrize("q", [2.0, math.exp(1.0 / 16.0)])
+    @pytest.mark.parametrize("delta", [0.2, 0.05])
+    def test_real_base_closed_form(self, q, delta, rng):
+        b = QBase(q)
+        angles = np.concatenate([
+            np.linspace(0.0, 2.0 * math.pi, 1441),
+            math.pi + np.logspace(-12.0, -1.0, 45) * rng.choice([-1, 1], 45)])
+        ws = rng.uniform(0.05, 20.0, angles.size) * np.exp(1j * angles)
+        got = spiral_min_distance(ws, b, delta)
+        want = closed_form_real(ws, delta)
+        # a certified lower bound: never above the minimum
+        assert (got <= want + 1e-15).all()
+        # and exact to 1e-12, except where the minimum nears 0: there the
+        # last nested grid's curvature bound (~4e-16 in the squared
+        # distance) lowers a minimum x by about 2e-16 / x
+        away = want > 1e-3
+        assert np.abs(got - want)[away].max() <= 1e-12
+        assert np.abs(got - want).max() <= 2e-8
+
+    @pytest.mark.parametrize("q", [1.0645 * cmath.exp(0.05j),
+                                   1.5 * cmath.exp(0.2j),
+                                   cmath.exp(1.0 / 16.0 + 0.3j)])
+    def test_equal_depth_basins_lower_bound(self, q):
+        # where the deepest basin jumps along the spiral, two basins are
+        # equally deep; on either side of that angle the deeper one may
+        # not hold the least grid value (at e^{1/16+0.3i}, refining only
+        # the least grid value's bracket overshoots the minimum by 2.4e-8
+        # at an offset of 1.5e-6 rad), and the result must stay below the
+        # true minimum anyway
+        b = QBase(q)
+
+        def where(a):
+            # the k of the deepest basin, to a fine grid's spacing
+            f, k, v = band_grid(cmath.exp(1j * a), b, 0.2)
+            return k[np.argmin(v)]
+
+        angles = np.linspace(0.0, 2.0 * math.pi, 721)
+        ks = np.array([where(a) for a in angles])
+        jump = 10.0 * k_step(b, 1e-3)
+        ties = []
+        for j in np.flatnonzero(np.abs(np.diff(ks)) > jump):
+            lo, hi = angles[j], angles[j + 1]
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                if abs(where(mid) - ks[j]) <= jump:
+                    lo = mid
+                else:
+                    hi = mid
+            # a jump that survives the bisection, not a fast slide
+            if abs(where(hi) - where(lo)) > jump:
+                ties.append(lo)
+        assert ties
+        d = np.logspace(-13.0, -3.0, 61)
+        for tie in ties:
+            ws = on_circle(tie + np.concatenate([-d, [0.0], d]))
+            got = spiral_min_distance(ws, b, 0.2)
+            want = np.array([true_min_distance(w, b, 0.2) for w in ws])
+            assert (got <= want + 1e-15).all(), (tie, np.max(got - want))
+            assert (want - got).max() <= 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -86,6 +87,42 @@ class TestEvaluateSolution:
         with pytest.raises(DomainError) as err:
             evaluate_solution(chart20, 0.9, 0.7, 0.3)
         assert err.value.membership == "discrete_spiral"
+
+    @pytest.mark.parametrize("call", ["evaluate_solution",
+                                      "equation_residual",
+                                      "initial_condition"])
+    def test_off_spiral_eps_names_the_chart(self, demo, call):
+        # the spiral test runs once, in the transform batch every caller
+        # reads, before any block is computed
+        sc = demo.chart_solution(20, quad=TIGHT)
+        fn = {"evaluate_solution": evaluate_solution,
+              "equation_residual": equation_residual,
+              "initial_condition": lambda sc, eps, t, z:
+                  initial_condition(sc, 0, eps, t)}[call]
+        with pytest.raises(DomainError) as err:
+            fn(sc, 0.9, 0.7, 0.3)
+        assert err.value.membership == "discrete_spiral"
+        assert "discrete spiral of chart 20" in str(err.value)
+        assert sc._cache == {}
+
+    def test_verify_residual_tests_each_chart_once(self, tmp_path,
+                                                   monkeypatch):
+        # one array test per chart of the batch, one entry per distinct
+        # (eps, t) key; the points are not tested again one by one
+        from qgevrey import solution
+        from qgevrey.cli import main
+        from qgevrey.config import shipped_config_text
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(shipped_config_text("demo"))
+        calls = count_calls(monkeypatch, solution, "in_discrete_spiral")
+        assert main(["verify", "residual", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        charts = [chart for eps, chart, base in calls]
+        assert len(charts) == len(set(charts))
+        n_points = json.loads(shipped_config_text("demo"))[
+            "sampling"]["residual"]["n_points"]
+        assert sum(np.size(eps) for eps, chart, base in calls) \
+            == 2 * n_points  # keys t and q t: the demo's one term has m0 = 1
 
     def test_unsafe_kernel_point_rejected(self, demo, chart20, eps20):
         # rotate t so that eps*t aligns with the direction's pole spiral

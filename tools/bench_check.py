@@ -1,0 +1,156 @@
+"""Machine-independent counts and in-process layer timings of ``check``.
+
+    python3 tools/bench_check.py [--runs N]
+
+Run from the root of a source checkout (the program is imported from the
+``src/`` next to this script).  Prints one JSON object:
+
+* ``grid_values``: the k-grid length of the clearance scan
+  (:func:`qgevrey.qgeometry.spiral_min_distance`) at ``delta = 0.2`` and
+  the default ``step``, for five bases;
+* ``candidates_per_row``: grid minima refined per scanned point during one
+  ``check`` on each shipped config;
+* ``strict_ms``: the median over N in-process ``check`` runs on
+  ``strict_exponents_fail.json`` (after three warm-up runs) of the time
+  spent in ``spiral_min_distance``, ``validate_covering`` and
+  ``admissibility_fit``, and of the whole ``run_check``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import functools
+import json
+import math
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from qgevrey import cli, covering, problem, qgeometry  # noqa: E402
+from qgevrey.config import load_shipped_config  # noqa: E402
+from qgevrey.report import Report  # noqa: E402
+
+BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
+         "1.0645 e^(0.05i)": 1.0645 * cmath.exp(0.05j),
+         "1.5 e^(0.2i)": 1.5 * cmath.exp(0.2j),
+         "e^(1/16+0.3i)": cmath.exp(1.0 / 16.0 + 0.3j)}
+CONFIGS = ("demo", "strict_exponents_fail")
+
+
+def patched(owner, name, wrap):
+    """Replace ``owner.name`` by ``wrap(original)``; returns an undo."""
+    original = getattr(owner, name)
+    setattr(owner, name, wrap(original))
+    return lambda: setattr(owner, name, original)
+
+
+def grid_values() -> dict:
+    """Length of the scan tables one spiral_min_distance call reads."""
+    build = qgeometry._scan_tables.__wrapped__  # uncached: every call seen
+    sizes = []
+
+    def tables(*args):
+        out = build(*args)
+        sizes.append(out[2].size)
+        return out
+
+    out = {}
+    undo = patched(qgeometry, "_scan_tables", lambda fn: tables)
+    try:
+        for label, q in BASES.items():
+            qgeometry.spiral_min_distance(0.7 + 0.2j, qgeometry.QBase(q),
+                                          0.2)
+            out[label] = sizes[-1]
+    finally:
+        undo()
+    return out
+
+
+def candidates_per_row() -> dict:
+    """Refined grid minima per scanned point over one check per config."""
+    seen = {"rows": 0, "refined": 0}
+
+    def wrap(fn):
+        def scan(cos_w, sin_w, cells):
+            row, at = fn(cos_w, sin_w, cells)
+            seen["rows"] += cos_w.size
+            seen["refined"] += row.size
+            return row, at
+        return scan
+
+    out = {}
+    for cfg_name in CONFIGS:
+        cfg = load_shipped_config(cfg_name)
+        undo = patched(qgeometry, "_scan_candidates", wrap)
+        try:
+            cli.run_check(cfg, cfg.sampling.get("seed", 0),
+                          Report(command="check", config=cfg_name, seed=0))
+        finally:
+            undo()
+        out[cfg_name] = round(seen["refined"] / seen["rows"], 4)
+        seen.update(rows=0, refined=0)
+    return out
+
+
+def strict_ms(runs: int) -> dict:
+    """Median in-process ms per layer over ``runs`` strict checks."""
+    cfg = load_shipped_config("strict_exponents_fail")
+    spent = {"spiral_min_distance": 0.0, "validate_covering": 0.0,
+             "admissibility_fit": 0.0}
+
+    def timer(label):
+        def wrap(fn):
+            @functools.wraps(fn)
+            def timed(*args, **kwargs):
+                t0 = time.perf_counter()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    spent[label] += time.perf_counter() - t0
+            return timed
+        return wrap
+
+    # covering holds its own reference to spiral_min_distance
+    undo = [patched(owner, "spiral_min_distance",
+                    timer("spiral_min_distance"))
+            for owner in (qgeometry, covering)]
+    undo += [patched(covering, "validate_covering",
+                     timer("validate_covering")),
+             patched(problem, "admissibility_fit",
+                     timer("admissibility_fit"))]
+    samples = {k: [] for k in list(spent) + ["run_check"]}
+    try:
+        for r in range(runs + 3):
+            for k in spent:
+                spent[k] = 0.0
+            t0 = time.perf_counter()
+            cli.run_check(cfg, cfg.sampling.get("seed", 0),
+                          Report(command="check", config="strict", seed=0))
+            wall = time.perf_counter() - t0
+            if r >= 3:
+                for k, v in spent.items():
+                    samples[k].append(v)
+                samples["run_check"].append(wall)
+    finally:
+        for u in reversed(undo):
+            u()
+    return {k: round(1e3 * statistics.median(v), 2)
+            for k, v in samples.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--runs", type=int, default=30)
+    args = parser.parse_args()
+    print(json.dumps({"grid_values": grid_values(),
+                      "candidates_per_row": candidates_per_row(),
+                      "strict_ms": strict_ms(args.runs)}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
