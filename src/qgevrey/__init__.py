@@ -7,8 +7,7 @@ from .qgeometry import (ChartBase, ContinuousBase, QBase, in_continuous_spiral,
                         in_discrete_spiral, in_theta_safe, qpow,
                         spiral_coordinates, spiral_min_distance)
 from .theta import log_theta, pi_q, theta
-from .qlaplace import (GrowthCertificate, QuadSettings, q_laplace,
-                       truncation_window)
+from .qlaplace import QuadSettings, q_laplace, truncation_window
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm, admissibility_fit,
                       apply_shift_operator, check_constant_system,

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm)
 from .qgeometry import ContinuousBase, QBase
-from .qlaplace import GrowthCertificate, QuadSettings
+from .qlaplace import QuadSettings
 from .solution import BETA_MAX_LIMIT, SolutionChart
 
 TWO_PI = 2.0 * math.pi
@@ -109,7 +109,6 @@ class RunConfig:
     family: AssociatedFamily
     lambdas: tuple[complex, ...]
     quad: QuadSettings
-    cert: GrowthCertificate
     beta_max: int
     sampling: dict  # converted values; grid entries as (t, z) pairs
     raw: dict
@@ -119,7 +118,7 @@ class RunConfig:
                                   base=self.base)
         kw = dict(chart_index=index, chart=self.covering.charts[index],
                   lam=self.lambdas[index], evaluator=ev,
-                  beta_max=self.beta_max, quad=self.quad, cert=self.cert,
+                  beta_max=self.beta_max, quad=self.quad,
                   delta=self.family.delta, t_set=self.family.t_set)
         kw.update(overrides)
         return SolutionChart(**kw)
@@ -246,11 +245,8 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
         family = AssociatedFamily(v_sets=v_sets, t_set=fam["t_set"],
                                   rho0=fam["rho0"], delta=fam["delta"])
 
-    sk = {"beta_max": int, "cert_c1": float, "cert_mbar": float}
-    sol = _fields(doc["solution"], sk, set(sk), "solution")
-    with _field("solution"):
-        cert = GrowthCertificate(c1=sol["cert_c1"], mbar=sol["cert_mbar"])
-    beta_max = sol["beta_max"]
+    beta_max = _fields(doc["solution"], {"beta_max": int}, {"beta_max"},
+                       "solution")["beta_max"]
     _require(problem.s_order <= beta_max <= BETA_MAX_LIMIT,
              "solution.beta_max = %d is unsupported: it must lie between "
              "the equation order %d and %d"
@@ -291,8 +287,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,
                      covering=covering, family=family, lambdas=lambdas,
-                     quad=quad, cert=cert,
-                     beta_max=beta_max, sampling=samp,
+                     quad=quad, beta_max=beta_max, sampling=samp,
                      raw=doc)
 
 

@@ -44,8 +44,8 @@ from .errors import ConvergenceError, DomainError
 from .problem import CoefficientEvaluator, EpsFactors, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
     qpow
-from .qlaplace import GrowthCertificate, QuadSettings, default_majorant_xi, \
-    kernel, path_integral, path_window, require_theta_safe, truncation_window
+from .qlaplace import QuadSettings, kernel, path_integral, path_window, \
+    require_theta_safe, truncation_window
 from .theta import log_theta, pi_q  # noqa: F401 (perfbench traces it here)
 
 
@@ -66,7 +66,6 @@ class SolutionChart:
     evaluator: CoefficientEvaluator
     beta_max: int = 25
     quad: QuadSettings = field(default_factory=QuadSettings)
-    cert: GrowthCertificate = field(default_factory=lambda: GrowthCertificate(2.0, 0.1))
     delta: float = 0.1
     t_set: ContinuousBase | None = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -119,9 +118,10 @@ def _transform_blocks(items) -> None:
     :class:`EpsFactors` of its distinct eps once and one
     :func:`qgevrey.qlaplace.kernel` for its ``(lam, z)``; each ``z`` is a
     Python scalar product, as a one-pair call computes it, so a block's
-    values do not depend on the batch around it.  A block that does not
-    settle raises :class:`ConvergenceError` naming its chart and key; the
-    blocks that settled stay cached.
+    values do not depend on the batch around it.  A block whose window the
+    probe cannot close, or that does not settle, raises
+    :class:`ConvergenceError` naming its chart and key; the blocks that
+    settled stay cached.
     """
     new, charts = {}, {}
     for sc, (e, t) in items:
@@ -164,13 +164,11 @@ def _transform_blocks(items) -> None:
         return out
 
     tol = 0.01 * quad.abs_tol
-    windows = path_window(
-        rows, [truncation_window(sc.cert, sc.lam, z, base,
-                                 default_majorant_xi(sc.cert, base), tol,
-                                 s_pad=quad.s_pad)
-               for (sc, _), z in zip(new, zs)],
-        quad, tol, n_rows)
     try:
+        windows = path_window(
+            rows, [truncation_window(sc.lam, z, base, tol, s_pad=quad.s_pad)
+                   for (sc, _), z in zip(new, zs)],
+            quad, tol, n_rows)
         for i, value in path_integral(rows, windows, quad, tol, n_rows):
             sc, key = new[i]
             sc._cache[key] = value

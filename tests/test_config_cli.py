@@ -52,8 +52,13 @@ BAD_VALUES = [
     (("covering", "n_u"), 0, "check"),
     (("covering", "overlap"), 5, "check"),
     (("solution", "beta_max"), None, "check"),
-    (("solution", "cert_c1"), -1, "check"),
     (("quad", "initial_step"), 2.0, "check"),
+    (("quad", "initial_step"), -1, "check"),
+    (("quad", "initial_step"), 0, "check"),
+    (("quad", "initial_step"), math.nan, "check"),
+    (("quad", "s_pad"), math.nan, "check"),
+    (("quad", "s_pad"), math.inf, "check"),
+    (("quad", "abs_tol"), math.inf, "check"),
     (("quad", "abs_tol"), "a", "check"),
     (("base", "q"), [1, 0], "check"),
     (("base", "q"), [0.5, 0], "check"),
@@ -110,11 +115,18 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="unknown field"):
             parse_config(doc)
 
-    def test_unknown_nested_field_rejected(self, demo_doc):
-        doc = copy.deepcopy(demo_doc)
-        doc["gevrey"]["bogus"] = 2.0
-        with pytest.raises(ConfigError, match="unknown field"):
-            parse_config(doc)
+    def test_unknown_nested_field_rejected(self, demo_doc, tmp_path, capsys):
+        # solution.cert_c1 was a setting once: configs carrying it now fail
+        for block, key in (("gevrey", "bogus"), ("solution", "cert_c1")):
+            doc = copy.deepcopy(demo_doc)
+            doc[block][key] = 2.0
+            message = "%s has unknown field(s): %s" % (block, key)
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc)
+            assert message in str(err.value)
+            assert main(["check", "--config", write_config(tmp_path, doc),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_required_field_rejected(self, demo_doc):
         doc = copy.deepcopy(demo_doc)
@@ -406,8 +418,9 @@ class TestVerifyCommands:
         # shipped demo.json: the transform modes make one batch of all the
         # blocks they read (across charts), so a change that splits the
         # batches again, or halves beyond each block's support, shows here.
-        # One batch per chart over whole windows took 126, 50 and 58;
-        # verify properties took 80 one-column calls.
+        # One batch per chart over whole windows took 126, 50 and 58, and
+        # the growth-certificate windows 57, 33 and 41; verify properties
+        # took 80 one-column calls.
         from qgevrey.problem import CoefficientEvaluator
         table = CoefficientEvaluator.table
         calls = []
@@ -424,7 +437,7 @@ class TestVerifyCommands:
             assert main(["verify", mode, "--config", cfg, "--out-dir",
                          str(tmp_path / mode)]) == 0
             counts[mode] = len(calls)
-        assert counts == {"residual": 57, "flatness": 33, "asympt": 41,
+        assert counts == {"residual": 56, "flatness": 32, "asympt": 36,
                           "properties": 1}
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):

@@ -5,10 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qgevrey import (DomainError, GrowthCertificate, QBase, QuadSettings,
+from qgevrey import (ConvergenceError, DomainError, QBase, QuadSettings,
                      log_theta, pi_q, q_laplace, truncation_window)
+from qgevrey.qlaplace import _negligible
 
-CERT = GrowthCertificate(c1=2.0, mbar=0.1)
 TIGHT = QuadSettings(abs_tol=1e-12)
 
 
@@ -27,50 +27,58 @@ def reference_transform(F, lam, z, base, s_lo=-45.0, s_hi=45.0, step=1e-4):
     return base.log_q / pi_q(base) * (h / 3.0) * complex(np.dot(w, vals))
 
 
-def majorant(cert, lam, z, base, xi, s):
-    """The integrand majorant that :func:`truncation_window` bounds: growth
-    numerator over the theta lower bound, with the transform prefactor,
-    at path parameter(s) ``s``."""
-    L = base.log_abs_q
-    pref = abs(base.log_q / pi_q(base))
-    x = np.asarray(s, dtype=float) * L + math.log(abs(lam))
-    expo = cert.mbar * x**2 - xi / (2.0 * L) * (x - math.log(abs(z))) ** 2
-    return pref * cert.c1 * np.exp(np.minimum(expo, 700.0))
-
-
 class TestTruncationWindow:
     def test_halving_tolerance_grows_window_slightly(self, base2):
-        w1 = truncation_window(CERT, 1.0, 2.0, base2, 0.8, 1e-8)
-        w2 = truncation_window(CERT, 1.0, 2.0, base2, 0.8, 5e-9)
+        w1 = truncation_window(1.0, 2.0, base2, 1e-8)
+        w2 = truncation_window(1.0, 2.0, base2, 5e-9)
         assert w2[0] <= w1[0] and w2[1] >= w1[1]
         assert (w1[0] - w2[0]) + (w2[1] - w1[1]) < 2.0
 
-    def test_inadmissible_growth_rejected(self, base2):
-        # decay rate vanishes at mbar = xi / (2 log|q|)
-        xi = 0.8
-        bad = GrowthCertificate(c1=1.0, mbar=xi / (2.0 * base2.log_abs_q))
-        with pytest.raises(ValueError):
-            truncation_window(bad, 1.0, 2.0, base2, xi, 1e-8)
-        with pytest.raises(ValueError):
-            q_laplace(lambda x: np.ones_like(x), 1.0, 2.0, base2,
-                      GrowthCertificate(c1=1.0, mbar=1.0))
-
-    def test_majorant_integral_outside_window(self, base2):
-        # the defining property: the majorant mass beyond the window is
-        # below the requested tolerance (summed numerically)
-        cert = GrowthCertificate(c1=1.0, mbar=0.1)
+    @pytest.mark.parametrize("q", [2.0, 1.5 * cmath.exp(0.2j)],
+                             ids=["2", "1.5e^0.2i"])
+    def test_bounded_numerator_negligible_at_first_window_ends(self, q):
+        # the kernel's Gaussian alone closes the window for a bounded
+        # numerator: at both ends of the first window the integrand, with
+        # 1/theta from the mpmath series, is below the probe's threshold
+        base = QBase(q)
+        pref = abs(base.log_q / pi_q(base))
         tol = 1e-10
-        s_lo, s_hi = truncation_window(cert, 1.0, 2.0, base2, 0.8, tol)
-        s = np.arange(s_hi, s_hi + 40.0, 1e-3)
-        right = float(np.trapezoid(majorant(cert, 1.0, 2.0, base2, 0.8, s), s))
-        s = np.arange(s_lo - 40.0, s_lo, 1e-3)
-        left = float(np.trapezoid(majorant(cert, 1.0, 2.0, base2, 0.8, s), s))
-        assert right + left < tol
+        lam = cmath.exp(0.3j)
+        for z in (2.0 * lam, 0.05 * lam, 40.0 * lam * cmath.exp(0.4j)):
+            s_lo, s_hi = truncation_window(lam, z, base, tol)
+            for F in (lambda x: 1.0, lambda x: 1.0 / (1.0 + x)):
+                for s in (s_lo, s_hi):
+                    x = lam * cmath.exp(s * base.log_q)
+                    with mp.workdps(30):
+                        inv = complex(mp_inv_theta(mp.mpc(x / z),
+                                                   mp.mpc(base.q)))
+                    assert pref * abs(F(x) * inv) < _negligible(tol, s_lo,
+                                                                s_hi), (q, z)
+
+    def test_growth_past_kernel_limit_raises_before_halving(self, base2):
+        # F = exp(log^2 x) outgrows the kernel's exp(-log^2|x| / (2 log 2)):
+        # the probe widens the window every round, then reports the block
+        # instead of handing a window it could not close to the halvings.
+        # Clipped at exp(700) F would stay finite but decay again with the
+        # kernel by s ~ 50, where the probe closes the window; unclipped it
+        # overflows, and the overflowing (NaN) ends count as not negligible.
+        calls = []
+
+        def F(x):
+            calls.append(x.size)
+            return np.exp(np.log(np.abs(x)) ** 2)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError) as err:
+                q_laplace(F, 1.0, 2.0, base2, TIGHT)
+        assert err.value.block == 0
+        assert "not negligible at the ends of its window [" in str(err.value)
+        assert calls == [2] * 12  # the probe's ends only: no halving
 
 
 class TestQLaplace:
     def test_zero_function(self, base2):
-        val = q_laplace(lambda x: np.zeros_like(x), 1.0, 2.0, base2, CERT,
+        val = q_laplace(lambda x: np.zeros_like(x), 1.0, 2.0, base2,
                         TIGHT)
         assert val == 0.0
 
@@ -78,17 +86,17 @@ class TestQLaplace:
         F = lambda x: 1.0 / (1.0 + x)
         G = lambda x: x / (1.0 + x) ** 2
         a, b = 2.0 - 1.0j, 0.5 + 0.25j
-        sab = q_laplace(lambda x: a * F(x) + b * G(x), 1.0, 2.0, base2, CERT,
+        sab = q_laplace(lambda x: a * F(x) + b * G(x), 1.0, 2.0, base2,
                         TIGHT)
-        s1 = q_laplace(F, 1.0, 2.0, base2, CERT, TIGHT)
-        s2 = q_laplace(G, 1.0, 2.0, base2, CERT, TIGHT)
+        s1 = q_laplace(F, 1.0, 2.0, base2, TIGHT)
+        s2 = q_laplace(G, 1.0, 2.0, base2, TIGHT)
         assert abs(sab - (a * s1 + b * s2)) <= 2.0 * TIGHT.abs_tol * (
             1.0 + abs(a) + abs(b))
 
     def test_constant_against_fine_oracle(self, base2):
         oracle = reference_transform(lambda x: np.ones_like(x), 1.0, 2.0,
                                      base2)
-        val = q_laplace(lambda x: np.ones_like(x), 1.0, 2.0, base2, CERT,
+        val = q_laplace(lambda x: np.ones_like(x), 1.0, 2.0, base2,
                         TIGHT)
         assert abs(val - oracle) < 1e-11
 
@@ -97,7 +105,7 @@ class TestQLaplace:
         # stated domain precondition fails and must be reported before
         # any integration happens
         with pytest.raises(DomainError) as err:
-            q_laplace(lambda x: np.ones_like(x), 1.0, -2.0, base2, CERT,
+            q_laplace(lambda x: np.ones_like(x), 1.0, -2.0, base2,
                       TIGHT)
         assert err.value.membership == "theta_safe"
 
@@ -157,7 +165,7 @@ class TestMpmathOracle:
     def test_full_line(self, demo_cfg, demo_points, abs_tol):
         settings = QuadSettings(abs_tol=abs_tol)
         for lam, z, F, p_ref, m_ref in demo_points:
-            val = q_laplace(F, lam, z, demo_cfg.base, CERT, settings)
+            val = q_laplace(F, lam, z, demo_cfg.base, settings)
             assert abs(val - (p_ref + m_ref)) <= abs_tol, (lam, z)
 
 
@@ -171,8 +179,8 @@ class TestCommutation:
             phi = (lambda jj, rr: lambda x: x**jj / (1.0 + x) ** rr)(j, r)
             mphi = (lambda jj, rr: lambda x: x ** (jj + 1)
                     / (1.0 + x) ** rr)(j, r)
-            lhs = q_laplace(mphi, 1.0, t0, base2, CERT, settings)
-            rhs = t0 * q_laplace(phi, 1.0, 2.0 * t0, base2, CERT, settings)
+            lhs = q_laplace(mphi, 1.0, t0, base2, settings)
+            rhs = t0 * q_laplace(phi, 1.0, 2.0 * t0, base2, settings)
             assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), 1e-12)
 
 
@@ -181,9 +189,9 @@ class TestDirectionRobustness:
         # directions on one q-ray parameterize the same path
         F = lambda x: 1.0 / (1.0 + x)
         lam = 1.2 * cmath.exp(0.3j)
-        v1 = q_laplace(F, lam, 2.0 * cmath.exp(0.3j), base2, CERT, TIGHT)
+        v1 = q_laplace(F, lam, 2.0 * cmath.exp(0.3j), base2, TIGHT)
         v2 = q_laplace(F, lam * qpow_half(base2), 2.0 * cmath.exp(0.3j),
-                       base2, CERT, TIGHT)
+                       base2, TIGHT)
         assert abs(v1 - v2) <= 20.0 * TIGHT.abs_tol
 
 
@@ -194,7 +202,7 @@ def qpow_half(base: QBase) -> complex:
 class TestStepHalvingConvergence:
     def test_tightening_tolerance_is_cauchy(self, base2):
         F = lambda x: x / (1.0 + x) ** 2
-        vals = [q_laplace(F, 1.0, 2.0, base2, CERT,
+        vals = [q_laplace(F, 1.0, 2.0, base2,
                           QuadSettings(abs_tol=tol))
                 for tol in (1e-6, 1e-8, 1e-10, 1e-12)]
         diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
@@ -210,7 +218,7 @@ class TestStepHalvingConvergence:
             return (np.abs(x) > 1.1).astype(float)
 
         with pytest.raises(ConvergenceError) as err:
-            q_laplace(jump, 1.0, 2.0, base2, CERT,
+            q_laplace(jump, 1.0, 2.0, base2,
                       QuadSettings(abs_tol=1e-10, max_halvings=3))
         assert err.value.last is not None
         assert err.value.previous is not None
@@ -226,8 +234,12 @@ class TestQuadSettings:
             QuadSettings(initial_step=0.75)
         with pytest.raises(ValueError):
             QuadSettings(max_halvings=2)
-        with pytest.raises(ValueError):
-            GrowthCertificate(c1=-1.0, mbar=0.1)
+        for bad in ({"initial_step": 0.0}, {"initial_step": -1.0},
+                    {"initial_step": math.nan}, {"s_pad": math.nan},
+                    {"s_pad": math.inf}, {"abs_tol": math.inf},
+                    {"max_halvings": math.inf}):
+            with pytest.raises(ValueError):
+                QuadSettings(**bad)
 
 
 def mp_inv_theta(x, q):
@@ -303,7 +315,7 @@ class TestLatticeKernel:
                                 max_halvings=4)
         h0 = 0.25  # the largest power of two at most 2 * 0.2
         F = lambda x: (np.abs(x) > 1.1).astype(float)
-        rows, (s_lo, s_hi) = _scalar_path(F, 1.0, 2.0, base2, CERT, settings)
+        rows, (s_lo, s_hi) = _scalar_path(F, 1.0, 2.0, base2, settings)
         assert s_lo / h0 == math.floor(s_lo / h0)
         assert s_hi / h0 == math.floor(s_hi / h0)
         seen = []

@@ -195,9 +195,10 @@ class TestTransformBlockOracle:
     def test_node_columns_pinned(self, demo, eps20, monkeypatch):
         # node-columns of one chart-20 block at abs_tol = 1e-8, counted by
         # wrapping the integrand rows: the window probe (2), the coarse
-        # grid on the h0 = 1/2 lattice (62) and three halvings of the 38
-        # coarse cells of its support (38, 76, 152; 61, 122, 244 over the
-        # whole window).  491 node-columns over the whole window.
+        # grid on the h0 = 1/2 lattice (57) and three halvings of the 38
+        # coarse cells of its support (38, 76, 152; 56, 112, 224 over the
+        # whole window).  451 node-columns over the whole window; the
+        # growth-certificate windows took a coarse grid of 62 (491).
         import qgevrey.solution as solution
         columns = []
 
@@ -214,7 +215,7 @@ class TestTransformBlockOracle:
                                 counting(getattr(solution, name)))
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
-        assert columns == [2, 62, 38, 76, 152]
+        assert columns == [2, 57, 38, 76, 152]
 
     def test_kernel_points_pinned(self, demo, eps20, monkeypatch):
         # the same block's theta series points, one per residue of s mod 1
@@ -296,7 +297,8 @@ class TestTransformBatch:
         # round and halving level packed into calls of at most BLOCK // 2
         # values, each halving only on its block's support.  One block at
         # a time took 260 calls, one batch per chart 50, one batch for
-        # both charts over whole windows 46.
+        # both charts over whole windows 46, and the growth-certificate
+        # windows 33.
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -308,8 +310,33 @@ class TestTransformBatch:
                      demo.gevrey)
         assert len(sc1._cache) == len(sc2._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
-        assert len(columns) == 33
+        assert len(columns) == 32
         assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
+
+    def test_unclosed_window_names_chart_and_key(self, demo, monkeypatch):
+        # NaN integrand values are never negligible: the probe gives up
+        # before any halving, and the error reaches the caller with the
+        # chart and key, carrying no quadrature levels
+        from qgevrey import ConvergenceError
+        from qgevrey.solution import _transform_blocks
+        table = CoefficientEvaluator.table
+        calls = []
+
+        def nan_table(self, *args):
+            calls.append(args)
+            return np.full_like(table(self, *args), np.nan)
+
+        monkeypatch.setattr(CoefficientEvaluator, "table", nan_table)
+        sc = demo.chart_solution(20, quad=TIGHT)
+        eps = mid_eps(demo, sc, 0)
+        with pytest.raises(ConvergenceError) as err:
+            _transform_blocks([(sc, (eps, 0.7))])
+        message = str(err.value)
+        assert "chart 20," in message and str(complex(eps)) in message
+        assert "not negligible at the ends of its window [" in message
+        assert err.value.block == 0
+        assert err.value.last is None and err.value.previous is None
+        assert len(calls) == 12 and sc._cache == {}
 
     def test_failure_names_block_and_keeps_settled(self, demo):
         # a small delta admits t close to the kernel's pole spiral, where
@@ -451,10 +478,9 @@ class TestCommutationAtSolutionLevel:
         base = demo.base
         t = 0.7
         lhs = q_laplace(lambda x: x.copy(), chart20.lam, eps20 * t, base,
-                        chart20.cert, TIGHT)
+                        TIGHT)
         rhs = eps20 * t * q_laplace(lambda x: np.ones_like(x), chart20.lam,
-                                    base.q * eps20 * t, base, chart20.cert,
-                                    TIGHT)
+                                    base.q * eps20 * t, base, TIGHT)
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), 1e-12)
 
 
