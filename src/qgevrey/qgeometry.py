@@ -491,17 +491,19 @@ def in_theta_safe(z, lam: complex, base: QBase, delta: float,
     Decided by the certified lower bound of :func:`spiral_min_distance`,
     whose ``step`` is the grid spacing along the spiral's logarithm: the
     test costs the same near ``|q| = 1`` as at ``q = 2``.  Array-valued in
-    ``z``: an array gives a boolean array of its shape, scanned in one
-    :func:`spiral_min_distance` call, and a scalar gives a ``bool``.  Each
-    ``lam / z`` is the quotient a scalar ``z`` gives, so an entry's answer
-    does not depend on the array around it.  A zero ``lam``, or a zero or
-    non-finite ``z``, raises :class:`DomainError`.
+    ``z`` and ``lam``, which broadcast against each other: arrays give a
+    boolean array of their shape, scanned in one
+    :func:`spiral_min_distance` call, and scalars give a ``bool``.  Each
+    ``lam / z`` is the quotient of two Python complex scalars, so an
+    entry's answer does not depend on the arrays around it.  A zero
+    ``lam``, or a zero or non-finite ``z``, raises :class:`DomainError`.
     """
     message = "theta-safe test needs z != 0 and lam != 0"
-    if lam == 0:
+    la = np.asarray(lam, dtype=complex)
+    if not la.all():
         raise DomainError(message, membership="nonzero")
-    za = _points(z, message)
-    w = lam / z if za.ndim == 0 else np.array(
-        [lam / x for x in za.ravel().tolist()],
-        dtype=complex).reshape(za.shape)
+    za, la = np.broadcast_arrays(_points(z, message), la)
+    w = np.array([l / x for l, x in zip(la.ravel().tolist(),
+                                         za.ravel().tolist())],
+                 dtype=complex).reshape(za.shape)
     return spiral_min_distance(w, base, delta, step=step) > delta

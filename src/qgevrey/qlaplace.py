@@ -19,26 +19,28 @@ blocks in :mod:`qgevrey.solution`, and it runs a batch of blocks
 from the kernel's own Gaussian; :func:`path_window` widens each window
 until the integrand is negligible at both its ends, and
 :func:`path_integral` halves each block's step on nested trapezoid nodes
-until every one of its integrand rows has settled.  On such a window the
-trapezoid rule converges exponentially (Trefethen and Weideman, SIAM
-Review 56(3), 2014).
+until the change between halvings is below ``abs_tol``, or its decay
+predicts the next change below it.  On such a window the trapezoid rule
+converges exponentially (Trefethen and Weideman, SIAM Review 56(3),
+2014), so the changes contract geometrically or faster.
 The halvings add midpoints only on the support the coarse pass measured,
 where the integrand is above the same negligibility threshold as the
 window ends, so the omitted ones stay within the same ``tol``.  All nodes
 lie on one dyadic s-lattice, on which :func:`kernel` sums the theta
 series once per block and residue of ``s mod 1``, each block with its own
-direction ``lam`` and point ``z``.  Each block keeps its own window,
-halvings and stopping test, but every probe round and halving
-level evaluates the nodes of all blocks still open in as few integrand
-calls as hold ``BLOCK // 2`` values (a larger block is split), so the
-per-call cost of the integrand is paid once per level, not once per
-block.  ``q_laplace`` is a batch of one block.
+direction ``lam`` and point ``z``.  A batch is one array state: each
+block keeps its own window, halvings and stopping test in per-block
+arrays, and every probe round and halving level evaluates the nodes of
+all blocks still open in as few integrand calls as hold ``BLOCK // 2``
+values (a larger block is split at block-relative multiples of the cap),
+each reduced with one segmented sum per quantity.  So a level costs a
+fixed number of array operations per integrand call, not per block.
+``q_laplace`` is a batch of one block.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,79 +103,46 @@ def truncation_window(lam: complex, z: complex, base: QBase, tol: float,
     return (x_c - u) / L - s_pad, (x_c + u) / L + s_pad
 
 
-def require_theta_safe(z, lam: complex, base: QBase, delta: float) -> None:
-    """Raise :class:`DomainError` unless ``z`` is theta-safe for
-    ``(lam, delta)``; for a list of ``z``, tested in one array call, the
-    error names the first unsafe one."""
-    safe = in_theta_safe(z, lam, base, delta)
-    if not np.all(safe):
-        bad = z if np.ndim(safe) == 0 else z[int(np.argmin(safe))]
-        raise DomainError(
-            "z = %s is not theta-safe for direction %s at delta = %g"
-            % (bad, lam, delta), membership="theta_safe")
+def theta_unsafe(z, lam, delta: float) -> DomainError:
+    """The :class:`DomainError` for a ``z`` that is not theta-safe for
+    ``(lam, delta)``."""
+    return DomainError("z = %s is not theta-safe for direction %s at delta "
+                       "= %g" % (z, lam, delta), membership="theta_safe")
 
 
-def _sweep(rows, blocks, nodes, n_rows: int, reduce, combine) -> list:
-    """``reduce`` of the integrand values on ``nodes(b)``, for each block
-    ``b`` of ``blocks`` in order.
+def _sweep(rows, blocks, start, step, count, n_rows: int):
+    """The integrand values on the nodes ``start[b] + step[b] k``, ``k <
+    count[b]``, of each block ``b`` of ``blocks`` in order, one
+    ``rows(s, block)`` call at a time.
 
-    Nodes are packed in order into as few ``rows(s, block)`` calls as hold
-    at most ``BLOCK // 2`` complex values (``n_rows`` per node): whole
-    blocks while they fit, and a block larger than that cap in pieces of at
-    most the cap, one call each.  ``reduce(vals, first, last)`` reduces a
-    block's contiguous slice of a call's values right away, told whether
-    the slice holds the block's first and last node, and ``combine`` joins
-    the pieces of a split block; a block without nodes gets ``None``.
-    Nodes are built as their block is packed, and values do not outlive
-    their call.
+    Each block is cut at multiples of ``cap = BLOCK // 2 // n_rows`` nodes
+    into pieces, and the pieces are packed in order into as few calls as
+    hold at most ``cap`` nodes (``n_rows`` complex values each): whole
+    pieces while they fit, so a piece of the cap is a call of its own.  A
+    block's pieces do not depend on the blocks around it.  Yields
+    ``(vals, block, k, seg)`` per call: its values as ``(n_rows, nodes)``,
+    each node's block and block-relative index ``k``, and the first
+    node of each piece, for segmented reductions (``np.add.reduceat``).
+    No block appears twice in one call.  Nodes are built per call, and
+    values do not outlive their call.
     """
     cap = max(BLOCK // 2 // n_rows, 1)
-    out = [None] * len(blocks)
-
-    def call(group):
-        sizes = [piece.size for _, _, piece, _, _ in group]
-        vals = rows(np.concatenate([piece for _, _, piece, _, _ in group]),
-                    np.repeat([b for _, b, _, _, _ in group], sizes))
-        a = 0
-        for (i, _, _, first, last), size in zip(group, sizes):
-            part = reduce(vals[..., a:a + size], first, last)
-            out[i] = part if first else combine(out[i], part)
-            a += size
-
-    group, columns = [], 0
-    for i, b in enumerate(blocks):
-        s = nodes(b)
-        for a in range(0, s.size, cap):
-            piece = s[a:a + cap]
-            if group and columns + piece.size > cap:
-                call(group)
-                group, columns = [], 0
-            group.append((i, b, piece, a == 0, a + cap >= s.size))
-            columns += piece.size
-    if group:
-        call(group)
-    return out
-
-
-def _edge(vals: np.ndarray, first: bool, last: bool) -> float:
-    return np.max(np.abs(vals))
-
-
-def _coarse(vals: np.ndarray, first: bool, last: bool) -> tuple:
-    """The coarse sum, with the trapezoid end weights (half of the block's
-    first and last node), and each node's envelope ``max over rows
-    |value|``."""
-    ends = vals[..., [0] * first + [-1] * last]
-    envelope = np.max(np.abs(vals), axis=tuple(range(vals.ndim - 1)))
-    return vals.sum(axis=-1) - 0.5 * ends.sum(axis=-1), envelope
-
-
-def _join(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], np.concatenate((a[1], b[1]))
-
-
-def _sum(vals: np.ndarray, first: bool, last: bool) -> np.ndarray:
-    return vals.sum(axis=-1)
+    count = count[blocks]
+    n_pieces = -(-count // cap)
+    owner = np.repeat(blocks, n_pieces)
+    first = np.cumsum(n_pieces) - n_pieces
+    off = cap * (np.arange(owner.size) - np.repeat(first, n_pieces))
+    size = np.minimum(np.repeat(count, n_pieces) - off, cap)
+    end = np.cumsum(size)
+    i = 0
+    while i < owner.size:
+        j = int(np.searchsorted(end, end[i] - size[i] + cap, "right"))
+        seg = end[i:j] - end[i] + size[i] - size[i:j]
+        block = np.repeat(owner[i:j], size[i:j])
+        k = np.arange(block.size) - np.repeat(seg - off[i:j], size[i:j])
+        vals = rows(start[block] + step[block] * k, block)
+        yield vals.reshape(n_rows, -1), block, k, seg
+        i = j
 
 
 def _coarse_step(settings: QuadSettings) -> float:
@@ -183,25 +152,25 @@ def _coarse_step(settings: QuadSettings) -> float:
     return math.ldexp(0.5, math.frexp(2.0 * settings.initial_step)[1])
 
 
-def _on_lattice(s_lo: float, s_hi: float, h0: float) -> tuple[float, float]:
+def _on_lattice(s_lo, s_hi, h0: float) -> tuple[np.ndarray, np.ndarray]:
     """``[s_lo, s_hi]`` rounded outward to multiples of ``h0``."""
-    return math.floor(s_lo / h0) * h0, math.ceil(s_hi / h0) * h0
+    return np.floor(s_lo / h0) * h0, np.ceil(s_hi / h0) * h0
 
 
-def _negligible(tol: float, s_lo: float, s_hi: float) -> float:
+def _negligible(tol: float, s_lo, s_hi):
     """The integrand value below which a node of the window ``[s_lo,
     s_hi]`` is negligible: ``tol`` over the window's width (at least 1)."""
-    return tol / max(s_hi - s_lo, 1.0)
+    return tol / np.maximum(s_hi - s_lo, 1.0)
 
 
 PROBE_ROUNDS = 12
 
 
 def path_window(rows, windows, settings: QuadSettings, tol: float,
-                n_rows: int = 1) -> list[tuple[float, float]]:
+                n_rows: int = 1) -> np.ndarray:
     """A batch of windows on the lattice ``h0 Z`` (:func:`_coarse_step`),
     each widened until the integrand (every row) is below ``tol`` over the
-    window's width at both its endpoints.
+    window's width at both its endpoints, as an ``(n, 2)`` array.
 
     ``windows`` holds one :func:`truncation_window` per block and
     ``rows(s, block)`` evaluates the nodes ``s``, of the blocks ``block``,
@@ -215,58 +184,32 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
     decays, or overflows.
     """
     h0 = _coarse_step(settings)
-    windows = [_on_lattice(s_lo, s_hi, h0) for s_lo, s_hi in windows]
-    pending = list(range(len(windows)))
+    s_lo, s_hi = _on_lattice(*np.reshape(windows, (-1, 2)).T, h0)
+    pending = np.arange(s_lo.size)
+    two = np.full(s_lo.size, 2)
     for round_ in range(PROBE_ROUNDS):
-        edges = _sweep(rows, pending, lambda i: np.array(windows[i]), n_rows,
-                       _edge, max)
-        still = [(i, edge) for i, edge in zip(pending, edges)
-                 if not edge <= _negligible(tol, *windows[i])]
-        if not still:
-            return windows
+        edge = np.zeros(s_lo.size)
+        for vals, block, _, seg in _sweep(rows, pending, s_lo, s_hi - s_lo,
+                                          two, n_rows):
+            ends = np.maximum.reduceat(np.abs(vals).max(axis=0), seg)
+            edge[block[seg]] = np.maximum(edge[block[seg]], ends)
+        still = pending[~(edge[pending] <= _negligible(tol, s_lo[pending],
+                                                       s_hi[pending]))]
+        if not still.size:
+            return np.column_stack((s_lo, s_hi))
         if round_ == PROBE_ROUNDS - 1:
             break
-        for i, _ in still:
-            s_lo, s_hi = windows[i]
-            pad = max(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo))
-            windows[i] = _on_lattice(s_lo - pad, s_hi + pad, h0)
-        pending = [i for i, _ in still]
-    i, edge = still[0]
+        pad = np.maximum(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo)[still])
+        s_lo[still], s_hi[still] = _on_lattice(s_lo[still] - pad,
+                                               s_hi[still] + pad, h0)
+        pending = still
+    i = still[0]
     raise ConvergenceError(
         "integrand of block %d is not negligible at the ends of its window "
         "[%.6g, %.6g] after %d probe rounds (largest end value %.3g, "
         "threshold %.3g): it grows as fast as the kernel decays or is not "
-        "finite there" % (i, *windows[i], PROBE_ROUNDS, edge,
-                          _negligible(tol, *windows[i])), block=i)
-
-
-class _Path:
-    """Nested-node state of one block of :func:`path_integral`: its
-    window, and the ``m`` cells of step ``h`` from ``a`` that it halves."""
-
-    def __init__(self, s_lo: float, s_hi: float, h0: float):
-        self.s_lo, self.s_hi = _on_lattice(s_lo, s_hi, h0)
-        self.a, self.h = self.s_lo, h0
-        self.m = max(round((self.s_hi - self.s_lo) / h0), 1)
-        self.acc = self.trap = self.coarse = None
-
-    def grid(self) -> np.ndarray:
-        return self.s_lo + self.h * np.arange(self.m + 1.0)
-
-    def confine(self, envelope: np.ndarray, tol: float) -> None:
-        """Halve only the coarse cells from one cell before the first node
-        above :func:`_negligible` to one cell after the last (none if no
-        node is above it)."""
-        above = np.flatnonzero(envelope > _negligible(tol, self.s_lo,
-                                                      self.s_hi))
-        if above.size == 0:
-            self.m = 0
-            return
-        lo, hi = max(above[0] - 1, 0), min(above[-1] + 1, self.m)
-        self.a, self.m = self.s_lo + lo * self.h, hi - lo
-
-    def midpoints(self) -> np.ndarray:
-        return self.a + self.h * (np.arange(self.m) + 0.5)
+        "finite there" % (i, s_lo[i], s_hi[i], PROBE_ROUNDS, edge[i],
+                          _negligible(tol, s_lo[i], s_hi[i])), block=int(i))
 
 
 def path_integral(rows, windows, settings: QuadSettings, tol: float,
@@ -275,63 +218,91 @@ def path_integral(rows, windows, settings: QuadSettings, tol: float,
 
     ``rows(s, block)``, ``windows`` and ``tol`` are as in
     :func:`path_window`; the last axis of ``rows``' result runs over the
-    nodes.  Yields ``(block, integral)`` as each block settles; a settled
-    block leaves the batch.  Each block keeps its own nested trapezoid sums
-    ``T(h)``, so each halving evaluates only new midpoints.  Its window is
-    rounded outward to the coarse lattice ``h0 Z`` (:func:`_coarse_step`),
-    so halving ``l`` adds odd multiples of ``h0 2^-l``: one dyadic
-    s-lattice for every block.  The coarse sum runs over the whole window,
-    but halvings add only the midpoints of the block's measured support:
-    the coarse cells from one cell before its first node whose envelope
-    (``max over rows |value|``) exceeds ``tol`` over the window's width to
-    one cell after its last.  The omitted midpoints lie beyond nodes that
-    are negligible in this sense, so, times ``h``, they sum to at most
-    ``tol`` (``0.01 abs_tol`` for the transform blocks), the budget the
-    window's ends already use.  Every round evaluates one level of all
-    blocks still in the batch, packed into as few calls as :func:`_sweep`
-    allows.  After each halving a block settles
-    on ``T(h)`` once every row moved by less than ``abs_tol`` from
-    ``T(2h)``: on an analytic integrand that is negligible at both ends of
-    the window, as :func:`path_window` makes it, the trapezoid error falls
-    like ``exp(-c / h)``.  A block still open after ``max_halvings``
-    halvings raises :class:`ConvergenceError` naming it, its window and the
-    halvings, and carrying its last two levels ``T(h)`` and ``T(2h)``,
-    after the blocks settled by then were yielded.
+    nodes.  Yields ``(block, integral)`` as each block settles, the
+    integral an array of ``n_rows``; a settled block leaves the batch.
+
+    The batch is one array state: per block its window, the ``m`` cells
+    from ``a`` that it halves and its running sum ``acc`` of every row,
+    and one step ``h`` for all blocks, which halve in lockstep.  Windows
+    are rounded outward to the coarse lattice ``h0 Z``
+    (:func:`_coarse_step`), so halving ``l`` adds odd multiples of
+    ``h0 2^-l``: one dyadic s-lattice for every block.  The coarse pass and
+    each halving evaluate the new nodes of all blocks still open, packed
+    by :func:`_sweep`, and reduce each call with one segmented sum, so the
+    nested trapezoid sums ``T(h) = h acc`` cost a fixed number of array
+    operations per call, not per block.  The coarse sum runs over the
+    whole window (ends half-weighted), but halvings add only the midpoints
+    of the block's measured support: the coarse cells from one cell before
+    its first node whose envelope (``max over rows |value|``) exceeds
+    ``tol`` over the window's width to one cell after its last.  The
+    omitted midpoints lie beyond nodes that are negligible in this sense,
+    so, times ``h``, they sum to at most ``tol`` (``0.01 abs_tol`` for the
+    transform blocks), the budget the window's ends already use.
+
+    After halving ``l`` a block settles on ``T(h)`` once ``d_l``, the
+    largest change of any row from ``T(2h)``, is below ``abs_tol``, or, from
+    ``l = 2`` on, once ``d_l < d_{l-1}`` and ``d_l^2 < abs_tol d_{l-1}``:
+    on an analytic integrand that is negligible at both ends of the
+    window, as :func:`path_window` makes it, the trapezoid error falls
+    like ``exp(-c / h)``, geometrically or faster from level to level, and
+    then ``d_l^2 / d_{l-1}`` bounds the next change.  A block still open
+    after ``max_halvings`` halvings raises :class:`ConvergenceError` naming
+    it, its window and the halvings, and carrying its last two levels
+    ``T(h)`` and ``T(2h)``, after the blocks settled by then were yielded.
     """
-    h0 = _coarse_step(settings)
-    paths = [_Path(s_lo, s_hi, h0) for s_lo, s_hi in windows]
-    active = list(range(len(paths)))
-    coarse = _sweep(rows, active, lambda i: paths[i].grid(), n_rows,
-                    _coarse, _join)
-    for p, (acc, envelope) in zip(paths, coarse):
-        p.acc = acc
-        p.trap = p.h * acc
-        p.confine(envelope, tol)
+    abs_tol = settings.abs_tol
+    h = _coarse_step(settings)
+    s_lo, s_hi = _on_lattice(*np.reshape(windows, (-1, 2)).T, h)
+    n = s_lo.size
+    m = np.maximum(np.rint((s_hi - s_lo) / h), 1).astype(np.intp)
+    acc = np.zeros((n_rows, n), dtype=complex)
+    big = np.iinfo(np.intp).max
+    lo, hi = np.full(n, big), np.full(n, -1)
+    threshold = _negligible(tol, s_lo, s_hi)
+    for vals, block, k, seg in _sweep(rows, np.arange(n), s_lo, np.full(n, h),
+                                      m + 1, n_rows):
+        b = block[seg]
+        # the support: the first and last node above the threshold
+        above = np.abs(vals).max(axis=0) > threshold[block]
+        lo[b] = np.minimum(lo[b], np.minimum.reduceat(np.where(above, k, big),
+                                                      seg))
+        hi[b] = np.maximum(hi[b], np.maximum.reduceat(np.where(above, k, -1),
+                                                      seg))
+        acc[:, b] += np.add.reduceat(vals, seg, axis=-1)
+        # the trapezoid end weights: half of each block's first and last
+        ends = np.flatnonzero((k == 0) | (k == m[block]))
+        np.subtract.at(acc, (slice(None), block[ends]), 0.5 * vals[:, ends])
+    trap, coarse = h * acc, np.zeros_like(acc)
+    # halve only the coarse cells from one before the support to one after
+    # (none without a node above the threshold: lo is then beyond hi)
+    lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, m)
+    a = s_lo + lo * h
+    m = np.maximum(hi - lo, 0)
+    d_prev = np.zeros(n)  # no d_0: the first halving settles on d_1 alone
+    open_ = np.arange(n)
     for _ in range(settings.max_halvings + 1):
-        sums = _sweep(rows, active, lambda i: paths[i].midpoints(), n_rows,
-                      _sum, operator.add)
-        still = []
-        for i, part in zip(active, sums):
-            p = paths[i]
-            if part is not None:  # None: no midpoint in the support
-                p.acc = p.acc + part
-            p.m *= 2
-            p.h *= 0.5
-            p.trap, p.coarse = p.h * p.acc, p.trap
-            if np.max(np.abs(p.trap - p.coarse)) < settings.abs_tol:
-                yield i, p.trap
-            else:
-                still.append(i)
-        active = still
-        if not active:
+        for vals, block, _, seg in _sweep(rows, open_, a + 0.5 * h,
+                                          np.full(n, h), m, n_rows):
+            acc[:, block[seg]] += np.add.reduceat(vals, seg, axis=-1)
+        m *= 2
+        h *= 0.5
+        coarse[:, open_] = trap[:, open_]
+        trap[:, open_] = h * acc[:, open_]
+        d = np.abs(trap[:, open_] - coarse[:, open_]).max(axis=0)
+        d_last = d_prev[open_]
+        settled = (d < abs_tol) | ((d < d_last) & (d * d < abs_tol * d_last))
+        d_prev[open_] = d
+        for i in open_[settled]:
+            yield int(i), trap[:, i].copy()
+        open_ = open_[~settled]
+        if not open_.size:
             return
-    i = active[0]
-    p = paths[i]
+    i = open_[0]
     raise ConvergenceError(
         "path integral of block %d on [%.6g, %.6g] did not converge to %g "
-        "within %d halvings" % (i, p.s_lo, p.s_hi, settings.abs_tol,
+        "within %d halvings" % (i, s_lo[i], s_hi[i], abs_tol,
                                 settings.max_halvings),
-        last=p.trap, previous=p.coarse, block=i)
+        last=trap[:, i].copy(), previous=coarse[:, i].copy(), block=int(i))
 
 
 def kernel(base: QBase, lams, zs):
@@ -354,18 +325,20 @@ def kernel(base: QBase, lams, zs):
     anchor = np.floor(np.log(np.abs(zs / lams)) / base.log_abs_q)
 
     def kern(s: np.ndarray, block: np.ndarray) -> np.ndarray:
-        # each block's run of nodes: its start, size and residue period P
+        # each block's run of nodes: its start, size and residue period P,
+        # 1 / step where that is an integer (at most the run), else the run
         start = np.flatnonzero(np.concatenate(([True],
                                                block[1:] != block[:-1])))
         size = np.append(start[1:], s.size) - start
-        step = s[np.minimum(start + 1, s.size - 1)] - s[start]
-        per = 1.0 / np.where(size > 1, step, 2.0)  # one node: 1/2, its own
-        period = np.repeat(np.where(per % 1.0 == 0.0, per, size), size)
-        # node k of a run is summed if k < P, and k reads node k mod P
-        first = np.repeat(start, size)
-        k = np.arange(s.size) - first
-        own = k < period
-        slot = (np.cumsum(own) - 1)[first + (k % period).astype(np.intp)]
+        per = 1.0 / (s[start + (size > 1)] - s[start] + (size == 1))
+        period = np.where(per % 1.0 == 0.0, np.minimum(per, size),
+                          size).astype(np.intp)
+        # node k of a run reads slot (run's first slot + k mod P); the
+        # first P nodes of each run are summed, in slot order
+        k = np.arange(s.size) - np.repeat(start, size)
+        k_mod = k % np.repeat(period, size)
+        slot = k_mod + np.repeat(np.cumsum(period) - period, size)
+        own = np.flatnonzero(k == k_mod)
         j = np.floor(s)
         b_own = block[own]
         y = (qpow(base, s[own] - j[own] + anchor[b_own]) * lams[b_own]
@@ -378,7 +351,8 @@ def kernel(base: QBase, lams, zs):
 
 def _scalar_path(F, lam, z, base, settings):
     """Integrand rows of the transform of ``F`` and their window."""
-    require_theta_safe(z, lam, base, 0.05)
+    if not in_theta_safe(z, lam, base, 0.05):
+        raise theta_unsafe(z, lam, 0.05)
     pref = base.log_q / pi_q(base)
     kern = kernel(base, [lam], [z])
 
@@ -401,4 +375,4 @@ def q_laplace(F, lam: complex, z: complex, base: QBase,
     """
     rows, window = _scalar_path(F, lam, z, base, settings)
     [(_, value)] = path_integral(rows, [window], settings, settings.abs_tol)
-    return complex(value)
+    return complex(value[0])

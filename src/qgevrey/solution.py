@@ -43,9 +43,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .problem import CoefficientEvaluator, EpsFactors, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
-    qpow
+    in_theta_safe, qpow
 from .qlaplace import QuadSettings, kernel, path_integral, path_window, \
-    require_theta_safe, truncation_window
+    theta_unsafe, truncation_window
 from .theta import log_theta, pi_q  # noqa: F401 (perfbench traces it here)
 
 
@@ -110,11 +110,12 @@ def _transform_blocks(items) -> None:
     ``tol = 0.01 abs_tol`` over their width at both ends, where the
     trapezoid sums converge exponentially; the halvings add midpoints only
     where the coarse pass found the integrand above that threshold, within
-    the same ``tol``; and a block returns its sums as soon as every order
-    moved by less than abs_tol between halvings.  Before any integrand
-    call, per chart, every eps is tested against the chart's discrete
-    spiral and then every ``z = eps t`` for theta-safety, each in one array
-    call that names the first failing key.  The batch builds the
+    the same ``tol``; and a block returns its sums as soon as it settles
+    by the rules of :func:`qgevrey.qlaplace.path_integral`.  Before
+    any integrand call every eps is tested against its chart's discrete
+    spiral, one array call per chart, and then every ``z = eps t`` for
+    theta-safety, one array call per distinct ``delta``; each error names
+    the first failing key of the first failing chart.  The batch builds the
     :class:`EpsFactors` of its distinct eps once and one
     :func:`qgevrey.qlaplace.kernel` for its ``(lam, z)``; each ``z`` is a
     Python scalar product, as a one-pair call computes it, so a block's
@@ -138,13 +139,20 @@ def _transform_blocks(items) -> None:
             raise ValueError("charts %d and %d differ in problem, initial "
                              "data, base, beta_max or quad"
                              % (first.chart_index, sc.chart_index))
-        keys = [key for owner, key in new if owner is sc]
-        _require_on_spiral(sc, [e for e, _ in keys])
-        require_theta_safe([e * t for e, t in keys], sc.lam, sc.base,
-                           sc.delta)
+        _require_on_spiral(sc, [e for owner, (e, _) in new if owner is sc])
     base, quad, n_rows = first.base, first.quad, first.beta_max + 1
     zs = [e * t for _, (e, t) in new]
     lams = np.array([sc.lam for sc, _ in new])
+    deltas = np.array([sc.delta for sc, _ in new])
+    safe = np.empty(len(new), dtype=bool)
+    for delta in dict.fromkeys(deltas.tolist()):
+        mine = deltas == delta
+        safe[mine] = in_theta_safe(np.array(zs)[mine], lams[mine], base,
+                                   delta)
+    if not safe.all():
+        unsafe = [(sc, z) for (sc, _), z, ok in zip(new, zs, safe) if not ok]
+        sc, z = next(p for c in charts.values() for p in unsafe if p[0] is c)
+        raise theta_unsafe(z, sc.lam, sc.delta)
     pref = base.log_q / pi_q(base)
     kern = kernel(base, lams, zs)
     eps_index = {e: i for i, e in
@@ -208,14 +216,17 @@ def _series_sum(coeffs: np.ndarray, z: complex, n_max: int = None) -> complex:
 
 
 def _decay_fit(mags: np.ndarray) -> tuple[float, float]:
-    """Least squares of log|T_beta| against beta^2 (orders above 1e-300)."""
-    bb = np.arange(len(mags), dtype=float)
-    good = mags > 1e-300
-    if good.sum() < 3:
+    """Least squares of log|T_beta| against beta^2 (orders above 1e-300),
+    by the centred two-parameter formula."""
+    good = np.flatnonzero(mags > 1e-300)
+    if good.size < 3:
         return 0.0, -math.inf
-    A = np.vstack([bb[good] ** 2, np.ones(int(good.sum()))]).T
-    slope, intercept = np.linalg.lstsq(A, np.log(mags[good]), rcond=None)[0]
-    return float(slope), float(intercept)
+    b2 = good.astype(float) ** 2
+    b2_mean = b2.sum() / good.size
+    x = b2 - b2_mean
+    y = np.log(mags[good])
+    slope = float(x @ y / (x @ x))
+    return slope, float(y.sum() / good.size - slope * b2_mean)
 
 
 # _tail_estimate divides by (beta_max + 1)!, which must stay a finite float

@@ -418,9 +418,10 @@ class TestVerifyCommands:
         # shipped demo.json: the transform modes make one batch of all the
         # blocks they read (across charts), so a change that splits the
         # batches again, or halves beyond each block's support, shows here.
-        # One batch per chart over whole windows took 126, 50 and 58, and
-        # the growth-certificate windows 57, 33 and 41; verify properties
-        # took 80 one-column calls.
+        # One batch per chart over whole windows took 126, 50 and 58, the
+        # growth-certificate windows 57, 33 and 41, and stopping only on a
+        # change below abs_tol (no predicted stop) 56, 32 and 36; verify
+        # properties took 80 one-column calls.
         from qgevrey.problem import CoefficientEvaluator
         table = CoefficientEvaluator.table
         calls = []
@@ -437,7 +438,7 @@ class TestVerifyCommands:
             assert main(["verify", mode, "--config", cfg, "--out-dir",
                          str(tmp_path / mode)]) == 0
             counts[mode] = len(calls)
-        assert counts == {"residual": 56, "flatness": 32, "asympt": 36,
+        assert counts == {"residual": 50, "flatness": 28, "asympt": 34,
                           "properties": 1}
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):

@@ -169,6 +169,51 @@ class TestMpmathOracle:
             assert abs(val - (p_ref + m_ref)) <= abs_tol, (lam, z)
 
 
+def trapezoid_changes(levels, h0):
+    """The changes ``d_l = |T(h0 2^-l) - T(h0 2^-(l-1))|`` of a one-block
+    :func:`path_integral` from its recorded calls, one per level: the
+    coarse grid, then each halving's midpoints."""
+    (_, coarse), *halvings = levels
+    acc = coarse.sum() - 0.5 * (coarse[0] + coarse[-1])
+    trap, changes = h0 * acc, []
+    for level, (_, mid) in enumerate(halvings, 1):
+        acc += mid.sum()
+        changes.append(abs(h0 * 2.0 ** -level * acc - trap))
+        trap = h0 * 2.0 ** -level * acc
+    return changes
+
+
+class TestPredictedStop:
+    @pytest.mark.parametrize("abs_tol", [1e-8, 1e-10, 1e-12])
+    def test_predicted_stop_meets_tolerance(self, demo_cfg, demo_points,
+                                            abs_tol):
+        # on the coarse lattice h0 = 1 some blocks settle by d_l^2 < abs_tol
+        # d_{l-1} while their last change d_l is still above abs_tol (up
+        # to 4.9e-7 at abs_tol 1e-8): the mpmath oracle puts their true
+        # error below abs_tol all the same
+        from qgevrey.qlaplace import _coarse_step, _scalar_path, \
+            path_integral
+        settings = QuadSettings(abs_tol=abs_tol, initial_step=0.5)
+        predicted = 0
+        for lam, z, F, p_ref, m_ref in demo_points:
+            rows, window = _scalar_path(F, lam, z, demo_cfg.base, settings)
+            levels = []
+
+            def recorded(s, block):
+                levels.append((s, rows(s, block)))
+                return levels[-1][1]
+
+            [(_, value)] = path_integral(recorded, [window], settings,
+                                         abs_tol)
+            *_, d_prev, d = trapezoid_changes(levels,
+                                              _coarse_step(settings))
+            if d >= abs_tol:
+                assert d < d_prev and d * d < abs_tol * d_prev
+                predicted += 1
+            assert abs(value[0] - (p_ref + m_ref)) <= abs_tol, (lam, z)
+        assert predicted >= 2
+
+
 class TestCommutation:
     def test_polynomial_family(self, base2):
         # multiplication by the integration variable trades for a dilation

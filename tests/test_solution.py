@@ -195,10 +195,13 @@ class TestTransformBlockOracle:
     def test_node_columns_pinned(self, demo, eps20, monkeypatch):
         # node-columns of one chart-20 block at abs_tol = 1e-8, counted by
         # wrapping the integrand rows: the window probe (2), the coarse
-        # grid on the h0 = 1/2 lattice (57) and three halvings of the 38
-        # coarse cells of its support (38, 76, 152; 56, 112, 224 over the
-        # whole window).  451 node-columns over the whole window; the
-        # growth-certificate windows took a coarse grid of 62 (491).
+        # grid on the h0 = 1/2 lattice (57) and two halvings of the 38
+        # coarse cells of its support (38, 76; 56, 112 over the whole
+        # window).  The change between halvings falls 5.1e-4 -> 2.4e-7,
+        # whose square is below abs_tol times 5.1e-4: the predicted stop
+        # settles the block there.  Waiting for a change below abs_tol took
+        # a third halving (152 nodes; its change is 5.5e-14).  The
+        # growth-certificate windows took a coarse grid of 62.
         import qgevrey.solution as solution
         columns = []
 
@@ -215,18 +218,19 @@ class TestTransformBlockOracle:
                                 counting(getattr(solution, name)))
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
-        assert columns == [2, 57, 38, 76, 152]
+        assert columns == [2, 57, 38, 76]
 
     def test_kernel_points_pinned(self, demo, eps20, monkeypatch):
         # the same block's theta series points, one per residue of s mod 1
         # and call, not one per node: the probe's two ends, the coarse
-        # grid's residues 0 and 1/2, then 2, 4 and 8 new ones per halving
+        # grid's residues 0 and 1/2, then 2 and 4 new ones per halving
+        # (a third halving, before the predicted stop, added 8)
         from qgevrey import qlaplace
         from qgevrey.solution import _transform_block
         calls = count_calls(monkeypatch, qlaplace, "log_theta")
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         _transform_block(sc, eps20, 0.7)
-        assert [np.size(x) for x, base in calls] == [2, 2, 2, 4, 8]
+        assert [np.size(x) for x, base in calls] == [2, 2, 2, 4]
 
 
 def mid_eps(demo, sc, level):
@@ -281,6 +285,44 @@ class TestTransformBatch:
                 assert np.array_equal(sc._cache[key], want), \
                     (sc.chart_index, key)
 
+    def test_split_and_mixed_halvings_equal_one_block_calls_bitwise(
+            self, demo, monkeypatch):
+        # with the small cap of test_large_block_split_across_calls every
+        # coarse grid is split across calls, and the blocks, some with z
+        # close to the kernel's pole spiral, settle after 2, 3, 4 and 5
+        # halvings: each still equals its one-block call bit for bit
+        from qgevrey import qlaplace
+        from qgevrey.solution import _transform_block, _transform_blocks
+        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 11)
+        quad = QuadSettings(abs_tol=1e-12, max_halvings=16)
+        batch = demo.chart_solution(20, quad=quad, delta=0.02)
+        keys = [(mid_eps(demo, batch, level), 0.7 * np.exp(1j * angle))
+                for level in (0, 2) for angle in (0.0, 0.8, 0.95)]
+        sweeps, sizes = {}, []
+        sweep = qlaplace._sweep
+
+        def recorded(rows, blocks, *args):
+            for b in blocks.tolist():
+                sweeps[b] = sweeps.get(b, 0) + 1
+
+            def counted(s, block):
+                sizes.append(s.size)
+                return rows(s, block)
+            return sweep(counted, blocks, *args)
+
+        monkeypatch.setattr(qlaplace, "_sweep", recorded)
+        _transform_blocks([(batch, key) for key in keys])
+        cap = (1 << 10) // (batch.beta_max + 1)
+        assert max(sizes) == cap
+        # a probe round and the coarse pass, then the halvings
+        assert sorted(set(sweeps.values())) == [4, 5, 6, 7]
+        monkeypatch.setattr(qlaplace, "_sweep", sweep)
+        for eps, t in keys:
+            one = demo.chart_solution(20, quad=quad, delta=0.02)
+            want = _transform_block(one, eps, t)
+            assert np.array_equal(batch._cache[complex(eps), complex(t)],
+                                  want), (eps, t)
+
     def test_batch_rejects_charts_that_differ(self, demo, monkeypatch):
         from qgevrey.solution import _transform_blocks
         sc20 = demo.chart_solution(20, quad=TIGHT)
@@ -295,10 +337,11 @@ class TestTransformBatch:
         # both charts' 26 flatness blocks each (13 eps levels, 2 grid
         # points) at the demo's flatness settings: one batch, each probe
         # round and halving level packed into calls of at most BLOCK // 2
-        # values, each halving only on its block's support.  One block at
-        # a time took 260 calls, one batch per chart 50, one batch for
-        # both charts over whole windows 46, and the growth-certificate
-        # windows 33.
+        # values, each halving only on its block's support, with the
+        # predicted stop.  One block at a time took 260 calls, one batch
+        # per chart 50, one batch for both charts over whole windows 46,
+        # the growth-certificate windows 33, and stopping only on a change
+        # below abs_tol 32.
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -310,7 +353,7 @@ class TestTransformBatch:
                      demo.gevrey)
         assert len(sc1._cache) == len(sc2._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
-        assert len(columns) == 32
+        assert len(columns) == 28
         assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
 
     def test_unclosed_window_names_chart_and_key(self, demo, monkeypatch):
@@ -390,12 +433,12 @@ class TestTransformBatch:
                                                monkeypatch):
         # two unsafe z behind a safe key: one array test raises for the
         # first of them in key order, before any integrand call
-        from qgevrey import qlaplace
+        from qgevrey import solution
         from qgevrey.solution import _transform_blocks
         unit = -chart20.lam / abs(chart20.lam) / (eps20 / abs(eps20))
         keys = [(eps20, 0.7), (eps20, 0.65 * unit), (eps20, 0.6),
                 (eps20, 0.7 * unit)]
-        tests = count_calls(monkeypatch, qlaplace, "in_theta_safe")
+        tests = count_calls(monkeypatch, solution, "in_theta_safe")
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
         sc = demo.chart_solution(20, quad=TIGHT)
         with pytest.raises(DomainError) as err:
@@ -489,6 +532,27 @@ class TestDecayFit:
         slope, intercept, mags = transform_decay_fit(chart20, eps20, 0.6)
         assert slope <= -0.9 * demo.gevrey.a1_type * demo.base.log_abs_q
         assert mags[0] > 0
+
+    def test_closed_form_matches_lstsq(self, rng):
+        # the centred two-parameter formula against numpy's least squares
+        # on log-magnitudes offset - c beta^2 + noise, some entries at 0
+        from qgevrey.solution import _decay_fit
+        for _ in range(500):
+            n = int(rng.integers(3, 27))
+            beta = np.arange(n)
+            mags = np.exp(rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 40.0)
+                          - rng.uniform(0.01, 1.0) * beta**2
+                          + rng.uniform(-5.0, 5.0, n))
+            mags[rng.random(n) < 0.15] = 0.0
+            good = mags > 1e-300
+            slope, intercept = _decay_fit(mags)
+            if good.sum() < 3:
+                assert (slope, intercept) == (0.0, -math.inf)
+                continue
+            A = np.vstack([beta[good] ** 2.0, np.ones(good.sum())]).T
+            want = np.linalg.lstsq(A, np.log(mags[good]), rcond=None)[0]
+            assert abs(slope / want[0] - 1.0) <= 1e-12
+            assert abs(intercept / want[1] - 1.0) <= 1e-12
 
 
 class TestFlatness:
