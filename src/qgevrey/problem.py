@@ -307,13 +307,16 @@ class CoefficientEvaluator:
         if len(self.initial.components) != self.problem.s_order:
             raise ValueError("initial data must provide exactly S components")
 
-    def table(self, eps, tau: np.ndarray, beta_max: int) -> np.ndarray:
+    def table(self, eps, tau: np.ndarray, beta_max: int,
+              out: np.ndarray = None) -> np.ndarray:
         """Array of shape (beta_max + 1, len(tau)) of coefficient values.
 
         ``eps`` is a scalar, an array with one value per tau, or an
         :class:`EpsFactors` whose ``where`` gives one value per tau, so
         that transform blocks at several eps share one call; a column's
-        values are bit-identical to those of a one-eps call.
+        values are bit-identical to those of a one-eps call.  ``out``, a
+        complex array of that shape, is zero-filled and returned in place
+        of a new array, so a caller can reuse one buffer across calls.
         """
         if not isinstance(eps, EpsFactors):
             eps = EpsFactors(self.initial, self.problem.terms, eps)
@@ -323,7 +326,10 @@ class CoefficientEvaluator:
                               membership="tau_pole")
         S = self.problem.s_order
         tau = tau.ravel()
-        out = np.zeros((beta_max + 1, tau.size), dtype=complex)
+        if out is None:
+            out = np.zeros((beta_max + 1, tau.size), dtype=complex)
+        else:
+            out.fill(0)
         for j in range(min(S, beta_max + 1)):
             out[j] = self.initial._value(j, eps, tau)
         n_h = beta_max + 1 - S

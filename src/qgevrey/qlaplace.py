@@ -31,11 +31,11 @@ series once per block and residue of ``s mod 1``, each block with its own
 direction ``lam`` and point ``z``.  A batch is one array state: each
 block keeps its own window, halvings and stopping test in per-block
 arrays, and every probe round and halving level evaluates the nodes of
-all blocks still open in as few integrand calls as hold ``BLOCK // 2``
-values (a larger block is split at block-relative multiples of the cap),
-each reduced with one segmented sum per quantity.  So a level costs a
-fixed number of array operations per integrand call, not per block.
-``q_laplace`` is a batch of one block.
+all blocks still open in as few integrand calls as hold ``4 BLOCK``
+values, 2 MiB of complex values (a larger block is split at
+block-relative multiples of the cap), each reduced with one segmented sum
+per quantity.  So a level costs a fixed number of array operations per
+integrand call, not per block.  ``q_laplace`` is a batch of one block.
 """
 
 from __future__ import annotations
@@ -115,18 +115,19 @@ def _sweep(rows, blocks, start, step, count, n_rows: int):
     count[b]``, of each block ``b`` of ``blocks`` in order, one
     ``rows(s, block)`` call at a time.
 
-    Each block is cut at multiples of ``cap = BLOCK // 2 // n_rows`` nodes
+    Each block is cut at multiples of ``cap = 4 BLOCK // n_rows`` nodes
     into pieces, and the pieces are packed in order into as few calls as
-    hold at most ``cap`` nodes (``n_rows`` complex values each): whole
-    pieces while they fit, so a piece of the cap is a call of its own.  A
-    block's pieces do not depend on the blocks around it.  Yields
-    ``(vals, block, k, seg)`` per call: its values as ``(n_rows, nodes)``,
-    each node's block and block-relative index ``k``, and the first
-    node of each piece, for segmented reductions (``np.add.reduceat``).
-    No block appears twice in one call.  Nodes are built per call, and
-    values do not outlive their call.
+    hold at most ``cap`` nodes (``n_rows`` complex values each, so at most
+    2 MiB a call): whole pieces while they fit, so a piece of the cap is a
+    call of its own.  A block's pieces do not depend on the blocks around
+    it.  Yields ``(vals, block, k, seg)`` per call: its values as
+    ``(n_rows, nodes)``, each node's block and block-relative index ``k``,
+    and the first node of each piece, for segmented reductions
+    (``np.add.reduceat``).  No block appears twice in one call.  Nodes are
+    built per call, and values do not outlive their call, so ``rows`` may
+    return them in one buffer that it reuses.
     """
-    cap = max(BLOCK // 2 // n_rows, 1)
+    cap = max(BLOCK * 4 // n_rows, 1)
     count = count[blocks]
     n_pieces = -(-count // cap)
     owner = np.repeat(blocks, n_pieces)
@@ -280,7 +281,7 @@ def path_integral(rows, windows, settings: QuadSettings, tol: float,
     m = np.maximum(hi - lo, 0)
     d_prev = np.zeros(n)  # no d_0: the first halving settles on d_1 alone
     open_ = np.arange(n)
-    for _ in range(settings.max_halvings + 1):
+    for _ in range(settings.max_halvings):
         for vals, block, _, seg in _sweep(rows, open_, a + 0.5 * h,
                                           np.full(n, h), m, n_rows):
             acc[:, block[seg]] += np.add.reduceat(vals, seg, axis=-1)

@@ -160,13 +160,24 @@ def _transform_blocks(items) -> None:
     factors = EpsFactors(first.evaluator.initial,
                          first.evaluator.problem.terms, list(eps_index))
     eps_of = np.array([eps_index[key[0]] for _, key in new])
+    # one buffer per batch, grown to the largest call: values never
+    # outlive their call, and a fresh 2 MiB array per call is mapped and
+    # page-faulted anew.  It grows in powers of two, so the 2 MiB cap is
+    # allocated once (the last call's values, in the old buffer, are
+    # still referenced while the new one is made)
+    buf = np.empty(0, dtype=complex)
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
+        nonlocal buf
+        if buf.size < n_rows * s.size:
+            buf = np.empty(1 << (n_rows * s.size - 1).bit_length(),
+                           dtype=complex)
         tau = qpow(base, s) * lams[block]
         # pref * table * kern in place: complex products are not
         # bitwise commutative (fused multiply-add), so pref stays left
-        out = first.evaluator.table(factors.at(eps_of[block]), tau,
-                                    first.beta_max)
+        out = first.evaluator.table(
+            factors.at(eps_of[block]), tau, first.beta_max,
+            out=buf[:n_rows * s.size].reshape(n_rows, s.size))
         np.multiply(pref, out, out=out)
         out *= kern(s, block)
         return out

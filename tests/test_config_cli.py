@@ -382,6 +382,26 @@ class TestVerifyCommands:
         assert main(["verify", "properties", "--config", cfg,
                      "--out-dir", out]) == 0
 
+    def test_properties_theta_overflow_fails_its_rows(self, demo_doc,
+                                                      tmp_path, monkeypatch):
+        # the theta rows evaluate all sample points in one log_theta call
+        # each: values beyond double range (inf) fail both rows, as
+        # theta() would raise, instead of passing on the other points
+        from qgevrey import cli
+        log_theta = cli.log_theta
+        monkeypatch.setattr(cli, "log_theta",
+                            lambda x, base: log_theta(x, base) + 800.0)
+        cfg = write_config(tmp_path, trimmed(demo_doc))
+        assert main(["verify", "properties", "--config", cfg, "--out-dir",
+                     str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_properties_report.json")
+                            .read_text())
+        rows = {c["name"]: c for c in report["checks"]}
+        for name in ("theta_functional_equation", "theta_reduction_vs_direct"):
+            assert rows[name]["status"] == "fail"
+            assert not rows[name]["worst_rel"] < 1e-10  # inf or NaN
+        assert rows["young_conjugate_closed_form"]["status"] == "pass"
+
     def test_flatness_refused_without_decay_exponent(self, demo_doc,
                                                      tmp_path):
         doc = trimmed(demo_doc)
@@ -419,16 +439,17 @@ class TestVerifyCommands:
         # blocks they read (across charts), so a change that splits the
         # batches again, or halves beyond each block's support, shows here.
         # One batch per chart over whole windows took 126, 50 and 58, the
-        # growth-certificate windows 57, 33 and 41, and stopping only on a
-        # change below abs_tol (no predicted stop) 56, 32 and 36; verify
+        # growth-certificate windows 57, 33 and 41, stopping only on a
+        # change below abs_tol (no predicted stop) 56, 32 and 36, and
+        # calls of at most BLOCK // 2 values 50, 28 and 34; verify
         # properties took 80 one-column calls.
         from qgevrey.problem import CoefficientEvaluator
         table = CoefficientEvaluator.table
         calls = []
 
-        def counted(self, eps, tau, beta_max):
+        def counted(self, eps, tau, beta_max, out=None):
             calls.append(np.size(tau))
-            return table(self, eps, tau, beta_max)
+            return table(self, eps, tau, beta_max, out=out)
 
         monkeypatch.setattr(CoefficientEvaluator, "table", counted)
         cfg = write_config(tmp_path, json.loads(shipped_config_text("demo")))
@@ -438,7 +459,7 @@ class TestVerifyCommands:
             assert main(["verify", mode, "--config", cfg, "--out-dir",
                          str(tmp_path / mode)]) == 0
             counts[mode] = len(calls)
-        assert counts == {"residual": 50, "flatness": 28, "asympt": 34,
+        assert counts == {"residual": 9, "flatness": 5, "asympt": 7,
                           "properties": 1}
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):

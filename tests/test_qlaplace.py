@@ -353,7 +353,8 @@ class TestLatticeKernel:
         # every node reaching the integrand is a multiple of h0 2^-l: the
         # probed ends are the coarse grid's ends (multiples of h0), and
         # halving l adds the odd multiples of h0 2^-l.  A discontinuous F
-        # keeps the block open through every level.
+        # keeps the block open through every level: the coarse grid and
+        # max_halvings = 4 halvings.
         from qgevrey import ConvergenceError
         from qgevrey.qlaplace import _scalar_path, path_integral
         settings = QuadSettings(abs_tol=1e-10, initial_step=0.2,
@@ -372,7 +373,7 @@ class TestLatticeKernel:
         with pytest.raises(ConvergenceError):
             list(path_integral(recorded, [(s_lo, s_hi)], settings,
                                settings.abs_tol))
-        assert len(seen) == 6
+        assert len(seen) == 5
         assert seen[0][0] == s_lo and seen[0][-1] == s_hi
         for level, s in enumerate(seen):
             units = s / (h0 * 2.0 ** -level)
@@ -400,9 +401,10 @@ def record_sweep_calls(monkeypatch):
 
 class TestSweepCap:
     def test_large_block_split_across_calls(self, demo_cfg, monkeypatch):
-        # with a small BLOCK a block's levels exceed the cap: they are
-        # split across calls, none above the cap, and the pieces' sums
-        # (the coarse grid's ends half-weighted once) give the block
+        # with a small BLOCK (a cap of 4 BLOCK = 1024 values, 39 nodes of
+        # 26 orders) a block's levels exceed the cap: they are split
+        # across calls, none above the cap, and the pieces' sums (the
+        # coarse grid's ends half-weighted once) give the block
         from qgevrey import qlaplace
         from qgevrey.solution import _transform_blocks
         chart = demo_cfg.covering.charts[20]
@@ -415,7 +417,7 @@ class TestSweepCap:
         _transform_blocks([(whole, key) for key in keys])
         assert max(sizes) > cap
         sizes.clear()
-        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 11)
+        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 8)
         split = demo_cfg.chart_solution(20)
         _transform_blocks([(split, key) for key in keys])
         assert max(sizes) <= cap
@@ -425,11 +427,12 @@ class TestSweepCap:
 
     def test_unsettled_block_stays_under_cap(self, demo_cfg, monkeypatch):
         # a block near the kernel's pole spiral that has not settled after
-        # 5 halvings: its last level (672 nodes, the midpoints of its
+        # its 4 halvings: with a cap of 4 BLOCK = 8192 values (315 nodes
+        # of 26 orders) its last level (336 nodes, the midpoints of its
         # support) is split, not one call
-        from qgevrey import ConvergenceError
-        from qgevrey.qgeometry import BLOCK
+        from qgevrey import ConvergenceError, qlaplace
         from qgevrey.solution import _transform_blocks
+        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 11)
         sc = demo_cfg.chart_solution(20, quad=QuadSettings(abs_tol=1e-10,
                                                            max_halvings=4),
                                      delta=0.02)
@@ -438,5 +441,5 @@ class TestSweepCap:
         sizes = record_sweep_calls(monkeypatch)
         with pytest.raises(ConvergenceError):
             _transform_blocks([(sc, (eps, complex(0.7 * np.exp(1.01j))))])
-        cap = BLOCK // 2 // (sc.beta_max + 1)
-        assert max(sizes) == cap and sizes[-2:] == [cap, 672 - cap]
+        cap = (1 << 13) // (sc.beta_max + 1)
+        assert max(sizes) == cap and sizes[-2:] == [cap, 336 - cap]

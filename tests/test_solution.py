@@ -293,7 +293,7 @@ class TestTransformBatch:
         # halvings: each still equals its one-block call bit for bit
         from qgevrey import qlaplace
         from qgevrey.solution import _transform_block, _transform_blocks
-        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 11)
+        monkeypatch.setattr(qlaplace, "BLOCK", 1 << 8)
         quad = QuadSettings(abs_tol=1e-12, max_halvings=16)
         batch = demo.chart_solution(20, quad=quad, delta=0.02)
         keys = [(mid_eps(demo, batch, level), 0.7 * np.exp(1j * angle))
@@ -323,6 +323,47 @@ class TestTransformBatch:
             assert np.array_equal(batch._cache[complex(eps), complex(t)],
                                   want), (eps, t)
 
+    def test_calls_shrinking_after_a_large_one_equal_one_block_calls_bitwise(
+            self, demo, monkeypatch):
+        # eight blocks settle after 2 halvings and one, z close to the
+        # kernel's pole spiral, goes on alone: the first halving (the
+        # midpoints of the supports) and the straggler's halvings are
+        # smaller than an earlier call and read the batch's buffer, which
+        # still holds that call's values.  Each block equals its one-block
+        # call bit for bit: table zero-fills what it reuses.
+        from qgevrey import qlaplace
+        from qgevrey.solution import _transform_block, _transform_blocks
+        quad = QuadSettings(abs_tol=1e-12, max_halvings=16)
+        batch = demo.chart_solution(20, quad=quad, delta=0.02)
+        keys = [(mid_eps(demo, batch, level), 0.7 * np.exp(1j * angle))
+                for level in range(4) for angle in (0.0, 0.4)]
+        keys.append((mid_eps(demo, batch, 0), 0.7 * np.exp(1.01j)))
+        sizes, data = [], []
+        sweep = qlaplace._sweep
+
+        def recorded(rows, *args):
+            def counted(s, block):
+                vals = rows(s, block)
+                sizes.append(s.size)
+                data.append(vals.__array_interface__["data"][0])
+                return vals
+            return sweep(counted, *args)
+
+        monkeypatch.setattr(qlaplace, "_sweep", recorded)
+        _transform_blocks([(batch, key) for key in keys])
+        monkeypatch.setattr(qlaplace, "_sweep", sweep)
+        shrunk = [i for i in range(1, len(sizes))
+                  if sizes[i] < max(sizes[:i])]
+        assert len(shrunk) >= 2
+        for i in shrunk:
+            grown = max(j for j in range(i) if sizes[j] == max(sizes[:i]))
+            assert data[i] == data[grown]
+        for eps, t in keys:
+            one = demo.chart_solution(20, quad=quad, delta=0.02)
+            want = _transform_block(one, eps, t)
+            assert np.array_equal(batch._cache[complex(eps), complex(t)],
+                                  want), (eps, t)
+
     def test_batch_rejects_charts_that_differ(self, demo, monkeypatch):
         from qgevrey.solution import _transform_blocks
         sc20 = demo.chart_solution(20, quad=TIGHT)
@@ -336,12 +377,13 @@ class TestTransformBatch:
     def test_flatness_batch_integrand_calls_pinned(self, demo, monkeypatch):
         # both charts' 26 flatness blocks each (13 eps levels, 2 grid
         # points) at the demo's flatness settings: one batch, each probe
-        # round and halving level packed into calls of at most BLOCK // 2
+        # round and halving level packed into calls of at most 4 BLOCK
         # values, each halving only on its block's support, with the
-        # predicted stop.  One block at a time took 260 calls, one batch
-        # per chart 50, one batch for both charts over whole windows 46,
-        # the growth-certificate windows 33, and stopping only on a change
-        # below abs_tol 32.
+        # predicted stop: one call each for the probe round, the coarse
+        # pass and 3 halvings.  One block at a time took 260 calls, one
+        # batch per chart 50, one batch for both charts over whole windows
+        # 46, the growth-certificate windows 33, stopping only on a change
+        # below abs_tol 32, and calls of at most BLOCK // 2 values 28.
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -353,8 +395,8 @@ class TestTransformBatch:
                      demo.gevrey)
         assert len(sc1._cache) == len(sc2._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
-        assert len(columns) == 28
-        assert max(columns) * (sc1.beta_max + 1) <= BLOCK // 2
+        assert len(columns) == 5
+        assert max(columns) * (sc1.beta_max + 1) <= 4 * BLOCK
 
     def test_unclosed_window_names_chart_and_key(self, demo, monkeypatch):
         # NaN integrand values are never negligible: the probe gives up
@@ -365,9 +407,9 @@ class TestTransformBatch:
         table = CoefficientEvaluator.table
         calls = []
 
-        def nan_table(self, *args):
+        def nan_table(self, *args, **kwargs):
             calls.append(args)
-            return np.full_like(table(self, *args), np.nan)
+            return np.full_like(table(self, *args, **kwargs), np.nan)
 
         monkeypatch.setattr(CoefficientEvaluator, "table", nan_table)
         sc = demo.chart_solution(20, quad=TIGHT)
