@@ -17,7 +17,8 @@ from .covering import (AssociatedFamily, GoodCovering, build_covering,
                        overlap_point, pick_lambda, validate_covering,
                        validate_family)
 from .solution import (AsymptoticSeries, FlatnessFit, GevreyFit, SolutionChart,
-                       equation_residual, evaluate_solution,
+                       equation_residual, equation_residuals,
+                       evaluate_solution,
                        extract_coefficients, fit_log_decay, flatness_fit,
                        flatness_from_null_expansion, gevrey_fit,
                        initial_condition, null_expansion_envelope,

@@ -208,13 +208,13 @@ def _verify_residual(cfg: RunConfig, seed: int, report: Report,
         z = complex(rng.uniform(0.0, z_max)
                     * np.exp(1j * rng.uniform(0.0, TWO_PI)))
         points.append((i, idx, eps, t, z))
-    # every transform block the residuals read, of all charts, as one batch
-    sol.prefetch_residuals([(charts[idx], eps, t)
-                            for _, idx, eps, t, _ in points])
+    # every transform block the residuals read, of all charts, as one
+    # batch, and both sides summed over all points at once
+    results = sol.equation_residuals([(charts[idx], eps, t, z)
+                                      for _, idx, eps, t, z in points])
     rows = []
     worst = 0.0
-    for i, idx, eps, t, z in points:
-        res = sol.equation_residual(charts[idx], eps, t, z)
+    for (i, idx, eps, t, z), res in zip(points, results):
         worst = max(worst, abs(res.value))
         rows.append((i, idx, eps.real, eps.imag, t.real, t.imag,
                      z.real, z.imag, abs(res.value), abs(res.lhs),
@@ -275,9 +275,10 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
     sc2 = cfg.chart_solution(pair[1], quad=quad)
     eps0 = cov.overlap_point(sc1.chart, sc2.chart, cfg.base)
     schedule = scfg.get("depths") or None
-    # both charts' samples as one batch; extraction then reads the cache
-    sol.prefetch_samples((sc1, sc2),
-                         sol.eps_sequence(eps0, cfg.base.q, depth + 1), grid)
+    # both charts' samples as one batch, on the levels the schedule reads
+    # (depth caps them); extraction then reads the cache
+    sol.prefetch_samples((sc1, sc2), sol.eps_sequence(
+        eps0, cfg.base.q, sol.extraction_levels(depth, schedule)), grid)
     series1 = sol.extract_coefficients(sc1, eps0, k_max, tol, grid,
                                        depth=depth, depth_override=schedule)
     series2 = sol.extract_coefficients(sc2, eps0, min(k_max, series1.k_max),

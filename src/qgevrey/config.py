@@ -283,6 +283,9 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     _require(not depths or len(depths) > k_max,
              "sampling.asympt.depths lists %d depths; k_max = %d needs %d"
              % (len(depths), k_max, k_max + 1))
+    # a depth is a level index along eps0 q^-n
+    _require(all(d >= 0 for d in depths),
+             "sampling.asympt.depths %s must be nonnegative" % list(depths))
 
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,

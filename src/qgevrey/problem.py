@@ -46,10 +46,13 @@ class ProblemTerm:
         if any(s < 0 for s in powers):
             raise ValueError("z-powers must be natural numbers")
 
-    def b_value(self, s: int, eps: complex) -> complex:
+    def b_value(self, s: int, eps):
+        """``b_{k s}(eps)``: a complex for a scalar ``eps``, an array of
+        values for an array (``0j`` where the term has no z-power s)."""
         for p, poly in self.coeffs:
             if p == s:
-                return complex(np.polynomial.polynomial.polyval(eps, np.array(poly)))
+                value = np.polynomial.polynomial.polyval(eps, np.array(poly))
+                return complex(value) if np.ndim(value) == 0 else value
         return 0j
 
     @property
@@ -315,7 +318,7 @@ class CoefficientEvaluator:
         :class:`EpsFactors` whose ``where`` gives one value per tau, so
         that transform blocks at several eps share one call; a column's
         values are bit-identical to those of a one-eps call.  ``out``, a
-        complex array of that shape, is zero-filled and returned in place
+        complex array of that shape, is overwritten and returned in place
         of a new array, so a caller can reuse one buffer across calls.
         """
         if not isinstance(eps, EpsFactors):
@@ -328,8 +331,6 @@ class CoefficientEvaluator:
         tau = tau.ravel()
         if out is None:
             out = np.zeros((beta_max + 1, tau.size), dtype=complex)
-        else:
-            out.fill(0)
         for j in range(min(S, beta_max + 1)):
             out[j] = self.initial._value(j, eps, tau)
         n_h = beta_max + 1 - S
@@ -351,14 +352,22 @@ class CoefficientEvaluator:
                          n_h)
         for h in range(n_h):
             row = out[h + S]
+            # the first contribution is written into the row, the others
+            # added to it; a row without any is zero
+            first = True
             for (k, pairs), scale in zip(terms, scales):
                 for h1, b_tau_f in pairs:
                     h2 = h - h1
                     if h2 < 0:
                         break
-                    np.multiply(b_tau_f, out[h2 + k], out=scratch)
-                    scratch *= scale[h][h2]
-                    row += scratch
+                    part = row if first else scratch
+                    np.multiply(b_tau_f, out[h2 + k], out=part)
+                    part *= scale[h][h2]
+                    if not first:
+                        row += scratch
+                    first = False
+            if first:
+                row.fill(0)
         return out
 
     def coefficient(self, beta: int, eps: complex, tau: complex) -> complex:

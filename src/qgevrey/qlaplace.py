@@ -146,6 +146,16 @@ def _sweep(rows, blocks, start, step, count, n_rows: int):
         i = j
 
 
+def _envelope(vals: np.ndarray) -> np.ndarray:
+    """``max over rows |value|`` per node of an ``(n_rows, nodes)`` call,
+    taken one row at a time into node-sized arrays (NaN propagates)."""
+    env = np.abs(vals[0])
+    row_abs = np.empty_like(env)
+    for row in vals[1:]:
+        np.maximum(env, np.abs(row, out=row_abs), out=env)
+    return env
+
+
 def _coarse_step(settings: QuadSettings) -> float:
     """``h0``, the coarse grid step: the largest power of two at most
     ``2 initial_step``, so the first halving's step ``h0 / 2`` is at most
@@ -192,7 +202,7 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
         edge = np.zeros(s_lo.size)
         for vals, block, _, seg in _sweep(rows, pending, s_lo, s_hi - s_lo,
                                           two, n_rows):
-            ends = np.maximum.reduceat(np.abs(vals).max(axis=0), seg)
+            ends = np.maximum.reduceat(_envelope(vals), seg)
             edge[block[seg]] = np.maximum(edge[block[seg]], ends)
         still = pending[~(edge[pending] <= _negligible(tol, s_lo[pending],
                                                        s_hi[pending]))]
@@ -264,7 +274,7 @@ def path_integral(rows, windows, settings: QuadSettings, tol: float,
                                       m + 1, n_rows):
         b = block[seg]
         # the support: the first and last node above the threshold
-        above = np.abs(vals).max(axis=0) > threshold[block]
+        above = _envelope(vals) > threshold[block]
         lo[b] = np.minimum(lo[b], np.minimum.reduceat(np.where(above, k, big),
                                                       seg))
         hi[b] = np.maximum(hi[b], np.maximum.reduceat(np.where(above, k, -1),

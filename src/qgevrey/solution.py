@@ -17,16 +17,20 @@ stopping test.  A batch computes the recursion's eps factors once per eps,
 and its kernel sums the theta series once per block and residue of the
 dyadic s-lattice.
 
-Quantitative experiments built on top:
+Quantitative experiments built on top, each an array program over all
+its points: the series of all points are summed as one ``(points,
+orders)`` array, row by row, so a point's value does not depend on the
+points around it.
 
-* ``equation_residual`` - left minus right side of the functional
+* ``equation_residuals`` - left minus right side of the functional
   equation, with every z-derivative/dilation acting exactly on the
   truncated series coefficients;
 * ``flatness_fit`` - decay of sup-differences of two chart solutions
   against log^2|eps| along a q-geometric sequence;
 * ``extract_coefficients`` / ``gevrey_fit`` - stabilized limits of
-  successive-subtraction quotients along the same sequence, and the
-  remainder-growth fit estimating the expansion type;
+  successive-subtraction quotients along the same sequence (with a depth
+  schedule, on the levels it reads only), and the remainder-growth fit
+  estimating the expansion type;
 * ``young_conjugate`` / ``flatness_from_null_expansion`` - the closed
   forms tying weight functions to flatness exponents.
 """
@@ -216,14 +220,23 @@ class SolutionValue:
         return self.value
 
 
-def _series_sum(coeffs: np.ndarray, z: complex, n_max: int = None) -> complex:
-    n_max = len(coeffs) - 1 if n_max is None else n_max
-    total = 0j
-    zp = 1.0 + 0j
-    for b in range(n_max + 1):
-        total += coeffs[b] * zp / math.factorial(b)
-        zp *= z
-    return total
+def _taylor_weights(z: np.ndarray, n: int) -> np.ndarray:
+    """``z^m / m!`` for ``m <= n``, one row per ``z``: an ``(len(z), n + 1)``
+    array whose powers are repeated products along each row."""
+    zp = np.empty((z.size, n + 1), dtype=complex)
+    zp[:, 0] = 1.0
+    zp[:, 1:] = z[:, None]
+    np.cumprod(zp, axis=1, out=zp)
+    return zp / np.array([math.factorial(m) for m in range(n + 1)],
+                         dtype=float)
+
+
+def _series_values(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_beta T_beta z^beta / beta!`` per row: ``blocks[i]`` holds the
+    transforms ``T_beta`` of row ``i`` and ``z[i]`` its point.  Rows are
+    summed on their own, so a row's value does not depend on the rows
+    around it."""
+    return (blocks * _taylor_weights(z, blocks.shape[1] - 1)).sum(axis=1)
 
 
 def _decay_fit(mags: np.ndarray) -> tuple[float, float]:
@@ -284,8 +297,9 @@ def evaluate_solution(sc: SolutionChart, eps: complex, t: complex,
     if tail > 10.0 * sc.quad.abs_tol:
         warns.append("series tail estimate %.3e exceeds the quadrature "
                      "tolerance; consider raising beta_max" % tail)
-    return SolutionValue(value=complex(_series_sum(coeffs, z)),
-                         tail_estimate=tail, warnings=tuple(warns))
+    value = _series_values(coeffs[None], np.array([z], dtype=complex))[0]
+    return SolutionValue(value=complex(value), tail_estimate=tail,
+                         warnings=tuple(warns))
 
 
 def initial_condition(sc: SolutionChart, j: int, eps: complex,
@@ -333,6 +347,18 @@ def prefetch_samples(charts, eps_values, grid) -> None:
                        for eps in eps_values for t, _ in grid])
 
 
+def _solution_samples(sc: SolutionChart, eps_values, grid) -> np.ndarray:
+    """:func:`evaluate_solution`'s values (no tail estimates) at every eps
+    of ``eps_values`` and ``(t, z)`` of ``grid``, as an ``(eps, grid)``
+    array."""
+    prefetch_samples((sc,), eps_values, grid)
+    blocks = np.array([sc._cache[complex(eps), complex(t)]
+                       for eps in eps_values for t, _ in grid])
+    z = np.array([z for _ in eps_values for _, z in grid], dtype=complex)
+    return _series_values(blocks.reshape(z.size, sc.beta_max + 1),
+                          z).reshape(len(eps_values), len(grid))
+
+
 @dataclass(frozen=True)
 class ResidualValue:
     value: complex
@@ -341,9 +367,9 @@ class ResidualValue:
     warnings: tuple[str, ...] = ()
 
 
-def equation_residual(sc: SolutionChart, eps: complex, t: complex,
-                      z: complex) -> ResidualValue:
-    """LHS minus RHS of the functional equation on the truncated series.
+def equation_residuals(points) -> list[ResidualValue]:
+    """LHS minus RHS of the functional equation on the truncated series, at
+    every ``(chart, eps, t, z)`` of ``points``.
 
     z-derivatives shift the coefficient index, the z-dilation multiplies
     order beta by q^{-m1 beta}, and the (t sigma_q)-power re-evaluates the
@@ -351,41 +377,59 @@ def equation_residual(sc: SolutionChart, eps: complex, t: complex,
     same z-order, so the residual measures quadrature plus truncation
     error only.  Points whose t-dilations leave the validated evaluation
     patch are computed anyway and flagged.
+
+    The points may lie on any charts that can share a transform batch
+    (:func:`_transform_blocks`), and one batch computes every block they
+    read.  Both sides are array sums over a ``(points, keys, orders)``
+    stack of the blocks against one ``(points, n_z + 1)`` array of ``z^n
+    / n!``, each point's row on its own.
     """
-    base = sc.base
-    q = base.q
-    S = sc.evaluator.problem.s_order
-    n_z = sc.beta_max - S
-    warns = list(check_point(sc, eps, t))
-    keys = _residual_keys(sc, eps, t)
-    _transform_blocks([(sc, key) for key in keys])
-    c_t, c_qt, *c_dils = [sc._cache[key] for key in keys]
-    if sc.t_set is not None and abs(q * t) > sc.t_set.mod[1]:
-        warns.append("q*t leaves the validated evaluation patch")
-    lhs = 0j
-    zp = 1.0 + 0j
-    for n in range(n_z + 1):
-        lhs += (eps * t * c_qt[n + S] + c_t[n + S]) * zp / math.factorial(n)
-        zp *= z
-    rhs = 0j
-    for term, c_dil in zip(sc.evaluator.problem.terms, c_dils):
-        if sc.t_set is not None and abs(q**term.m0 * t) > sc.t_set.mod[1]:
-            warns.append("q^%d*t leaves the validated evaluation patch"
-                         % term.m0)
+    points = [(sc, complex(eps), complex(t), complex(z))
+              for sc, eps, t, z in points]
+    if not points:
+        return []
+    prefetch_residuals([p[:3] for p in points])
+    first = points[0][0]
+    q = first.base.q
+    S = first.evaluator.problem.s_order
+    terms = first.evaluator.problem.terms
+    n_z = first.beta_max - S
+    eps, t, z = (np.array([p[i] for p in points]) for i in (1, 2, 3))
+    # per point: the blocks at t, q t and q^m0 t per term (_residual_keys)
+    blocks = np.array([[sc._cache[key] for key in _residual_keys(sc, e, tt)]
+                       for sc, e, tt, _ in points])
+    zf = _taylor_weights(z, n_z)
+    lhs = (((eps * t)[:, None] * blocks[:, 1, S:] + blocks[:, 0, S:])
+           * zf).sum(axis=1)
+    rhs = np.zeros(len(points), dtype=complex)
+    for i, term in enumerate(terms, start=2):
         op_factor = t ** term.m0 * q ** (term.m0 * (term.m0 - 1) // 2)
+        dil = blocks[:, i, term.k:term.k + n_z + 1] * np.array(
+            [q ** (-term.m1 * m) for m in range(n_z + 1)])
         for s in term.z_powers:
             b = term.b_value(s, eps)
-            if b == 0:
-                continue
-            inner = 0j
-            zp = 1.0 + 0j
-            for m in range(n_z - s + 1):
-                inner += (c_dil[m + term.k] * q ** (-term.m1 * m)
-                          * zp / math.factorial(m))
-                zp *= z
-            rhs += b * op_factor * z**s * inner
-    return ResidualValue(value=lhs - rhs, lhs=lhs, rhs=rhs,
-                         warnings=tuple(warns))
+            n = max(n_z - s + 1, 0)
+            inner = (dil[:, :n] * zf[:, :n]).sum(axis=1)
+            rhs += np.where(b != 0, b * op_factor * z**s * inner, 0)
+    out = []
+    for (sc, e, tt, _), left, right in zip(points, lhs.tolist(),
+                                           rhs.tolist()):
+        warns = check_point(sc, e, tt)
+        if sc.t_set is not None:
+            if abs(q * tt) > sc.t_set.mod[1]:
+                warns.append("q*t leaves the validated evaluation patch")
+            warns += ["q^%d*t leaves the validated evaluation patch"
+                      % term.m0 for term in terms
+                      if abs(q**term.m0 * tt) > sc.t_set.mod[1]]
+        out.append(ResidualValue(value=left - right, lhs=left, rhs=right,
+                                 warnings=tuple(warns)))
+    return out
+
+
+def equation_residual(sc: SolutionChart, eps: complex, t: complex,
+                      z: complex) -> ResidualValue:
+    """:func:`equation_residuals` at one point."""
+    return equation_residuals([(sc, eps, t, z)])[0]
 
 
 def transform_decay_fit(sc: SolutionChart, eps: complex, t: complex
@@ -434,15 +478,10 @@ def flatness_fit(sc1: SolutionChart, sc2: SolutionChart, eps0: complex,
             "admits no decay" % one_over_a)
     eps_values = eps_sequence(eps0, sc1.base.q, n_points)
     prefetch_samples((sc1, sc2), eps_values, grid)
-    log2_eps, d_sup = [], []
-    for eps in eps_values:
-        d = 0.0
-        for (t, z) in grid:
-            v1 = evaluate_solution(sc1, eps, t, z).value
-            v2 = evaluate_solution(sc2, eps, t, z).value
-            d = max(d, abs(v1 - v2))
-        log2_eps.append(math.log(abs(eps)) ** 2)
-        d_sup.append(d)
+    d_sup = np.abs(_solution_samples(sc1, eps_values, grid)
+                   - _solution_samples(sc2, eps_values, grid)).max(
+                       axis=1, initial=0.0).tolist()
+    log2_eps = [math.log(abs(eps)) ** 2 for eps in eps_values]
     slope, intercept, r2, n_used = fit_log_decay(log2_eps, d_sup)
     return FlatnessFit(slope=slope, intercept=intercept, r2=r2,
                        predicted=-one_over_a, n_used=n_used,
@@ -490,15 +529,6 @@ class AsymptoticSeries:
         return len(self.coeffs) - 1
 
 
-def _solution_samples(sc: SolutionChart, eps_values, grid) -> np.ndarray:
-    prefetch_samples((sc,), eps_values, grid)
-    out = np.empty((len(eps_values), len(grid)), dtype=complex)
-    for i, eps in enumerate(eps_values):
-        for gi, (t, z) in enumerate(grid):
-            out[i, gi] = evaluate_solution(sc, eps, t, z).value
-    return out
-
-
 def extract_coefficients(sc: SolutionChart, eps0: complex, k_max: int,
                          tol: float, grid, depth: int = 32,
                          depth_override: tuple[int, ...] = None
@@ -512,16 +542,28 @@ def extract_coefficients(sc: SolutionChart, eps0: complex, k_max: int,
     scale - otherwise extraction aborts at that order.  ``depth_override``
     replays a fixed depth schedule (e.g. another chart's, or a shallow
     common one) so that cross-chart comparisons share their truncation
-    bias.
+    bias; the chart is then sampled only on the levels the schedule reads,
+    ``depth`` capping them (:func:`extraction_levels`).
     """
     if k_max > 4:
         raise ValueError("extraction beyond order 4 exceeds the double-"
                          "precision noise budget")
     q = sc.base.q
-    eps_values = eps_sequence(eps0, q, depth + 1)
+    eps_values = eps_sequence(eps0, q, extraction_levels(depth,
+                                                         depth_override))
     samples = _solution_samples(sc, eps_values, grid)
     return extract_from_samples(samples, eps_values, q, k_max, tol,
                                 grid=grid, depth_override=depth_override)
+
+
+def extraction_levels(depth: int, depth_override=None) -> int:
+    """How many of the levels ``eps0 q^-n``, ``n <= depth``, an extraction
+    reads: all, or with a depth schedule those up to ``max(depth_override)
+    + 1`` (depth ``n`` reads the estimates at ``n - 1`` and ``n``, or 0 and
+    1, and an estimate combines two levels)."""
+    if depth_override is None:
+        return depth + 1
+    return min(depth + 1, max(max(depth_override, default=1), 1) + 2)
 
 
 def extract_from_samples(samples: np.ndarray, eps_values, q: complex,
@@ -532,18 +574,22 @@ def extract_from_samples(samples: np.ndarray, eps_values, q: complex,
 
     ``samples[n, g]`` holds the function value at ``eps_values[n]`` and
     grid point g; the sequence must be q-geometric
-    (``eps_values[n+1] = eps_values[n] / q``).
+    (``eps_values[n+1] = eps_values[n] / q``).  Each order's quotients
+    are array operations over all levels; with ``depth_override`` only the
+    levels the schedule reads are used.
     """
     samples = np.asarray(samples, dtype=complex)
     eps_values = list(eps_values)
+    n_read = extraction_levels(len(eps_values) - 1, depth_override)
+    # eps^p per level and order, in Python complex
+    eps_pow = np.array([[eps**p for p in range(k_max + 1)]
+                        for eps in eps_values[:n_read]], dtype=complex)
     coeffs, stabs, depths = [], [], []
     for k in range(k_max + 1):
-        raw = np.empty_like(samples)
-        for i, eps in enumerate(eps_values):
-            acc = samples[i].copy()
-            for p in range(k):
-                acc -= coeffs[p] * eps**p / math.factorial(p)
-            raw[i] = acc * math.factorial(k) / eps**k
+        raw = samples[:n_read].copy()
+        for p in range(k):
+            raw -= coeffs[p] * eps_pow[:, p, None] / math.factorial(p)
+        raw = raw * math.factorial(k) / eps_pow[:, k, None]
         # one geometric-extrapolation step along eps -> eps/q removes the
         # next-order term of the quotient, sharpening the achievable limit
         est = (q * raw[1:] - raw[:-1]) / (q - 1.0)
@@ -654,11 +700,16 @@ class YoungConjugate(NamedTuple):
 
 
 def _golden_max(f, a: float, b: float, iters: int = 200) -> float:
+    """Golden-section maximum of ``f`` on ``[a, b]``: at most ``iters``
+    steps, fewer once the inner points meet (the bracket has collapsed to
+    rounding)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
+        if c >= d:
+            break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -75,6 +75,7 @@ BAD_VALUES = [
     (("sampling", "asympt", "depth"), 0, "verify asympt"),
     (("sampling", "asympt", "depth"), 1, "verify asympt"),
     (("sampling", "asympt", "depths"), [14, 8], "verify asympt"),
+    (("sampling", "asympt", "depths"), [14, -1, 5], "verify asympt"),
     ("QGEVREY_ABS_TOL", "abc", "check"),
 ]
 
@@ -442,7 +443,9 @@ class TestVerifyCommands:
         # growth-certificate windows 57, 33 and 41, stopping only on a
         # change below abs_tol (no predicted stop) 56, 32 and 36, and
         # calls of at most BLOCK // 2 values 50, 28 and 34; verify
-        # properties took 80 one-column calls.
+        # properties took 80 one-column calls.  verify asympt took 7 while
+        # it sampled all depth + 1 levels, not only the 22 its depth
+        # schedule reads.
         from qgevrey.problem import CoefficientEvaluator
         table = CoefficientEvaluator.table
         calls = []
@@ -459,7 +462,7 @@ class TestVerifyCommands:
             assert main(["verify", mode, "--config", cfg, "--out-dir",
                          str(tmp_path / mode)]) == 0
             counts[mode] = len(calls)
-        assert counts == {"residual": 9, "flatness": 5, "asympt": 7,
+        assert counts == {"residual": 9, "flatness": 5, "asympt": 6,
                           "properties": 1}
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):

@@ -12,6 +12,8 @@ from qgevrey import (CauchyProblem, CoefficientEvaluator, ContinuousBase,
                      apply_shift_operator, check_constant_system,
                      check_growth_cap, check_term_exponents,
                      series_norm, shift_bound_constant, weighted_norm)
+from qgevrey.config import load_shipped_config
+from qgevrey.problem import EpsFactors
 from qgevrey.qgeometry import BLOCK
 
 
@@ -306,6 +308,36 @@ class TestTableAgainstPerHLoop:
             want = per_h_table(ev, eps, tau, 25)
             assert got.shape == (26, 40)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail",
+                                      "empty_first_row"])
+    def test_table_into_nan_filled_out_equals_new_array_bitwise(self, name,
+                                                                rng):
+        # every row is written: the recursion rows by their first
+        # contribution, or zeroed when they get none (z-power 1 only
+        # leaves order S without one)
+        if name == "empty_first_row":
+            problem = CauchyProblem(s_order=1, terms=(ProblemTerm(
+                k=0, m0=1, m1=2, coeffs=((1, (1.0 + 0j,)),)),))
+            ev = CoefficientEvaluator(problem=problem, initial=CONST_INITIAL,
+                                      base=QBase(2.0))
+        else:
+            cfg = load_shipped_config(name)
+            ev = CoefficientEvaluator(problem=cfg.problem,
+                                      initial=cfg.initial, base=cfg.base)
+        eps = (rng.uniform(0.2, 0.9, 3)
+               * np.exp(1j * rng.uniform(0, 2 * math.pi, 3)))
+        tau = rng.uniform(0.3, 3.0, 60) * np.exp(1j * rng.uniform(-2.5, 2.5,
+                                                                  60))
+        factors = EpsFactors(ev.initial, ev.problem.terms, eps)
+        where = np.arange(60) % 3
+        want = ev.table(factors.at(where), tau, 25)
+        out = np.full((26, 60), complex(np.nan, np.nan))
+        got = ev.table(factors.at(where), tau, 25, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+        if name == "empty_first_row":
+            assert not want[1].any()
 
     def test_beta_max_below_order_gives_initial_rows(self):
         ev = self.evaluator()

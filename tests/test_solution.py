@@ -1,12 +1,13 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from qgevrey import (CoefficientEvaluator, DomainError,
                      InitialData, InitialTerm, QBase, QuadSettings,
-                     equation_residual, evaluate_solution,
+                     equation_residual, equation_residuals, evaluate_solution,
                      extract_coefficients, fit_log_decay, flatness_fit,
                      flatness_from_null_expansion, gevrey_fit,
                      initial_condition, log_theta, null_expansion_envelope,
@@ -14,7 +15,8 @@ from qgevrey import (CoefficientEvaluator, DomainError,
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import overlap_point
 from qgevrey.problem import CauchyProblem, ProblemTerm
-from qgevrey.solution import extract_from_samples
+from qgevrey.solution import _residual_keys, _solution_samples, \
+    check_point, eps_sequence, extract_from_samples, extraction_levels
 
 TIGHT = QuadSettings(abs_tol=1e-12, max_halvings=16)
 
@@ -555,6 +557,142 @@ class TestEquationResidual:
         assert windows == [] and len(sc._cache) == cached
 
 
+def per_point_residual(sc, eps, t, z):
+    """The residual of one point as scalar loops over the orders, from its
+    cached blocks: the per-point form the array sums replace."""
+    q = sc.base.q
+    S = sc.evaluator.problem.s_order
+    n_z = sc.beta_max - S
+    warns = list(check_point(sc, eps, t))
+    c_t, c_qt, *c_dils = [sc._cache[key]
+                          for key in _residual_keys(sc, eps, t)]
+    if sc.t_set is not None and abs(q * t) > sc.t_set.mod[1]:
+        warns.append("q*t leaves the validated evaluation patch")
+    lhs = 0j
+    zp = 1.0 + 0j
+    for n in range(n_z + 1):
+        lhs += (eps * t * c_qt[n + S] + c_t[n + S]) * zp / math.factorial(n)
+        zp *= z
+    rhs = 0j
+    for term, c_dil in zip(sc.evaluator.problem.terms, c_dils):
+        if sc.t_set is not None and abs(q**term.m0 * t) > sc.t_set.mod[1]:
+            warns.append("q^%d*t leaves the validated evaluation patch"
+                         % term.m0)
+        op_factor = t ** term.m0 * q ** (term.m0 * (term.m0 - 1) // 2)
+        for s in term.z_powers:
+            b = term.b_value(s, eps)
+            if b == 0:
+                continue
+            inner = 0j
+            zp = 1.0 + 0j
+            for m in range(n_z - s + 1):
+                inner += (c_dil[m + term.k] * q ** (-term.m1 * m)
+                          * zp / math.factorial(m))
+                zp *= z
+            rhs += b * op_factor * z**s * inner
+    return lhs - rhs, lhs, rhs, tuple(warns)
+
+
+def bits(value: complex) -> bytes:
+    """The bit pattern of a complex value (tells -0.0 from 0.0)."""
+    return struct.pack("<dd", value.real, value.imag)
+
+
+@pytest.fixture(scope="module")
+def demo_residual_points(demo):
+    """100 points over all 25 charts, drawn as ``verify residual`` draws
+    them, with their residuals as one batch."""
+    rng = np.random.default_rng(7)
+    charts = [demo.chart_solution(i) for i in range(len(demo.covering.charts))]
+    points = []
+    for i in range(100):
+        sc = charts[i % len(charts)]
+        u = rng.uniform(*sc.chart.i1)
+        v = rng.uniform(*sc.chart.i2) - rng.integers(0, 3)
+        eps = complex(np.exp(2j * math.pi * u) * qpow(demo.base, v))
+        t = complex(demo.family.t_set.sample(rng, 1)[0])
+        z = complex(rng.uniform(0.0, 0.5)
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+        points.append((sc, eps, t, z))
+    return points, equation_residuals(points)
+
+
+def two_term_points(demo):
+    """An S = 2 problem with two terms, eps-dependent b and a z-power 1,
+    on demo charts 20 and 21, at points some of whose t-dilations (and one
+    t) leave the evaluation patch."""
+    problem = CauchyProblem(s_order=2, terms=(
+        ProblemTerm(k=0, m0=1, m1=3,
+                    coeffs=((0, (1.0 + 0j, 0.5 - 0.25j)), (1, (0.2j,)))),
+        ProblemTerm(k=1, m0=2, m1=4, coeffs=((0, (0.3 + 0j, -0.1 + 0.2j)),))))
+    initial = InitialData(components=((InitialTerm(c=1.0),),
+                                      (InitialTerm(c=0.5, a=1, r=1),)))
+    ev = CoefficientEvaluator(problem=problem, initial=initial,
+                              base=demo.base)
+    quad = QuadSettings(abs_tol=1e-10, max_halvings=16)
+    sc20 = demo.chart_solution(20, evaluator=ev, quad=quad)
+    sc21 = demo.chart_solution(21, evaluator=ev, quad=quad)
+    eps = overlap_point(demo.covering.charts[20], demo.covering.charts[21],
+                        demo.base)
+    return [(sc, e, t, z) for sc in (sc20, sc21)
+            for e in (eps, eps / demo.base.q)
+            for t, z in ((0.7, 0.3), (0.3, 0.2j), (0.45, -0.4 + 0.1j))]
+
+
+class TestEquationResiduals:
+    def assert_matches_per_point_loop(self, points, results):
+        assert len(results) == len(points)
+        for (sc, eps, t, z), got in zip(points, results):
+            value, lhs, rhs, warns = per_point_residual(
+                sc, complex(eps), complex(t), complex(z))
+            scale = max(abs(lhs), abs(rhs))
+            assert abs(got.lhs - lhs) <= 1e-14 * scale
+            assert abs(got.rhs - rhs) <= 1e-14 * scale
+            assert abs(got.value - value) <= 2e-14 * scale
+            assert got.warnings == warns
+
+    def test_demo_matches_per_point_loop(self, demo_residual_points):
+        points, results = demo_residual_points
+        self.assert_matches_per_point_loop(points, results)
+        # the t-dilations leave the patch at some points, not at all
+        assert 0 < sum(bool(r.warnings) for r in results) < len(results)
+
+    def test_two_term_problem_matches_per_point_loop(self, demo):
+        points = two_term_points(demo)
+        results = equation_residuals(points)
+        self.assert_matches_per_point_loop(points, results)
+        assert all(abs(r.value) < 1e-8 for r in results)
+        assert {len(r.warnings) for r in results} == {1, 2, 3}
+
+    def test_one_point_equals_its_batch_value_bitwise(self,
+                                                      demo_residual_points):
+        points, results = demo_residual_points
+        for point, batch in zip(points, results):
+            alone = equation_residual(*point)
+            assert [bits(v) for v in (alone.value, alone.lhs, alone.rhs)] \
+                == [bits(v) for v in (batch.value, batch.lhs, batch.rhs)]
+            assert alone.warnings == batch.warnings
+
+    def test_empty_batch(self):
+        assert equation_residuals([]) == []
+
+
+class TestSeriesValues:
+    def test_one_point_equals_its_batch_value_bitwise(self, demo, chart20,
+                                                      eps20):
+        # 10 levels x 10 grid points: one 100-row array sum
+        eps_values = eps_sequence(eps20, demo.base.q, 10)
+        grid = [(complex(t), complex(z))
+                for t in (0.45, 0.6, 0.75, 0.9, 0.62 + 0.003j)
+                for z in (0.3, -0.45j)]
+        values = _solution_samples(chart20, eps_values, grid)
+        assert values.shape == (10, 10)
+        for i, eps in enumerate(eps_values):
+            for g, (t, z) in enumerate(grid):
+                alone = evaluate_solution(chart20, eps, t, z).value
+                assert bits(alone) == bits(complex(values[i, g]))
+
+
 class TestCommutationAtSolutionLevel:
     def test_dilation_identity_on_order_zero(self, demo, chart20, eps20):
         # T(tau W)(eps t) = eps t T(W)(q eps t) with W the constant initial
@@ -691,6 +829,46 @@ class TestExtraction:
         assert abs(series.coeffs[0][0] - prod) < 1e-9
         assert abs(series.coeffs[1][0]) < 1e-6
 
+    def test_depth_schedule_reads_no_deeper_level(self):
+        q = 2.0
+        eps = [0.6 * q ** (-n) for n in range(31)]
+        samples = np.array([[np.exp(e) / (1.0 - 0.5 * e),
+                             2.0 + 1j * np.sin(3.0 * e)] for e in eps])
+        schedule = (20, 10, 7, 4)
+        want = extract_from_samples(samples, eps, q, 3, 1e-3,
+                                    depth_override=schedule)
+        cut = samples.copy()
+        cut[22:] = np.nan  # past max(schedule) + 1
+        got = extract_from_samples(cut, eps, q, 3, 1e-3,
+                                   depth_override=schedule)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.coeffs, want.coeffs))
+        assert got.stab == want.stab and got.depths == want.depths
+        # level max(schedule) + 1 itself is read
+        cut[21] = np.nan
+        assert np.isnan(extract_from_samples(
+            cut, eps, q, 3, 1e-3, depth_override=schedule).coeffs[0]).all()
+
+    def test_extraction_levels(self):
+        assert extraction_levels(30) == 31
+        assert extraction_levels(30, (20, 10, 7, 4)) == 22
+        assert extraction_levels(15, (20, 10, 7, 4)) == 16
+        # depth 0 reads its stabilization residual at levels 0 to 2
+        assert extraction_levels(30, (0, 0)) == 3
+
+    def test_schedule_samples_only_its_levels(self, demo, chart20, eps20):
+        schedule, grid = (20, 10, 7, 4), [(0.7, 0.3), (0.55, 0.4j)]
+        series = extract_coefficients(chart20, eps20, 3, 0.05, grid,
+                                      depth=30, depth_override=schedule)
+        assert len(series.eps_values) == series.samples.shape[0] == 22
+        eps_values = eps_sequence(eps20, demo.base.q, 31)
+        full = extract_from_samples(
+            _solution_samples(chart20, eps_values, grid), eps_values,
+            demo.base.q, 3, 0.05, grid=grid, depth_override=schedule)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(series.coeffs, full.coeffs))
+        assert series.stab == full.stab and series.depths == full.depths
+
     def test_depth_cap(self, demo, chart20, eps20):
         with pytest.raises(ValueError):
             extract_coefficients(chart20, eps20, 5, 1e-3, [(0.7, 0.3)])
@@ -748,6 +926,21 @@ class TestClosedForms:
             yc = young_conjugate(y, base2)
             assert abs(yc.numeric - yc.closed_form) <= 1e-9 * max(
                 yc.closed_form, 1.0)
+
+    def test_golden_section_stops_when_bracket_collapses(self, bases, rng):
+        from qgevrey.solution import _golden_max
+        for base in bases:
+            L = base.log_abs_q
+            for y in rng.uniform(0.0, 50.0, 20):
+                xs = []
+
+                def f(x):
+                    xs.append(x)
+                    return x * y - x * x / (4.0 * L)
+
+                best = _golden_max(f, 0.0, 4.0 * L * y + 1.0)
+                assert len(xs) < 100  # 200 steps without the stop
+                assert abs(best - L * y * y) <= 1e-15 * max(L * y * y, 1.0)
 
     def test_envelope_minimizer_closed_form(self, base2, rng):
         # golden section localizes a smooth minimum only to sqrt(ulp); a
