@@ -3,7 +3,8 @@
 All angular quantities in config files are given in turns (the chart
 parameterization is ``exp(2*pi*i*u) q^v``); they are converted to radians
 once, here.  Complex numbers are ``[re, im]`` pairs.  Unknown fields are
-rejected so silent typos cannot weaken a verification run.
+rejected so silent typos cannot weaken a verification run.  A sampling
+key a config omits takes its default here (:func:`_sampling_defaults`).
 
 Environment override (tolerance only):
 
@@ -110,8 +111,7 @@ class RunConfig:
     lambdas: tuple[complex, ...]
     quad: QuadSettings
     beta_max: int
-    sampling: dict  # converted values; grid entries as (t, z) pairs
-    raw: dict
+    sampling: dict  # every key, converted; grid entries as (t, z) pairs
 
     def chart_solution(self, index: int, **overrides) -> SolutionChart:
         ev = CoefficientEvaluator(problem=self.problem, initial=self.initial,
@@ -138,6 +138,22 @@ _SAMPLING_BLOCKS = {
 }
 _SAMPLING_KEYS = dict(seed=int, n_cover_samples=int, n_family_samples=int,
                       **dict.fromkeys(_SAMPLING_BLOCKS, dict))
+
+
+def _sampling_defaults(quad: QuadSettings) -> dict:
+    """Every sampling key's default, in the config's form."""
+    grid = [{"t": [0.7, 0.0], "z": [0.3, 0.0]}]
+    return {"seed": 0, "n_cover_samples": 10000, "n_family_samples": 600,
+            "residual": {"n_points": 100, "z_max": 0.5, "max_abs": 1e-6,
+                         "abs_tol": quad.abs_tol},
+            "flatness": {"pair": [0, 1], "n_points": 13, "abs_tol": 1e-12,
+                         "grid": grid},
+            "asympt": {"pair": [0, 1], "k_max": 3, "tol": 2e-3,
+                       "abs_tol": 1e-12, "depth": 30, "depths": [],
+                       "rel_match": 1e-4, "grid": grid},
+            "properties": {"n_points": 200}}
+
+
 # the range of each sampling count: a verification on fewer points checks
 # nothing or fails inside a fit (the flatness fit takes 8 levels, the
 # type fit 3 orders, an extraction step 3 levels), and extraction stops at
@@ -194,7 +210,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     base = _fields(doc["base"], {"q": lambda v: QBase(_complex(v, "base.q"))},
                    {"q"}, "base")["q"]
 
-    p = _fields(doc["problem"], {"s_order": int, "r0": float, "terms": list},
+    p = _fields(doc["problem"], {"s_order": int, "terms": list},
                 {"s_order", "terms"}, "problem")
     terms = []
     for ti, t in enumerate(p["terms"]):
@@ -212,8 +228,8 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     with _field("problem"):
         problem = CauchyProblem(**dict(p, terms=tuple(terms)))
 
-    gk = dict.fromkeys("m_big m_tilde a1_type c_geom delta_theta xi xi_bar "
-                       "a1 a2 b1 b2 d1 d2".split(), float)
+    gk = dict.fromkeys("m_big a1_type c_geom xi xi_bar a1 a2 b1 b2 d1 d2"
+                       .split(), float)
     gevrey = _fields(doc["gevrey"], gk, set(gk), "gevrey", GevreyParams)
 
     init = doc["initial"]
@@ -252,19 +268,22 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
              "the equation order %d and %d"
              % (beta_max, problem.s_order, BETA_MAX_LIMIT))
 
-    qk = {"abs_tol": float, "initial_step": float, "max_halvings": int,
-          "s_pad": float}
-    quad = _fields(doc.get("quad", {}), qk, set(), "quad", QuadSettings)
+    qk = {"abs_tol": float, "initial_step": float, "max_halvings": int}
+    quad = _fields(doc["quad"], qk, set(), "quad", QuadSettings)
     if "QGEVREY_ABS_TOL" in os.environ:
         with _field("QGEVREY_ABS_TOL"):
             quad = replace(quad, abs_tol=float(os.environ["QGEVREY_ABS_TOL"]))
 
-    samp = _fields(doc.get("sampling", {}), _SAMPLING_KEYS, set(), "sampling")
+    defaults = _sampling_defaults(quad)
+    samp = {**defaults, **_fields(doc["sampling"], _SAMPLING_KEYS, set(),
+                                  "sampling")}
     for name, kinds in _SAMPLING_BLOCKS.items():
         where = "sampling." + name
-        block = samp[name] = _fields(samp.get(name, {}), kinds, set(), where)
-        n, pair = len(covering.charts), block.get("pair", (0, 1))
-        _require(len(pair) == 2 and all(0 <= i < n for i in pair),
+        block = samp[name] = _fields({**defaults[name], **samp[name]}, kinds,
+                                     set(), where)
+        n, pair = len(covering.charts), block.get("pair")
+        _require(pair is None or (len(pair) == 2
+                                  and all(0 <= i < n for i in pair)),
                  "%s.pair must be two chart indices below %d" % (where, n))
         grid = block.get("grid", [])
         for gi, entry in enumerate(grid):
@@ -273,13 +292,13 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
             grid[gi] = (_complex(entry["t"], gw + ".t"),
                         _complex(entry["z"], gw + ".z"))
     for (name, key), (lo, hi) in _SAMPLING_RANGES.items():
-        value = samp[name].get(key, lo)
+        value = samp[name][key]
         _require(lo <= value <= hi, "sampling.%s.%s = %d must be %s"
                  % (name, key, value, "at least %d" % lo if hi == math.inf
                     else "between %d and %d" % (lo, hi)))
     # a depth schedule names one depth per extracted order
     asympt = samp["asympt"]
-    depths, k_max = asympt.get("depths", []), asympt.get("k_max", 3)
+    depths, k_max = asympt["depths"], asympt["k_max"]
     _require(not depths or len(depths) > k_max,
              "sampling.asympt.depths lists %d depths; k_max = %d needs %d"
              % (len(depths), k_max, k_max + 1))
@@ -290,8 +309,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     return RunConfig(description=str(doc.get("description", "")), base=base,
                      problem=problem, gevrey=gevrey, initial=initial,
                      covering=covering, family=family, lambdas=lambdas,
-                     quad=quad, beta_max=beta_max, sampling=samp,
-                     raw=doc)
+                     quad=quad, beta_max=beta_max, sampling=samp)
 
 
 def load_config(path: str) -> RunConfig:

@@ -34,10 +34,6 @@ TWO_PI = 2.0 * math.pi
 class GoodCovering:
     charts: tuple[ChartBase, ...]
     n_u: int = 0
-    n_v: int = 0
-
-    def chart(self, index: int) -> ChartBase:
-        return self.charts[index]
 
 
 @dataclass(frozen=True)
@@ -97,11 +93,7 @@ def build_covering(n_u: int, n_v: int, overlap: float,
             charts.append(ChartBase(
                 i1=(u_lo, u_lo + length_u),
                 i2=(v_lo, v_lo + length_v)))
-    return GoodCovering(charts=tuple(charts), n_u=n_u, n_v=n_v)
-
-
-def chart_index(covering: GoodCovering, i: int, j: int) -> int:
-    return j * covering.n_u + i
+    return GoodCovering(charts=tuple(charts), n_u=n_u)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,6 @@ class ProblemTerm:
 class CauchyProblem:
     s_order: int
     terms: tuple[ProblemTerm, ...]
-    r0: float = 1.0
 
     def __post_init__(self):
         if self.s_order < 1:
@@ -74,8 +73,6 @@ class CauchyProblem:
             raise ValueError("each derivative index k may appear only once")
         if any(not 0 <= k < self.s_order for k in ks):
             raise ValueError("derivative indices must satisfy 0 <= k < S")
-        if not 0.0 < self.r0 <= 1.0:
-            raise ValueError("r0 must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,8 @@ class GevreyParams:
     """Constant pack governing every quantitative bound check."""
 
     m_big: float
-    m_tilde: float
     a1_type: float
     c_geom: float
-    delta_theta: float
     xi: float
     xi_bar: float
     a1: float
@@ -97,15 +92,12 @@ class GevreyParams:
     d2: float
 
     def __post_init__(self):
-        if not 0.0 < self.m_tilde < self.m_big:
-            raise ValueError("need 0 < m_tilde < m_big")
-        if not 0.0 < self.delta_theta < 1.0:
-            raise ValueError("delta_theta must lie in (0, 1)")
         for name in ("xi", "xi_bar"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError("%s must lie in (0, 1)" % name)
-        for name in ("a1_type", "c_geom", "a1", "a2", "b1", "b2", "d1", "d2"):
+        for name in ("m_big", "a1_type", "c_geom", "a1", "a2", "b1", "b2",
+                     "d1", "d2"):
             if not getattr(self, name) > 0:
                 raise ValueError("%s must be positive" % name)
 
@@ -475,9 +467,10 @@ def _patch_grid(patch: ContinuousBase, n: int) -> np.ndarray:
 def admissibility_fit(component: tuple[InitialTerm, ...],
                       eps_patch: ContinuousBase, tau_patch: ContinuousBase,
                       g: GevreyParams, n: int = 24) -> AdmissibilityFit:
-    """Fit the growth envelope ``Delta exp(m_tilde log^2|tau/eps|)`` on a grid.
+    """Fit the growth envelope ``Delta exp(M~ log^2|tau/eps|)`` on a grid.
 
-    Uses the single candidate ``m_tilde = 0.9 m_big`` and reports the grid
+    ``M~`` is fixed at ``0.9 m_big`` (reported as ``m_used``), the paper's
+    ``M~ < M`` with a 10% margin; no config key sets it.  Reports the grid
     maximum of the weighted modulus; passes when the maximum is finite and
     stable (within 10%) under doubling the grid resolution.  A pole inside
     the patch reveals itself through blow-up under refinement.

@@ -16,13 +16,14 @@ and :func:`path_window` raises :class:`ConvergenceError` before any
 halving.  One core serves array functions ``F`` here and the all-orders
 blocks in :mod:`qgevrey.solution`, and it runs a batch of blocks
 (windows) at once.  :func:`truncation_window` starts each block's window
-from the kernel's own Gaussian; :func:`path_window` widens each window
-until the integrand is negligible at both its ends, and
-:func:`path_integral` halves each block's step on nested trapezoid nodes
-until the change between halvings is below ``abs_tol``, or its decay
-predicts the next change below it.  On such a window the trapezoid rule
-converges exponentially (Trefethen and Weideman, SIAM Review 56(3),
-2014), so the changes contract geometrically or faster.
+from the kernel's own Gaussian; :func:`path_window` pads each window by
+the fixed margin :data:`S_PAD` and widens it until the integrand is
+negligible at both its ends, and :func:`path_integral` halves each
+block's step on nested trapezoid nodes until the change between halvings
+is below ``abs_tol``, or its decay predicts the next change below it.
+On such a window the trapezoid rule converges exponentially (Trefethen
+and Weideman, SIAM Review 56(3), 2014), so the changes contract
+geometrically or faster.
 The halvings add midpoints only on the support the coarse pass measured,
 where the integrand is above the same negligibility threshold as the
 window ends, so the omitted ones stay within the same ``tol``.  All nodes
@@ -53,16 +54,15 @@ from .theta import log_theta, log_theta_shifted, pi_q
 @dataclass(frozen=True)
 class QuadSettings:
     """Controls for the path integral: the tolerance on the change between
-    trapezoid halvings, the largest first step, the number of halvings and
-    the window padding."""
+    trapezoid halvings, the largest first step and the number of
+    halvings."""
 
     abs_tol: float = 1e-10
     initial_step: float = 0.25
     max_halvings: int = 14
-    s_pad: float = 2.0
 
     def __post_init__(self):
-        for name in ("abs_tol", "initial_step", "max_halvings", "s_pad"):
+        for name in ("abs_tol", "initial_step", "max_halvings"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
         if not self.abs_tol > 0:
@@ -71,15 +71,13 @@ class QuadSettings:
             raise ValueError("initial_step must lie in (0, 0.5]")
         if self.max_halvings < 3:
             raise ValueError("max_halvings must be at least 3")
-        if self.s_pad <= 0:
-            raise ValueError("s_pad must be positive")
 
 
-def truncation_window(lam: complex, z: complex, base: QBase, tol: float,
-                      s_pad: float = 0.0) -> tuple[float, float]:
+def truncation_window(lam: complex, z: complex, base: QBase,
+                      tol: float) -> tuple[float, float]:
     """The first window ``[s_lo, s_hi]`` of a transform block: outside it
     the kernel's own Gaussian, with unit numerator and the transform
-    prefactor, sums below ``tol``; then ``s_pad`` is added on each side.
+    prefactor, sums below ``tol``.
 
     In ``x = log|q^s lam|`` the Gaussian is centred at ``log|z|`` and
     decays at half the kernel's rate, ``1/(4 log|q|)``, so an integrand
@@ -100,7 +98,7 @@ def truncation_window(lam: complex, z: complex, base: QBase, tol: float,
             u = math.sqrt(max(math.log(max(amp / (tol * a * u), 1.0001)), 0.25) / a)
         u += 0.5  # swallow the fixed-point slack
     x_c = math.log(abs(z)) - math.log(abs(lam))
-    return (x_c - u) / L - s_pad, (x_c + u) / L + s_pad
+    return (x_c - u) / L, (x_c + u) / L
 
 
 def theta_unsafe(z, lam, delta: float) -> DomainError:
@@ -175,6 +173,7 @@ def _negligible(tol: float, s_lo, s_hi):
 
 
 PROBE_ROUNDS = 12
+S_PAD = 2.0  # the margin, in s, path_window adds on each side of a window
 
 
 def path_window(rows, windows, settings: QuadSettings, tol: float,
@@ -183,7 +182,8 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
     each widened until the integrand (every row) is below ``tol`` over the
     window's width at both its endpoints, as an ``(n, 2)`` array.
 
-    ``windows`` holds one :func:`truncation_window` per block and
+    ``windows`` holds one :func:`truncation_window` per block, padded by
+    :data:`S_PAD` on both sides before it is rounded onto the lattice, and
     ``rows(s, block)`` evaluates the nodes ``s``, of the blocks ``block``,
     ``n_rows`` values per node.  Each round probes the endpoints of every
     block not yet negligible there, packed into as few calls as
@@ -195,7 +195,8 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
     decays, or overflows.
     """
     h0 = _coarse_step(settings)
-    s_lo, s_hi = _on_lattice(*np.reshape(windows, (-1, 2)).T, h0)
+    s_lo, s_hi = np.reshape(windows, (-1, 2)).T
+    s_lo, s_hi = _on_lattice(s_lo - S_PAD, s_hi + S_PAD, h0)
     pending = np.arange(s_lo.size)
     two = np.full(s_lo.size, 2)
     for round_ in range(PROBE_ROUNDS):
@@ -210,7 +211,7 @@ def path_window(rows, windows, settings: QuadSettings, tol: float,
             return np.column_stack((s_lo, s_hi))
         if round_ == PROBE_ROUNDS - 1:
             break
-        pad = np.maximum(4.0 * settings.s_pad, 0.15 * (s_hi - s_lo)[still])
+        pad = np.maximum(4.0 * S_PAD, 0.15 * (s_hi - s_lo)[still])
         s_lo[still], s_hi[still] = _on_lattice(s_lo[still] - pad,
                                                s_hi[still] + pad, h0)
         pending = still
@@ -227,8 +228,8 @@ def path_integral(rows, windows, settings: QuadSettings, tol: float,
                   n_rows: int = 1):
     """Integrals of ``rows`` over a batch of windows, one value per row.
 
-    ``rows(s, block)``, ``windows`` and ``tol`` are as in
-    :func:`path_window`; the last axis of ``rows``' result runs over the
+    ``windows`` are :func:`path_window`'s, and ``rows(s, block)`` and
+    ``tol`` are as there; the last axis of ``rows``' result runs over the
     nodes.  Yields ``(block, integral)`` as each block settles, the
     integral an array of ``n_rows``; a settled block leaves the batch.
 
@@ -371,8 +372,7 @@ def _scalar_path(F, lam, z, base, settings):
         num = np.asarray(F(qpow(base, s) * lam), dtype=complex)
         return pref * num * kern(s, block)
 
-    window = truncation_window(lam, z, base, settings.abs_tol,
-                               s_pad=settings.s_pad)
+    window = truncation_window(lam, z, base, settings.abs_tol)
     return rows, path_window(rows, [window], settings, settings.abs_tol)[0]
 
 

@@ -189,7 +189,7 @@ def _transform_blocks(items) -> None:
     tol = 0.01 * quad.abs_tol
     try:
         windows = path_window(
-            rows, [truncation_window(sc.lam, z, base, tol, s_pad=quad.s_pad)
+            rows, [truncation_window(sc.lam, z, base, tol)
                    for (sc, _), z in zip(new, zs)],
             quad, tol, n_rows)
         for i, value in path_integral(rows, windows, quad, tol, n_rows):

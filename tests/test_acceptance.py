@@ -127,9 +127,9 @@ def test_criterion_04_recursion_closed_form():
 
 def test_criterion_05_shift_inequality_on_truncations():
     base = QBase(2.0)
-    g = GevreyParams(m_big=0.5, m_tilde=0.45, a1_type=0.75, c_geom=1.5,
-                     delta_theta=0.2, xi=0.9, xi_bar=0.9, a1=9.0, a2=1.0,
-                     b1=8.0, b2=1.0, d1=2.0, d2=1.0)
+    g = GevreyParams(m_big=0.5, a1_type=0.75, c_geom=1.5, xi=0.9,
+                     xi_bar=0.9, a1=9.0, a2=1.0, b1=8.0, b2=1.0, d1=2.0,
+                     d2=1.0)
     rng = np.random.default_rng(SEED)
     cu, cv = 0.9, 1.1
     delta = 0.4
@@ -165,8 +165,7 @@ def test_criterion_05_shift_inequality_on_truncations():
 
 def test_criterion_06_equation_residual(demo):
     t0 = time.monotonic()
-    quad = QuadSettings(abs_tol=1e-8, initial_step=0.25, max_halvings=14,
-                        s_pad=2.0)
+    quad = QuadSettings(abs_tol=1e-8, initial_step=0.25, max_halvings=14)
     rng = np.random.default_rng(SEED)
     from qgevrey import equation_residual
     charts = {}
@@ -302,9 +301,8 @@ def test_criterion_12_checkers_vs_direct_evaluation():
         base = QBase(math.exp(rng.uniform(0.05, 1.2)))
         L = base.log_abs_q
         g = GevreyParams(
-            m_big=rng.uniform(0.05, 2.0), m_tilde=0.01,
+            m_big=rng.uniform(0.05, 2.0),
             a1_type=rng.uniform(0.2, 3.0), c_geom=rng.uniform(0.2, 2.0),
-            delta_theta=0.2,
             xi=rng.uniform(0.05, 0.95), xi_bar=rng.uniform(0.05, 0.95),
             a1=rng.uniform(0.5, 10.0), a2=rng.uniform(0.5, 10.0),
             b1=rng.uniform(0.5, 10.0), b2=rng.uniform(0.5, 10.0),

@@ -9,6 +9,7 @@ from qgevrey.cli import main
 from qgevrey.config import (load_config, load_shipped_config, parse_config,
                             shipped_config_text)
 from qgevrey.errors import ConfigError
+from qgevrey.qgeometry import in_theta_safe
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +57,6 @@ BAD_VALUES = [
     (("quad", "initial_step"), -1, "check"),
     (("quad", "initial_step"), 0, "check"),
     (("quad", "initial_step"), math.nan, "check"),
-    (("quad", "s_pad"), math.nan, "check"),
-    (("quad", "s_pad"), math.inf, "check"),
     (("quad", "abs_tol"), math.inf, "check"),
     (("quad", "abs_tol"), "a", "check"),
     (("base", "q"), [1, 0], "check"),
@@ -117,8 +116,11 @@ class TestConfigSchema:
             parse_config(doc)
 
     def test_unknown_nested_field_rejected(self, demo_doc, tmp_path, capsys):
-        # solution.cert_c1 was a setting once: configs carrying it now fail
-        for block, key in (("gevrey", "bogus"), ("solution", "cert_c1")):
+        # these keys were settings once, which nothing read or which no
+        # config varied: configs carrying them now fail
+        for block, key in (("gevrey", "bogus"), ("solution", "cert_c1"),
+                           ("problem", "r0"), ("gevrey", "m_tilde"),
+                           ("gevrey", "delta_theta"), ("quad", "s_pad")):
             doc = copy.deepcopy(demo_doc)
             doc[block][key] = 2.0
             message = "%s has unknown field(s): %s" % (block, key)
@@ -157,6 +159,34 @@ class TestConfigSchema:
         monkeypatch.setenv("QGEVREY_ABS_TOL", "1e-7")
         cfg = parse_config(copy.deepcopy(demo_doc))
         assert cfg.quad.abs_tol == 1e-7
+
+    def test_sampling_defaults_filled(self, demo_doc, monkeypatch):
+        # every sampling key a config omits gets its default here, so the
+        # commands read each value with no fallback; residuals default to
+        # the effective quadrature tolerance
+        monkeypatch.setenv("QGEVREY_ABS_TOL", "1e-7")
+        doc = copy.deepcopy(demo_doc)
+        doc["sampling"] = {}
+        samp = parse_config(doc).sampling
+        grid = [(0.7 + 0j, 0.3 + 0j)]
+        assert samp == {
+            "seed": 0, "n_cover_samples": 10000, "n_family_samples": 600,
+            "residual": {"n_points": 100, "z_max": 0.5, "max_abs": 1e-6,
+                         "abs_tol": 1e-7},
+            "flatness": {"pair": (0, 1), "n_points": 13, "abs_tol": 1e-12,
+                         "grid": grid},
+            "asympt": {"pair": (0, 1), "k_max": 3, "tol": 2e-3,
+                       "abs_tol": 1e-12, "depth": 30, "depths": (),
+                       "rel_match": 1e-4, "grid": grid},
+            "properties": {"n_points": 200}}
+        doc["sampling"] = {"residual": {"n_points": 6}, "asympt": {"tol": 0.1}}
+        partial = parse_config(doc).sampling
+        assert partial["residual"] == dict(samp["residual"], n_points=6)
+        assert partial["asympt"] == dict(samp["asympt"], tol=0.1)
+        # the depth schedule is checked against the default k_max = 3
+        doc["sampling"] = {"asympt": {"depths": [14, 8, 5]}}
+        with pytest.raises(ConfigError, match="k_max = 3 needs 4"):
+            parse_config(doc)
 
     def test_sampling_sub_block_typos_exit_two(self, demo_doc, tmp_path):
         typos = {"residual": ("max_abz", 1e-6), "flatness": ("n_pionts", 8),
@@ -234,7 +264,6 @@ class TestCheckCommand:
     def test_growth_cap_violation_fails(self, demo_doc, tmp_path):
         doc = trimmed(demo_doc)
         doc["gevrey"]["m_big"] = 2.0  # above 1/(2 log 2)
-        doc["gevrey"]["m_tilde"] = 1.8
         cfg = write_config(tmp_path, doc)
         code = main(["check", "--config", cfg,
                      "--out-dir", str(tmp_path / "out")])
@@ -383,6 +412,57 @@ class TestVerifyCommands:
         assert main(["verify", "properties", "--config", cfg,
                      "--out-dir", out]) == 0
 
+    # the demo's other properties rows at its shipped seed: filtering the
+    # reduction row's samples must not move them
+    PINNED_PROPERTIES = [
+        {"name": "theta_functional_equation", "status": "pass", "n": 200,
+         "worst_rel": 1.2483840166623445e-15,
+         "tolerance_provenance": "relative 1e-10"},
+        {"name": "transform_commutation", "status": "pass",
+         "worst_rel": 1.9428664582655954e-16,
+         "tolerance_provenance": "relative 1e-6 at default quadrature"},
+        {"name": "recursion_closed_form", "status": "pass",
+         "note": "first-order single-term problem",
+         "tolerance_provenance": "relative 1e-11"},
+        {"name": "shift_bound_constant_defined", "status": "pass",
+         "tolerance_provenance": "hypothesis-checked evaluation"},
+        {"name": "young_conjugate_closed_form", "status": "pass",
+         "worst_rel": 3.290372286693434e-16,
+         "tolerance_provenance": "relative 1e-9"},
+        {"name": "covering_quick", "status": "pass", "max_multiplicity": 3,
+         "tolerance_provenance": "2000 samples"},
+    ]
+
+    def test_properties_theta_reduction_on_theta_safe_samples(
+            self, tmp_path, monkeypatch):
+        # next to theta's zeros at -q^Z any summation, the direct one too,
+        # loses all relative digits, so the reduction row compares only
+        # theta-safe samples: every point of its log_theta call (the
+        # third) is theta-safe, and the other rows, which draw from the
+        # same rng stream after it, are unchanged
+        from qgevrey import cli
+        seen = []
+        log_theta = cli.log_theta
+
+        def spy(x, base):
+            seen.append(np.array(x))
+            return log_theta(x, base)
+
+        monkeypatch.setattr(cli, "log_theta", spy)
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(shipped_config_text("demo"))
+        assert main(["verify", "properties", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_properties_report.json")
+                            .read_text())
+        row = report["checks"].pop(1)
+        assert row["name"] == "theta_reduction_vs_direct"
+        assert row["status"] == "pass"
+        x = seen[2]
+        assert in_theta_safe(1.0, x, load_config(str(cfg)).base, 0.2).all()
+        assert row["n_samples"] == x.size == 183  # of 200 drawn
+        assert report["checks"] == self.PINNED_PROPERTIES
+
     def test_properties_theta_overflow_fails_its_rows(self, demo_doc,
                                                       tmp_path, monkeypatch):
         # the theta rows evaluate all sample points in one log_theta call
@@ -408,7 +488,6 @@ class TestVerifyCommands:
         doc = trimmed(demo_doc)
         # xi/(2 log q) below m_big: no guaranteed flatness decay
         doc["gevrey"]["m_big"] = 0.7
-        doc["gevrey"]["m_tilde"] = 0.6
         doc["gevrey"]["xi"] = 0.2
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "out")

@@ -18,9 +18,8 @@ from qgevrey.qgeometry import BLOCK
 
 
 def make_gevrey(**kw):
-    params = dict(m_big=0.5, m_tilde=0.45, a1_type=1.0, c_geom=1.0,
-                  delta_theta=0.2, xi=0.9, xi_bar=0.9, a1=9.0, a2=1.0,
-                  b1=8.0, b2=1.0, d1=2.0, d2=1.0)
+    params = dict(m_big=0.5, a1_type=1.0, c_geom=1.0, xi=0.9, xi_bar=0.9,
+                  a1=9.0, a2=1.0, b1=8.0, b2=1.0, d1=2.0, d2=1.0)
     params.update(kw)
     return GevreyParams(**params)
 
@@ -52,7 +51,7 @@ class TestTermExponents:
                                coeffs=((0, (1.0 + 0j,)), (1, (1.0 + 0j,)))),
                    ProblemTerm(k=1, m0=4, m1=21,
                                coeffs=((1, (1.0 + 0j,)),))))
-        g = make_gevrey(a1_type=2.0, c_geom=1.0, m_big=1.0, m_tilde=0.9)
+        g = make_gevrey(a1_type=2.0, c_geom=1.0, m_big=1.0)
         rep = check_term_exponents(problem, g)
         assert not rep.all_ok
         failing = [r for r in rep.rows if not (r.low_ok and r.high_ok)]
@@ -69,19 +68,19 @@ class TestGrowthCap:
     def test_small_log_q_allows_unit_growth(self):
         # log|q| = 1/16 admits m_big = 1 (cap is 8)
         base = QBase(math.exp(1.0 / 16.0))
-        ok, slack = check_growth_cap(make_gevrey(m_big=1.0, m_tilde=0.9),
+        ok, slack = check_growth_cap(make_gevrey(m_big=1.0),
                                      base)
         assert ok and abs(slack - 7.0) < 1e-12
 
     def test_large_log_q_fails(self):
         base = QBase(math.exp(1.0))
-        ok, slack = check_growth_cap(make_gevrey(m_big=1.0, m_tilde=0.9),
+        ok, slack = check_growth_cap(make_gevrey(m_big=1.0),
                                      base)
         assert not ok and slack < 0
 
     def test_boundary_has_zero_slack(self):
         base = QBase(math.exp(1.0))
-        ok, slack = check_growth_cap(make_gevrey(m_big=0.5, m_tilde=0.45),
+        ok, slack = check_growth_cap(make_gevrey(m_big=0.5),
                                      base)
         assert ok and slack == 0.0
 
@@ -103,7 +102,7 @@ def direct_constant_system(g, base):
 class TestConstantSystem:
     def test_negative_flatness_exponent_flagged(self):
         base = QBase(math.exp(1.0))
-        g = make_gevrey(m_big=1.0, m_tilde=0.9, xi=0.5)
+        g = make_gevrey(m_big=1.0, xi=0.5)
         rep = check_constant_system(g, base)
         assert rep.one_over_a < 0
         assert not rep.one_over_a_positive
@@ -118,7 +117,7 @@ class TestConstantSystem:
             for xi_bar in (0.5, 0.9):
                 for d2 in (6.0, 12.0, 16.0):
                     for a1 in (4.0, 9.0):
-                        g = make_gevrey(m_big=1.0, m_tilde=0.9, a1_type=2.0,
+                        g = make_gevrey(m_big=1.0, a1_type=2.0,
                                         c_geom=1.0, xi=xi, xi_bar=xi_bar,
                                         a1=a1, a2=1.0, b1=1.0, b2=1.0,
                                         d1=1.0, d2=d2)
@@ -140,7 +139,7 @@ class TestConstantSystem:
         for _ in range(100):
             base = QBase(math.exp(rng.uniform(0.05, 1.2)))
             g = make_gevrey(
-                m_big=rng.uniform(0.05, 2.0), m_tilde=0.01,
+                m_big=rng.uniform(0.05, 2.0),
                 a1_type=rng.uniform(0.2, 3.0), c_geom=rng.uniform(0.2, 2.0),
                 xi=rng.uniform(0.05, 0.95), xi_bar=rng.uniform(0.05, 0.95),
                 a1=rng.uniform(0.5, 10.0), a2=rng.uniform(0.5, 10.0),
@@ -593,8 +592,8 @@ class TestAdmissibility:
                                                 tau_patch, g, n)
         assert fit.delta == delta and fit.passed == passed
 
-    def test_m_tilde_convention(self):
-        g = make_gevrey(m_big=1.0, m_tilde=0.5)
+    def test_m_used_is_nine_tenths_of_m_big(self):
+        g = make_gevrey(m_big=1.0)
         tau_patch = ContinuousBase(mod=(1.1, 2.0), arg=(0.2, 0.5))
         fit = admissibility_fit((InitialTerm(c=1.0),), self.EPS_PATCH,
                                 tau_patch, g)
@@ -608,13 +607,10 @@ class TestValidation:
                 ProblemTerm(k=0, m0=1, m1=2, coeffs=((0, (1.0 + 0j,)),)),
                 ProblemTerm(k=0, m0=2, m1=2, coeffs=((0, (1.0 + 0j,)),))))
 
-    def test_r0_range(self):
-        with pytest.raises(ValueError):
-            CauchyProblem(s_order=1, terms=(), r0=1.5)
-
-    def test_gevrey_ordering(self):
-        with pytest.raises(ValueError):
-            make_gevrey(m_big=0.3, m_tilde=0.4)
+    def test_m_big_positive(self):
+        for m_big in (0.0, -0.3, math.nan):
+            with pytest.raises(ValueError, match="m_big"):
+                make_gevrey(m_big=m_big)
 
     def test_initial_component_count(self, base2):
         with pytest.raises(ValueError):

@@ -280,8 +280,7 @@ class TestQuadSettings:
         with pytest.raises(ValueError):
             QuadSettings(max_halvings=2)
         for bad in ({"initial_step": 0.0}, {"initial_step": -1.0},
-                    {"initial_step": math.nan}, {"s_pad": math.nan},
-                    {"s_pad": math.inf}, {"abs_tol": math.inf},
+                    {"initial_step": math.nan}, {"abs_tol": math.inf},
                     {"max_halvings": math.inf}):
             with pytest.raises(ValueError):
                 QuadSettings(**bad)

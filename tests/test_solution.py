@@ -753,7 +753,7 @@ class TestFlatness:
 
     def test_nonpositive_exponent_rejected(self, demo, chart20):
         bad = demo.gevrey.__class__(
-            **{**demo.gevrey.__dict__, "m_big": 5.0, "m_tilde": 4.0})
+            **{**demo.gevrey.__dict__, "m_big": 5.0})
         with pytest.raises(ValueError):
             flatness_fit(chart20, chart20, 0.5, 8, [(0.7, 0.3)], bad)
 

@@ -88,7 +88,7 @@ def candidates_per_row() -> dict:
         cfg = load_shipped_config(cfg_name)
         undo = patched(qgeometry, "_scan_candidates", wrap)
         try:
-            cli.run_check(cfg, cfg.sampling.get("seed", 0),
+            cli.run_check(cfg, cfg.sampling["seed"],
                           Report(command="check", config=cfg_name, seed=0))
         finally:
             undo()
@@ -129,7 +129,7 @@ def strict_ms(runs: int) -> dict:
             for k in spent:
                 spent[k] = 0.0
             t0 = time.perf_counter()
-            cli.run_check(cfg, cfg.sampling.get("seed", 0),
+            cli.run_check(cfg, cfg.sampling["seed"],
                           Report(command="check", config="strict", seed=0))
             wall = time.perf_counter() - t0
             if r >= 3:
