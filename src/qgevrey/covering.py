@@ -242,12 +242,15 @@ def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
       two-sided spiral of ``lam / (eps t)`` must keep distance > delta
       from -1 (scan plus local refinement).
 
-    The samples of every chart are drawn first; each clearance is then one
-    array-valued :func:`spiral_min_distance` call over all of them.
+    Per chart, eight uniform draws give a patch point and a t-point (as
+    ``ContinuousBase.sample`` maps them), a chart point ``(u, v)`` and a
+    direction.  One ``rng.uniform`` call over a ``(charts, 8, n)`` array
+    of ``(lo, hi)`` bounds returns the stream of eight calls per chart,
+    value for value.  All points take one :func:`spiral_min_distance`
+    call; no value depends on the others.
     """
     if len(lambdas) != len(c.charts) or len(f.v_sets) != len(c.charts):
         raise ValueError("need one direction and one patch per chart")
-    rng = np.random.default_rng(seed)
     feasible = True
     for lam, vset in zip(lambdas, f.v_sets):
         mod_ok = max(1.0, vset.mod[0]) <= abs(lam) <= min(f.rho0, vset.mod[1])
@@ -256,24 +259,17 @@ def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
         d = (cmath.phase(lam) - center) % TWO_PI
         arg_ok = min(d, TWO_PI - d) <= half + 1e-9
         feasible = feasible and mod_ok and arg_ok
-    per_chart = max(n_samples // len(c.charts), 4)
-    v_pts = []
-    kernel_pts = []
-    for ch, vset in zip(c.charts, f.v_sets):
-        v_pts.append(vset.sample(rng, per_chart))
-        u = rng.uniform(ch.i1[0], ch.i1[1], per_chart)
-        v = rng.uniform(ch.i2[0], ch.i2[1], per_chart)
-        eps_pts = np.exp(2j * math.pi * u) * qpow(base, v)
-        t_pts = f.t_set.sample(rng, per_chart)
-        lam_mods = rng.uniform(max(1.0, vset.mod[0]),
-                               min(f.rho0, vset.mod[1]), per_chart)
-        lam_args = rng.uniform(vset.arg[0], vset.arg[1], per_chart)
-        lam_pts = lam_mods * np.exp(1j * lam_args)
-        kernel_pts.append(lam_pts / (eps_pts * t_pts))
-    v_clear = float(spiral_min_distance(np.concatenate(v_pts), base,
-                                        f.delta).min())
-    k_clear = float(spiral_min_distance(np.concatenate(kernel_pts), base,
-                                        f.delta).min())
+    b = np.array([v.draw_bounds() + (ch.i1, ch.i2) + f.t_set.draw_bounds()
+                  + ((max(1.0, v.mod[0]), min(f.rho0, v.mod[1])), v.arg)
+                  for ch, v in zip(c.charts, f.v_sets)])
+    x = np.random.default_rng(seed).uniform(
+        b[..., :1], b[..., 1:], (len(b), 8, max(n_samples // len(b), 4)))
+    v_pts = ContinuousBase.from_draws(x[:, 0], x[:, 1])
+    eps_pts = np.exp(2j * math.pi * x[:, 2]) * qpow(base, x[:, 3])
+    t_pts = ContinuousBase.from_draws(x[:, 4], x[:, 5])
+    lam_pts = x[:, 6] * np.exp(1j * x[:, 7])
+    v_clear, k_clear = (float(d.min()) for d in spiral_min_distance(
+        np.stack([v_pts, lam_pts / (eps_pts * t_pts)]), base, f.delta))
     return FamilyReport(
         lambda_feasible=bool(feasible),
         v_clearance=v_clear, v_clearance_ok=v_clear > f.delta,

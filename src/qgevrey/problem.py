@@ -464,6 +464,28 @@ def _patch_grid(patch: ContinuousBase, n: int) -> np.ndarray:
     return (mods[:, None] * np.exp(1j * args[None, :])).ravel()
 
 
+def _ring_peaks(factors: list, terms: list, nn: int, buffers) -> np.ndarray:
+    """Largest ``|W| = |sum_i factors[i] terms[i]|`` over each tau ring (NaN
+    if one is NaN), a row per eps.  Rows go in blocks of ``BLOCK // 8``
+    complex values through ``buffers``, which both grids of a fit reuse:
+    larger temporaries were mapped afresh per call, up to twice as slow."""
+    n_tau = nn * nn
+    rows = max(1, (BLOCK // 8) // n_tau)
+    w_sum, w_term, w_abs = (buf[:rows * n_tau].reshape(rows, n_tau)
+                            for buf in buffers)
+    peaks = np.empty((factors[0].shape[0], nn))
+    for start in range(0, peaks.shape[0], rows):
+        stop = min(start + rows, peaks.shape[0])
+        m = stop - start
+        # summed in place into the first term
+        np.multiply(factors[0][start:stop], terms[0], out=w_sum[:m])
+        for f, t in zip(factors[1:], terms[1:]):
+            w_sum[:m] += np.multiply(f[start:stop], t, out=w_term[:m])
+        np.abs(w_sum[:m], out=w_abs[:m])
+        w_abs[:m].reshape(m, nn, nn).max(axis=2, out=peaks[start:stop])
+    return peaks
+
+
 def admissibility_fit(component: tuple[InitialTerm, ...],
                       eps_patch: ContinuousBase, tau_patch: ContinuousBase,
                       g: GevreyParams, n: int = 24) -> AdmissibilityFit:
@@ -475,36 +497,23 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
     stable (within 10%) under doubling the grid resolution.  A pole inside
     the patch reveals itself through blow-up under refinement.
 
-    The eps grid is swept in row blocks of at most ``BLOCK // 8`` complex
-    values (64 KiB), summed with ``out=`` and ``+=`` into buffers that one
-    fit allocates once and both grids reuse.  Blocks of that size stay on
-    the heap between calls; the 256 KiB temporaries of larger blocks
-    were mapped and faulted in afresh on every call whenever no earlier
-    allocation had grown the heap, and took up to twice as long.  The
-    terms are summed in the same order at any block size, so the result
-    does not depend on it.
-
-    The eps grid is polar: rings of one modulus, each at the same
-    arguments.  ``W`` depends on eps only through the factors ``eps^-b``
-    and the weight only through ``|eps|``, so a ring whose factors are
-    bit-equal at all its arguments (every ring, when every ``b`` is 0) has
-    bit-identical rows, and only its first point is swept; the other rings
-    are swept point by point.  The maximum is the full grid's, bit for bit.
+    Both grids are polar (rings of one modulus).  The weight depends only
+    on the two rings and is never negative, and rounding is monotone, so
+    the most ``|W| w`` on a tau ring is ``w`` times its largest ``|W|``.
+    ``W`` depends on eps only through the ``eps^-b``: bit-equal over the
+    grid (every ``b`` is 0), one row of ``|W|`` is swept, else one per ring
+    where they are bit-equal and one per point elsewhere.  NaN rows do
+    not count (``np.fmax``).  The result is a full sweep's, bit for bit.
     """
     m_used = 0.9 * g.m_big
     size = max(BLOCK // 8, (2 * n) ** 2)
-    sums, products = (np.empty(size, dtype=complex) for _ in range(2))
-    mags = np.empty(size)
+    buffers = (np.empty(size, dtype=complex), np.empty(size, dtype=complex),
+               np.empty(size))
 
     def grid_max(nn: int) -> float:
         # W(eps, tau) = sum_b eps^-b F_b(tau), F_b summing c tau^a
         # (1 + tau)^-r over the terms with that b: the F_b are computed
-        # once, the factors eps^-b once over the eps grid, and eps swept in
-        # row blocks.  Both grids are polar (row-major over nn moduli x nn
-        # arguments), so the weight exp(-m log^2|tau/eps|) takes only
-        # nn x nn values, and a ring whose factors agree bit for bit has nn
-        # equal rows of |W| * weight: its first row stands for all of
-        # them.  A row whose maximum is NaN does not count (np.fmax).
+        # once and the factors eps^-b once over the eps grid
         eps_pts = _patch_grid(eps_patch, nn)
         tau_pts = _patch_grid(tau_patch, nn)
         by_b = {}
@@ -513,40 +522,26 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
                 term.c * tau_pts**term.a * (1.0 + tau_pts) ** (-term.r))
         if not by_b:
             by_b[0] = np.zeros(tau_pts.size, dtype=complex)
-        factors = {b: eps_pts ** (-b) for b in by_b}
-        # sweep a ring's first point only where each factor's bits (real
-        # and imaginary parts as int64) equal those at its first argument
-        uniform = np.ones(nn, dtype=bool)
-        for f in factors.values():
-            bits = f.view(np.int64).reshape(nn, nn, 2)
-            uniform &= (bits == bits[:, :1]).all(axis=(1, 2))
-        keep = np.ones((nn, nn), dtype=bool)
-        keep[uniform, 1:] = False
-        swept = np.flatnonzero(keep)
-        factors = {b: f[swept, None] for b, f in factors.items()}
+        factors = [eps_pts ** (-b) for b in by_b]
+        # each point's factors as int64 bits
+        bits = np.stack([f.view(np.int64).reshape(nn, nn, 2)
+                         for f in factors], axis=2)
+        if (bits == bits[:1, :1]).all():
+            swept = np.zeros(1, dtype=np.intp)
+            ring, src = np.arange(nn), np.zeros(nn, dtype=np.intp)
+        else:
+            keep = np.ones((nn, nn), dtype=bool)
+            keep[(bits == bits[:, :1]).all(axis=(1, 2, 3)), 1:] = False
+            swept = np.flatnonzero(keep)
+            ring, src = swept // nn, np.arange(swept.size)
+        peaks = _ring_peaks([f[swept, None] for f in factors],
+                            list(by_b.values()), nn, buffers)
         log_ratio = (np.log(np.abs(tau_pts[::nn]))[None, :]
                      - np.log(np.abs(eps_pts[::nn]))[:, None])
         weight = np.exp(-m_used * log_ratio**2)
-        worst = 0.0
-        rows = max(1, (BLOCK // 8) // tau_pts.size)
-        shape = (rows, tau_pts.size)
-        w_sum, w_term, w_abs = (buf[:rows * tau_pts.size].reshape(shape)
-                                for buf in (sums, products, mags))
-        (b0, f0), *rest = by_b.items()
-        for start in range(0, swept.size, rows):
-            stop = min(start + rows, swept.size)
-            m = stop - start
-            # summed in place into the first term
-            np.multiply(factors[b0][start:stop], f0, out=w_sum[:m])
-            for b, f in rest:
-                w_sum[:m] += np.multiply(factors[b][start:stop], f,
-                                         out=w_term[:m])
-            np.abs(w_sum[:m], out=w_abs[:m])
-            block = w_abs[:m].reshape(m, nn, nn)
-            block *= weight[swept[start:stop] // nn, :, None]
-            worst = float(np.fmax.reduce(block.max(axis=(1, 2)),
-                                         initial=worst))
-        return worst
+        # NaN where a peak is NaN or inf meets weight 0, as in the full grid
+        return float(np.fmax.reduce((weight[ring] * peaks[src]).max(axis=1),
+                                    initial=0.0))
 
     d1 = grid_max(n)
     d2 = grid_max(2 * n)

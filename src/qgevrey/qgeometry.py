@@ -62,7 +62,8 @@ BLOCK = 1 << 15
 #: Grid-index stride of the coarse pass of :func:`spiral_min_distance`.
 STRIDE = 64
 # cap on the elements of one intermediate of the clearance scan's passes
-_SCAN_VALUES = BLOCK // 8
+# (no value depends on it; BLOCK // 8 and BLOCK were slower)
+_SCAN_VALUES = BLOCK // 2
 
 # nested-grid refinement of the scan minimum in spiral_min_distance: each
 # level shrinks the bracket (_REFINE_POINTS - 1) / 2 = 16 times
@@ -133,21 +134,19 @@ class ContinuousBase:
         if self.arg[1] - self.arg[0] > TWO_PI:
             raise ValueError("argument interval longer than a full turn")
 
-    @property
-    def dist0(self) -> float:
-        """Distance from the patch to the origin."""
-        return self.mod[0]
+    def draw_bounds(self) -> tuple:
+        """``(lo, hi)`` of :meth:`sample`'s log-modulus and argument draws."""
+        return (math.log(self.mod[0]), math.log(self.mod[1])), self.arg
 
-    def center(self) -> complex:
-        m = 0.5 * (self.mod[0] + self.mod[1])
-        a = 0.5 * (self.arg[0] + self.arg[1])
-        return m * cmath.exp(1j * a)
+    @staticmethod
+    def from_draws(log_mod, arg) -> np.ndarray:
+        """Points of modulus ``exp(log_mod)`` and argument ``arg``."""
+        return np.exp(log_mod) * np.exp(1j * arg)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points, log-uniform in modulus, uniform in argument."""
-        mods = np.exp(rng.uniform(math.log(self.mod[0]), math.log(self.mod[1]), n))
-        args = rng.uniform(self.arg[0], self.arg[1], n)
-        return mods * np.exp(1j * args)
+        b = np.array(self.draw_bounds())
+        return self.from_draws(*rng.uniform(b[:, :1], b[:, 1:], (2, n)))
 
 
 def qpow(base: QBase, t) -> complex:

@@ -216,9 +216,6 @@ class SolutionValue:
     tail_estimate: float
     warnings: tuple[str, ...] = ()
 
-    def __complex__(self) -> complex:
-        return self.value
-
 
 def _taylor_weights(z: np.ndarray, n: int) -> np.ndarray:
     """``z^m / m!`` for ``m <= n``, one row per ``z``: an ``(len(z), n + 1)``

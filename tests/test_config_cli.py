@@ -483,6 +483,46 @@ class TestVerifyCommands:
             assert not rows[name]["worst_rel"] < 1e-10  # inf or NaN
         assert rows["young_conjugate_closed_form"]["status"] == "pass"
 
+    def test_properties_broken_shift_hypothesis_fails_its_row(
+            self, demo_doc, tmp_path, capsys):
+        # C = 0.5 admits no m1 >= 1 at k + s = 1, which the row's draws
+        # include: the row fails naming the hypothesis, no traceback, and
+        # the later rows read the same stream
+        def rows(c_geom, code):
+            doc = trimmed(demo_doc)
+            doc["gevrey"]["c_geom"] = c_geom
+            out = tmp_path / str(c_geom)
+            assert main(["verify", "properties", "--force", "--config",
+                         write_config(tmp_path, doc),
+                         "--out-dir", str(out)]) == code
+            report = json.loads((out / "verify_properties_report.json")
+                                .read_text())
+            return {c["name"]: c for c in report["checks"]}
+
+        half = rows(0.5, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        one = rows(1.0, 0)
+        row = half.pop("shift_bound_constant_defined")
+        assert row["status"] == "fail"
+        assert "hypothesis m1 <= C(k+s) fails" in row["note"]
+        del one["shift_bound_constant_defined"]
+        assert half == one
+
+    def test_properties_zero_direct_sum_fails_without_warning(self,
+                                                              tmp_path):
+        # near |q| = 1 a theta-safe sample's direct sum can be 0: its
+        # relative error is inf and the row fails, with no divide warning
+        # (an error under this suite's warning filter)
+        cfg = tmp_path / "strict.json"
+        cfg.write_text(shipped_config_text("strict_exponents_fail"))
+        assert main(["verify", "properties", "--force", "--config",
+                     str(cfg), "--out-dir", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_properties_report.json")
+                            .read_text())
+        row = {c["name"]: c for c in report["checks"]}[
+            "theta_reduction_vs_direct"]
+        assert row["status"] == "fail" and row["worst_rel"] == math.inf
+
     def test_flatness_refused_without_decay_exponent(self, demo_doc,
                                                      tmp_path):
         doc = trimmed(demo_doc)

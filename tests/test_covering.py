@@ -9,7 +9,8 @@ from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
                      pick_lambda, validate_covering, validate_family)
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import CoveringReport, seam_probes
-from qgevrey.qgeometry import BLOCK
+from qgevrey import covering
+from qgevrey.qgeometry import BLOCK, qpow, spiral_min_distance
 
 class TestBuildCovering:
     def test_default_grid(self, base2):
@@ -176,7 +177,61 @@ class TestPickLambda:
             pick_lambda(v, 2.0)
 
 
+def per_chart_clearances(f, c, base, n_samples, seed):
+    """``(v_clearance, kernel_clearance)`` of eight uniform draws per chart,
+    chart by chart, and one clearance call per kind of point."""
+    rng = np.random.default_rng(seed)
+    per_chart = max(n_samples // len(c.charts), 4)
+    v_pts, kernel_pts = [], []
+    for ch, vset in zip(c.charts, f.v_sets):
+        mods = np.exp(rng.uniform(math.log(vset.mod[0]),
+                                  math.log(vset.mod[1]), per_chart))
+        v_pts.append(mods * np.exp(
+            1j * rng.uniform(vset.arg[0], vset.arg[1], per_chart)))
+        u = rng.uniform(ch.i1[0], ch.i1[1], per_chart)
+        v = rng.uniform(ch.i2[0], ch.i2[1], per_chart)
+        eps = np.exp(2j * math.pi * u) * qpow(base, v)
+        mods = np.exp(rng.uniform(math.log(f.t_set.mod[0]),
+                                  math.log(f.t_set.mod[1]), per_chart))
+        t = mods * np.exp(
+            1j * rng.uniform(f.t_set.arg[0], f.t_set.arg[1], per_chart))
+        mods = rng.uniform(max(1.0, vset.mod[0]), min(f.rho0, vset.mod[1]),
+                           per_chart)
+        lam = mods * np.exp(
+            1j * rng.uniform(vset.arg[0], vset.arg[1], per_chart))
+        kernel_pts.append(lam / (eps * t))
+    return tuple(float(spiral_min_distance(np.concatenate(pts), base,
+                                           f.delta).min())
+                 for pts in (v_pts, kernel_pts))
+
+
 class TestValidateFamily:
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    @pytest.mark.parametrize("q", [None, 1.5 * cmath.exp(0.2j)],
+                             ids=["config_base", "1.5e^0.2i"])
+    def test_one_draw_equals_per_chart_draws(self, name, q):
+        cfg = load_shipped_config(name)
+        base = cfg.base if q is None else QBase(q)
+        for n_samples in (0, 101, 250, 1000):
+            for seed in range(4):
+                rep = validate_family(cfg.family, cfg.covering, base,
+                                      cfg.lambdas, n_samples, seed=seed)
+                assert (rep.v_clearance, rep.kernel_clearance) == \
+                    per_chart_clearances(cfg.family, cfg.covering, base,
+                                         n_samples, seed)
+
+    def test_one_clearance_call(self, demo_cfg, monkeypatch):
+        calls = []
+
+        def scan(w, *args, **kwargs):
+            calls.append(np.shape(w))
+            return spiral_min_distance(w, *args, **kwargs)
+
+        monkeypatch.setattr(covering, "spiral_min_distance", scan)
+        validate_family(demo_cfg.family, demo_cfg.covering, demo_cfg.base,
+                        demo_cfg.lambdas, 250, seed=2)
+        assert calls == [(2, len(demo_cfg.covering.charts), 10)]
+
     def test_demo_family_passes(self, demo_cfg):
         rep = validate_family(demo_cfg.family, demo_cfg.covering,
                               demo_cfg.base, demo_cfg.lambdas, 250, seed=2)

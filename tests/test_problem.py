@@ -12,6 +12,7 @@ from qgevrey import (CauchyProblem, CoefficientEvaluator, ContinuousBase,
                      apply_shift_operator, check_constant_system,
                      check_growth_cap, check_term_exponents,
                      series_norm, shift_bound_constant, weighted_norm)
+from qgevrey import problem
 from qgevrey.config import load_shipped_config
 from qgevrey.problem import EpsFactors
 from qgevrey.qgeometry import BLOCK
@@ -561,6 +562,8 @@ class TestAdmissibility:
         return d2, stable
 
     TAU_PATCH = ContinuousBase(mod=(0.2, 3.0), arg=(0.2, 2.5))
+    B0_TERMS = (InitialTerm(c=1.0, a=2, r=1), InitialTerm(c=-0.5j, a=1, r=3),
+                InitialTerm(c=0.25 + 1.0j))
     POLE_PATCH = ContinuousBase(mod=(1.0 - 1e-9, 1.0 + 1e-9),
                                 arg=(math.pi - 1e-7, math.pi + 1e-7))
     # |tau|^2 overflows: |W| is inf or NaN and the weight 0, so rows of
@@ -581,6 +584,11 @@ class TestAdmissibility:
         ((InitialTerm(c=1.0, a=2),), "HUGE_PATCH"),
         ((InitialTerm(c=1.0, a=2), InitialTerm(c=1.0, a=2, b=1)),
          "HUGE_PATCH"),
+        # several b = 0 terms: one distinct row of |W| for the whole grid
+        (B0_TERMS, "TAU_PATCH"),
+        (B0_TERMS, "POLE_PATCH"),
+        (B0_TERMS, "HUGE_PATCH"),
+        (B0_TERMS + (InitialTerm(c=0.5, a=1, b=2, r=2),), "POLE_PATCH"),
     ])
     def test_ring_sweep_equals_full_sweep(self, component, patch, n):
         g = make_gevrey()
@@ -591,6 +599,57 @@ class TestAdmissibility:
             delta, passed = self.full_sweep_fit(component, self.EPS_PATCH,
                                                 tau_patch, g, n)
         assert fit.delta == delta and fit.passed == passed
+
+    @staticmethod
+    def ring_uniform_eps_patch():
+        """An eps patch whose argument interval ends at the next float, at
+        an angle where both ends give the same ``exp(1j arg)``: every ring
+        of its grid holds one eps value, and the rings differ."""
+        for k in range(1000):
+            a = 0.5 + 1e-3 * k
+            b = np.nextafter(a, 1.0)
+            if np.exp(1j * a) == np.exp(1j * b):
+                return ContinuousBase(mod=(0.1, 0.9), arg=(a, b))
+        raise AssertionError("no angle found")
+
+    @pytest.mark.parametrize("n", [9, 16])
+    @pytest.mark.parametrize("patch", ["TAU_PATCH", "POLE_PATCH",
+                                       "HUGE_PATCH"])
+    def test_ring_uniform_b_equals_full_sweep(self, patch, n):
+        component = (InitialTerm(c=1.0 + 2.0j, a=1, b=2, r=1),
+                     InitialTerm(c=-0.5j, a=2, b=0, r=1))
+        eps_patch = self.ring_uniform_eps_patch()
+        g = make_gevrey()
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = admissibility_fit(component, eps_patch,
+                                    getattr(self, patch), g, n=n)
+            delta, passed = self.full_sweep_fit(component, eps_patch,
+                                                getattr(self, patch), g, n)
+        assert fit.delta == delta and fit.passed == passed
+
+    @pytest.mark.parametrize("component,eps_patch,rows", [
+        (B0_TERMS, "EPS_PATCH", (1, 1)),
+        ((InitialTerm(c=1.0, b=1),), "ring_uniform", (9, 18)),
+        ((InitialTerm(c=1.0, b=1),), "EPS_PATCH", (81, 324)),
+    ])
+    def test_distinct_rows_swept(self, component, eps_patch, rows,
+                                 monkeypatch):
+        # b = 0 everywhere: one row for both grids; rings of equal eps:
+        # one row per ring; otherwise one per point
+        seen = []
+
+        def peaks(factors, terms, nn, buffers):
+            out = real(factors, terms, nn, buffers)
+            seen.append(out.shape[0])
+            return out
+
+        real = problem._ring_peaks
+        monkeypatch.setattr(problem, "_ring_peaks", peaks)
+        patch = (self.ring_uniform_eps_patch() if eps_patch == "ring_uniform"
+                 else getattr(self, eps_patch))
+        admissibility_fit(component, patch, self.TAU_PATCH, make_gevrey(),
+                          n=9)
+        assert tuple(seen) == rows
 
     def test_m_used_is_nine_tenths_of_m_big(self):
         g = make_gevrey(m_big=1.0)

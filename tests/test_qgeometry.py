@@ -120,7 +120,6 @@ class TestContinuousSpiral:
         assert in_continuous_spiral(pt, self.VSET, base2)
 
     def test_below_dist0_excluded(self, base2):
-        assert self.VSET.dist0 == 1.1
         assert not in_continuous_spiral(0.9 * cmath.exp(0.2j), self.VSET,
                                         base2)
 
@@ -606,16 +605,35 @@ class TestPrunedScan:
     @pytest.mark.parametrize("q", [2.0, math.exp(1.0 / 16.0)])
     def test_shapes(self, q, rng):
         b = QBase(q)
-        ws = rng.uniform(0.3, 3.0, 400) * np.exp(
-            1j * rng.uniform(0.0, 2.0 * math.pi, 400))
+        ws = rng.uniform(0.3, 3.0, 1200) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, 1200))
         assert_scan_matches_full(complex(ws[0]), b)
         assert_scan_matches_full(ws[:1], b)
-        # more rows than one coarse block; at q = 2 one block's kept
-        # windows also fill more than one fine-pass chunk
+        # more rows than one coarse block (712 at both bases); one block's
+        # kept windows also fill more than one fine-pass chunk
         rows = qgeometry._SCAN_VALUES // _scan_cells(
             b, 0.2, k_step(b, 1e-3))[0].size
         assert ws.size > rows
-        assert_scan_matches_full(ws.reshape(5, 80), b)
+        assert_scan_matches_full(ws.reshape(8, 150), b)
+
+    @pytest.mark.parametrize("q", [2.0, cmath.exp(1.0 / 16.0 + 0.3j)],
+                             ids=["2", "e^(1/16+0.3i)"])
+    def test_values_independent_of_chunk_cap(self, q, rng, monkeypatch):
+        # a row's value is the same in any chunk of the passes, alone too
+        b = QBase(q)
+        ws = rng.uniform(0.3, 3.0, 1500) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, 1500))
+        ws[::10] = -np.exp(rng.uniform(-2.0, 2.0, 150) * b.log_q)
+        found = []
+        for cap in (qgeometry.BLOCK // 8, qgeometry.BLOCK // 2,
+                    qgeometry.BLOCK):
+            monkeypatch.setattr(qgeometry, "_SCAN_VALUES", cap)
+            found.append(spiral_min_distance(ws, b, 0.2))
+        found.append(np.array([spiral_min_distance(w, b, 0.2)
+                               for w in ws[:40]]))
+        for got in found[1:3]:
+            assert np.array_equal(got, found[0])
+        assert np.array_equal(found[3], found[0][:40])
 
     @PROPERTY
     @given(q=st.sampled_from(SCAN_BASES), level=st.floats(-3.0, 3.0),

@@ -10,10 +10,14 @@ Run from the root of a source checkout (the program is imported from the
   the default ``step``, for five bases;
 * ``candidates_per_row``: grid minima refined per scanned point during one
   ``check`` on each shipped config;
+* ``per_check``: on each shipped config, the ``spiral_min_distance``
+  calls of one ``check`` and the ``|W|`` values one ``admissibility_fit``
+  computes on average (machine-independent);
 * ``strict_ms``: the median over N in-process ``check`` runs on
   ``strict_exponents_fail.json`` (after three warm-up runs) of the time
-  spent in ``spiral_min_distance``, ``validate_covering`` and
-  ``admissibility_fit``, and of the whole ``run_check``.
+  spent in ``spiral_min_distance``, ``validate_covering``,
+  ``validate_family`` and ``admissibility_fit``, and of the whole
+  ``run_check``.
 """
 
 from __future__ import annotations
@@ -97,11 +101,50 @@ def candidates_per_row() -> dict:
     return out
 
 
+def counted(seen: dict, key: str, size=lambda out: 1):
+    """Wrapper adding ``size(result)`` to ``seen[key]`` on every call."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen[key] += size(out)
+            return out
+        return call
+    return wrap
+
+
+def per_check() -> dict:
+    """Clearance calls per check and |W| values per admissibility fit."""
+    out = {}
+    for cfg_name in CONFIGS:
+        cfg = load_shipped_config(cfg_name)
+        seen = {"scans": 0, "fits": 0, "values": 0}
+        # covering holds its own reference to spiral_min_distance
+        undo = [patched(owner, "spiral_min_distance",
+                        counted(seen, "scans"))
+                for owner in (qgeometry, covering)]
+        undo += [patched(problem, "admissibility_fit", counted(seen, "fits")),
+                 patched(problem, "_ring_peaks",
+                         counted(seen, "values",
+                                 lambda peaks: peaks.shape[0]
+                                 * peaks.shape[1] ** 2))]
+        try:
+            cli.run_check(cfg, cfg.sampling["seed"],
+                          Report(command="check", config=cfg_name, seed=0))
+        finally:
+            for u in reversed(undo):
+                u()
+        out[cfg_name] = {
+            "spiral_min_distance_calls": seen["scans"],
+            "abs_w_values_per_fit": seen["values"] / seen["fits"]}
+    return out
+
+
 def strict_ms(runs: int) -> dict:
     """Median in-process ms per layer over ``runs`` strict checks."""
     cfg = load_shipped_config("strict_exponents_fail")
     spent = {"spiral_min_distance": 0.0, "validate_covering": 0.0,
-             "admissibility_fit": 0.0}
+             "validate_family": 0.0, "admissibility_fit": 0.0}
 
     def timer(label):
         def wrap(fn):
@@ -119,10 +162,10 @@ def strict_ms(runs: int) -> dict:
     undo = [patched(owner, "spiral_min_distance",
                     timer("spiral_min_distance"))
             for owner in (qgeometry, covering)]
-    undo += [patched(covering, "validate_covering",
-                     timer("validate_covering")),
-             patched(problem, "admissibility_fit",
-                     timer("admissibility_fit"))]
+    undo += [patched(owner, name, timer(name))
+             for owner, name in ((covering, "validate_covering"),
+                                 (covering, "validate_family"),
+                                 (problem, "admissibility_fit"))]
     samples = {k: [] for k in list(spent) + ["run_check"]}
     try:
         for r in range(runs + 3):
@@ -149,6 +192,7 @@ def main() -> None:
     args = parser.parse_args()
     print(json.dumps({"grid_values": grid_values(),
                       "candidates_per_row": candidates_per_row(),
+                      "per_check": per_check(),
                       "strict_ms": strict_ms(args.runs)}, indent=1))
 
 
