@@ -240,7 +240,8 @@ def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
       ``|tau + 1| > delta``;
     * for sampled chart points, t-points and directions, the full
       two-sided spiral of ``lam / (eps t)`` must keep distance > delta
-      from -1 (scan plus local refinement).
+      from -1 (:func:`spiral_min_distance`: closed form at a real base,
+      scan plus local refinement otherwise).
 
     Per chart, eight uniform draws give a patch point and a t-point (as
     ``ContinuousBase.sample`` maps them), a chart point ``(u, v)`` and a

@@ -458,10 +458,16 @@ class AdmissibilityFit:
     passed: bool
 
 
+@functools.lru_cache(maxsize=8)
 def _patch_grid(patch: ContinuousBase, n: int) -> np.ndarray:
+    """Polar ``n x n`` grid of ``patch``, ring by ring (one modulus, ``n``
+    arguments).  Cached, since every fit of a ``check`` shares its eps
+    patch and most share a tau patch, and read-only."""
     mods = np.exp(np.linspace(math.log(patch.mod[0]), math.log(patch.mod[1]), n))
     args = np.linspace(patch.arg[0], patch.arg[1], n)
-    return (mods[:, None] * np.exp(1j * args[None, :])).ravel()
+    grid = (mods[:, None] * np.exp(1j * args[None, :])).ravel()
+    grid.flags.writeable = False
+    return grid
 
 
 def _ring_peaks(factors: list, terms: list, nn: int, buffers) -> np.ndarray:

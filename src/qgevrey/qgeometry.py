@@ -18,19 +18,24 @@ fixed.  Membership tests reduce to interval arithmetic in the ``(u, v)``
 coordinates.
 
 The discrete-spiral membership test (:func:`spiral_coordinates`,
-:func:`in_discrete_spiral`) and the clearance scan
+:func:`in_discrete_spiral`) and the clearance
 (:func:`spiral_min_distance`) are array-valued: one call tests a whole
 array of points, and a scalar point still gives a scalar answer.  Batched
 intermediates are capped at ``BLOCK`` elements and built without BLAS.
 A zero or non-finite point raises :class:`DomainError`.
 
+At a real base (``Im log q = 0``) the clearance is in closed form:
+``w q^-k`` runs over the open ray through ``w``, which comes nearest to
+-1 at ``|Im w| / |w|`` when ``Re w < 0``.  Only a complex ``log q``
+(a complex ``q``, or a real one given a non-principal logarithm such as
+``log 2 + 2 pi i``) makes a true spiral, and only there is it scanned.
+
 The clearance scan finds the grid minima of ``|1 + w q^-k|^2`` on a
 k-grid without evaluating the whole grid.  The grid spacing is ``step``
 along the spiral's logarithm ``log(w q^-k)``, so ``step / |log q|`` in k:
-the grid length depends on the base only through ``|log q| / log|q|``,
-which is 1 at every real base (1,388 grid values at ``delta = 0.2``,
-where a fixed spacing in k took 2,001 at ``q = 2`` and 22,182 at
-``e^{1/16}``).  A coarse pass evaluates every
+the grid length depends on the base only through ``|log q| / log|q|``
+(1,547 grid values at ``delta = 0.2`` and ``q = 1.5 e^{0.2i}``, 6,799 at
+``e^{1/16 + 0.3i}``).  A coarse pass evaluates every
 ``STRIDE``-th grid value; a bound on the second derivative says how far
 the values between two coarse ones can dip below the lesser of them, so
 every coarse cell that cannot reach below the least coarse value is
@@ -69,6 +74,13 @@ _SCAN_VALUES = BLOCK // 2
 # level shrinks the bracket (_REFINE_POINTS - 1) / 2 = 16 times
 _REFINE_POINTS = 33
 _REFINE_LEVELS = 4
+
+# relative margin of the closed form at a real base, three machine
+# epsilons: the rounding of hypot (< 1 ulp), of the division and of the
+# product by 1 - _RAY_MARGIN (0.5 ulp each) lifts a value by less, so the
+# result never exceeds the exact capped minimum and lies within
+# 2 _RAY_MARGIN below it
+_RAY_MARGIN = 3.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -251,6 +263,31 @@ def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,
     return False
 
 
+def _band(delta: float) -> tuple[float, float]:
+    """Modulus band ``[m_lo, m_hi]`` of :func:`spiral_min_distance`: a
+    point ``x`` with ``|x|`` outside it has ``|1 + x|`` at least
+    ``min(1 - m_lo, m_hi - 1)``, the band cap."""
+    return max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta)), 1.0 + 3.0 * delta
+
+
+def _ray_min_distance(wa: np.ndarray, delta: float):
+    """:func:`spiral_min_distance` at a real base, in closed form.
+
+    With ``Im log q = 0`` the points ``w q^-k`` run over the open ray
+    through ``w``, and ``|1 + r e^{ia}|^2 = 1 + 2 r cos a + r^2`` is least
+    at ``r = -cos a`` when ``cos a < 0``, where it is
+    ``sin^2 a = (Im w / |w|)^2``; else its infimum, 1, lies above the
+    band cap.  The capped minimum is
+    ``min(|Im w| / |w|, cap)`` for ``Re w < 0`` and ``cap`` otherwise,
+    lowered by the relative margin ``_RAY_MARGIN``.
+    """
+    m_lo, m_hi = _band(delta)
+    cap = min(1.0 - m_lo, m_hi - 1.0)
+    best = np.where(wa.real < 0.0, np.abs(wa.imag) / np.abs(wa), cap)
+    best = np.minimum(best, cap) * (1.0 - _RAY_MARGIN)
+    return float(best) if wa.ndim == 0 else best
+
+
 @functools.lru_cache(maxsize=2)
 def _scan_tables(base: QBase, delta: float, step: float):
     """Modulus band and k-grid tables of :func:`spiral_min_distance`.
@@ -268,8 +305,7 @@ def _scan_tables(base: QBase, delta: float, step: float):
     and read-only.  ``step`` is the spacing in k here:
     :func:`spiral_min_distance` passes its ``step / |log q|``.
     """
-    m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
-    m_hi = 1.0 + 3.0 * delta
+    m_lo, m_hi = _band(delta)
     n = math.ceil(((math.log(m_hi) - math.log(m_lo)) / base.log_abs_q + step)
                   / step)
     ks = step * np.arange(n)
@@ -392,17 +428,25 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     """Lower bound on the min over real k of ``|1 + w q^-k|``.
 
     Only the modulus band ``|w q^-k|`` near 1 can produce values below
-    ``min(3*delta, (1+delta)/2)``; the band is scanned on a k-grid (through
-    the cached tables of :func:`_scan_tables`), then the grid minima that
-    may hold the minimum are refined on nested grids of exact values.
+    the band cap ``min(3*delta, (1+delta)/2)``, and the result is at most
+    the cap.
 
+    At a real base (``base.log_q.imag == 0``) ``w q^-k`` runs over the
+    open ray through ``w``, and the result is the capped minimum in closed
+    form: ``min(|Im w| / |w|, cap)`` for ``Re w < 0`` and ``cap``
+    otherwise, lowered by the relative margin ``_RAY_MARGIN`` (three
+    machine epsilons) that covers its rounding; ``step`` is not used.
+
+    At a complex ``log q`` the band is scanned on a k-grid (through the
+    cached tables of :func:`_scan_tables`), then the grid minima that
+    may hold the minimum are refined on nested grids of exact values.
     ``step`` is the grid spacing along the spiral's logarithm
     ``log(w q^-k)``, that is ``step / |log q|`` in k, so the grid costs
     as much near ``|q| = 1`` as at ``q = 2``.  At ``delta = 0.2`` the band
-    spans ``log 4`` in ``log|w q^-k|``: every real base takes 1,388 grid
-    values, and a complex base ``|log q| / log|q|`` times as many (1,547
-    at ``1.5 e^{0.2i}``, 1,777 at ``1.0645 e^{0.05i}``, 6,799 at
-    ``e^{1/16 + 0.3i}``, which turns 0.3 rad per level).
+    spans ``log 4`` in ``log|w q^-k|``: a base takes
+    ``1,388 |log q| / log|q|`` grid values (1,547 at ``1.5 e^{0.2i}``,
+    1,777 at ``1.0645 e^{0.05i}``, 6,799 at ``e^{1/16 + 0.3i}``, which
+    turns 0.3 rad per level).
 
     The scan is pruned.  A coarse pass evaluates every ``STRIDE``-th grid
     value.  ``M = 2 |log q|^2 m_hi (2 m_hi + 1)`` bounds the second
@@ -425,9 +469,10 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
 
     That value is lowered by the curvature bound on the last nested grid
     (the most the minimum can lie below it between two points of that
-    grid), so ``> delta`` is a safe decision for any delta in (0, 1): the
-    result stays within ~1e-15 of the minimum where the minimum is away
-    from 0, and is 0 where the spiral passes through -1.  Array-valued: an
+    grid).  On either path ``> delta`` is a safe decision for any delta in
+    (0, 1): the result stays within ~1e-15 of the minimum where the
+    minimum is away from 0, and is 0 where the spiral passes through -1.
+    The path is chosen from ``base`` alone.  Array-valued: an
     array of ``w`` gives an array of its shape, swept in blocks of at most
     ``BLOCK`` elements; a scalar gives a float.  A ``delta`` outside
     ``(0, 1)`` raises ``ValueError`` before any other check.
@@ -435,6 +480,8 @@ def spiral_min_distance(w, base: QBase, delta: float, step: float = 1e-3):
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     wa = _points(w, "spiral base must be nonzero")
+    if base.log_q.imag == 0.0:
+        return _ray_min_distance(wa, float(delta))
     step = float(step) / abs(base.log_q)  # k units from here on
     m_lo, m_hi = _scan_tables(base, float(delta), step)[:2]
     flat = wa.ravel()
@@ -487,11 +534,12 @@ def in_theta_safe(z, lam: complex, base: QBase, delta: float,
                   step: float = 1e-3):
     """Whether ``|1 + lam / (z q^k)| > delta`` for every real ``k``.
 
-    Decided by the certified lower bound of :func:`spiral_min_distance`,
-    whose ``step`` is the grid spacing along the spiral's logarithm: the
-    test costs the same near ``|q| = 1`` as at ``q = 2``.  Array-valued in
+    Decided by the certified lower bound of :func:`spiral_min_distance`:
+    in closed form at a real base, else by its scan, whose ``step`` is the
+    grid spacing along the spiral's logarithm, so the test costs the same
+    near ``|q| = 1`` as at ``q = 2``.  Array-valued in
     ``z`` and ``lam``, which broadcast against each other: arrays give a
-    boolean array of their shape, scanned in one
+    boolean array of their shape, decided in one
     :func:`spiral_min_distance` call, and scalars give a ``bool``.  Each
     ``lam / z`` is the quotient of two Python complex scalars, so an
     entry's answer does not depend on the arrays around it.  A zero

@@ -183,7 +183,10 @@ def _transform_blocks(items) -> None:
             factors.at(eps_of[block]), tau, first.beta_max,
             out=buf[:n_rows * s.size].reshape(n_rows, s.size))
         np.multiply(pref, out, out=out)
-        out *= kern(s, block)
+        # far out on a window inf times 0 gives NaN, which path_window
+        # reports as a non-finite end value: numpy need not warn too
+        with np.errstate(invalid="ignore"):
+            out *= kern(s, block)
         return out
 
     tol = 0.01 * quad.abs_tol

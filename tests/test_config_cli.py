@@ -523,6 +523,19 @@ class TestVerifyCommands:
             "theta_reduction_vs_direct"]
         assert row["status"] == "fail" and row["worst_rel"] == math.inf
 
+    def test_residual_non_finite_integrand_fails_without_warning(
+            self, tmp_path, capsys):
+        # near |q| = 1 a transform integrand is not finite at the ends of
+        # its window: the error names the block, and numpy does not warn
+        # about the product (an error under this suite's warning filter)
+        cfg = tmp_path / "strict.json"
+        cfg.write_text(shipped_config_text("strict_exponents_fail"))
+        assert main(["verify", "residual", "--force", "--config",
+                     str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not finite there" in err
+        assert "Warning" not in err
+
     def test_flatness_refused_without_decay_exponent(self, demo_doc,
                                                      tmp_path):
         doc = trimmed(demo_doc)

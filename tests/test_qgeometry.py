@@ -2,6 +2,7 @@ import cmath
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -702,8 +703,75 @@ def true_min_distance(w, base, delta):
                1.0 - max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta)))
 
 
+def mp_ray_min_distance(w, base, delta):
+    """Capped min over real k of ``|1 + w q^-k|`` at a real base, at 50
+    digits: the distance from -1 to the ray ``{t u : t > 0}``,
+    ``u = w / |w|``, is ``|1 + t* u|`` with ``t* = max(-Re u, 0)``, and
+    the spiral reaches ``t* u`` at ``k* = log(|w| / t*) / log q``, where
+    its value is checked to be that distance.  The cap is ``min(1 - m_lo,
+    m_hi - 1)`` taken exactly on the float band ends.  Returns an mpf."""
+    with mpmath.workdps(50):
+        wm = mpmath.mpc(w)
+        u = wm / abs(wm)
+        t = max(-u.real, mpmath.mpf(0))
+        near = abs(1 + t * u)
+        if t > 0:
+            k = mpmath.log(abs(wm) / t) / mpmath.log(mpmath.mpf(base.q.real))
+            assert abs(abs(1 + wm * mpmath.mpf(base.q.real) ** -k) - near) \
+                <= mpmath.mpf(10) ** -45
+        m_lo = max(1.0 - 3.0 * delta, 0.5 * (1.0 - delta))
+        m_hi = 1.0 + 3.0 * delta
+        return min(near, 1 - mpmath.mpf(m_lo), mpmath.mpf(m_hi) - 1)
+
+
 class TestClearanceOracle:
     """spiral_min_distance against references that use none of its code."""
+
+    @pytest.mark.parametrize("q", [2.0, 1.5, math.exp(1.0 / 16.0)],
+                             ids=["2", "1.5", "e^(1/16)"])
+    @pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
+    def test_real_base_against_mpmath(self, q, delta, rng):
+        b = QBase(q)
+        offsets = np.logspace(-16.0, -12.0, 9)
+        angles = np.concatenate([
+            rng.uniform(0.0, 2.0 * math.pi, 60),
+            math.pi + offsets, math.pi - offsets,   # arg w within 1e-12 of pi
+            [0.5 * math.pi, -0.5 * math.pi]])
+        ws = rng.uniform(0.05, 20.0, angles.size) * np.exp(1j * angles)
+        ws = np.concatenate([
+            ws, [3.0j, -0.25j, 1e-3j],              # Re w = 0
+            [-1.0, -0.3, -7.5, complex(-2.0, -0.0)],  # negative real w
+            [1.0, 0.2 + 0.0j]])
+        # the closed form: no scan
+        with mock.patch.object(qgeometry, "_scan_candidates",
+                               side_effect=AssertionError("scanned")):
+            got = spiral_min_distance(ws, b, delta)
+            single = [spiral_min_distance(complex(w), b, delta) for w in ws]
+        assert got.tolist() == single
+        with mpmath.workdps(50):
+            # the stated margin is three machine epsilons (relative); with
+            # the rounding it covers, a result lies within six below
+            low = 1 - 6 * mpmath.mpf(2) ** -52
+            for w, g in zip(ws, got):
+                want = mp_ray_min_distance(complex(w), b, delta)
+                assert want * low <= mpmath.mpf(g) <= want, (w, g)
+        assert (got[-6:-2] == 0.0).all()
+
+    def test_real_q_on_a_spiral_branch_is_scanned(self, rng):
+        # q = 2 with log q = log 2 + 2 pi i: w q^-k turns once per level,
+        # a true spiral, so the result comes from the scan
+        b = QBase(2.0, log_q=complex(math.log(2.0), 2.0 * math.pi))
+        ws = rng.uniform(0.3, 3.0, 40) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, 40))
+        with mock.patch.object(qgeometry, "_scan_candidates",
+                               wraps=qgeometry._scan_candidates) as scan:
+            got = spiral_min_distance(ws, b, 0.2)
+        assert scan.call_count == 1
+        want = np.array([true_min_distance(w, b, 0.2) for w in ws])
+        assert (got <= want + 1e-15).all()
+        assert (want - got).max() <= 1e-12
+        # and not the ray's value: the spiral comes nearer to -1
+        assert (got < closed_form_real(ws, 0.2) - 1e-3).any()
 
     @pytest.mark.parametrize("q", [2.0, math.exp(1.0 / 16.0)])
     @pytest.mark.parametrize("delta", [0.2, 0.05])
@@ -715,14 +783,10 @@ class TestClearanceOracle:
         ws = rng.uniform(0.05, 20.0, angles.size) * np.exp(1j * angles)
         got = spiral_min_distance(ws, b, delta)
         want = closed_form_real(ws, delta)
-        # a certified lower bound: never above the minimum
+        # a certified lower bound: never above the minimum, and exact to
+        # rounding (the closed form, lowered by a few ulp)
         assert (got <= want + 1e-15).all()
-        # and exact to 1e-12, except where the minimum nears 0: there the
-        # last nested grid's curvature bound (~4e-16 in the squared
-        # distance) lowers a minimum x by about 2e-16 / x
-        away = want > 1e-3
-        assert np.abs(got - want)[away].max() <= 1e-12
-        assert np.abs(got - want).max() <= 2e-8
+        assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("q", [1.0645 * cmath.exp(0.05j),
                                    1.5 * cmath.exp(0.2j),

@@ -7,17 +7,20 @@ Run from the root of a source checkout (the program is imported from the
 
 * ``grid_values``: the k-grid length of the clearance scan
   (:func:`qgevrey.qgeometry.spiral_min_distance`) at ``delta = 0.2`` and
-  the default ``step``, for five bases;
-* ``candidates_per_row``: grid minima refined per scanned point during one
-  ``check`` on each shipped config;
+  the default ``step``, at each complex base of ``BASES`` (a real base
+  takes the closed form and scans no grid);
+* ``candidates_per_row``: grid minima refined per scanned point of one
+  ``POINTS``-point call at each complex base;
+* ``call_ms``: the median over N of the ms one ``POINTS``-point
+  ``spiral_min_distance`` call takes at each base of ``BASES`` (after
+  three warm-up calls);
 * ``per_check``: on each shipped config, the ``spiral_min_distance``
   calls of one ``check`` and the ``|W|`` values one ``admissibility_fit``
   computes on average (machine-independent);
-* ``strict_ms``: the median over N in-process ``check`` runs on
-  ``strict_exponents_fail.json`` (after three warm-up runs) of the time
-  spent in ``spiral_min_distance``, ``validate_covering``,
-  ``validate_family`` and ``admissibility_fit``, and of the whole
-  ``run_check``.
+* ``check_ms``: on each shipped config, the median over N in-process
+  ``check`` runs (after three warm-up runs) of the ms spent in
+  ``spiral_min_distance``, ``validate_covering``, ``validate_family``
+  and ``admissibility_fit``, and of the whole ``run_check``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -44,6 +49,8 @@ BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
          "1.5 e^(0.2i)": 1.5 * cmath.exp(0.2j),
          "e^(1/16+0.3i)": cmath.exp(1.0 / 16.0 + 0.3j)}
 CONFIGS = ("demo", "strict_exponents_fail")
+#: points of every timed or counted spiral_min_distance call
+POINTS = 1200
 
 
 def patched(owner, name, wrap):
@@ -51,6 +58,19 @@ def patched(owner, name, wrap):
     original = getattr(owner, name)
     setattr(owner, name, wrap(original))
     return lambda: setattr(owner, name, original)
+
+
+def scan_points() -> np.ndarray:
+    """The ``POINTS`` points of every timed or counted call."""
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.3, 3.0, POINTS) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * math.pi, POINTS))
+
+
+def complex_bases() -> dict:
+    """The bases of ``BASES`` whose ``log q`` is complex: those scanned."""
+    return {label: q for label, q in BASES.items()
+            if qgeometry.QBase(q).log_q.imag != 0.0}
 
 
 def grid_values() -> dict:
@@ -66,7 +86,7 @@ def grid_values() -> dict:
     out = {}
     undo = patched(qgeometry, "_scan_tables", lambda fn: tables)
     try:
-        for label, q in BASES.items():
+        for label, q in complex_bases().items():
             qgeometry.spiral_min_distance(0.7 + 0.2j, qgeometry.QBase(q),
                                           0.2)
             out[label] = sizes[-1]
@@ -76,7 +96,7 @@ def grid_values() -> dict:
 
 
 def candidates_per_row() -> dict:
-    """Refined grid minima per scanned point over one check per config."""
+    """Refined grid minima per point of one scan at each complex base."""
     seen = {"rows": 0, "refined": 0}
 
     def wrap(fn):
@@ -88,16 +108,31 @@ def candidates_per_row() -> dict:
         return scan
 
     out = {}
-    for cfg_name in CONFIGS:
-        cfg = load_shipped_config(cfg_name)
-        undo = patched(qgeometry, "_scan_candidates", wrap)
-        try:
-            cli.run_check(cfg, cfg.sampling["seed"],
-                          Report(command="check", config=cfg_name, seed=0))
-        finally:
-            undo()
-        out[cfg_name] = round(seen["refined"] / seen["rows"], 4)
-        seen.update(rows=0, refined=0)
+    ws = scan_points()
+    undo = patched(qgeometry, "_scan_candidates", wrap)
+    try:
+        for label, q in complex_bases().items():
+            qgeometry.spiral_min_distance(ws, qgeometry.QBase(q), 0.2)
+            out[label] = round(seen["refined"] / seen["rows"], 4)
+            seen.update(rows=0, refined=0)
+    finally:
+        undo()
+    return out
+
+
+def call_ms(runs: int) -> dict:
+    """Median ms of one POINTS-point spiral_min_distance call per base."""
+    ws = scan_points()
+    out = {}
+    for label, q in BASES.items():
+        base = qgeometry.QBase(q)
+        samples = []
+        for r in range(runs + 3):
+            t0 = time.perf_counter()
+            qgeometry.spiral_min_distance(ws, base, 0.2)
+            if r >= 3:
+                samples.append(time.perf_counter() - t0)
+        out[label] = round(1e3 * statistics.median(samples), 3)
     return out
 
 
@@ -140,9 +175,8 @@ def per_check() -> dict:
     return out
 
 
-def strict_ms(runs: int) -> dict:
-    """Median in-process ms per layer over ``runs`` strict checks."""
-    cfg = load_shipped_config("strict_exponents_fail")
+def check_ms(runs: int) -> dict:
+    """Median in-process ms per layer over ``runs`` checks per config."""
     spent = {"spiral_min_distance": 0.0, "validate_covering": 0.0,
              "validate_family": 0.0, "admissibility_fit": 0.0}
 
@@ -166,24 +200,29 @@ def strict_ms(runs: int) -> dict:
              for owner, name in ((covering, "validate_covering"),
                                  (covering, "validate_family"),
                                  (problem, "admissibility_fit"))]
-    samples = {k: [] for k in list(spent) + ["run_check"]}
+    out = {}
     try:
-        for r in range(runs + 3):
-            for k in spent:
-                spent[k] = 0.0
-            t0 = time.perf_counter()
-            cli.run_check(cfg, cfg.sampling["seed"],
-                          Report(command="check", config="strict", seed=0))
-            wall = time.perf_counter() - t0
-            if r >= 3:
-                for k, v in spent.items():
-                    samples[k].append(v)
-                samples["run_check"].append(wall)
+        for cfg_name in CONFIGS:
+            cfg = load_shipped_config(cfg_name)
+            samples = {k: [] for k in list(spent) + ["run_check"]}
+            for r in range(runs + 3):
+                for k in spent:
+                    spent[k] = 0.0
+                t0 = time.perf_counter()
+                cli.run_check(cfg, cfg.sampling["seed"],
+                              Report(command="check", config=cfg_name,
+                                     seed=0))
+                wall = time.perf_counter() - t0
+                if r >= 3:
+                    for k, v in spent.items():
+                        samples[k].append(v)
+                    samples["run_check"].append(wall)
+            out[cfg_name] = {k: round(1e3 * statistics.median(v), 3)
+                             for k, v in samples.items()}
     finally:
         for u in reversed(undo):
             u()
-    return {k: round(1e3 * statistics.median(v), 2)
-            for k, v in samples.items()}
+    return out
 
 
 def main() -> None:
@@ -192,8 +231,9 @@ def main() -> None:
     args = parser.parse_args()
     print(json.dumps({"grid_values": grid_values(),
                       "candidates_per_row": candidates_per_row(),
+                      "call_ms": call_ms(args.runs),
                       "per_check": per_check(),
-                      "strict_ms": strict_ms(args.runs)}, indent=1))
+                      "check_ms": check_ms(args.runs)}, indent=1))
 
 
 if __name__ == "__main__":
