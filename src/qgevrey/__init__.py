@@ -10,7 +10,7 @@ from .theta import log_theta, pi_q, theta
 from .qlaplace import QuadSettings, q_laplace, truncation_window
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm, admissibility_fit,
-                      apply_shift_operator, check_constant_system,
+                      admissibility_fits, apply_shift_operator, check_constant_system,
                       check_growth_cap, check_term_exponents, series_norm,
                       shift_bound_constant, weighted_norm)
 from .covering import (AssociatedFamily, GoodCovering, build_covering,

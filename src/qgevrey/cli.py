@@ -113,10 +113,13 @@ def run_check(cfg: RunConfig, seed: int, report: Report,
     disc_patch = qg.ContinuousBase(
         mod=(0.05, cfg.family.rho0),
         arg=(-math.pi + 0.25, math.pi - 0.25))
-    for j, component in enumerate(cfg.initial.components):
-        for pname, patch in (("spiral", spiral_patch), ("disc", disc_patch)):
-            fit = pb.admissibility_fit(component, eps_patch, patch,
-                                       cfg.gevrey, n=16)
+    fits = {pname: pb.admissibility_fits(cfg.initial.components, eps_patch,
+                                         patch, cfg.gevrey, n=16)
+            for pname, patch in (("spiral", spiral_patch),
+                                 ("disc", disc_patch))}
+    for j in range(len(cfg.initial.components)):
+        for pname, pfits in fits.items():
+            fit = pfits[j]
             report.add("admissibility[j=%d,%s]" % (j, pname),
                        "pass" if fit.passed else "fail",
                        "10%% stability under grid refinement",

@@ -154,11 +154,13 @@ def _sampling_defaults(quad: QuadSettings) -> dict:
             "properties": {"n_points": 200}}
 
 
-# the range of each sampling count: a verification on fewer points checks
-# nothing or fails inside a fit (the flatness fit takes 8 levels, the
-# type fit 3 orders, an extraction step 3 levels), and extraction stops at
-# order 4
-_SAMPLING_RANGES = {("residual", "n_points"): (1, math.inf),
+# the range of each sampling count, by its path under "sampling": a check
+# or verification on fewer points checks nothing or fails inside a fit
+# (the flatness fit takes 8 levels, the type fit 3 orders, an extraction
+# step 3 levels), and extraction stops at order 4
+_SAMPLING_RANGES = {("n_cover_samples",): (1, math.inf),
+                    ("n_family_samples",): (1, math.inf),
+                    ("residual", "n_points"): (1, math.inf),
                     ("flatness", "n_points"): (8, math.inf),
                     ("asympt", "k_max"): (2, 4),
                     ("asympt", "depth"): (2, math.inf),
@@ -291,11 +293,11 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
             _check_keys(entry, {"t", "z"}, {"t", "z"}, gw)
             grid[gi] = (_complex(entry["t"], gw + ".t"),
                         _complex(entry["z"], gw + ".z"))
-    for (name, key), (lo, hi) in _SAMPLING_RANGES.items():
-        value = samp[name][key]
-        _require(lo <= value <= hi, "sampling.%s.%s = %d must be %s"
-                 % (name, key, value, "at least %d" % lo if hi == math.inf
-                    else "between %d and %d" % (lo, hi)))
+    for path, (lo, hi) in _SAMPLING_RANGES.items():
+        value = samp[path[0]] if len(path) == 1 else samp[path[0]][path[1]]
+        _require(lo <= value <= hi, "sampling.%s = %d must be %s"
+                 % (".".join(path), value, "at least %d" % lo
+                    if hi == math.inf else "between %d and %d" % (lo, hi)))
     # a depth schedule names one depth per extracted order
     asympt = samp["asympt"]
     depths, k_max = asympt["depths"], asympt["k_max"]

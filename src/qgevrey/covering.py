@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qgeometry import (BLOCK, ChartBase, ContinuousBase, QBase,
-                        _in_chart_spiral, qpow, spiral_coordinates,
+from .qgeometry import (BLOCK, ChartBase, ContinuousBase, QBase, _frac,
+                        _level_hit, _turn_in, qpow, spiral_coordinates,
                         spiral_min_distance)
 
 TWO_PI = 2.0 * math.pi
@@ -151,14 +151,18 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
 
     The annulus top sits at the lowest chart-bottom modulus (below every
     chart's own patch, hence inside the covered neighborhood), three
-    q-levels deep.  The samples and the :func:`seam_probes` form one point
-    array; per block of points the spiral coordinates are computed once
-    and sorted by ``u``.  Each chart tests only the points whose ``u`` lies
-    in its own u-interval (widened by 1e-9, one or two ``searchsorted``
-    slices, see :func:`_u_slices`) with the interval test of
-    :func:`~qgevrey.qgeometry.in_discrete_spiral`; a point outside the
-    slices fails that test anyway, so every decision, count and the
-    report are those of testing every point against every chart, at about
+    q-levels deep.  Each sample is drawn as a log-modulus and an argument
+    and mapped straight to its spiral coordinates ``v = log_mod / log|q|``
+    and ``u = frac((arg - v Im log q) / 2 pi)``; only the
+    :func:`seam_probes` are complex points.  Per block of points the
+    coordinates are sorted by ``u``.  Each chart tests only the points
+    whose ``u`` lies in its own u-interval (widened by 1e-9, one or two
+    ``searchsorted`` slices, see :func:`_u_slices`) with the interval test
+    of :func:`~qgevrey.qgeometry.in_discrete_spiral`; a point outside the
+    slices fails that test anyway.  The v half of that test depends only
+    on the chart's ``i2``: it runs once per distinct ``i2`` (a covering
+    row) over the block.  So every decision, count and the report are
+    those of testing every point against every chart, at about
     ``(1 + overlap) / n_u`` of the work.  A probe never counts for the
     chart it was built from: it lies on that chart's open boundary, where
     rounding alone would decide.
@@ -167,24 +171,29 @@ def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
     r_max = min(math.exp(ch.i2[0] * L) for ch in c.charts)
     r_min = r_max * math.exp(-3.0 * L)
     rng = np.random.default_rng(seed)
-    mods = np.exp(rng.uniform(math.log(r_min), math.log(r_max), n_samples))
-    args = rng.uniform(0.0, TWO_PI, n_samples)
-    probes = seam_probes(c, base)
-    pts = np.concatenate([mods * np.exp(1j * args), probes])
+    v_s = rng.uniform(math.log(r_min), math.log(r_max), n_samples) / L
+    arg = rng.uniform(0.0, TWO_PI, n_samples)
+    u_p, v_p = spiral_coordinates(seam_probes(c, base), base)
+    u_all = np.concatenate([_frac((arg - v_s * base.log_q.imag) / TWO_PI),
+                            u_p])
+    v_all = np.concatenate([v_s, v_p])
     owner = np.concatenate([np.full(n_samples, -1),
-                            np.arange(probes.size) // 3])
+                            np.arange(u_p.size) // 3])
+    row_of = {}
+    rows = [row_of.setdefault(ch.i2, len(row_of)) for ch in c.charts]
     counts = np.zeros(len(c.charts), dtype=np.int64)
     n_unc = 0
     max_mult = 0
     n_quad = 0
-    for start in range(0, pts.size, BLOCK):
-        u, v = spiral_coordinates(pts[start:start + BLOCK], base)
-        order = np.argsort(u, kind="stable")
-        u, v, own = u[order], v[order], owner[start:start + BLOCK][order]
+    for start in range(0, u_all.size, BLOCK):
+        blk = slice(start, start + BLOCK)
+        order = np.argsort(u_all[blk])
+        u, v, own = u_all[blk][order], v_all[blk][order], owner[blk][order]
+        hits = [_level_hit(v, i2) for i2 in row_of]
         mult = np.zeros(u.size, dtype=np.int64)
         for idx, ch in enumerate(c.charts):
             for part in _u_slices(u, ch.i1):
-                inside = (_in_chart_spiral(u[part], v[part], ch)
+                inside = (_turn_in(u[part], ch.i1) & hits[rows[idx]][part]
                           & (own[part] != idx))
                 counts[idx] += np.count_nonzero(inside)
                 mult[part] += inside

@@ -470,32 +470,45 @@ def _patch_grid(patch: ContinuousBase, n: int) -> np.ndarray:
     return grid
 
 
-def _ring_peaks(factors: list, terms: list, nn: int, buffers) -> np.ndarray:
+def _ring_peaks(factors: list, terms: np.ndarray, nn: int,
+                buffers) -> np.ndarray:
     """Largest ``|W| = |sum_i factors[i] terms[i]|`` over each tau ring (NaN
-    if one is NaN), a row per eps.  Rows go in blocks of ``BLOCK // 8``
-    complex values through ``buffers``, which both grids of a fit reuse:
-    larger temporaries were mapped afresh per call, up to twice as slow."""
-    n_tau = nn * nn
-    rows = max(1, (BLOCK // 8) // n_tau)
-    w_sum, w_term, w_abs = (buf[:rows * n_tau].reshape(rows, n_tau)
-                            for buf in buffers)
-    peaks = np.empty((factors[0].shape[0], nn))
-    for start in range(0, peaks.shape[0], rows):
-        stop = min(start + rows, peaks.shape[0])
-        m = stop - start
-        # summed in place into the first term
-        np.multiply(factors[0][start:stop], terms[0], out=w_sum[:m])
-        for f, t in zip(factors[1:], terms[1:]):
-            w_sum[:m] += np.multiply(f[start:stop], t, out=w_term[:m])
-        np.abs(w_sum[:m], out=w_abs[:m])
-        w_abs[:m].reshape(m, nn, nn).max(axis=2, out=peaks[start:stop])
+    if one is NaN), shape ``(eps rows, components, rings)``: ``factors[i]``
+    holds a value per eps row, ``terms[i]`` a row of tau values per
+    component.  Blocks of at most ``BLOCK // 8`` complex values, or of one
+    row and component where that exceeds it, go through ``buffers``, which
+    both grids of a fit reuse: larger temporaries were mapped afresh per
+    call, up to twice as slow, and a whole ``(rows, components, tau)``
+    array can reach 1,024 x K x 1,024 values."""
+    n_rows, n_comp, n_tau = factors[0].size, terms[0].shape[0], nn * nn
+    pairs = max(1, (BLOCK // 8) // n_tau)
+    k_step = min(n_comp, pairs)
+    r_step = pairs // k_step
+    peaks = np.empty((n_rows, n_comp, nn))
+    for r0 in range(0, n_rows, r_step):
+        r1 = min(r0 + r_step, n_rows)
+        for k0 in range(0, n_comp, k_step):
+            k1 = min(k0 + k_step, n_comp)
+            shape = (r1 - r0, k1 - k0, n_tau)
+            w_sum, w_term, w_abs = (buf[:math.prod(shape)].reshape(shape)
+                                    for buf in buffers)
+            # summed in place into the first term
+            np.multiply(factors[0][r0:r1, None, None], terms[0][k0:k1],
+                        out=w_sum)
+            for f, t in zip(factors[1:], terms[1:]):
+                w_sum += np.multiply(f[r0:r1, None, None], t[k0:k1],
+                                     out=w_term)
+            np.abs(w_sum, out=w_abs)
+            w_abs.reshape(shape[:2] + (nn, nn)).max(
+                axis=3, out=peaks[r0:r1, k0:k1])
     return peaks
 
 
-def admissibility_fit(component: tuple[InitialTerm, ...],
-                      eps_patch: ContinuousBase, tau_patch: ContinuousBase,
-                      g: GevreyParams, n: int = 24) -> AdmissibilityFit:
-    """Fit the growth envelope ``Delta exp(M~ log^2|tau/eps|)`` on a grid.
+def admissibility_fits(components, eps_patch: ContinuousBase,
+                       tau_patch: ContinuousBase, g: GevreyParams,
+                       n: int = 24) -> tuple[AdmissibilityFit, ...]:
+    """Fit the growth envelope ``Delta exp(M~ log^2|tau/eps|)`` on a grid,
+    one fit per initial-data component.
 
     ``M~`` is fixed at ``0.9 m_big`` (reported as ``m_used``), the paper's
     ``M~ < M`` with a 10% margin; no config key sets it.  Reports the grid
@@ -509,48 +522,73 @@ def admissibility_fit(component: tuple[InitialTerm, ...],
     ``W`` depends on eps only through the ``eps^-b``: bit-equal over the
     grid (every ``b`` is 0), one row of ``|W|`` is swept, else one per ring
     where they are bit-equal and one per point elsewhere.  NaN rows do
-    not count (``np.fmax``).  The result is a full sweep's, bit for bit.
+    not count (``np.fmax``).  Components with the same ordered tuple of
+    distinct ``b`` share the factors, the rows swept and the order of
+    summation: each such group is one sweep per grid.  The result is a
+    full sweep's per component, bit for bit.
     """
     m_used = 0.9 * g.m_big
     size = max(BLOCK // 8, (2 * n) ** 2)
     buffers = (np.empty(size, dtype=complex), np.empty(size, dtype=complex),
                np.empty(size))
+    groups = {}
+    for k, component in enumerate(components):
+        bs = tuple(dict.fromkeys(term.b for term in component)) or (0,)
+        groups.setdefault(bs, []).append(k)
 
-    def grid_max(nn: int) -> float:
-        # W(eps, tau) = sum_b eps^-b F_b(tau), F_b summing c tau^a
-        # (1 + tau)^-r over the terms with that b: the F_b are computed
-        # once and the factors eps^-b once over the eps grid
+    def grid_max(nn: int) -> np.ndarray:
         eps_pts = _patch_grid(eps_patch, nn)
         tau_pts = _patch_grid(tau_patch, nn)
-        by_b = {}
-        for term in component:
-            by_b[term.b] = by_b.get(term.b, 0.0) + (
-                term.c * tau_pts**term.a * (1.0 + tau_pts) ** (-term.r))
-        if not by_b:
-            by_b[0] = np.zeros(tau_pts.size, dtype=complex)
-        factors = [eps_pts ** (-b) for b in by_b]
-        # each point's factors as int64 bits
-        bits = np.stack([f.view(np.int64).reshape(nn, nn, 2)
-                         for f in factors], axis=2)
-        if (bits == bits[:1, :1]).all():
-            swept = np.zeros(1, dtype=np.intp)
-            ring, src = np.arange(nn), np.zeros(nn, dtype=np.intp)
-        else:
-            keep = np.ones((nn, nn), dtype=bool)
-            keep[(bits == bits[:, :1]).all(axis=(1, 2, 3)), 1:] = False
-            swept = np.flatnonzero(keep)
-            ring, src = swept // nn, np.arange(swept.size)
-        peaks = _ring_peaks([f[swept, None] for f in factors],
-                            list(by_b.values()), nn, buffers)
         log_ratio = (np.log(np.abs(tau_pts[::nn]))[None, :]
                      - np.log(np.abs(eps_pts[::nn]))[:, None])
         weight = np.exp(-m_used * log_ratio**2)
-        # NaN where a peak is NaN or inf meets weight 0, as in the full grid
-        return float(np.fmax.reduce((weight[ring] * peaks[src]).max(axis=1),
-                                    initial=0.0))
+        out = np.empty(len(components))
+        for bs, members in groups.items():
+            # W(eps, tau) = sum_b eps^-b F_b(tau), F_b summing c tau^a
+            # (1 + tau)^-r over a component's terms with that b: the
+            # factors eps^-b are computed once over the eps grid
+            terms = np.empty((len(bs), len(members), tau_pts.size),
+                             dtype=complex)
+            for i, k in enumerate(members):
+                by_b = dict.fromkeys(bs, 0.0)
+                for term in components[k]:
+                    by_b[term.b] = by_b[term.b] + (
+                        term.c * tau_pts**term.a
+                        * (1.0 + tau_pts) ** (-term.r))
+                for j, b in enumerate(bs):
+                    terms[j, i] = by_b[b]
+            factors = [eps_pts ** (-b) for b in bs]
+            # each point's factors as int64 bits
+            bits = np.stack([f.view(np.int64).reshape(nn, nn, 2)
+                             for f in factors], axis=2)
+            if (bits == bits[:1, :1]).all():
+                swept = np.zeros(1, dtype=np.intp)
+                ring, src = np.arange(nn), np.zeros(nn, dtype=np.intp)
+            else:
+                keep = np.ones((nn, nn), dtype=bool)
+                keep[(bits == bits[:, :1]).all(axis=(1, 2, 3)), 1:] = False
+                swept = np.flatnonzero(keep)
+                ring, src = swept // nn, np.arange(swept.size)
+            peaks = _ring_peaks([f[swept] for f in factors], terms, nn,
+                                buffers)
+            # NaN where a peak is NaN or inf meets weight 0, as in the
+            # full grid
+            out[members] = np.fmax.reduce(
+                (weight[ring, None] * peaks[src]).max(axis=2), axis=0,
+                initial=0.0)
+        return out
 
-    d1 = grid_max(n)
-    d2 = grid_max(2 * n)
-    finite = math.isfinite(d1) and math.isfinite(d2)
-    stable = finite and abs(d2 - d1) <= 0.1 * max(d1, 1e-300)
-    return AdmissibilityFit(delta=d2, m_used=m_used, passed=bool(stable))
+    fits = []
+    for d1, d2 in zip(grid_max(n).tolist(), grid_max(2 * n).tolist()):
+        finite = math.isfinite(d1) and math.isfinite(d2)
+        stable = finite and abs(d2 - d1) <= 0.1 * max(d1, 1e-300)
+        fits.append(AdmissibilityFit(delta=d2, m_used=m_used,
+                                     passed=bool(stable)))
+    return tuple(fits)
+
+
+def admissibility_fit(component: tuple[InitialTerm, ...],
+                      eps_patch: ContinuousBase, tau_patch: ContinuousBase,
+                      g: GevreyParams, n: int = 24) -> AdmissibilityFit:
+    """:func:`admissibility_fits` of one component."""
+    return admissibility_fits((component,), eps_patch, tau_patch, g, n)[0]

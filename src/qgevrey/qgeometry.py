@@ -190,7 +190,7 @@ def spiral_coordinates(point, base: QBase):
     """
     p = _points(point, "origin has no spiral coordinates")
     v = np.log(np.abs(p)) / base.log_abs_q
-    u = (np.angle(p) - v * base.log_q.imag) / TWO_PI % 1.0
+    u = _frac((np.angle(p) - v * base.log_q.imag) / TWO_PI)
     if p.ndim == 0:
         return float(u), float(v)
     return u, v
@@ -205,22 +205,37 @@ def in_discrete_spiral(eps, chart: ChartBase, base: QBase):
     Array-valued: an array of points gives a boolean array of its shape, a
     scalar gives a ``bool``.
     """
-    inside = _in_chart_spiral(*spiral_coordinates(eps, base), chart)
+    u, v = spiral_coordinates(eps, base)
+    inside = _turn_in(u, chart.i1) & _level_hit(v, chart.i2)
     return bool(inside) if np.ndim(inside) == 0 else inside
 
 
-def _in_chart_spiral(u, v, chart: ChartBase):
-    """:func:`in_discrete_spiral` on the spiral coordinates ``(u, v)``.
+def _frac(x):
+    """``x % 1.0``, bit for bit at every finite float, without numpy's
+    float modulo (about 20 times slower on 10,000 values).  For ``x >= 0``
+    both are exact; for a negative non-integer both round the exact
+    ``(x - trunc(x)) + 1`` once; an integer, ``-0.0`` too, gives ``+0.0``."""
+    return x - np.floor(x)
 
-    Callers that test one point array against many charts compute the
-    coordinates once.
+
+def _turn_in(u, i1: tuple[float, float]):
+    """Whether ``u`` lies in the open interval ``i1`` modulo one.
+
+    With :func:`_level_hit`, the two halves of :func:`in_discrete_spiral`
+    on the spiral coordinates ``(u, v)``: callers that test one point
+    array against many charts compute the coordinates once.
     """
-    u_lo, u_hi = chart.i1
-    du = (u - u_lo) % 1.0
-    lo, hi = chart.i2
+    du = _frac(u - i1[0])
+    return (0.0 < du) & (du < i1[1] - i1[0])
+
+
+def _level_hit(v, i2: tuple[float, float]):
+    """Whether ``v + n`` lies in the open interval ``i2`` for some integer
+    ``n >= 0``."""
+    lo, hi = i2
     n = np.ceil(lo - v)
     n = n + (lo - v == n)  # open interval: v + n must exceed lo strictly
-    return (0.0 < du) & (du < u_hi - u_lo) & (n >= 0) & (v + n < hi)
+    return (n >= 0) & (v + n < hi)
 
 
 def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,

@@ -31,12 +31,7 @@ class Report:
         entry = {"name": name, "status": status}
         for key in sorted(values):
             v = values[key]
-            if isinstance(v, complex):
-                entry[key] = [v.real, v.imag]
-            elif isinstance(v, float):
-                entry[key] = v
-            else:
-                entry[key] = v
+            entry[key] = [v.real, v.imag] if isinstance(v, complex) else v
         entry["tolerance_provenance"] = tolerance_provenance
         self.checks.append(entry)
         return entry

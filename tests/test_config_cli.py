@@ -63,6 +63,10 @@ BAD_VALUES = [
     (("base", "q"), [0.5, 0], "check"),
     (("family", "delta"), -1, "check"),
     (("sampling", "seed"), "x", "check"),
+    (("sampling", "n_cover_samples"), -5, "check"),
+    (("sampling", "n_cover_samples"), 0, "check"),
+    (("sampling", "n_family_samples"), 0, "check"),
+    (("sampling", "n_family_samples"), -3, "check"),
     (("sampling", "residual", "n_points"), "x", "verify residual"),
     (("sampling", "flatness", "pair"), [99, 100], "verify flatness"),
     (("sampling", "residual", "n_points"), -5, "verify residual"),
@@ -101,6 +105,15 @@ class TestConfigSchema:
         assert "configuration error" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("n_cover_samples", -5),
+                                           ("n_family_samples", 0)])
+    def test_sample_count_range_names_field(self, demo_doc, key, value):
+        doc = copy.deepcopy(demo_doc)
+        doc["sampling"][key] = value
+        with pytest.raises(ConfigError, match="sampling.%s = %d must be at "
+                           "least 1" % (key, value)):
+            parse_config(doc)
 
     def test_shipped_configs_load(self):
         demo = load_shipped_config("demo")

@@ -158,6 +158,15 @@ class TestUSlices:
         assert validate_covering(c, base2, n, seed=4) == \
             full_covering_report(c, base2, n, seed=4)
 
+    def test_complex_base_more_points_than_one_block(self):
+        # the samples' u carries the Im log q term of the direct mapping;
+        # the reference goes through complex points
+        base = QBase(1.5 * cmath.exp(0.2j))
+        c = build_covering(5, 5, 0.1)
+        n = BLOCK + 5000
+        assert validate_covering(c, base, n, seed=4) == \
+            full_covering_report(c, base, n, seed=4)
+
 
 class TestPickLambda:
     def test_centroid_of_feasible_region(self):

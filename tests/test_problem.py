@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qgevrey import (CauchyProblem, CoefficientEvaluator, ContinuousBase,
                      DomainError, GevreyParams, InitialData, InitialTerm,
                      ProblemTerm, QBase, admissibility_fit,
+                     admissibility_fits,
                      apply_shift_operator, check_constant_system,
                      check_growth_cap, check_term_exponents,
                      series_norm, shift_bound_constant, weighted_norm)
@@ -650,6 +652,73 @@ class TestAdmissibility:
         admissibility_fit(component, patch, self.TAU_PATCH, make_gevrey(),
                           n=9)
         assert tuple(seen) == rows
+
+    # ordered b-tuples (0,), (0,) for the empty component, (2,), (1,),
+    # (0, 3, 1), (1, 0) and (0, 1); two components share (1,)
+    BATCH = (B0_TERMS, (), (InitialTerm(c=1.0 + 2.0j, a=1, b=2, r=1),),
+             (InitialTerm(c=1.0, a=1, b=1, r=0),
+              InitialTerm(c=-0.5j, a=0, b=1, r=2)),
+             (InitialTerm(c=1.0, a=2, b=0, r=1), InitialTerm(c=0.3, b=3, r=0),
+              InitialTerm(c=2.0j, a=1, b=1, r=3)),
+             (InitialTerm(c=-1.0, b=1), InitialTerm(c=2.0, a=1, r=1)),
+             (InitialTerm(c=2.0, a=1, r=1), InitialTerm(c=-1.0, b=1)),
+             (InitialTerm(c=0.5, a=1, b=1), InitialTerm(c=-0.25j, b=1, r=1)),
+             (InitialTerm(c=1.0, a=0, r=2),))
+
+    @pytest.mark.parametrize("n", [9, 16])
+    @pytest.mark.parametrize("patch", ["TAU_PATCH", "POLE_PATCH",
+                                       "HUGE_PATCH"])
+    def test_batched_fits_equal_full_sweeps(self, patch, n, monkeypatch):
+        seen = []
+
+        def peaks(factors, terms, nn, buffers):
+            seen.append(terms.shape[:2])
+            return real(factors, terms, nn, buffers)
+
+        real = problem._ring_peaks
+        monkeypatch.setattr(problem, "_ring_peaks", peaks)
+        g = make_gevrey()
+        tau_patch = getattr(self, patch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = admissibility_fits(self.BATCH, self.EPS_PATCH, tau_patch,
+                                      g, n=n)
+            for component, fit in zip(self.BATCH, fits, strict=True):
+                delta, passed = self.full_sweep_fit(component, self.EPS_PATCH,
+                                                    tau_patch, g, n)
+                assert fit.delta == delta and fit.passed == passed
+        # one sweep per ordered b-tuple and grid: (b-values, components)
+        assert seen == [(1, 3), (1, 1), (1, 2), (3, 1), (2, 1), (2, 1)] * 2
+
+    def test_ring_peaks_blocks_fit_in_block_buffers(self, monkeypatch):
+        # eight eps-dependent components at n = 16: each sweep of the
+        # 32 x 32 grid reduces 1,024 rows x 8 components x 1,024 values,
+        # which the blocks keep to BLOCK // 8 values of reused buffers (a
+        # block larger than a buffer could not be shaped from it)
+        sizes = []
+
+        def peaks(factors, terms, nn, buffers):
+            sizes.extend(buf.size for buf in buffers)
+            return real(factors, terms, nn, buffers)
+
+        real = problem._ring_peaks
+        monkeypatch.setattr(problem, "_ring_peaks", peaks)
+        batch = [(InitialTerm(c=1.0 + k, a=k % 3, b=1, r=1),)
+                 for k in range(8)]
+        tracemalloc.start()
+        try:
+            fits = admissibility_fits(batch, self.EPS_PATCH, self.TAU_PATCH,
+                                      make_gevrey(), n=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes and max(sizes) == BLOCK // 8
+        # the whole array would take 128 MiB
+        assert peak < 16 * 2**20
+        for component, fit in zip(batch, fits, strict=True):
+            delta, passed = self.full_sweep_fit(component, self.EPS_PATCH,
+                                                self.TAU_PATCH,
+                                                make_gevrey(), 16)
+            assert fit.delta == delta and fit.passed == passed
 
     def test_m_used_is_nine_tenths_of_m_big(self):
         g = make_gevrey(m_big=1.0)

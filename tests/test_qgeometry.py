@@ -71,6 +71,37 @@ class TestSpiralCoordinates:
             spiral_coordinates(0.0, base2)
 
 
+class TestFrac:
+    """``_frac`` stands for numpy's float ``% 1.0`` in the spiral
+    coordinates and the interval test: equal bit for bit, compared as
+    int64."""
+
+    @staticmethod
+    def values() -> np.ndarray:
+        sub = np.array([5e-324, 1e-310, np.finfo(float).tiny / 3.0])
+        ints = np.concatenate([np.arange(-6.0, 7.0), [2.0**52, -2.0**52,
+                                                      1e6, -1e6]])
+        rng = np.random.default_rng(11)
+        return np.concatenate([
+            [0.0, -0.0, 0.5, -0.5, 1e300, -1e300, 1e-300, -1e-300], sub,
+            -sub, ints, np.nextafter(ints, -np.inf),
+            np.nextafter(ints, np.inf), rng.uniform(-10.0, 10.0, 2000),
+            rng.standard_normal(2000) * 1e-17,
+            rng.standard_normal(2000) * 1e6])
+
+    def test_array_bitwise_equal_to_modulo(self):
+        x = self.values()
+        assert np.array_equal(qgeometry._frac(x).view(np.int64),
+                              (x % 1.0).view(np.int64))
+
+    def test_scalar_bitwise_equal_to_modulo(self):
+        for x in self.values().tolist():
+            got = np.array([qgeometry._frac(x),
+                            qgeometry._frac(np.float64(x))])
+            assert np.array_equal(got.view(np.int64),
+                                  np.array([x % 1.0] * 2).view(np.int64)), x
+
+
 class TestDiscreteSpiral:
     CHART = ChartBase(i1=(0.1, 0.3), i2=(-0.4, -0.2))
 

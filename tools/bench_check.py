@@ -14,13 +14,25 @@ Run from the root of a source checkout (the program is imported from the
 * ``call_ms``: the median over N of the ms one ``POINTS``-point
   ``spiral_min_distance`` call takes at each base of ``BASES`` (after
   three warm-up calls);
-* ``per_check``: on each shipped config, the ``spiral_min_distance``
-  calls of one ``check`` and the ``|W|`` values one ``admissibility_fit``
-  computes on average (machine-independent);
+* ``per_check``: on each shipped config, machine-independent counts of
+  one ``check``: ``spiral_min_distance`` calls; admissibility grid
+  sweeps (each call of the admissibility entry point sweeps the ``n``
+  and the ``2n`` grid); ``_ring_peaks`` calls; the ``|W|`` values one
+  component's fit computes on average; the complex sample points
+  ``validate_covering`` builds (the points it passes to
+  ``spiral_coordinates``, less its three seam probes per chart); and its
+  v-tests (calls of the level test over a slice or a block of points);
 * ``check_ms``: on each shipped config, the median over N in-process
   ``check`` runs (after three warm-up runs) of the ms spent in
   ``spiral_min_distance``, ``validate_covering``, ``validate_family``
-  and ``admissibility_fit``, and of the whole ``run_check``.
+  and the admissibility entry point, and of the whole ``run_check``.
+
+The admissibility entry point is ``problem.admissibility_fits``, which
+``run_check`` calls once per tau patch for all components; a checkout
+without it calls ``problem.admissibility_fit`` once per component and
+patch, and is measured through that.  Its v-test is
+``covering._level_hit``, or ``covering._in_chart_spiral`` where the
+covering has no level test of its own.
 """
 
 from __future__ import annotations
@@ -49,6 +61,10 @@ BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
          "1.5 e^(0.2i)": 1.5 * cmath.exp(0.2j),
          "e^(1/16+0.3i)": cmath.exp(1.0 / 16.0 + 0.3j)}
 CONFIGS = ("demo", "strict_exponents_fail")
+ADMISSIBILITY = ("admissibility_fits" if hasattr(problem, "admissibility_fits")
+                 else "admissibility_fit")
+V_TEST = ("_level_hit" if hasattr(covering, "_level_hit")
+          else "_in_chart_spiral")
 #: points of every timed or counted spiral_min_distance call
 POINTS = 1200
 
@@ -149,20 +165,28 @@ def counted(seen: dict, key: str, size=lambda out: 1):
 
 
 def per_check() -> dict:
-    """Clearance calls per check and |W| values per admissibility fit."""
+    """Machine-independent counts of one check per shipped config."""
     out = {}
     for cfg_name in CONFIGS:
         cfg = load_shipped_config(cfg_name)
-        seen = {"scans": 0, "fits": 0, "values": 0}
+        seen = dict.fromkeys(("scans", "calls", "peaks", "fits", "values",
+                              "points", "v_tests"), 0)
         # covering holds its own reference to spiral_min_distance
         undo = [patched(owner, "spiral_min_distance",
                         counted(seen, "scans"))
                 for owner in (qgeometry, covering)]
-        undo += [patched(problem, "admissibility_fit", counted(seen, "fits")),
-                 patched(problem, "_ring_peaks",
-                         counted(seen, "values",
-                                 lambda peaks: peaks.shape[0]
-                                 * peaks.shape[1] ** 2))]
+        undo += [
+            patched(problem, ADMISSIBILITY, counted(seen, "calls")),
+            patched(problem, ADMISSIBILITY, counted(
+                seen, "fits",
+                lambda fits: len(fits) if isinstance(fits, tuple) else 1)),
+            patched(problem, "_ring_peaks", counted(seen, "peaks")),
+            patched(problem, "_ring_peaks",
+                    counted(seen, "values",
+                            lambda peaks: peaks.size * peaks.shape[-1])),
+            patched(covering, V_TEST, counted(seen, "v_tests")),
+            patched(covering, "spiral_coordinates",
+                    counted(seen, "points", lambda uv: np.size(uv[0])))]
         try:
             cli.run_check(cfg, cfg.sampling["seed"],
                           Report(command="check", config=cfg_name, seed=0))
@@ -171,14 +195,19 @@ def per_check() -> dict:
                 u()
         out[cfg_name] = {
             "spiral_min_distance_calls": seen["scans"],
-            "abs_w_values_per_fit": seen["values"] / seen["fits"]}
+            "admissibility_grid_sweeps": 2 * seen["calls"],
+            "ring_peaks_calls": seen["peaks"],
+            "abs_w_values_per_fit": seen["values"] / seen["fits"],
+            "covering_complex_sample_points":
+                seen["points"] - 3 * len(cfg.covering.charts),
+            "covering_v_tests": seen["v_tests"]}
     return out
 
 
 def check_ms(runs: int) -> dict:
     """Median in-process ms per layer over ``runs`` checks per config."""
     spent = {"spiral_min_distance": 0.0, "validate_covering": 0.0,
-             "validate_family": 0.0, "admissibility_fit": 0.0}
+             "validate_family": 0.0, "admissibility": 0.0}
 
     def timer(label):
         def wrap(fn):
@@ -196,10 +225,11 @@ def check_ms(runs: int) -> dict:
     undo = [patched(owner, "spiral_min_distance",
                     timer("spiral_min_distance"))
             for owner in (qgeometry, covering)]
-    undo += [patched(owner, name, timer(name))
-             for owner, name in ((covering, "validate_covering"),
-                                 (covering, "validate_family"),
-                                 (problem, "admissibility_fit"))]
+    undo += [patched(owner, name, timer(label))
+             for owner, name, label in (
+                 (covering, "validate_covering", "validate_covering"),
+                 (covering, "validate_family", "validate_family"),
+                 (problem, ADMISSIBILITY, "admissibility"))]
     out = {}
     try:
         for cfg_name in CONFIGS:
