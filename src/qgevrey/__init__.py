@@ -14,7 +14,7 @@ from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       check_growth_cap, check_term_exponents, series_norm,
                       shift_bound_constant, weighted_norm)
 from .covering import (AssociatedFamily, GoodCovering, build_covering,
-                       overlap_point, pick_lambda, validate_covering,
+                       covering_report, overlap_point, pick_lambda,
                        validate_family)
 from .solution import (AsymptoticSeries, FlatnessFit, GevreyFit, SolutionChart,
                        equation_residual, equation_residuals,

@@ -74,20 +74,40 @@ def _fields(obj: dict, kinds: dict, required: set, where: str, build=dict):
         return build(**values)
 
 
+def _is_number(v) -> bool:
+    """A JSON number: ``true`` and ``false`` are not, though Python's
+    ``bool`` is an ``int``."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError("%r is not an integer" % (v,))
+    return v
+
+
+def _float(v) -> float:
+    if not _is_number(v):
+        raise TypeError("%r is not a number" % (v,))
+    return float(v)
+
+
 def _ints(v) -> tuple[int, ...]:
-    return tuple(int(i) for i in v)
+    if not isinstance(v, list):
+        raise TypeError("%r is not a list of integers" % (v,))
+    return tuple(_int(i) for i in v)
 
 
 def _complex(v, where: str) -> complex:
     _require(isinstance(v, list) and len(v) == 2
-             and all(isinstance(x, (int, float)) for x in v),
+             and all(_is_number(x) for x in v),
              "%s must be a [re, im] pair" % where)
     return complex(v[0], v[1])
 
 
 def _interval(v, where: str) -> tuple[float, float]:
     _require(isinstance(v, list) and len(v) == 2
-             and all(isinstance(x, (int, float)) for x in v),
+             and all(_is_number(x) for x in v),
              "%s must be a [lo, hi] pair" % where)
     return float(v[0]), float(v[1])
 
@@ -127,23 +147,23 @@ class RunConfig:
 _TOP_KEYS = {"description", "base", "problem", "gevrey", "initial",
              "covering", "family", "solution", "quad", "sampling"}
 _SAMPLING_BLOCKS = {
-    "residual": {"n_points": int, "z_max": float, "max_abs": float,
-                 "abs_tol": float},
-    "flatness": {"pair": _ints, "n_points": int, "abs_tol": float,
+    "residual": {"n_points": _int, "z_max": _float, "max_abs": _float,
+                 "abs_tol": _float},
+    "flatness": {"pair": _ints, "n_points": _int, "abs_tol": _float,
                  "grid": list},
-    "asympt": {"pair": _ints, "k_max": int, "tol": float, "abs_tol": float,
-               "depth": int, "depths": _ints, "rel_match": float,
-               "grid": list},
-    "properties": {"n_points": int},
+    "asympt": {"pair": _ints, "k_max": _int, "tol": _float,
+               "abs_tol": _float, "depth": _int, "depths": _ints,
+               "rel_match": _float, "grid": list},
+    "properties": {"n_points": _int},
 }
-_SAMPLING_KEYS = dict(seed=int, n_cover_samples=int, n_family_samples=int,
+_SAMPLING_KEYS = dict(seed=_int, n_family_samples=_int,
                       **dict.fromkeys(_SAMPLING_BLOCKS, dict))
 
 
 def _sampling_defaults(quad: QuadSettings) -> dict:
     """Every sampling key's default, in the config's form."""
     grid = [{"t": [0.7, 0.0], "z": [0.3, 0.0]}]
-    return {"seed": 0, "n_cover_samples": 10000, "n_family_samples": 600,
+    return {"seed": 0, "n_family_samples": 600,
             "residual": {"n_points": 100, "z_max": 0.5, "max_abs": 1e-6,
                          "abs_tol": quad.abs_tol},
             "flatness": {"pair": [0, 1], "n_points": 13, "abs_tol": 1e-12,
@@ -158,8 +178,7 @@ def _sampling_defaults(quad: QuadSettings) -> dict:
 # or verification on fewer points checks nothing or fails inside a fit
 # (the flatness fit takes 8 levels, the type fit 3 orders, an extraction
 # step 3 levels), and extraction stops at order 4
-_SAMPLING_RANGES = {("n_cover_samples",): (1, math.inf),
-                    ("n_family_samples",): (1, math.inf),
+_SAMPLING_RANGES = {("n_family_samples",): (1, math.inf),
                     ("residual", "n_points"): (1, math.inf),
                     ("flatness", "n_points"): (8, math.inf),
                     ("asympt", "k_max"): (2, 4),
@@ -212,17 +231,17 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     base = _fields(doc["base"], {"q": lambda v: QBase(_complex(v, "base.q"))},
                    {"q"}, "base")["q"]
 
-    p = _fields(doc["problem"], {"s_order": int, "terms": list},
+    p = _fields(doc["problem"], {"s_order": _int, "terms": list},
                 {"s_order", "terms"}, "problem")
     terms = []
     for ti, t in enumerate(p["terms"]):
         where = "problem.terms[%d]" % ti
-        t = _fields(t, {"k": int, "m0": int, "m1": int, "coeffs": list},
+        t = _fields(t, {"k": _int, "m0": _int, "m1": _int, "coeffs": list},
                     {"k", "m0", "m1", "coeffs"}, where)
         coeffs = []
         for ci, c in enumerate(t["coeffs"]):
             cw = "%s.coeffs[%d]" % (where, ci)
-            c = _fields(c, {"s": int, "poly": list}, {"s", "poly"}, cw)
+            c = _fields(c, {"s": _int, "poly": list}, {"s", "poly"}, cw)
             poly = tuple(_complex(v, cw + ".poly") for v in c["poly"])
             coeffs.append((c["s"], poly))
         with _field(where):
@@ -231,7 +250,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
         problem = CauchyProblem(**dict(p, terms=tuple(terms)))
 
     gk = dict.fromkeys("m_big a1_type c_geom xi xi_bar a1 a2 b1 b2 d1 d2"
-                       .split(), float)
+                       .split(), _float)
     gevrey = _fields(doc["gevrey"], gk, set(gk), "gevrey", GevreyParams)
 
     init = doc["initial"]
@@ -244,33 +263,33 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
         for wi, w in enumerate(comp):
             ww = "initial[%d][%d]" % (j, wi)
             terms_j.append(_fields(w, {"c": lambda v: _complex(v, ww + ".c"),
-                                       "a": int, "b": int, "r": int},
+                                       "a": _int, "b": _int, "r": _int},
                                    {"c"}, ww, InitialTerm))
         components.append(tuple(terms_j))
     initial = InitialData(components=tuple(components))
 
-    covering = _fields(doc["covering"], {"n_u": int, "n_v": int,
-                                         "overlap": float, "v_top": float},
+    covering = _fields(doc["covering"], {"n_u": _int, "n_v": _int,
+                                         "overlap": _float, "v_top": _float},
                        {"n_u", "n_v", "overlap"}, "covering", build_covering)
 
-    fk = {"rho0": float, "delta": float,
+    fk = {"rho0": _float, "delta": _float,
           "t_set": lambda v: _patch(v, "family.t_set"),
           "v_mod": lambda v: _interval(v, "family.v_mod"),
-          "v_arg_halfwidth_turns": float, "lambda_offset_turns": float}
+          "v_arg_halfwidth_turns": _float, "lambda_offset_turns": _float}
     fam = _fields(doc["family"], fk, set(fk), "family")
     with _field("family"):
         v_sets, lambdas = _build_directions(covering, fam, base)
         family = AssociatedFamily(v_sets=v_sets, t_set=fam["t_set"],
                                   rho0=fam["rho0"], delta=fam["delta"])
 
-    beta_max = _fields(doc["solution"], {"beta_max": int}, {"beta_max"},
+    beta_max = _fields(doc["solution"], {"beta_max": _int}, {"beta_max"},
                        "solution")["beta_max"]
     _require(problem.s_order <= beta_max <= BETA_MAX_LIMIT,
              "solution.beta_max = %d is unsupported: it must lie between "
              "the equation order %d and %d"
              % (beta_max, problem.s_order, BETA_MAX_LIMIT))
 
-    qk = {"abs_tol": float, "initial_step": float, "max_halvings": int}
+    qk = {"abs_tol": _float, "initial_step": _float, "max_halvings": _int}
     quad = _fields(doc["quad"], qk, set(), "quad", QuadSettings)
     if "QGEVREY_ABS_TOL" in os.environ:
         with _field("QGEVREY_ABS_TOL"):

@@ -7,7 +7,8 @@ overlapping intervals (staggered row by row so that u-overlaps of adjacent
 rows never align) and the level coordinate ``v`` with overlapping
 intervals spanning one unit, whose integer translates close the radial
 gaps.  Triple overlaps survive; quadruple ones are excluded by the
-stagger.
+stagger.  Both are decided exactly, on the cells the chart endpoints cut
+the torus of spiral coordinates into (:func:`covering_report`).
 
 The companion family supplies, per chart, a base patch for the transform
 directions plus a shared evaluation patch, a radius and a clearance
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qgeometry import (BLOCK, ChartBase, ContinuousBase, QBase, _frac,
-                        _level_hit, _turn_in, qpow, spiral_coordinates,
+from .qgeometry import (ChartBase, ContinuousBase, QBase, _frac, qpow,
                         spiral_min_distance)
 
 TWO_PI = 2.0 * math.pi
@@ -98,11 +98,13 @@ def build_covering(n_u: int, n_v: int, overlap: float,
 
 @dataclass(frozen=True)
 class CoveringReport:
+    """Counts of torus cells (see :func:`covering_report`)."""
+
     covered: bool
     max_multiplicity: int
     n_uncovered: int
     n_quadruple: int
-    per_chart_counts: tuple[int, ...]
+    n_cells: int
     r_min: float
     r_max: float
 
@@ -111,99 +113,56 @@ class CoveringReport:
         return self.covered and self.max_multiplicity <= 3
 
 
-def seam_probes(c: GoodCovering, base: QBase) -> np.ndarray:
-    """Three deterministic probes per chart, in chart order.
+def _arc_classes(arcs: np.ndarray) -> np.ndarray:
+    """Which classes of the circle ``R/Z`` each open arc contains.
 
-    They sit on the chart's left, right and bottom edges (open sets!), at
-    the edge midpoints, pushed three levels down into the annulus of
-    :func:`validate_covering`; a good covering has each interior to a
-    neighbouring chart.
+    ``arcs`` is an ``(n, 2)`` array of intervals shorter than one.  Their
+    endpoints, reduced modulo one (``_frac`` can round a value a hair
+    below an integer up to 1.0, which is 0.0 on the circle), cut the
+    circle at the ``m`` distinct values ``e_0 < ... < e_{m-1}`` into
+    ``2m`` classes: class ``2k`` is the point ``e_k`` and class
+    ``2k + 1`` the open gap after it.  The open arc from ``e_a`` to
+    ``e_b`` holds the classes strictly between ``2a`` and ``2b``, read
+    past ``2m - 1`` back to 0 where ``b < a``, so the ``(n, 2m)`` boolean
+    result is integer logic on the endpoint indices.
     """
-    return np.array([cmath.exp(TWO_PI * 1j * u) * qpow(base, v - 3.0)
-                     for ch in c.charts
-                     for u, v in ((ch.i1[0], ch.v_mid), (ch.i1[1], ch.v_mid),
-                                  (ch.u_mid, ch.i2[0]))], dtype=complex)
+    ends = _frac(arcs)
+    ends[ends == 1.0] = 0.0
+    cuts = np.unique(ends)
+    lo, hi = 2 * np.searchsorted(cuts, ends).T[:, :, None]
+    c = np.arange(2 * cuts.size)
+    # lo == hi: an arc whose ends round to one cut holds no class
+    return np.where(lo <= hi, (lo < c) & (c < hi), (lo < c) | (c < hi))
 
 
-def _u_slices(u: np.ndarray, i1: tuple[float, float]) -> list[slice]:
-    """Disjoint slices of the sorted ``u`` (in ``[0, 1)``) holding every
-    entry that lies in ``i1`` modulo one.
+def covering_report(c: GoodCovering, base: QBase) -> CoveringReport:
+    """Decide coverage and multiplicity of the punctured disc exactly.
 
-    The interval is moved to start in ``[0, 1]`` and widened by 1e-9 at
-    both ends, far more than the rounding of the turn coordinates; where
-    it then reaches past 0 or 1 it wraps into a second slice.
-    """
-    pad = 1e-9
-    lo = i1[0] % 1.0 - pad
-    hi = lo + (i1[1] - i1[0]) + 2.0 * pad
-    bounds = [lo, hi]
-    if lo < 0.0:
-        bounds += [lo + 1.0, 1.0]
-    elif hi > 1.0:
-        bounds += [0.0, hi - 1.0]
-    cuts = np.searchsorted(u, bounds)
-    return [slice(cuts[k], cuts[k + 1]) for k in range(0, len(cuts), 2)]
-
-
-def validate_covering(c: GoodCovering, base: QBase, n_samples: int,
-                      seed: int = 0) -> CoveringReport:
-    """Sample an annulus inside the covered neighborhood and count memberships.
-
-    The annulus top sits at the lowest chart-bottom modulus (below every
-    chart's own patch, hence inside the covered neighborhood), three
-    q-levels deep.  Each sample is drawn as a log-modulus and an argument
-    and mapped straight to its spiral coordinates ``v = log_mod / log|q|``
-    and ``u = frac((arg - v Im log q) / 2 pi)``; only the
-    :func:`seam_probes` are complex points.  Per block of points the
-    coordinates are sorted by ``u``.  Each chart tests only the points
-    whose ``u`` lies in its own u-interval (widened by 1e-9, one or two
-    ``searchsorted`` slices, see :func:`_u_slices`) with the interval test
-    of :func:`~qgevrey.qgeometry.in_discrete_spiral`; a point outside the
-    slices fails that test anyway.  The v half of that test depends only
-    on the chart's ``i2``: it runs once per distinct ``i2`` (a covering
-    row) over the block.  So every decision, count and the report are
-    those of testing every point against every chart, at about
-    ``(1 + overlap) / n_u`` of the work.  A probe never counts for the
-    chart it was built from: it lies on that chart's open boundary, where
-    rounding alone would decide.
+    ``eps = exp(2 pi i u) q^v`` lies on a chart's discrete spiral iff
+    ``u`` is in ``i1`` modulo one and ``v + n`` is in ``i2`` for some
+    integer ``n >= 0``.  Below ``r_max``, the lowest chart-bottom
+    modulus, ``v`` lies below every ``i2``, so the second condition is
+    ``v`` in ``i2`` modulo one: on that punctured disc each chart is the
+    open rectangle ``i1 x i2`` of the torus ``(R/Z)^2``, at every base.
+    The chart endpoints cut each circle into classes
+    (:func:`_arc_classes`); the multiplicity of every cell, a pair of
+    classes, is one product of the u- and v-memberships.  The report
+    counts cells; ``r_min`` and ``r_max`` bound the three q-levels below
+    ``r_max`` that the admissibility fits take as their eps patch.
     """
     L = base.log_abs_q
     r_max = min(math.exp(ch.i2[0] * L) for ch in c.charts)
     r_min = r_max * math.exp(-3.0 * L)
-    rng = np.random.default_rng(seed)
-    v_s = rng.uniform(math.log(r_min), math.log(r_max), n_samples) / L
-    arg = rng.uniform(0.0, TWO_PI, n_samples)
-    u_p, v_p = spiral_coordinates(seam_probes(c, base), base)
-    u_all = np.concatenate([_frac((arg - v_s * base.log_q.imag) / TWO_PI),
-                            u_p])
-    v_all = np.concatenate([v_s, v_p])
-    owner = np.concatenate([np.full(n_samples, -1),
-                            np.arange(u_p.size) // 3])
-    row_of = {}
-    rows = [row_of.setdefault(ch.i2, len(row_of)) for ch in c.charts]
-    counts = np.zeros(len(c.charts), dtype=np.int64)
-    n_unc = 0
-    max_mult = 0
-    n_quad = 0
-    for start in range(0, u_all.size, BLOCK):
-        blk = slice(start, start + BLOCK)
-        order = np.argsort(u_all[blk])
-        u, v, own = u_all[blk][order], v_all[blk][order], owner[blk][order]
-        hits = [_level_hit(v, i2) for i2 in row_of]
-        mult = np.zeros(u.size, dtype=np.int64)
-        for idx, ch in enumerate(c.charts):
-            for part in _u_slices(u, ch.i1):
-                inside = (_turn_in(u[part], ch.i1) & hits[rows[idx]][part]
-                          & (own[part] != idx))
-                counts[idx] += np.count_nonzero(inside)
-                mult[part] += inside
-        n_unc += int(np.count_nonzero(mult == 0))
-        n_quad += int(np.count_nonzero(mult >= 4))
-        max_mult = max(max_mult, int(mult.max(initial=0)))
-    return CoveringReport(covered=n_unc == 0, max_multiplicity=max_mult,
-                          n_uncovered=n_unc, n_quadruple=n_quad,
-                          per_chart_counts=tuple(int(k) for k in counts),
-                          r_min=r_min, r_max=r_max)
+    ends = np.array([ch.i1 + ch.i2 for ch in c.charts])
+    # counts up to the number of charts: exact in float64
+    mult = (_arc_classes(ends[:, :2]).T.astype(float)
+            @ _arc_classes(ends[:, 2:]).astype(float))
+    n_unc = int(np.count_nonzero(mult == 0))
+    return CoveringReport(covered=n_unc == 0,
+                          max_multiplicity=int(mult.max()),
+                          n_uncovered=n_unc,
+                          n_quadruple=int(np.count_nonzero(mult >= 4)),
+                          n_cells=mult.size, r_min=r_min, r_max=r_max)
 
 
 def pick_lambda(v: ContinuousBase, rho0: float) -> complex:

@@ -206,7 +206,12 @@ def in_discrete_spiral(eps, chart: ChartBase, base: QBase):
     scalar gives a ``bool``.
     """
     u, v = spiral_coordinates(eps, base)
-    inside = _turn_in(u, chart.i1) & _level_hit(v, chart.i2)
+    du = _frac(u - chart.i1[0])
+    lo, hi = chart.i2
+    n = np.ceil(lo - v)
+    n = n + (lo - v == n)  # open interval: v + n must exceed lo strictly
+    inside = ((0.0 < du) & (du < chart.i1[1] - chart.i1[0])
+              & (n >= 0) & (v + n < hi))
     return bool(inside) if np.ndim(inside) == 0 else inside
 
 
@@ -216,26 +221,6 @@ def _frac(x):
     both are exact; for a negative non-integer both round the exact
     ``(x - trunc(x)) + 1`` once; an integer, ``-0.0`` too, gives ``+0.0``."""
     return x - np.floor(x)
-
-
-def _turn_in(u, i1: tuple[float, float]):
-    """Whether ``u`` lies in the open interval ``i1`` modulo one.
-
-    With :func:`_level_hit`, the two halves of :func:`in_discrete_spiral`
-    on the spiral coordinates ``(u, v)``: callers that test one point
-    array against many charts compute the coordinates once.
-    """
-    du = _frac(u - i1[0])
-    return (0.0 < du) & (du < i1[1] - i1[0])
-
-
-def _level_hit(v, i2: tuple[float, float]):
-    """Whether ``v + n`` lies in the open interval ``i2`` for some integer
-    ``n >= 0``."""
-    lo, hi = i2
-    n = np.ceil(lo - v)
-    n = n + (lo - v == n)  # open interval: v + n must exceed lo strictly
-    return (n >= 0) & (v + n < hi)
 
 
 def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from covering_reference import full_covering_report
 from qgevrey import (QBase, QuadSettings, build_covering,
                      check_constant_system, check_growth_cap,
-                     check_term_exponents, extract_coefficients,
-                     flatness_fit, in_theta_safe, null_expansion_envelope,
-                     q_laplace, qpow, series_norm,
+                     check_term_exponents, covering_report,
+                     extract_coefficients, flatness_fit, in_theta_safe,
+                     null_expansion_envelope, q_laplace, qpow, series_norm,
                      shift_bound_constant, theta, transform_decay_fit,
-                     validate_covering, young_conjugate)
+                     young_conjugate)
 from qgevrey.covering import overlap_point
 from qgevrey.problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                              InitialData, InitialTerm, ProblemTerm,
@@ -286,11 +287,14 @@ def test_criterion_10_closed_forms():
 def test_criterion_11_covering_validation():
     base = QBase(2.0)
     covering = build_covering(5, 5, 0.1)
-    rep = validate_covering(covering, base, 10000, seed=SEED)
+    rep = full_covering_report(covering, base, 10000, seed=SEED)
     assert rep.covered
     assert rep.max_multiplicity <= 3
+    exact = covering_report(covering, base)
+    assert exact.covered
+    assert exact.max_multiplicity <= 3
     report(11, "5x5 covering: coverage and no quadruple overlaps",
-           max_multiplicity=rep.max_multiplicity,
+           max_multiplicity=exact.max_multiplicity, n_cells=exact.n_cells,
            n_samples=10000 + 3 * len(covering.charts))
 
 

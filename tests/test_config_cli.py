@@ -26,7 +26,6 @@ def write_config(tmp_path, doc, name="cfg.json"):
 def trimmed(demo_doc, **sampling):
     """Demo config with drastically reduced sample counts for CLI tests."""
     doc = copy.deepcopy(demo_doc)
-    doc["sampling"]["n_cover_samples"] = 400
     doc["sampling"]["n_family_samples"] = 120
     doc["sampling"]["residual"] = {"n_points": 6, "z_max": 0.5,
                                    "max_abs": 1e-6, "abs_tol": 1e-8}
@@ -41,6 +40,21 @@ def trimmed(demo_doc, **sampling):
     doc["sampling"].update(sampling)
     return doc
 
+
+# numbers of the wrong JSON type: an integer field takes no fraction and
+# no bool, a number field no bool and no string
+WRONG_TYPES = [
+    (("covering", "n_u"), 5.7, "check"),
+    (("solution", "beta_max"), 25.9, "check"),
+    (("sampling", "seed"), 1.5, "check"),
+    (("quad", "max_halvings"), 14.5, "check"),
+    (("sampling", "asympt", "depths"), [20.5, 10, 7, 4], "verify asympt"),
+    (("problem", "s_order"), True, "check"),
+    (("quad", "abs_tol"), "1e-8", "check"),
+    (("covering", "overlap"), "0.1", "check"),
+    (("base", "q"), [True, False], "check"),
+    (("family", "v_mod"), [True, 1.4], "check"),
+]
 
 # field path (or environment variable), bad value, command: each must end
 # in a configuration error, not a traceback
@@ -63,6 +77,7 @@ BAD_VALUES = [
     (("base", "q"), [0.5, 0], "check"),
     (("family", "delta"), -1, "check"),
     (("sampling", "seed"), "x", "check"),
+    # a deleted key is an unknown field, whatever its value
     (("sampling", "n_cover_samples"), -5, "check"),
     (("sampling", "n_cover_samples"), 0, "check"),
     (("sampling", "n_family_samples"), 0, "check"),
@@ -80,7 +95,7 @@ BAD_VALUES = [
     (("sampling", "asympt", "depths"), [14, 8], "verify asympt"),
     (("sampling", "asympt", "depths"), [14, -1, 5], "verify asympt"),
     ("QGEVREY_ABS_TOL", "abc", "check"),
-]
+] + WRONG_TYPES
 
 
 class TestConfigSchema:
@@ -106,8 +121,26 @@ class TestConfigSchema:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key,value", [("n_cover_samples", -5),
-                                           ("n_family_samples", 0)])
+    @pytest.mark.parametrize("path,value", [(p, v) for p, v, _ in WRONG_TYPES],
+                             ids=["%s=%r" % (".".join(p), v)
+                                  for p, v, _ in WRONG_TYPES])
+    def test_wrong_number_type_names_field(self, demo_doc, path, value):
+        doc = copy.deepcopy(demo_doc)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match="^%s[: ]" % ".".join(path)):
+            parse_config(doc)
+
+    def test_removed_key_names_field(self, demo_doc):
+        doc = copy.deepcopy(demo_doc)
+        doc["sampling"]["n_cover_samples"] = 10000
+        with pytest.raises(ConfigError, match="sampling has unknown "
+                           r"field\(s\): n_cover_samples"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("key,value", [("n_family_samples", 0)])
     def test_sample_count_range_names_field(self, demo_doc, key, value):
         doc = copy.deepcopy(demo_doc)
         doc["sampling"][key] = value
@@ -183,7 +216,7 @@ class TestConfigSchema:
         samp = parse_config(doc).sampling
         grid = [(0.7 + 0j, 0.3 + 0j)]
         assert samp == {
-            "seed": 0, "n_cover_samples": 10000, "n_family_samples": 600,
+            "seed": 0, "n_family_samples": 600,
             "residual": {"n_points": 100, "z_max": 0.5, "max_abs": 1e-6,
                          "abs_tol": 1e-7},
             "flatness": {"pair": (0, 1), "n_points": 13, "abs_tol": 1e-12,
@@ -262,7 +295,6 @@ class TestCheckCommand:
 
     def test_strict_config_fails_exit_one(self, tmp_path):
         doc = json.loads(shipped_config_text("strict_exponents_fail"))
-        doc["sampling"]["n_cover_samples"] = 400
         doc["sampling"]["n_family_samples"] = 100
         cfg = write_config(tmp_path, doc)
         code = main(["check", "--config", cfg,
@@ -307,6 +339,7 @@ class TestCheckCommand:
                             .read_text())
         rows = {c["name"]: c for c in report["checks"]}
         assert rows["covering_coverage"]["n_uncovered"] == 0
+        assert rows["covering_coverage"]["n_cells"] == 2000
         assert rows["covering_multiplicity"]["max_multiplicity"] == 3
         assert rows["covering_multiplicity"]["n_quadruple"] == 0
         v_clear, k_clear = self.PINNED_CLEARANCES[name]
@@ -442,8 +475,6 @@ class TestVerifyCommands:
         {"name": "young_conjugate_closed_form", "status": "pass",
          "worst_rel": 3.290372286693434e-16,
          "tolerance_provenance": "relative 1e-9"},
-        {"name": "covering_quick", "status": "pass", "max_multiplicity": 3,
-         "tolerance_provenance": "2000 samples"},
     ]
 
     def test_properties_theta_reduction_on_theta_safe_samples(

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from covering_reference import (cell_multiplicity, full_covering_report,
+                                seam_probes)
 from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
-                     QBase, build_covering, in_discrete_spiral, overlap_point,
-                     pick_lambda, validate_covering, validate_family)
+                     QBase, build_covering, covering_report,
+                     in_discrete_spiral, overlap_point, pick_lambda,
+                     validate_family)
 from qgevrey.config import load_shipped_config
-from qgevrey.covering import CoveringReport, seam_probes
+from qgevrey.covering import _arc_classes
 from qgevrey import covering
-from qgevrey.qgeometry import BLOCK, qpow, spiral_min_distance
+from qgevrey.qgeometry import qpow, spiral_min_distance
 
 class TestBuildCovering:
     def test_default_grid(self, base2):
@@ -19,8 +22,7 @@ class TestBuildCovering:
         for ch in c.charts:
             assert ch.i1[1] - ch.i1[0] < 0.25
             assert ch.i2[1] - ch.i2[0] < 0.25
-        rep = validate_covering(c, base2, 2000, seed=11)
-        assert rep.ok
+        assert covering_report(c, base2).ok
 
     def test_four_angular_charts_rejected(self):
         # four open intervals of length < 1/4 cannot tile the circle
@@ -32,11 +34,28 @@ class TestBuildCovering:
             build_covering(5, 5, 0.3)  # interval length would reach 1/4
 
     def test_zero_overlap_leaves_seams(self, base2):
-        # disjoint open charts miss their shared boundaries: the seam
-        # probes of the validator land exactly there
+        # disjoint open charts miss their shared boundaries: cells on the
+        # cuts there are in no chart
         c = build_covering(5, 5, 0.0)
-        rep = validate_covering(c, base2, 500, seed=3)
+        rep = covering_report(c, base2)
         assert not rep.covered and rep.n_uncovered > 0
+
+
+def exact_multiplicity(c):
+    """The product ``covering_report`` counts: multiplicity per cell."""
+    in_u = _arc_classes(np.array([ch.i1 for ch in c.charts]))
+    in_v = _arc_classes(np.array([ch.i2 for ch in c.charts]))
+    return in_u.T.astype(np.int64) @ in_v.astype(np.int64)
+
+
+def assert_matches_oracle(c, base):
+    mult = cell_multiplicity(c, base)
+    np.testing.assert_array_equal(exact_multiplicity(c), mult)
+    rep = covering_report(c, base)
+    assert (rep.n_cells, rep.n_uncovered, rep.max_multiplicity,
+            rep.n_quadruple) == (mult.size, np.count_nonzero(mult == 0),
+                                 mult.max(), np.count_nonzero(mult >= 4))
+    assert rep.covered == (rep.n_uncovered == 0)
 
 
 class TestValidateCovering:
@@ -44,128 +63,129 @@ class TestValidateCovering:
     @pytest.mark.parametrize("n_v", [5, 6, 7])
     def test_grid_family_passes(self, base2, n_u, n_v):
         c = build_covering(n_u, n_v, 0.1)
-        rep = validate_covering(c, base2, 10000, seed=n_u * 10 + n_v)
+        rep = covering_report(c, base2)
         assert rep.covered
         assert rep.max_multiplicity <= 3
 
     def test_single_chart_fails_coverage(self, base2):
         c = GoodCovering(charts=(ChartBase(i1=(0.1, 0.3),
                                            i2=(-0.4, -0.2)),))
-        rep = validate_covering(c, base2, 400, seed=5)
+        rep = covering_report(c, base2)
         assert not rep.covered
 
     def test_duplicated_charts_fail_multiplicity(self, base2):
+        # two cuts per circle: 4 x 4 cells, the open rectangle is one
         ch = ChartBase(i1=(0.1, 0.3), i2=(-0.4, -0.2))
         c = GoodCovering(charts=(ch, ch, ch, ch))
-        rep = validate_covering(c, base2, 400, seed=5)
-        assert rep.max_multiplicity >= 4
-        assert rep.n_quadruple > 0
+        rep = covering_report(c, base2)
+        assert (rep.n_cells, rep.max_multiplicity, rep.n_quadruple,
+                rep.n_uncovered) == (16, 4, 1, 15)
+
+    def test_four_fold_square_of_side_1e_6(self):
+        # four charts meet only in the open square (0.3 - 1e-6, 0.3) x
+        # (-0.3 - 1e-6, -0.3): a 1e-12 share of the torus, which 10,000
+        # samples miss
+        w = 1e-6
+        c = GoodCovering(charts=tuple(
+            ChartBase(i1=i1, i2=i2)
+            for i1 in ((0.1, 0.3), (0.3 - w, 0.5))
+            for i2 in ((-0.5, -0.3), (-0.3 - w, -0.1))))
+        for base in (QBase(2.0), QBase(1.5 * cmath.exp(0.2j))):
+            rep = covering_report(c, base)
+            assert (rep.max_multiplicity, rep.n_quadruple) == (4, 1)
+            assert_matches_oracle(c, base)
+            assert full_covering_report(c, base, 10000,
+                                        seed=1).max_multiplicity < 4
 
     @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
     def test_no_probe_counts_for_its_own_chart(self, name):
-        # with no random samples the counts come from the probes alone:
-        # chart idx counts exactly the other charts' probes inside it, and
-        # each probe is covered by a neighbour
+        # with no random samples the reference counts the seam probes
+        # alone: chart idx counts exactly the other charts' probes inside
+        # it, and each probe is covered by a neighbour, as every cell is
         cfg = load_shipped_config(name)
         charts = cfg.covering.charts
         probes = seam_probes(cfg.covering, cfg.base).reshape(len(charts), 3)
-        rep = validate_covering(cfg.covering, cfg.base, 0)
+        rep = full_covering_report(cfg.covering, cfg.base, 0)
         for idx, ch in enumerate(charts):
             others = np.delete(probes, idx, axis=0).ravel()
             inside = in_discrete_spiral(others, ch, cfg.base)
             assert rep.per_chart_counts[idx] == np.count_nonzero(inside)
         assert rep.n_uncovered == 0
         assert rep.max_multiplicity <= 3
+        assert covering_report(cfg.covering, cfg.base).ok
 
     def test_complex_base(self):
         b = QBase(1.8 * cmath.exp(0.15j))
         c = build_covering(5, 5, 0.1)
-        rep = validate_covering(c, b, 3000, seed=9)
-        assert rep.ok
+        assert covering_report(c, b).ok
 
-
-def full_covering_report(c, base, n_samples, seed=0):
-    """validate_covering's report with every point tested against every
-    chart: the same samples and probes, no sorting and no u-slices."""
-    L = base.log_abs_q
-    r_max = min(math.exp(ch.i2[0] * L) for ch in c.charts)
-    r_min = r_max * math.exp(-3.0 * L)
-    rng = np.random.default_rng(seed)
-    mods = np.exp(rng.uniform(math.log(r_min), math.log(r_max), n_samples))
-    args = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    probes = seam_probes(c, base)
-    pts = np.concatenate([mods * np.exp(1j * args), probes])
-    owner = np.concatenate([np.full(n_samples, -1),
-                            np.arange(probes.size) // 3])
-    counts = np.zeros(len(c.charts), dtype=np.int64)
-    mult = np.zeros(pts.size, dtype=np.int64)
-    for idx, ch in enumerate(c.charts):
-        inside = in_discrete_spiral(pts, ch, base) & (owner != idx)
-        counts[idx] = np.count_nonzero(inside)
-        mult += inside
-    n_unc = int(np.count_nonzero(mult == 0))
-    return CoveringReport(covered=n_unc == 0,
-                          max_multiplicity=int(mult.max(initial=0)),
-                          n_uncovered=n_unc,
-                          n_quadruple=int(np.count_nonzero(mult >= 4)),
-                          per_chart_counts=tuple(int(k) for k in counts),
-                          r_min=r_min, r_max=r_max)
+    @pytest.mark.parametrize("q", [2.0, 1.5 * cmath.exp(0.2j)],
+                             ids=["2", "1.5e^0.2i"])
+    def test_cells_match_point_oracle(self, q):
+        base = QBase(q)
+        for name in ("demo", "strict_exponents_fail"):
+            assert_matches_oracle(load_shipped_config(name).covering, base)
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            n_u, n_v = (int(k) for k in rng.integers(5, 9, 2))
+            overlap = rng.uniform(0.05, 0.95) * min(
+                1.0 / n_v, 0.25 * n_u - 1.0, 0.25 * n_v - 1.0)
+            assert_matches_oracle(build_covering(n_u, n_v, overlap), base)
 
 
 class TestUSlices:
-    """Each chart tests only its own u-slice of the sorted points; the
-    report must equal the one of testing every point against every
-    chart."""
+    """The chart endpoints slice each circle into classes; the report on
+    their cells must agree with the sampled reference: the same
+    ``covered``, a sampled multiplicity no higher than the exact one,
+    and bit-equal radii."""
+
+    @staticmethod
+    def assert_agrees(c, base, n_samples, seed):
+        rep = covering_report(c, base)
+        ref = full_covering_report(c, base, n_samples, seed=seed)
+        assert rep.covered == ref.covered
+        assert ref.max_multiplicity <= rep.max_multiplicity
+        assert (rep.r_min, rep.r_max) == (ref.r_min, ref.r_max)
+        return rep, ref
 
     @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shipped_configs(self, name, seed):
         cfg = load_shipped_config(name)
-        n = cfg.sampling["n_cover_samples"]
-        assert validate_covering(cfg.covering, cfg.base, n, seed=seed) == \
-            full_covering_report(cfg.covering, cfg.base, n, seed=seed)
+        rep, ref = self.assert_agrees(cfg.covering, cfg.base, 10000, seed)
+        assert (rep.max_multiplicity, rep.n_quadruple) == (3, 0)
+        assert ref.max_multiplicity == 3
 
     def test_random_grids(self):
         rng = np.random.default_rng(7)
         for q in (2.0, math.exp(1.0 / 16.0), 1.5 * cmath.exp(0.2j),
                   1.8 * cmath.exp(-0.4j)):
             base = QBase(q)
-            for _ in range(6):
+            for k in range(6):
                 n_u, n_v = (int(k) for k in rng.integers(5, 9, 2))
+                # the first grid of each base has no overlap at all
                 overlap = rng.uniform(0.0, 0.95) * min(
-                    1.0 / n_v, 0.25 * n_u - 1.0, 0.25 * n_v - 1.0)
+                    1.0 / n_v, 0.25 * n_u - 1.0, 0.25 * n_v - 1.0) * (k > 0)
                 c = build_covering(n_u, n_v, overlap)
-                seed = int(rng.integers(2**31))
-                assert validate_covering(c, base, 3000, seed=seed) == \
-                    full_covering_report(c, base, 3000, seed=seed)
+                rep, _ = self.assert_agrees(c, base, 3000,
+                                            int(rng.integers(2**31)))
+                assert rep.covered == (overlap > 0.0)
 
     def test_charts_wrapping_past_one(self, base2):
-        # u-intervals reaching below 0 or past 1, or starting a hair below
-        # 0 (whose remainder mod 1 rounds to 1.0)
+        # u-intervals reaching below 0 or past 1 (the first two are one
+        # arc: dyadic ends reduce mod 1 exactly), or starting a hair below
+        # 0 (whose remainder mod 1 rounds to 1.0, the cut at 0.0)
         c = GoodCovering(charts=(
-            ChartBase(i1=(-0.1, 0.1), i2=(-0.4, -0.2)),
-            ChartBase(i1=(0.9, 1.1), i2=(-0.3, -0.1)),
+            ChartBase(i1=(-0.0625, 0.125), i2=(-0.4, -0.2)),
+            ChartBase(i1=(0.9375, 1.125), i2=(-0.3, -0.1)),
             ChartBase(i1=(-1e-17, 0.2), i2=(-0.5, -0.3)),
             ChartBase(i1=(0.8, 1.0), i2=(-0.45, -0.25)),
             ChartBase(i1=(0.0, 0.15), i2=(-0.35, -0.15))))
-        for seed in range(4):
-            assert validate_covering(c, base2, 5000, seed=seed) == \
-                full_covering_report(c, base2, 5000, seed=seed)
-
-    def test_more_points_than_one_block(self, base2):
-        c = build_covering(5, 5, 0.1)
-        n = BLOCK + 5000
-        assert validate_covering(c, base2, n, seed=4) == \
-            full_covering_report(c, base2, n, seed=4)
-
-    def test_complex_base_more_points_than_one_block(self):
-        # the samples' u carries the Im log q term of the direct mapping;
-        # the reference goes through complex points
-        base = QBase(1.5 * cmath.exp(0.2j))
-        c = build_covering(5, 5, 0.1)
-        n = BLOCK + 5000
-        assert validate_covering(c, base, n, seed=4) == \
-            full_covering_report(c, base, n, seed=4)
+        assert _arc_classes(np.array([[-1e-17, 0.2]])).shape == (1, 4)
+        for base in (base2, QBase(1.5 * cmath.exp(0.2j))):
+            assert_matches_oracle(c, base)
+            for seed in range(4):
+                self.assert_agrees(c, base, 5000, seed)
 
 
 class TestPickLambda:

@@ -18,21 +18,22 @@ Run from the root of a source checkout (the program is imported from the
   one ``check``: ``spiral_min_distance`` calls; admissibility grid
   sweeps (each call of the admissibility entry point sweeps the ``n``
   and the ``2n`` grid); ``_ring_peaks`` calls; the ``|W|`` values one
-  component's fit computes on average; the complex sample points
-  ``validate_covering`` builds (the points it passes to
-  ``spiral_coordinates``, less its three seam probes per chart); and its
-  v-tests (calls of the level test over a slice or a block of points);
+  component's fit computes on average; and the torus cells the covering
+  decision counts (``None`` where the covering is sampled);
+* ``covering_ms``: on each shipped config, the median over N of the ms
+  one covering call takes (after three warm-up calls);
 * ``check_ms``: on each shipped config, the median over N in-process
   ``check`` runs (after three warm-up runs) of the ms spent in
-  ``spiral_min_distance``, ``validate_covering``, ``validate_family``
-  and the admissibility entry point, and of the whole ``run_check``.
+  ``spiral_min_distance``, the covering, ``validate_family`` and the
+  admissibility entry point, and of the whole ``run_check``.
 
-The admissibility entry point is ``problem.admissibility_fits``, which
+The covering call is ``covering.covering_report(c, base)``; a checkout
+without it samples through ``covering.validate_covering(c, base,
+n_cover_samples, seed)`` and is measured through that.  The
+admissibility entry point is ``problem.admissibility_fits``, which
 ``run_check`` calls once per tau patch for all components; a checkout
 without it calls ``problem.admissibility_fit`` once per component and
-patch, and is measured through that.  Its v-test is
-``covering._level_hit``, or ``covering._in_chart_spiral`` where the
-covering has no level test of its own.
+patch, and is measured through that.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
 CONFIGS = ("demo", "strict_exponents_fail")
 ADMISSIBILITY = ("admissibility_fits" if hasattr(problem, "admissibility_fits")
                  else "admissibility_fit")
-V_TEST = ("_level_hit" if hasattr(covering, "_level_hit")
-          else "_in_chart_spiral")
+COVERING = ("covering_report" if hasattr(covering, "covering_report")
+            else "validate_covering")
 #: points of every timed or counted spiral_min_distance call
 POINTS = 1200
 
@@ -170,7 +171,7 @@ def per_check() -> dict:
     for cfg_name in CONFIGS:
         cfg = load_shipped_config(cfg_name)
         seen = dict.fromkeys(("scans", "calls", "peaks", "fits", "values",
-                              "points", "v_tests"), 0)
+                              "cells"), 0)
         # covering holds its own reference to spiral_min_distance
         undo = [patched(owner, "spiral_min_distance",
                         counted(seen, "scans"))
@@ -184,9 +185,8 @@ def per_check() -> dict:
             patched(problem, "_ring_peaks",
                     counted(seen, "values",
                             lambda peaks: peaks.size * peaks.shape[-1])),
-            patched(covering, V_TEST, counted(seen, "v_tests")),
-            patched(covering, "spiral_coordinates",
-                    counted(seen, "points", lambda uv: np.size(uv[0])))]
+            patched(covering, COVERING, counted(
+                seen, "cells", lambda rep: getattr(rep, "n_cells", 0)))]
         try:
             cli.run_check(cfg, cfg.sampling["seed"],
                           Report(command="check", config=cfg_name, seed=0))
@@ -198,15 +198,32 @@ def per_check() -> dict:
             "admissibility_grid_sweeps": 2 * seen["calls"],
             "ring_peaks_calls": seen["peaks"],
             "abs_w_values_per_fit": seen["values"] / seen["fits"],
-            "covering_complex_sample_points":
-                seen["points"] - 3 * len(cfg.covering.charts),
-            "covering_v_tests": seen["v_tests"]}
+            "covering_cells": seen["cells"] or None}
+    return out
+
+
+def covering_ms(runs: int) -> dict:
+    """Median ms of one covering call per shipped config."""
+    out = {}
+    for cfg_name in CONFIGS:
+        cfg = load_shipped_config(cfg_name)
+        args = (cfg.covering, cfg.base)
+        if COVERING == "validate_covering":
+            args += (cfg.sampling["n_cover_samples"], cfg.sampling["seed"])
+        call = getattr(covering, COVERING)
+        samples = []
+        for r in range(runs + 3):
+            t0 = time.perf_counter()
+            call(*args)
+            if r >= 3:
+                samples.append(time.perf_counter() - t0)
+        out[cfg_name] = round(1e3 * statistics.median(samples), 3)
     return out
 
 
 def check_ms(runs: int) -> dict:
     """Median in-process ms per layer over ``runs`` checks per config."""
-    spent = {"spiral_min_distance": 0.0, "validate_covering": 0.0,
+    spent = {"spiral_min_distance": 0.0, "covering": 0.0,
              "validate_family": 0.0, "admissibility": 0.0}
 
     def timer(label):
@@ -227,7 +244,7 @@ def check_ms(runs: int) -> dict:
             for owner in (qgeometry, covering)]
     undo += [patched(owner, name, timer(label))
              for owner, name, label in (
-                 (covering, "validate_covering", "validate_covering"),
+                 (covering, COVERING, "covering"),
                  (covering, "validate_family", "validate_family"),
                  (problem, ADMISSIBILITY, "admissibility"))]
     out = {}
@@ -263,6 +280,7 @@ def main() -> None:
                       "candidates_per_row": candidates_per_row(),
                       "call_ms": call_ms(args.runs),
                       "per_check": per_check(),
+                      "covering_ms": covering_ms(args.runs),
                       "check_ms": check_ms(args.runs)}, indent=1))
 
 
