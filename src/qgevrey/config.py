@@ -156,14 +156,13 @@ _SAMPLING_BLOCKS = {
                "rel_match": _float, "grid": list},
     "properties": {"n_points": _int},
 }
-_SAMPLING_KEYS = dict(seed=_int, n_family_samples=_int,
-                      **dict.fromkeys(_SAMPLING_BLOCKS, dict))
+_SAMPLING_KEYS = dict(seed=_int, **dict.fromkeys(_SAMPLING_BLOCKS, dict))
 
 
 def _sampling_defaults(quad: QuadSettings) -> dict:
     """Every sampling key's default, in the config's form."""
     grid = [{"t": [0.7, 0.0], "z": [0.3, 0.0]}]
-    return {"seed": 0, "n_family_samples": 600,
+    return {"seed": 0,
             "residual": {"n_points": 100, "z_max": 0.5, "max_abs": 1e-6,
                          "abs_tol": quad.abs_tol},
             "flatness": {"pair": [0, 1], "n_points": 13, "abs_tol": 1e-12,
@@ -174,12 +173,11 @@ def _sampling_defaults(quad: QuadSettings) -> dict:
             "properties": {"n_points": 200}}
 
 
-# the range of each sampling count, by its path under "sampling": a check
-# or verification on fewer points checks nothing or fails inside a fit
+# the range of each sampling count, by its block and key under "sampling":
+# a verification on fewer points checks nothing or fails inside a fit
 # (the flatness fit takes 8 levels, the type fit 3 orders, an extraction
 # step 3 levels), and extraction stops at order 4
-_SAMPLING_RANGES = {("n_family_samples",): (1, math.inf),
-                    ("residual", "n_points"): (1, math.inf),
+_SAMPLING_RANGES = {("residual", "n_points"): (1, math.inf),
                     ("flatness", "n_points"): (8, math.inf),
                     ("asympt", "k_max"): (2, 4),
                     ("asympt", "depth"): (2, math.inf),
@@ -313,7 +311,7 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
             grid[gi] = (_complex(entry["t"], gw + ".t"),
                         _complex(entry["z"], gw + ".z"))
     for path, (lo, hi) in _SAMPLING_RANGES.items():
-        value = samp[path[0]] if len(path) == 1 else samp[path[0]][path[1]]
+        value = samp[path[0]][path[1]]
         _require(lo <= value <= hi, "sampling.%s = %d must be %s"
                  % (".".join(path), value, "at least %d" % lo
                     if hi == math.inf else "between %d and %d" % (lo, hi)))

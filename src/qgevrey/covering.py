@@ -13,7 +13,8 @@ the torus of spiral coordinates into (:func:`covering_report`).
 The companion family supplies, per chart, a base patch for the transform
 directions plus a shared evaluation patch, a radius and a clearance
 ``delta``; validity reduces to distance-to(-1) checks on the relevant
-spirals, sampled and refined.
+spirals, decided exactly on one interval of the argument at which they
+cross the unit circle per chart (:func:`validate_family`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from .qgeometry import (ChartBase, ContinuousBase, QBase, _frac, qpow,
                         spiral_min_distance)
 
 TWO_PI = 2.0 * math.pi
+
+# widening of validate_family's theta-intervals, times the magnitude of
+# the corner terms plus 1 + |kappa|: more than the rounding of a corner
+# sum (less than 2^-50 of that magnitude), of the pole test and of
+# exp(i theta), so every end lies outside the exact interval
+_ARG_MARGIN = 2.0 ** -48
 
 
 @dataclass(frozen=True)
@@ -53,9 +60,9 @@ class AssociatedFamily:
         if self.t_set.mod[1] > 1.0:
             raise ValueError("evaluation patch must satisfy |t| <= 1")
         for i, v in enumerate(self.v_sets):
-            if v.mod[0] >= self.rho0:
-                raise ValueError("direction patch %d misses the disc of "
-                                 "radius rho0" % i)
+            if not max(1.0, v.mod[0]) < min(self.rho0, v.mod[1]):
+                raise ValueError("direction patch %d has no modulus in "
+                                 "(1, rho0)" % i)
 
 
 def build_covering(n_u: int, n_v: int, overlap: float,
@@ -184,66 +191,68 @@ def pick_lambda(v: ContinuousBase, rho0: float) -> complex:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    lambda_feasible: bool
     v_clearance: float      # item: min over V_I q^R of |tau + 1|, vs delta
     v_clearance_ok: bool
     kernel_clearance: float  # min over (eps, t, lam_v, r) of |1 + lam/(eps t q^r)|
     kernel_clearance_ok: bool
-    t_bounded: bool
 
     @property
     def ok(self) -> bool:
-        return (self.lambda_feasible and self.v_clearance_ok
-                and self.kernel_clearance_ok and self.t_bounded)
+        return self.v_clearance_ok and self.kernel_clearance_ok
 
 
-def validate_family(f: AssociatedFamily, c: GoodCovering, base: QBase,
-                    lambdas: tuple[complex, ...], n_samples: int,
-                    seed: int = 0) -> FamilyReport:
-    """Check the family against the covering, spiraling both ways in v.
+def validate_family(f: AssociatedFamily, c: GoodCovering,
+                    base: QBase) -> FamilyReport:
+    """Decide exactly whether the two-sided spirals of the direction
+    patches, and of every ``lam / (eps t)`` (chart point ``eps``, t-point,
+    ``lam`` in its patch with ``1 < |lam| < rho0``), keep distance
+    > delta from -1.
 
-    * every supplied direction must lie in its patch intersected with the
-      rho0-disc and have modulus above one;
-    * the two-sided spirals of the direction patches must keep
-      ``|tau + 1| > delta``;
-    * for sampled chart points, t-points and directions, the full
-      two-sided spiral of ``lam / (eps t)`` must keep distance > delta
-      from -1 (:func:`spiral_min_distance`: closed form at a real base,
-      scan plus local refinement otherwise).
+    The spiral ``{w q^-k : k real}`` crosses the unit circle at the
+    arguments ``theta(w) = arg w - kappa log|w|`` (mod 2 pi),
+    ``kappa = Im log q / log|q|``; its clearance is ``f(theta)``, that of
+    the spiral through ``exp(i theta)``.  For ``r < 1``,
+    ``{z : |1 + e^z| <= r}`` is a union of ``2 pi i``-translates of one
+    connected set around ``i pi``, growing with ``r``, so the capped
+    ``f`` does not decrease as ``theta`` moves away from the nearest
+    ``pi + 2 pi n``: its least value on an interval is 0 if the interval
+    holds some ``pi + 2 pi n``, else the lesser end value.
 
-    Per chart, eight uniform draws give a patch point and a t-point (as
-    ``ContinuousBase.sample`` maps them), a chart point ``(u, v)`` and a
-    direction.  One ``rng.uniform`` call over a ``(charts, 8, n)`` array
-    of ``(lo, hi)`` bounds returns the stream of eight calls per chart,
-    value for value.  All points take one :func:`spiral_min_distance`
-    call; no value depends on the others.
+    ``theta`` is linear in each chart's box: ``arg v - kappa log|v|`` on a
+    direction patch, and ``arg lam - 2 pi u - arg t - kappa (log|lam| -
+    log|t|)`` for ``eps = exp(2 pi i u) q^v``, where ``v`` cancels.  Each
+    chart thus gives one interval per clearance, its ends at box corners,
+    widened by ``_ARG_MARGIN``; all ends take one
+    :func:`spiral_min_distance` call (the closed form at a real base,
+    where ``theta = arg w``).
     """
-    if len(lambdas) != len(c.charts) or len(f.v_sets) != len(c.charts):
-        raise ValueError("need one direction and one patch per chart")
-    feasible = True
-    for lam, vset in zip(lambdas, f.v_sets):
-        mod_ok = max(1.0, vset.mod[0]) <= abs(lam) <= min(f.rho0, vset.mod[1])
-        center = 0.5 * (vset.arg[0] + vset.arg[1])
-        half = 0.5 * (vset.arg[1] - vset.arg[0])
-        d = (cmath.phase(lam) - center) % TWO_PI
-        arg_ok = min(d, TWO_PI - d) <= half + 1e-9
-        feasible = feasible and mod_ok and arg_ok
-    b = np.array([v.draw_bounds() + (ch.i1, ch.i2) + f.t_set.draw_bounds()
-                  + ((max(1.0, v.mod[0]), min(f.rho0, v.mod[1])), v.arg)
-                  for ch, v in zip(c.charts, f.v_sets)])
-    x = np.random.default_rng(seed).uniform(
-        b[..., :1], b[..., 1:], (len(b), 8, max(n_samples // len(b), 4)))
-    v_pts = ContinuousBase.from_draws(x[:, 0], x[:, 1])
-    eps_pts = np.exp(2j * math.pi * x[:, 2]) * qpow(base, x[:, 3])
-    t_pts = ContinuousBase.from_draws(x[:, 4], x[:, 5])
-    lam_pts = x[:, 6] * np.exp(1j * x[:, 7])
-    v_clear, k_clear = (float(d.min()) for d in spiral_min_distance(
-        np.stack([v_pts, lam_pts / (eps_pts * t_pts)]), base, f.delta))
+    if len(f.v_sets) != len(c.charts):
+        raise ValueError("need one direction patch per chart")
+    kappa = base.log_q.imag / base.log_q.real
+    # the ends of log|.| and arg of v (row 0) or lam (row 1), then of u,
+    # log|t| and arg t (0 for v), per chart
+    mod = np.array([v.mod for v in f.v_sets])
+    box = np.zeros((2, len(c.charts), 5, 2))
+    box[:, :, 0] = np.log([mod, np.stack([np.maximum(mod[:, 0], 1.0),
+                                          np.minimum(mod[:, 1], f.rho0)], -1)])
+    box[:, :, 1] = [v.arg for v in f.v_sets]
+    box[1, :, 2] = [ch.i1 for ch in c.charts]
+    box[1, :, 3] = np.log(f.t_set.mod)
+    box[1, :, 4] = f.t_set.arg
+    coef = np.array([-kappa, 1.0, -TWO_PI, kappa, -1.0])
+    # each term's lesser and greater end: their sums are theta's range
+    terms = np.sort(box * coef[:, None])
+    arcs = terms.sum(axis=-2)
+    arcs += np.multiply.outer(_ARG_MARGIN * (
+        1.0 + abs(kappa) + np.abs(terms).sum(axis=(-2, -1))), (-1.0, 1.0))
+    n = np.floor((arcs - math.pi) / TWO_PI)
+    pole = n[..., 0] < n[..., 1]  # some pi + 2 pi n in (lo, hi]
+    ends = spiral_min_distance(np.exp(1j * arcs), base, f.delta)
+    v_clear, k_clear = (float(d.min())
+                        for d in np.where(pole, 0.0, ends.min(axis=-1)))
     return FamilyReport(
-        lambda_feasible=bool(feasible),
         v_clearance=v_clear, v_clearance_ok=v_clear > f.delta,
-        kernel_clearance=k_clear, kernel_clearance_ok=k_clear > f.delta,
-        t_bounded=f.t_set.mod[1] <= 1.0)
+        kernel_clearance=k_clear, kernel_clearance_ok=k_clear > f.delta)
 
 
 def overlap_point(c1: ChartBase, c2: ChartBase, base: QBase,

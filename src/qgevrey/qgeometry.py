@@ -146,19 +146,12 @@ class ContinuousBase:
         if self.arg[1] - self.arg[0] > TWO_PI:
             raise ValueError("argument interval longer than a full turn")
 
-    def draw_bounds(self) -> tuple:
-        """``(lo, hi)`` of :meth:`sample`'s log-modulus and argument draws."""
-        return (math.log(self.mod[0]), math.log(self.mod[1])), self.arg
-
-    @staticmethod
-    def from_draws(log_mod, arg) -> np.ndarray:
-        """Points of modulus ``exp(log_mod)`` and argument ``arg``."""
-        return np.exp(log_mod) * np.exp(1j * arg)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points, log-uniform in modulus, uniform in argument."""
-        b = np.array(self.draw_bounds())
-        return self.from_draws(*rng.uniform(b[:, :1], b[:, 1:], (2, n)))
+        b = np.array([(math.log(self.mod[0]), math.log(self.mod[1])),
+                      self.arg])
+        log_mod, arg = rng.uniform(b[:, :1], b[:, 1:], (2, n))
+        return np.exp(log_mod) * np.exp(1j * arg)
 
 
 def qpow(base: QBase, t) -> complex:

@@ -23,7 +23,7 @@ def fmt(x) -> str:
 class Report:
     command: str
     config: str
-    seed: int
+    seed: int | None  # None where nothing is sampled
     checks: list = field(default_factory=list)
 
     def add(self, name: str, status: str, tolerance_provenance: str,

@@ -1,4 +1,5 @@
-"""Independent references for ``covering.covering_report``.
+"""Independent references for ``covering.covering_report`` and
+``covering.validate_family``.
 
 * :func:`full_covering_report` samples an annulus three q-levels deep
   below the lowest chart bottom, adds three seam probes per chart, and
@@ -7,6 +8,10 @@
 * :func:`cell_multiplicity` maps one representative of every torus cell
   to a complex point deep in the disc and tests it against every chart
   with ``in_discrete_spiral``.
+* :func:`grid_family_clearances` takes the least clearance over a grid of
+  every chart's box of direction-patch points and kernel points
+  ``lam / (eps t)``, each point built as a complex product and tested by
+  ``spiral_min_distance``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgevrey import in_discrete_spiral, qpow
+from qgevrey import in_discrete_spiral, qpow, spiral_min_distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,3 +131,38 @@ def cell_multiplicity(c, base) -> np.ndarray:
         on_edge = np.isin(u_cls, own_u) | np.isin(v_cls, own_v)
         mult += in_discrete_spiral(pts, ch, base) & ~on_edge
     return mult.reshape(len(u_reps), len(v_reps))
+
+
+def _axis(lo, hi, n, log=False):
+    """``n`` points from ``lo`` to ``hi``, ends included (in log scale if
+    ``log``)."""
+    if log:
+        return np.exp(np.linspace(math.log(lo), math.log(hi), n))
+    return np.linspace(lo, hi, n)
+
+
+def grid_family_clearances(f, c, base, n=(2, 3, 17, 2, 2, 3)):
+    """``(v_clearance, kernel_clearance)``: least ``spiral_min_distance``
+    over grids of every chart's points, ends included.
+
+    ``n`` counts the points along ``|lam|`` (log scale, in
+    ``(max(1, lo), min(rho0, hi))``), ``arg lam``, ``u``, ``v``, ``|t|``
+    (log scale) and ``arg t``; kernel points are ``lam / (eps t)`` with
+    ``eps = exp(2 pi i u) q^v``.  Direction-patch points take the same
+    counts along ``|v|`` and ``arg v`` as ``|lam|`` and ``arg lam``, over
+    the whole patch.  Every grid point is a point of the box, so each
+    value is at least the exact least clearance.
+    """
+    v_pts, k_pts = [], []
+    t = (_axis(*f.t_set.mod, n[4], log=True)[:, None]
+         * np.exp(1j * _axis(*f.t_set.arg, n[5]))).ravel()
+    for ch, vs in zip(c.charts, f.v_sets):
+        phase = np.exp(1j * _axis(*vs.arg, n[1]))
+        v_pts.append(np.outer(_axis(*vs.mod, n[0], log=True), phase))
+        lam = np.outer(_axis(max(1.0, vs.mod[0]), min(f.rho0, vs.mod[1]),
+                             n[0], log=True), phase).ravel()
+        eps = np.outer(np.exp(TWO_PI * 1j * _axis(*ch.i1, n[2])),
+                       qpow(base, _axis(*ch.i2, n[3]))).ravel()
+        k_pts.append(lam[:, None, None] / (eps[:, None] * t))
+    return tuple(float(min(spiral_min_distance(p, base, f.delta).min()
+                           for p in pts)) for pts in (v_pts, k_pts))

@@ -26,7 +26,6 @@ def write_config(tmp_path, doc, name="cfg.json"):
 def trimmed(demo_doc, **sampling):
     """Demo config with drastically reduced sample counts for CLI tests."""
     doc = copy.deepcopy(demo_doc)
-    doc["sampling"]["n_family_samples"] = 120
     doc["sampling"]["residual"] = {"n_points": 6, "z_max": 0.5,
                                    "max_abs": 1e-6, "abs_tol": 1e-8}
     doc["sampling"]["flatness"] = {
@@ -76,6 +75,11 @@ BAD_VALUES = [
     (("base", "q"), [1, 0], "check"),
     (("base", "q"), [0.5, 0], "check"),
     (("family", "delta"), -1, "check"),
+    # what check's family_directions and family_t_bounded rows tested: a
+    # direction patch with no modulus in (1, rho0), and |t| > 1
+    (("family", "t_set", "mod"), [0.4, 1.2], "check"),
+    (("family", "rho0"), 1.05, "check"),
+    (("family", "v_mod"), [3, 4], "check"),
     (("sampling", "seed"), "x", "check"),
     # a deleted key is an unknown field, whatever its value
     (("sampling", "n_cover_samples"), -5, "check"),
@@ -134,19 +138,14 @@ class TestConfigSchema:
             parse_config(doc)
 
     def test_removed_key_names_field(self, demo_doc):
-        doc = copy.deepcopy(demo_doc)
-        doc["sampling"]["n_cover_samples"] = 10000
-        with pytest.raises(ConfigError, match="sampling has unknown "
-                           r"field\(s\): n_cover_samples"):
-            parse_config(doc)
-
-    @pytest.mark.parametrize("key,value", [("n_family_samples", 0)])
-    def test_sample_count_range_names_field(self, demo_doc, key, value):
-        doc = copy.deepcopy(demo_doc)
-        doc["sampling"][key] = value
-        with pytest.raises(ConfigError, match="sampling.%s = %d must be at "
-                           "least 1" % (key, value)):
-            parse_config(doc)
+        # the sample counts of the covering and the family, both decided
+        # exactly now
+        for key in ("n_cover_samples", "n_family_samples"):
+            doc = copy.deepcopy(demo_doc)
+            doc["sampling"][key] = 600
+            with pytest.raises(ConfigError, match="sampling has unknown "
+                               r"field\(s\): %s" % key):
+                parse_config(doc)
 
     def test_shipped_configs_load(self):
         demo = load_shipped_config("demo")
@@ -216,7 +215,7 @@ class TestConfigSchema:
         samp = parse_config(doc).sampling
         grid = [(0.7 + 0j, 0.3 + 0j)]
         assert samp == {
-            "seed": 0, "n_family_samples": 600,
+            "seed": 0,
             "residual": {"n_points": 100, "z_max": 0.5, "max_abs": 1e-6,
                          "abs_tol": 1e-7},
             "flatness": {"pair": (0, 1), "n_points": 13, "abs_tol": 1e-12,
@@ -295,7 +294,6 @@ class TestCheckCommand:
 
     def test_strict_config_fails_exit_one(self, tmp_path):
         doc = json.loads(shipped_config_text("strict_exponents_fail"))
-        doc["sampling"]["n_family_samples"] = 100
         cfg = write_config(tmp_path, doc)
         code = main(["check", "--config", cfg,
                      "--out-dir", str(tmp_path / "out")])
@@ -314,11 +312,11 @@ class TestCheckCommand:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
 
-    # clearances of the shipped configs at their shipped seeds, as the
-    # scalar scan-and-golden-section implementation computed them
+    # exact clearances of the shipped configs (the same family on both),
+    # as the theta-interval decision computes them
     PINNED_CLEARANCES = {
-        "demo": (0.38181056448490486, 0.3009119648402555),
-        "strict_exponents_fail": (0.3811578594569783, 0.3210619620615746),
+        "demo": (0.3803602636695015, 0.29163722925091795),
+        "strict_exponents_fail": (0.3803602636695015, 0.29163722925091795),
     }
 
     # admissibility envelopes of the shipped configs, as the sweep over
@@ -328,6 +326,35 @@ class TestCheckCommand:
         "demo": (0.9531688947466005, 0.9999998913688011),
         "strict_exponents_fail": (0.9771360162354387, 0.9999954641727012),
     }
+
+    def test_family_clearance_below_delta_fails(self, demo_doc, tmp_path):
+        # delta between the exact kernel clearance 0.29164 and the least
+        # that 600 sampled points found, 0.30091: only the kernel row fails
+        doc = copy.deepcopy(demo_doc)
+        doc["family"]["delta"] = 0.296
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "check_report.json")
+                            .read_text())
+        rows = {c["name"]: c for c in report["checks"]}
+        failing = {n for n, c in rows.items() if c["status"] == "fail"}
+        assert failing == {"family_kernel_clearance"}
+        row = rows["family_kernel_clearance"]
+        assert row["clearance"] < row["delta"] == 0.296
+
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    def test_check_report_does_not_depend_on_seed(self, name, tmp_path):
+        cfg = tmp_path / (name + ".json")
+        cfg.write_text(shipped_config_text(name))
+        reports = []
+        for seed in ([], ["--seed", "0"], ["--seed", "1"], ["--seed", "2"]):
+            out = tmp_path / ("out%d" % len(reports))
+            main(["check", "--config", str(cfg), "--out-dir", str(out)]
+                 + seed)
+            reports.append((out / "check_report.json").read_bytes())
+        assert len(set(reports)) == 1
+        assert json.loads(reports[0])["seed"] is None
 
     @pytest.mark.parametrize("name", sorted(PINNED_CLEARANCES))
     def test_shipped_config_results_pinned(self, name, tmp_path):

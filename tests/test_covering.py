@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covering_reference import (cell_multiplicity, full_covering_report,
-                                seam_probes)
+                                grid_family_clearances, seam_probes)
 from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
                      QBase, build_covering, covering_report,
                      in_discrete_spiral, overlap_point, pick_lambda,
@@ -13,7 +13,9 @@ from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import _arc_classes
 from qgevrey import covering
-from qgevrey.qgeometry import qpow, spiral_min_distance
+from qgevrey.qgeometry import spiral_min_distance
+
+TWO_PI = 2.0 * math.pi
 
 class TestBuildCovering:
     def test_default_grid(self, base2):
@@ -206,48 +208,124 @@ class TestPickLambda:
             pick_lambda(v, 2.0)
 
 
-def per_chart_clearances(f, c, base, n_samples, seed):
-    """``(v_clearance, kernel_clearance)`` of eight uniform draws per chart,
-    chart by chart, and one clearance call per kind of point."""
-    rng = np.random.default_rng(seed)
-    per_chart = max(n_samples // len(c.charts), 4)
-    v_pts, kernel_pts = [], []
-    for ch, vset in zip(c.charts, f.v_sets):
-        mods = np.exp(rng.uniform(math.log(vset.mod[0]),
-                                  math.log(vset.mod[1]), per_chart))
-        v_pts.append(mods * np.exp(
-            1j * rng.uniform(vset.arg[0], vset.arg[1], per_chart)))
-        u = rng.uniform(ch.i1[0], ch.i1[1], per_chart)
-        v = rng.uniform(ch.i2[0], ch.i2[1], per_chart)
-        eps = np.exp(2j * math.pi * u) * qpow(base, v)
-        mods = np.exp(rng.uniform(math.log(f.t_set.mod[0]),
-                                  math.log(f.t_set.mod[1]), per_chart))
-        t = mods * np.exp(
-            1j * rng.uniform(f.t_set.arg[0], f.t_set.arg[1], per_chart))
-        mods = rng.uniform(max(1.0, vset.mod[0]), min(f.rho0, vset.mod[1]),
-                           per_chart)
-        lam = mods * np.exp(
-            1j * rng.uniform(vset.arg[0], vset.arg[1], per_chart))
-        kernel_pts.append(lam / (eps * t))
-    return tuple(float(spiral_min_distance(np.concatenate(pts), base,
-                                           f.delta).min())
-                 for pts in (v_pts, kernel_pts))
+# the bases of the family tests: two real ones (as shipped) and four
+# complex ones, one near |q| = 1
+FAMILY_BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
+                "1.5e^0.2i": 1.5 * cmath.exp(0.2j),
+                "e^(1/16+0.3i)": cmath.exp(1.0 / 16.0 + 0.3j),
+                "1.8e^-0.4i": 1.8 * cmath.exp(-0.4j),
+                "1.0645e^0.05i": 1.0645 * cmath.exp(0.05j)}
+
+# grid counts of the dense-grid oracle in the random-family tests, along
+# |lam|, arg lam, u, v, |t| and arg t
+RANDOM_GRID = (2, 5, 9, 2, 2, 5)
+
+
+def random_family(rng, base, n_charts=3):
+    """A few charts of random position and size, and a random family on
+    them: narrow enough that most theta-intervals hold no pi + 2 pi n
+    (moduli spread less where ``kappa = Im log q / log|q|`` is larger)."""
+    spread = 1.0 + abs(base.log_q.imag / base.log_q.real)
+    charts = []
+    for u, v in rng.uniform(-1.0, 1.0, (n_charts, 2)):
+        charts.append(ChartBase(i1=(u, u + rng.uniform(0.01, 0.08)),
+                                i2=(v, v + rng.uniform(0.01, 0.2))))
+    rho0 = rng.uniform(1.2, 2.5)
+    v_sets = []
+    for _ in charts:
+        lo = rng.uniform(0.7, 1.15)
+        hi = max(lo, 1.0) * math.exp(rng.uniform(0.05, 0.5) / spread)
+        a, hw = rng.uniform(-math.pi, math.pi), rng.uniform(0.005, 0.1)
+        v_sets.append(ContinuousBase(mod=(lo, hi), arg=(a - hw, a + hw)))
+    t_lo = rng.uniform(0.2, 0.8)
+    ta, thw = rng.uniform(-0.3, 0.3), rng.uniform(0.005, 0.05)
+    t_hi = min(1.0, t_lo * math.exp(rng.uniform(0.05, 1.0) / spread))
+    t_set = ContinuousBase(mod=(t_lo, t_hi),
+                           arg=(ta - thw, ta + thw))
+    return GoodCovering(charts=tuple(charts)), AssociatedFamily(
+        v_sets=tuple(v_sets), t_set=t_set, rho0=rho0,
+        delta=rng.uniform(0.05, 0.5))
+
+
+def theta_step(f, c, base, n):
+    """Largest step, over every chart, coordinate and clearance, of the
+    oracle grid's crossing arguments ``theta = arg w - kappa log|w|``.
+
+    ``theta`` is linear in each grid coordinate, so the grid's theta
+    values leave no gap wider than this step; ``f(theta)`` moves by at
+    most twice as much as ``theta`` below the cap, so where an interval
+    holds some ``pi + 2 pi n`` the oracle reads at most this step."""
+    kappa = abs(base.log_q.imag / base.log_q.real)
+    steps = [(f.t_set.arg[1] - f.t_set.arg[0]) / (n[5] - 1),
+             kappa * math.log(f.t_set.mod[1] / f.t_set.mod[0]) / (n[4] - 1)]
+    for ch, vs in zip(c.charts, f.v_sets):
+        lam_mod = max(1.0, vs.mod[0]), min(f.rho0, vs.mod[1])
+        steps += [(vs.arg[1] - vs.arg[0]) / (n[1] - 1),
+                  kappa * math.log(vs.mod[1] / vs.mod[0]) / (n[0] - 1),
+                  kappa * math.log(lam_mod[1] / lam_mod[0]) / (n[0] - 1),
+                  TWO_PI * (ch.i1[1] - ch.i1[0]) / (n[2] - 1)]
+    return max(steps)
+
+
+def assert_against_grid(f, c, base, n=(2, 3, 17, 2, 2, 3)):
+    """The exact clearances are never above the dense-grid oracle's; they
+    match it within 1e-12 (the grid holds every box corner) or are 0 with
+    the oracle within :func:`theta_step`.  Returns the exact report."""
+    rep = validate_family(f, c, base)
+    exact = rep.v_clearance, rep.kernel_clearance
+    grid = grid_family_clearances(f, c, base, n)
+    for e, g in zip(exact, grid):
+        assert e <= g
+        assert g - e <= (1e-12 if e > 0.0 else theta_step(f, c, base, n))
+    return rep
 
 
 class TestValidateFamily:
+    # exact clearances of the shipped families, both at their own real
+    # base: the same family on both configs
+    EXACT = (0.3803602636695015, 0.29163722925091795)
+
     @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
     @pytest.mark.parametrize("q", [None, 1.5 * cmath.exp(0.2j)],
                              ids=["config_base", "1.5e^0.2i"])
-    def test_one_draw_equals_per_chart_draws(self, name, q):
+    def test_never_above_dense_grid(self, name, q):
         cfg = load_shipped_config(name)
         base = cfg.base if q is None else QBase(q)
-        for n_samples in (0, 101, 250, 1000):
-            for seed in range(4):
-                rep = validate_family(cfg.family, cfg.covering, base,
-                                      cfg.lambdas, n_samples, seed=seed)
-                assert (rep.v_clearance, rep.kernel_clearance) == \
-                    per_chart_clearances(cfg.family, cfg.covering, base,
-                                         n_samples, seed)
+        rep = assert_against_grid(cfg.family, cfg.covering, base)
+        if q is None:
+            assert (rep.v_clearance, rep.kernel_clearance) == self.EXACT
+
+    @pytest.mark.parametrize("q", list(FAMILY_BASES.values()),
+                             ids=list(FAMILY_BASES))
+    def test_random_families_against_dense_grid(self, q):
+        rng = np.random.default_rng(7)
+        zeros = 0
+        base = QBase(q)
+        for _ in range(6):
+            c, f = random_family(rng, base)
+            rep = assert_against_grid(f, c, base, RANDOM_GRID)
+            zeros += rep.kernel_clearance == 0.0
+        assert zeros < 6  # most kernel minima sit at an interval end
+
+    @pytest.mark.parametrize("q", [1.5 * cmath.exp(0.2j),
+                                   1.8 * cmath.exp(-0.4j)],
+                             ids=["1.5e^0.2i", "1.8e^-0.4i"])
+    def test_interval_holding_minus_one_reads_zero(self, q):
+        # one chart's direction patch and kernel box straddle the spiral
+        # through -1: arg w - kappa log|w| runs across pi on both
+        base = QBase(q)
+        kappa = base.log_q.imag / base.log_q.real
+        c = GoodCovering(charts=(ChartBase(i1=(0.0, 0.05),
+                                           i2=(-0.3, -0.2)),))
+        center = math.pi + kappa * math.log(1.25)
+        f = AssociatedFamily(
+            v_sets=(ContinuousBase(mod=(1.1, 1.4),
+                                   arg=(center - 0.3, center + 0.3)),),
+            t_set=ContinuousBase(mod=(0.5, 0.9), arg=(-0.05, 0.05)),
+            rho0=2.0, delta=0.2)
+        rep = assert_against_grid(f, c, base, (2, 17, 9, 2, 2, 5))
+        assert rep.v_clearance == 0.0 and rep.kernel_clearance == 0.0
+        assert not rep.ok
 
     def test_one_clearance_call(self, demo_cfg, monkeypatch):
         calls = []
@@ -257,13 +335,13 @@ class TestValidateFamily:
             return spiral_min_distance(w, *args, **kwargs)
 
         monkeypatch.setattr(covering, "spiral_min_distance", scan)
-        validate_family(demo_cfg.family, demo_cfg.covering, demo_cfg.base,
-                        demo_cfg.lambdas, 250, seed=2)
-        assert calls == [(2, len(demo_cfg.covering.charts), 10)]
+        validate_family(demo_cfg.family, demo_cfg.covering, demo_cfg.base)
+        # both clearances' interval ends, per chart
+        assert calls == [(2, len(demo_cfg.covering.charts), 2)]
 
     def test_demo_family_passes(self, demo_cfg):
         rep = validate_family(demo_cfg.family, demo_cfg.covering,
-                              demo_cfg.base, demo_cfg.lambdas, 250, seed=2)
+                              demo_cfg.base)
         assert rep.ok
         assert rep.v_clearance > demo_cfg.family.delta
         assert rep.kernel_clearance > demo_cfg.family.delta
@@ -272,8 +350,7 @@ class TestValidateFamily:
         fam = AssociatedFamily(v_sets=demo_cfg.family.v_sets,
                                t_set=demo_cfg.family.t_set,
                                rho0=demo_cfg.family.rho0, delta=0.999)
-        rep = validate_family(fam, demo_cfg.covering, demo_cfg.base,
-                              demo_cfg.lambdas, 250, seed=2)
+        rep = validate_family(fam, demo_cfg.covering, demo_cfg.base)
         assert not rep.kernel_clearance_ok
 
     def test_patch_on_negative_axis_fails(self, base2, demo_cfg):
@@ -284,10 +361,18 @@ class TestValidateFamily:
             for _ in demo_cfg.covering.charts)
         fam = AssociatedFamily(v_sets=bad_sets, t_set=demo_cfg.family.t_set,
                                rho0=2.0, delta=0.2)
-        lams = tuple(pick_lambda(v, 2.0) for v in bad_sets)
-        rep = validate_family(fam, demo_cfg.covering, base2, lams, 100,
-                              seed=2)
+        rep = validate_family(fam, demo_cfg.covering, base2)
+        assert rep.v_clearance == 0.0
         assert not rep.v_clearance_ok
+
+    @pytest.mark.parametrize("mod", [(0.5, 0.9), (2.5, 3.0)])
+    def test_direction_patch_needs_a_modulus_in_1_rho0(self, demo_cfg, mod):
+        # no direction lam of the patch has 1 < |lam| < rho0 = 2
+        with pytest.raises(ValueError, match="no modulus in"):
+            AssociatedFamily(v_sets=(ContinuousBase(mod=mod,
+                                                    arg=(0.1, 0.3)),),
+                             t_set=demo_cfg.family.t_set, rho0=2.0,
+                             delta=0.2)
 
     def test_t_patch_modulus_cap(self, demo_cfg):
         with pytest.raises(ValueError):

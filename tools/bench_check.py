@@ -20,8 +20,9 @@ Run from the root of a source checkout (the program is imported from the
   and the ``2n`` grid); ``_ring_peaks`` calls; the ``|W|`` values one
   component's fit computes on average; and the torus cells the covering
   decision counts (``None`` where the covering is sampled);
-* ``covering_ms``: on each shipped config, the median over N of the ms
-  one covering call takes (after three warm-up calls);
+* ``covering_ms`` and ``family_ms``: on each shipped config, the median
+  over N of the ms one covering call and one ``validate_family`` call
+  take (after three warm-up calls);
 * ``check_ms``: on each shipped config, the median over N in-process
   ``check`` runs (after three warm-up runs) of the ms spent in
   ``spiral_min_distance``, the covering, ``validate_family`` and the
@@ -33,7 +34,11 @@ n_cover_samples, seed)`` and is measured through that.  The
 admissibility entry point is ``problem.admissibility_fits``, which
 ``run_check`` calls once per tau patch for all components; a checkout
 without it calls ``problem.admissibility_fit`` once per component and
-patch, and is measured through that.
+patch, and is measured through that.  ``validate_family(f, c, base)``
+and ``run_check(cfg, report)`` decide the family exactly; a checkout whose
+``validate_family`` still samples the family (and whose ``run_check``
+takes a seed) is called with the config's directions, sample count and
+seed.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import inspect
 import json
 import math
 import os
@@ -66,6 +72,8 @@ ADMISSIBILITY = ("admissibility_fits" if hasattr(problem, "admissibility_fits")
                  else "admissibility_fit")
 COVERING = ("covering_report" if hasattr(covering, "covering_report")
             else "validate_covering")
+SAMPLED_FAMILY = "n_samples" in inspect.signature(
+    covering.validate_family).parameters
 #: points of every timed or counted spiral_min_distance call
 POINTS = 1200
 
@@ -153,6 +161,31 @@ def call_ms(runs: int) -> dict:
     return out
 
 
+def run_check(cfg, name: str) -> None:
+    """``cli.run_check`` on ``cfg`` into a fresh report."""
+    report = Report(command="check", config=name, seed=None)
+    if SAMPLED_FAMILY:
+        cli.run_check(cfg, cfg.sampling["seed"], report)
+    else:
+        cli.run_check(cfg, report)
+
+
+def covering_args(cfg) -> tuple:
+    """The covering call's arguments."""
+    if COVERING == "validate_covering":
+        return (cfg.covering, cfg.base, cfg.sampling["n_cover_samples"],
+                cfg.sampling["seed"])
+    return cfg.covering, cfg.base
+
+
+def family_args(cfg) -> tuple:
+    """``validate_family``'s arguments."""
+    if SAMPLED_FAMILY:
+        return (cfg.family, cfg.covering, cfg.base, cfg.lambdas,
+                cfg.sampling["n_family_samples"], cfg.sampling["seed"])
+    return cfg.family, cfg.covering, cfg.base
+
+
 def counted(seen: dict, key: str, size=lambda out: 1):
     """Wrapper adding ``size(result)`` to ``seen[key]`` on every call."""
     def wrap(fn):
@@ -188,8 +221,7 @@ def per_check() -> dict:
             patched(covering, COVERING, counted(
                 seen, "cells", lambda rep: getattr(rep, "n_cells", 0)))]
         try:
-            cli.run_check(cfg, cfg.sampling["seed"],
-                          Report(command="check", config=cfg_name, seed=0))
+            run_check(cfg, cfg_name)
         finally:
             for u in reversed(undo):
                 u()
@@ -202,15 +234,11 @@ def per_check() -> dict:
     return out
 
 
-def covering_ms(runs: int) -> dict:
-    """Median ms of one covering call per shipped config."""
+def call_ms_per_config(runs: int, call, args_of) -> dict:
+    """Median ms of one ``call(*args_of(cfg))`` per shipped config."""
     out = {}
     for cfg_name in CONFIGS:
-        cfg = load_shipped_config(cfg_name)
-        args = (cfg.covering, cfg.base)
-        if COVERING == "validate_covering":
-            args += (cfg.sampling["n_cover_samples"], cfg.sampling["seed"])
-        call = getattr(covering, COVERING)
+        args = args_of(load_shipped_config(cfg_name))
         samples = []
         for r in range(runs + 3):
             t0 = time.perf_counter()
@@ -256,9 +284,7 @@ def check_ms(runs: int) -> dict:
                 for k in spent:
                     spent[k] = 0.0
                 t0 = time.perf_counter()
-                cli.run_check(cfg, cfg.sampling["seed"],
-                              Report(command="check", config=cfg_name,
-                                     seed=0))
+                run_check(cfg, cfg_name)
                 wall = time.perf_counter() - t0
                 if r >= 3:
                     for k, v in spent.items():
@@ -280,7 +306,11 @@ def main() -> None:
                       "candidates_per_row": candidates_per_row(),
                       "call_ms": call_ms(args.runs),
                       "per_check": per_check(),
-                      "covering_ms": covering_ms(args.runs),
+                      "covering_ms": call_ms_per_config(
+                          args.runs, getattr(covering, COVERING),
+                          covering_args),
+                      "family_ms": call_ms_per_config(
+                          args.runs, covering.validate_family, family_args),
                       "check_ms": check_ms(args.runs)}, indent=1))
 
 
