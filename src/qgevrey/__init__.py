@@ -3,9 +3,9 @@ differential Cauchy problems, with quantitative verification tooling."""
 
 from .errors import (ConfigError, ConvergenceError, DomainError, QGevreyError,
                      ThetaOverflowError)
-from .qgeometry import (ChartBase, ContinuousBase, QBase, in_continuous_spiral,
-                        in_discrete_spiral, in_theta_safe, qpow,
-                        spiral_coordinates, spiral_min_distance)
+from .qgeometry import (ChartBase, ContinuousBase, QBase, in_discrete_spiral,
+                        in_theta_safe, qpow, spiral_coordinates,
+                        spiral_min_distance)
 from .theta import log_theta, pi_q, theta
 from .qlaplace import QuadSettings, q_laplace, truncation_window
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,

@@ -361,63 +361,6 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
     report.add("transform_commutation", "pass" if worst < 1e-6 else "fail",
                "relative 1e-6 at default quadrature", worst_rel=worst)
 
-    ev = pb.CoefficientEvaluator(problem=cfg.problem, initial=cfg.initial,
-                                 base=base)
-    term = cfg.problem.terms[0]
-    closed_ok = True
-    if (cfg.problem.s_order == 1 and len(cfg.problem.terms) == 1
-            and term.z_powers == (0,)):
-        pairs = [(complex(rng.uniform(0.3, 0.9)
-                          * np.exp(1j * rng.uniform(0, TWO_PI))),
-                  complex(rng.uniform(1.0, 3.0)
-                          * np.exp(1j * rng.uniform(-1.0, 1.0))))
-                 for _ in range(20)]
-        # every pair's orders 0..11 in one table call, one column per pair
-        table = ev.table(np.array([eps for eps, _ in pairs]),
-                         np.array([tau for _, tau in pairs]), 11)
-        for (eps, tau), column in zip(pairs, table.T.tolist()):
-            w0 = column[0]
-            b0 = term.b_value(0, eps)
-            ratio = b0 * tau**term.m0 / ((tau + 1.0) * eps**term.m0)
-            for h in (3, 7, 11):
-                closed = w0 * ratio**h \
-                    * base.q ** (-term.m1 / 2.0 * h * (h - 1.0))
-                it = column[h]
-                if abs(closed - it) > 1e-11 * max(abs(closed), 1e-300):
-                    closed_ok = False
-        report.add("recursion_closed_form", "pass" if closed_ok else "fail",
-                   "relative 1e-11", note="first-order single-term problem")
-
-    ok, broken = True, {}
-    for _ in range(20):
-        k = int(rng.integers(0, 3))
-        s = int(rng.integers(0, 3))
-        if k + s == 0:
-            s = 1
-        m1 = int(rng.integers(0, max(int(cfg.gevrey.c_geom * (k + s)), 1) + 1))
-        m2 = int(math.ceil(2 * (k + s) * cfg.gevrey.a1_type)
-                 + rng.integers(0, 3))
-        cu, cv = 0.9, 1.1
-        try:  # no draw is skipped: later rows read the same stream
-            const = pb.shift_bound_constant(s, k, m1, m2, cfg.gevrey, cu, cv,
-                                            base)
-            ok = ok and const > 0
-        except ValueError as exc:
-            broken = broken or {"note": "k=%d, s=%d, m1=%d: %s"
-                                % (k, s, m1, exc)}
-    report.add("shift_bound_constant_defined",
-               "pass" if ok and not broken else "fail",
-               "hypothesis-checked evaluation", **broken)
-
-    worst = 0.0
-    for _ in range(50):
-        y = rng.uniform(0.0, 50.0)
-        yc = sol.young_conjugate(y, base)
-        worst = max(worst, abs(yc.numeric - yc.closed_form)
-                    / max(yc.closed_form, 1.0))
-    report.add("young_conjugate_closed_form", "pass" if worst < 1e-9 else "fail",
-               "relative 1e-9", worst_rel=worst)
-
 
 _VERIFY_MODES = {"residual": _verify_residual, "flatness": _verify_flatness,
                  "asympt": _verify_asympt, "properties": _verify_properties}

@@ -19,15 +19,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .covering import AssociatedFamily, GoodCovering, build_covering, pick_lambda
+from .covering import (AssociatedFamily, GoodCovering, build_covering,
+                       overlap_point, pick_lambda)
 from .errors import ConfigError
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm)
-from .qgeometry import ContinuousBase, QBase
+from .qgeometry import ContinuousBase, QBase, in_discrete_spiral
 from .qlaplace import QuadSettings
 from .solution import BETA_MAX_LIMIT, SolutionChart
 
@@ -75,9 +77,12 @@ def _fields(obj: dict, kinds: dict, required: set, where: str, build=dict):
 
 
 def _is_number(v) -> bool:
-    """A JSON number: ``true`` and ``false`` are not, though Python's
-    ``bool`` is an ``int``."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: ``true`` and ``false`` are not, though
+    Python's ``bool`` is an ``int``, nor are ``NaN``, ``Infinity``, a
+    literal beyond double range such as ``1e400`` (parsed as infinity) and
+    an integer too large for a double."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 def _int(v) -> int:
@@ -88,7 +93,7 @@ def _int(v) -> int:
 
 def _float(v) -> float:
     if not _is_number(v):
-        raise TypeError("%r is not a number" % (v,))
+        raise TypeError("%r is not a finite number" % (v,))
     return float(v)
 
 
@@ -101,14 +106,14 @@ def _ints(v) -> tuple[int, ...]:
 def _complex(v, where: str) -> complex:
     _require(isinstance(v, list) and len(v) == 2
              and all(_is_number(x) for x in v),
-             "%s must be a [re, im] pair" % where)
+             "%s must be a [re, im] pair of finite numbers" % where)
     return complex(v[0], v[1])
 
 
 def _interval(v, where: str) -> tuple[float, float]:
     _require(isinstance(v, list) and len(v) == 2
              and all(_is_number(x) for x in v),
-             "%s must be a [lo, hi] pair" % where)
+             "%s must be a [lo, hi] pair of finite numbers" % where)
     return float(v[0]), float(v[1])
 
 
@@ -182,6 +187,25 @@ _SAMPLING_RANGES = {("residual", "n_points"): (1, math.inf),
                     ("asympt", "k_max"): (2, 4),
                     ("asympt", "depth"): (2, math.inf),
                     ("properties", "n_points"): (1, math.inf)}
+
+
+def _check_pair(pair: tuple[int, ...], covering: GoodCovering, base: QBase,
+                where: str) -> None:
+    """Require two distinct charts of ``covering`` whose
+    :func:`~qgevrey.covering.overlap_point`, the point the chart-pair
+    diagnostics start from, lies on both discrete spirals."""
+    n = len(covering.charts)
+    _require(len(pair) == 2 and all(0 <= i < n for i in pair),
+             "%s must be two chart indices below %d" % (where, n))
+    _require(pair[0] != pair[1], "%s names chart %d twice" % (where, pair[0]))
+    charts = [covering.charts[i] for i in pair]
+    try:
+        eps = overlap_point(*charts, base)
+        ok = all(in_discrete_spiral(eps, ch, base) for ch in charts)
+    except ValueError:  # no u-overlap
+        ok = False
+    _require(ok, "%s: charts %d and %d have no overlap point on both "
+             "discrete spirals" % ((where,) + tuple(pair)))
 
 
 def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
@@ -300,11 +324,17 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
         where = "sampling." + name
         block = samp[name] = _fields({**defaults[name], **samp[name]}, kinds,
                                      set(), where)
-        n, pair = len(covering.charts), block.get("pair")
-        _require(pair is None or (len(pair) == 2
-                                  and all(0 <= i < n for i in pair)),
-                 "%s.pair must be two chart indices below %d" % (where, n))
+        # a tolerance of 0 or below stops no quadrature, a z_max below 0
+        # leaves no z to draw
+        for key in ("abs_tol", "z_max"):
+            if key in block:
+                _require(block[key] > 0, "%s.%s = %g must be positive"
+                         % (where, key, block[key]))
+        if "pair" in block:
+            _check_pair(block["pair"], covering, base, where + ".pair")
         grid = block.get("grid", [])
+        _require(grid or "grid" not in block,
+                 "%s.grid must list at least one (t, z) point" % where)
         for gi, entry in enumerate(grid):
             gw = "%s.grid[%d]" % (where, gi)
             _check_keys(entry, {"t", "z"}, {"t", "z"}, gw)

@@ -36,6 +36,10 @@ TWO_PI = 2.0 * math.pi
 # exp(i theta), so every end lies outside the exact interval
 _ARG_MARGIN = 2.0 ** -48
 
+#: Most charts :func:`build_covering` builds: :func:`covering_report`
+#: holds an ``(n, 4 n)`` float array for ``n`` charts, 32 MB at 1,000
+MAX_CHARTS = 1000
+
 
 @dataclass(frozen=True)
 class GoodCovering:
@@ -77,6 +81,9 @@ def build_covering(n_u: int, n_v: int, overlap: float,
     """
     if n_u < 5 or n_v < 5:
         raise ValueError("need at least 5 charts per direction")
+    if n_u * n_v > MAX_CHARTS:
+        raise ValueError("n_u * n_v = %d charts exceed the limit of %d"
+                         % (n_u * n_v, MAX_CHARTS))
     if not 0.0 <= overlap < 0.5:
         raise ValueError("overlap must lie in [0, 0.5)")
     length_u = (1.0 + overlap) / n_u

@@ -6,8 +6,10 @@ of ``log q``.  Three families of domains appear:
 
 * discrete q-spirals ``U q^-N = {u q^-n : u in U, n = 0, 1, ...}`` spiraling
   toward the origin from a chart patch ``U``,
-* continuous q-spirals ``V q^R+ = {v q^l : v in V, l >= 0}`` spiraling
-  toward infinity from a base patch ``V``,
+* continuous q-spirals ``V q^R = {v q^l : v in V, l real}`` through a
+  direction patch ``V``: no membership test here, they enter only through
+  the arguments at which they cross the unit circle
+  (:func:`qgevrey.covering.validate_family`),
 * the theta-safe set of a direction ``lam``: the z for which the two-sided
   spiral ``{lam q^-k / z : k in R}`` keeps distance > delta from ``-1``,
   i.e. where the reciprocal theta kernel stays controlled.
@@ -214,46 +216,6 @@ def _frac(x):
     both are exact; for a negative non-integer both round the exact
     ``(x - trunc(x)) + 1`` once; an integer, ``-0.0`` too, gives ``+0.0``."""
     return x - np.floor(x)
-
-
-def in_continuous_spiral(tau: complex, v_set: ContinuousBase, base: QBase,
-                         two_sided: bool = False) -> bool:
-    """Whether ``tau`` lies on ``V q^R+`` (or ``V q^R`` when two_sided).
-
-    Solves ``|tau q^-l|`` in the modulus band for the feasible ``l`` range,
-    then checks whether some feasible ``l`` also puts ``arg(tau q^-l)``
-    inside the argument band (the argument drifts linearly in ``l`` when
-    ``q`` is not positive real).
-    """
-    if tau == 0:
-        raise DomainError("origin is not on any q-spiral", membership="nonzero")
-    L = base.log_abs_q
-    l_lo = (math.log(abs(tau)) - math.log(v_set.mod[1])) / L
-    l_hi = (math.log(abs(tau)) - math.log(v_set.mod[0])) / L
-    if not two_sided:
-        l_lo = max(l_lo, 0.0)
-    if l_hi <= l_lo:
-        return False
-    omega = base.log_q.imag
-    phase = cmath.phase(tau)
-    a_lo, a_hi = v_set.arg
-    if omega == 0.0:
-        return any(
-            a_lo < phase + TWO_PI * k < a_hi
-            for k in range(math.floor((a_lo - phase) / TWO_PI),
-                           math.ceil((a_hi - phase) / TWO_PI) + 1)
-        )
-    # arg(tau q^-l) = phase - l*omega + 2 pi k in (a_lo, a_hi)
-    k_min = math.floor((min(l_lo, l_hi) * omega - phase + a_lo) / TWO_PI) - 1
-    k_max = math.ceil((max(l_lo, l_hi) * omega - phase + a_hi) / TWO_PI) + 1
-    for k in range(k_min, k_max + 1):
-        la = (phase + TWO_PI * k - a_hi) / omega
-        lb = (phase + TWO_PI * k - a_lo) / omega
-        if la > lb:
-            la, lb = lb, la
-        if max(la, l_lo) < min(lb, l_hi):
-            return True
-    return False
 
 
 def _band(delta: float) -> tuple[float, float]:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from covering_reference import seam_probes
 from qgevrey import (ChartBase, ContinuousBase, DomainError, QBase,
-                     build_covering, covering_report, in_continuous_spiral,
-                     in_discrete_spiral, in_theta_safe, qpow,
-                     spiral_coordinates, spiral_min_distance)
+                     build_covering, covering_report, in_discrete_spiral,
+                     in_theta_safe, qpow, spiral_coordinates,
+                     spiral_min_distance)
 from qgevrey import qgeometry
 from qgevrey.config import load_shipped_config
 from qgevrey.qgeometry import _scan_candidates, _scan_cells, _scan_tables
@@ -139,44 +139,6 @@ class TestDiscreteSpiral:
         chart = ChartBase(i1=(0.95, 1.15), i2=(-0.4, -0.2))
         pt = self._point(base2, 0.05, -0.3)
         assert in_discrete_spiral(pt, chart, base2)
-
-
-class TestContinuousSpiral:
-    VSET = ContinuousBase(mod=(1.1, 1.4), arg=(0.1, 0.3))
-
-    def test_base_membership(self, base2):
-        assert in_continuous_spiral(1.2 * cmath.exp(0.2j), self.VSET, base2)
-
-    def test_level_five_point_seven(self, base2):
-        pt = 1.2 * cmath.exp(0.2j) * qpow(base2, 5.7)
-        assert in_continuous_spiral(pt, self.VSET, base2)
-
-    def test_below_dist0_excluded(self, base2):
-        assert not in_continuous_spiral(0.9 * cmath.exp(0.2j), self.VSET,
-                                        base2)
-
-    def test_monotone_under_growth(self, bases, rng):
-        for b in bases:
-            for _ in range(20):
-                pt = (rng.uniform(1.1, 1.4)
-                      * cmath.exp(1j * rng.uniform(0.1, 0.3))
-                      * qpow(b, rng.uniform(0, 3)))
-                if in_continuous_spiral(pt, self.VSET, b):
-                    assert in_continuous_spiral(pt * qpow(b, 2.5),
-                                                self.VSET, b)
-
-    def test_two_sided_flag(self, base2):
-        pt = 1.2 * cmath.exp(0.2j) * qpow(base2, -2.0)
-        assert not in_continuous_spiral(pt, self.VSET, base2)
-        assert in_continuous_spiral(pt, self.VSET, base2, two_sided=True)
-
-    def test_complex_base_argument_drift(self):
-        # with complex q the argument rotates along the spiral
-        b = QBase(1.5 * cmath.exp(0.5j))
-        pt = 1.2 * cmath.exp(0.2j) * qpow(b, 3.3)
-        assert in_continuous_spiral(pt, self.VSET, b)
-        assert not in_continuous_spiral(1.2 * cmath.exp(1.2j), self.VSET,
-                                        QBase(2.0))
 
 
 def brute_force_min_distance(w, base, k_lo=-80.0, k_hi=80.0, step=1e-4):

@@ -16,29 +16,17 @@ Run from the root of a source checkout (the program is imported from the
   three warm-up calls);
 * ``per_check``: on each shipped config, machine-independent counts of
   one ``check``: ``spiral_min_distance`` calls; admissibility grid
-  sweeps (each call of the admissibility entry point sweeps the ``n``
-  and the ``2n`` grid); ``_ring_peaks`` calls; the ``|W|`` values one
-  component's fit computes on average; and the torus cells the covering
-  decision counts (``None`` where the covering is sampled);
+  sweeps (each ``problem.admissibility_fits`` call, one per tau patch
+  for all components, sweeps the ``n`` and the ``2n`` grid);
+  ``_ring_peaks`` calls; the ``|W|`` values one component's fit computes
+  on average; and the torus cells ``covering.covering_report`` counts;
 * ``covering_ms`` and ``family_ms``: on each shipped config, the median
-  over N of the ms one covering call and one ``validate_family`` call
-  take (after three warm-up calls);
+  over N of the ms one ``covering_report`` call and one
+  ``validate_family`` call take (after three warm-up calls);
 * ``check_ms``: on each shipped config, the median over N in-process
   ``check`` runs (after three warm-up runs) of the ms spent in
-  ``spiral_min_distance``, the covering, ``validate_family`` and the
-  admissibility entry point, and of the whole ``run_check``.
-
-The covering call is ``covering.covering_report(c, base)``; a checkout
-without it samples through ``covering.validate_covering(c, base,
-n_cover_samples, seed)`` and is measured through that.  The
-admissibility entry point is ``problem.admissibility_fits``, which
-``run_check`` calls once per tau patch for all components; a checkout
-without it calls ``problem.admissibility_fit`` once per component and
-patch, and is measured through that.  ``validate_family(f, c, base)``
-and ``run_check(cfg, report)`` decide the family exactly; a checkout whose
-``validate_family`` still samples the family (and whose ``run_check``
-takes a seed) is called with the config's directions, sample count and
-seed.
+  ``spiral_min_distance``, ``covering_report``, ``validate_family`` and
+  ``admissibility_fits``, and of the whole ``run_check``.
 """
 
 from __future__ import annotations
@@ -46,7 +34,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import inspect
 import json
 import math
 import os
@@ -68,12 +55,6 @@ BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
          "1.5 e^(0.2i)": 1.5 * cmath.exp(0.2j),
          "e^(1/16+0.3i)": cmath.exp(1.0 / 16.0 + 0.3j)}
 CONFIGS = ("demo", "strict_exponents_fail")
-ADMISSIBILITY = ("admissibility_fits" if hasattr(problem, "admissibility_fits")
-                 else "admissibility_fit")
-COVERING = ("covering_report" if hasattr(covering, "covering_report")
-            else "validate_covering")
-SAMPLED_FAMILY = "n_samples" in inspect.signature(
-    covering.validate_family).parameters
 #: points of every timed or counted spiral_min_distance call
 POINTS = 1200
 
@@ -163,27 +144,7 @@ def call_ms(runs: int) -> dict:
 
 def run_check(cfg, name: str) -> None:
     """``cli.run_check`` on ``cfg`` into a fresh report."""
-    report = Report(command="check", config=name, seed=None)
-    if SAMPLED_FAMILY:
-        cli.run_check(cfg, cfg.sampling["seed"], report)
-    else:
-        cli.run_check(cfg, report)
-
-
-def covering_args(cfg) -> tuple:
-    """The covering call's arguments."""
-    if COVERING == "validate_covering":
-        return (cfg.covering, cfg.base, cfg.sampling["n_cover_samples"],
-                cfg.sampling["seed"])
-    return cfg.covering, cfg.base
-
-
-def family_args(cfg) -> tuple:
-    """``validate_family``'s arguments."""
-    if SAMPLED_FAMILY:
-        return (cfg.family, cfg.covering, cfg.base, cfg.lambdas,
-                cfg.sampling["n_family_samples"], cfg.sampling["seed"])
-    return cfg.family, cfg.covering, cfg.base
+    cli.run_check(cfg, Report(command="check", config=name, seed=None))
 
 
 def counted(seen: dict, key: str, size=lambda out: 1):
@@ -210,16 +171,15 @@ def per_check() -> dict:
                         counted(seen, "scans"))
                 for owner in (qgeometry, covering)]
         undo += [
-            patched(problem, ADMISSIBILITY, counted(seen, "calls")),
-            patched(problem, ADMISSIBILITY, counted(
-                seen, "fits",
-                lambda fits: len(fits) if isinstance(fits, tuple) else 1)),
+            patched(problem, "admissibility_fits", counted(seen, "calls")),
+            patched(problem, "admissibility_fits",
+                    counted(seen, "fits", len)),
             patched(problem, "_ring_peaks", counted(seen, "peaks")),
             patched(problem, "_ring_peaks",
                     counted(seen, "values",
                             lambda peaks: peaks.size * peaks.shape[-1])),
-            patched(covering, COVERING, counted(
-                seen, "cells", lambda rep: getattr(rep, "n_cells", 0)))]
+            patched(covering, "covering_report", counted(
+                seen, "cells", lambda rep: rep.n_cells))]
         try:
             run_check(cfg, cfg_name)
         finally:
@@ -230,7 +190,7 @@ def per_check() -> dict:
             "admissibility_grid_sweeps": 2 * seen["calls"],
             "ring_peaks_calls": seen["peaks"],
             "abs_w_values_per_fit": seen["values"] / seen["fits"],
-            "covering_cells": seen["cells"] or None}
+            "covering_cells": seen["cells"]}
     return out
 
 
@@ -272,9 +232,9 @@ def check_ms(runs: int) -> dict:
             for owner in (qgeometry, covering)]
     undo += [patched(owner, name, timer(label))
              for owner, name, label in (
-                 (covering, COVERING, "covering"),
+                 (covering, "covering_report", "covering"),
                  (covering, "validate_family", "validate_family"),
-                 (problem, ADMISSIBILITY, "admissibility"))]
+                 (problem, "admissibility_fits", "admissibility"))]
     out = {}
     try:
         for cfg_name in CONFIGS:
@@ -307,10 +267,11 @@ def main() -> None:
                       "call_ms": call_ms(args.runs),
                       "per_check": per_check(),
                       "covering_ms": call_ms_per_config(
-                          args.runs, getattr(covering, COVERING),
-                          covering_args),
+                          args.runs, covering.covering_report,
+                          lambda cfg: (cfg.covering, cfg.base)),
                       "family_ms": call_ms_per_config(
-                          args.runs, covering.validate_family, family_args),
+                          args.runs, covering.validate_family,
+                          lambda cfg: (cfg.family, cfg.covering, cfg.base)),
                       "check_ms": check_ms(args.runs)}, indent=1))
 
 
