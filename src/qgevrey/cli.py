@@ -179,26 +179,29 @@ def cmd_solve(args) -> int:
 # verify modes
 # ---------------------------------------------------------------------------
 
+def _residual_draws(cfg: RunConfig, rng, n: int, z_max: float):
+    """``(chart, eps, t, z)`` of ``n`` points, one rng call per coordinate:
+    point i on chart i mod n_charts, eps in its ``(u, v)`` box less a shift
+    of v in {0, 1, 2}, t in ``t_set``, ``|z| <= z_max``."""
+    idx = np.arange(n) % len(cfg.covering.charts)
+    box = np.array([(*ch.i1, *ch.i2) for ch in cfg.covering.charts])[idx]
+    u = rng.uniform(box[:, 0], box[:, 1])
+    v = rng.uniform(box[:, 2], box[:, 3]) - rng.integers(0, 3, size=n)
+    eps = np.exp(2j * math.pi * u) * qg.qpow(cfg.base, v)
+    t = cfg.family.t_set.sample(rng, n)
+    z = rng.uniform(0.0, z_max, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+    return idx, eps, t, z
+
+
 def _verify_residual(cfg: RunConfig, seed: int, report: Report,
                      out_dir: str) -> None:
     scfg = cfg.sampling["residual"]
     n_points, z_max, bound = scfg["n_points"], scfg["z_max"], scfg["max_abs"]
     quad = replace(cfg.quad, abs_tol=scfg["abs_tol"])
-    rng = np.random.default_rng(seed)
-    charts = {}
-    points = []
-    for i in range(n_points):
-        idx = i % len(cfg.covering.charts)
-        if idx not in charts:
-            charts[idx] = cfg.chart_solution(idx, quad=quad)
-        ch = charts[idx].chart
-        u = rng.uniform(*ch.i1)
-        v = rng.uniform(*ch.i2) - rng.integers(0, 3)
-        eps = complex(np.exp(2j * math.pi * u) * qg.qpow(cfg.base, v))
-        t = complex(cfg.family.t_set.sample(rng, 1)[0])
-        z = complex(rng.uniform(0.0, z_max)
-                    * np.exp(1j * rng.uniform(0.0, TWO_PI)))
-        points.append((i, idx, eps, t, z))
+    points = list(zip(range(n_points), *(a.tolist() for a in _residual_draws(
+        cfg, np.random.default_rng(seed), n_points, z_max))))
+    charts = {idx: cfg.chart_solution(idx, quad=quad)
+              for idx in dict.fromkeys(p[1] for p in points)}
     # every transform block the residuals read, of all charts, as one
     # batch, and both sides summed over all points at once
     results = sol.equation_residuals([(charts[idx], eps, t, z)
@@ -307,6 +310,23 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
                degenerate=gf.degenerate)
 
 
+def _theta_direct(x: np.ndarray, base: qg.QBase) -> np.ndarray:
+    """theta on the annulus ``1 <= |x| < |q|`` summed directly over k =
+    -100..100, the terms above double underflow (``|q^{-k(k-1)/2}|
+    |q|^{max(k, 0)} > e^{-690}``, 91 of 201 at q = 2), as one product."""
+    k = np.arange(-100.0, 101.0)
+    k = k[(np.maximum(k, 0) - k * (k - 1) / 2) * base.log_abs_q > -690]
+    return (np.power(base.q, -k * (k - 1.0) / 2.0)
+            * x[:, None] ** k).sum(axis=1)
+
+
+def _commutation_rows(x: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``x phi_r`` on block 0 and ``phi_r = x / (1 + x)^r`` on block 1, r =
+    1..3: the numerators of the commutation row."""
+    w = np.where(block == 0, x, 1.0)
+    return np.stack([w * x / (1.0 + x) ** r for r in (1, 2, 3)])
+
+
 def _verify_properties(cfg: RunConfig, seed: int, report: Report,
                        out_dir: str) -> None:
     rng = np.random.default_rng(seed)
@@ -328,17 +348,13 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
     report.add("theta_functional_equation", "pass" if worst < 1e-10 else "fail",
                "relative 1e-10", worst_rel=worst, n=n)
 
-    # the series summed directly over k = -100..100 as one (n, 201)
-    # product: independent of the reduction and Horner table under test
-    k = np.arange(-100.0, 101.0)
-    coef = np.power(base.q, -k * (k - 1.0) / 2.0)
     polar = rng.uniform((1.0, 0.0), (abs(base.q) * 0.999, TWO_PI),
                         size=(n, 2))
     x = polar[:, 0] * np.exp(1j * polar[:, 1])
     # only theta-safe samples, as criterion 02 takes them: next to theta's
     # zeros at -q^Z any summation, the direct one too, loses its digits
     x = x[qg.in_theta_safe(1.0, x, base, 0.2)]
-    direct = (coef * x[:, None] ** k).sum(axis=1)
+    direct = _theta_direct(x, base)
     # a direct sum of 0 fails the row with inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         worst = float(np.max(np.abs(np.exp(log_theta(x, base)) - direct)
@@ -348,16 +364,15 @@ def _verify_properties(cfg: RunConfig, seed: int, report: Report,
                "relative 1e-12 on the theta-safe fundamental annulus",
                worst_rel=worst, n_samples=int(x.size))
 
+    # T(x phi)(t0) = t0 T(phi)(q t0) for phi_r = x / (1 + x)^r, r = 1..3:
+    # both sides as one batch of two blocks
     lam = cfg.lambdas[0]
-    settings = replace(cfg.quad, abs_tol=1e-10)
     t0 = 1.3 * lam / abs(lam)  # on the direction ray, hence theta-safe
-    worst = 0.0
-    for r in range(1, 4):
-        phi = (lambda rr: (lambda x: x / (1.0 + x) ** rr))(r)
-        mphi = (lambda rr: (lambda x: x * x / (1.0 + x) ** rr))(r)
-        lhs = ql.q_laplace(mphi, lam, t0, base, settings)
-        rhs = t0 * ql.q_laplace(phi, lam, base.q * t0, base, settings)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    lhs, rhs = ql.q_laplace_batch(_commutation_rows, [lam, lam],
+                                  [t0, base.q * t0], base,
+                                  replace(cfg.quad, abs_tol=1e-10), 3)
+    worst = max(abs(a - t0 * b) / max(abs(a), 1e-300)
+                for a, b in zip(lhs.tolist(), rhs.tolist()))
     report.add("transform_commutation", "pass" if worst < 1e-6 else "fail",
                "relative 1e-6 at default quadrature", worst_rel=worst)
 

@@ -9,34 +9,29 @@ at most ``exp(mbar log^2|x|)`` growth, the transform along direction
 well defined whenever ``z`` is theta-safe for ``(lam, delta)`` and
 ``mbar < 1 / (2 log|q|)``: then the kernel's decay, like
 ``exp(-log^2|x| / (2 log|q|))``, beats the growth, and the integrand is
-negligible far enough out on both sides, which is all the window probe
-needs.  Nothing here takes ``mbar`` as an input.  Beyond that limit the
-integrand is not negligible at any window's ends (or not finite there),
-and :func:`path_window` raises :class:`ConvergenceError` before any
-halving.  One core serves array functions ``F`` here and the all-orders
-blocks in :mod:`qgevrey.solution`, and it runs a batch of blocks
-(windows) at once.  :func:`truncation_window` starts each block's window
-from the kernel's own Gaussian; :func:`path_window` pads each window by
-the fixed margin :data:`S_PAD` and widens it until the integrand is
-negligible at both its ends, and :func:`path_integral` halves each
-block's step on nested trapezoid nodes until the change between halvings
-is below ``abs_tol``, or its decay predicts the next change below it.
-On such a window the trapezoid rule converges exponentially (Trefethen
-and Weideman, SIAM Review 56(3), 2014), so the changes contract
-geometrically or faster.
-The halvings add midpoints only on the support the coarse pass measured,
-where the integrand is above the same negligibility threshold as the
-window ends, so the omitted ones stay within the same ``tol``.  All nodes
-lie on one dyadic s-lattice, on which :func:`kernel` sums the theta
-series once per block and residue of ``s mod 1``, each block with its own
-direction ``lam`` and point ``z``.  A batch is one array state: each
-block keeps its own window, halvings and stopping test in per-block
-arrays, and every probe round and halving level evaluates the nodes of
-all blocks still open in as few integrand calls as hold ``4 BLOCK``
-values, 2 MiB of complex values (a larger block is split at
-block-relative multiples of the cap), each reduced with one segmented sum
-per quantity.  So a level costs a fixed number of array operations per
-integrand call, not per block.  ``q_laplace`` is a batch of one block.
+negligible far enough out on both sides, which is all the window needs.
+Nothing here takes ``mbar`` as an input.  Beyond that limit the integrand
+is not negligible at any window's ends (or not finite there), and
+:func:`path_integral` raises :class:`ConvergenceError` before any
+halving.  One core serves array functions ``F`` here
+(:func:`q_laplace_batch`, several rows on several blocks, and
+:func:`q_laplace`, its one-block, one-row call) and the all-orders blocks
+in :mod:`qgevrey.solution`.  :func:`truncation_window` starts all of a
+batch's windows from the kernel's own Gaussian in one array expression;
+:func:`path_integral` pads them by :data:`S_PAD`, its coarse pass widens a
+window, evaluating only the new cells, until the integrand is negligible
+at both its end nodes, and it then halves each block's step on nested
+trapezoid nodes, on the support the coarse pass measured, until the
+change between halvings is below ``abs_tol``, or its decay predicts the
+next change below it.  On such a window the trapezoid rule converges
+exponentially (Trefethen and Weideman, SIAM Review 56(3), 2014).  All
+nodes lie on one dyadic s-lattice, on which :func:`kernel` sums the theta
+series once per block and residue of ``s mod 1``.  A batch is one array
+state: each block keeps its own direction, point, window, halvings and
+stopping test in per-block arrays, and every coarse round and halving
+level evaluates the nodes of all blocks still open in as few integrand
+calls as hold ``4 BLOCK`` values (2 MiB), each reduced with one segmented
+sum: a fixed number of array operations per call, not per block.
 """
 
 from __future__ import annotations
@@ -73,21 +68,21 @@ class QuadSettings:
             raise ValueError("max_halvings must be at least 3")
 
 
-def truncation_window(lam: complex, z: complex, base: QBase,
-                      tol: float) -> tuple[float, float]:
-    """The first window ``[s_lo, s_hi]`` of a transform block: outside it
-    the kernel's own Gaussian, with unit numerator and the transform
-    prefactor, sums below ``tol``.
+def truncation_window(lam, z, base: QBase, tol: float):
+    """The first windows ``(s_lo, s_hi)`` of transform blocks, one per
+    pair of ``lam`` and ``z`` (arrays broadcast): outside it the kernel's
+    own Gaussian, with unit numerator and the transform prefactor, sums
+    below ``tol``.
 
     In ``x = log|q^s lam|`` the Gaussian is centred at ``log|z|`` and
     decays at half the kernel's rate, ``1/(4 log|q|)``, so an integrand
     whose numerator grows like ``exp(mbar log^2|x|)``, ``mbar`` below that
-    rate, still decays as fast as the window assumes.  At the kernel's
-    full rate the demo's flatness and asympt blocks need a second probe
-    round, and asympt's more nodes in all.  Each tail is solved from
-    ``A exp(-a u^2) / (2 a u) <= tol/2`` by a short fixed-point iteration.
-    Nothing here bounds the numerator: :func:`path_window` probes the ends
-    and widens the window until the integrand is negligible there.
+    rate, still decays as fast as the window assumes (at the full rate the
+    demo's flatness and asympt blocks need a widening round).  The
+    half-width depends only on ``base`` and ``tol``: each tail is solved
+    once from ``A exp(-a u^2) / (2 a u) <= tol/2`` by a short fixed-point
+    iteration.  :func:`path_integral` widens a window until the integrand
+    is negligible at its ends.
     """
     L = base.log_abs_q
     a = 0.25 / L
@@ -97,7 +92,7 @@ def truncation_window(lam: complex, z: complex, base: QBase,
         for _ in range(4):
             u = math.sqrt(max(math.log(max(amp / (tol * a * u), 1.0001)), 0.25) / a)
         u += 0.5  # swallow the fixed-point slack
-    x_c = math.log(abs(z)) - math.log(abs(lam))
+    x_c = np.log(np.abs(z)) - np.log(np.abs(lam))
     return (x_c - u) / L, (x_c + u) / L
 
 
@@ -161,11 +156,6 @@ def _coarse_step(settings: QuadSettings) -> float:
     return math.ldexp(0.5, math.frexp(2.0 * settings.initial_step)[1])
 
 
-def _on_lattice(s_lo, s_hi, h0: float) -> tuple[np.ndarray, np.ndarray]:
-    """``[s_lo, s_hi]`` rounded outward to multiples of ``h0``."""
-    return np.floor(s_lo / h0) * h0, np.ceil(s_hi / h0) * h0
-
-
 def _negligible(tol: float, s_lo, s_hi):
     """The integrand value below which a node of the window ``[s_lo,
     s_hi]`` is negligible: ``tol`` over the window's width (at least 1)."""
@@ -173,120 +163,111 @@ def _negligible(tol: float, s_lo, s_hi):
 
 
 PROBE_ROUNDS = 12
-S_PAD = 2.0  # the margin, in s, path_window adds on each side of a window
-
-
-def path_window(rows, windows, settings: QuadSettings, tol: float,
-                n_rows: int = 1) -> np.ndarray:
-    """A batch of windows on the lattice ``h0 Z`` (:func:`_coarse_step`),
-    each widened until the integrand (every row) is below ``tol`` over the
-    window's width at both its endpoints, as an ``(n, 2)`` array.
-
-    ``windows`` holds one :func:`truncation_window` per block, padded by
-    :data:`S_PAD` on both sides before it is rounded onto the lattice, and
-    ``rows(s, block)`` evaluates the nodes ``s``, of the blocks ``block``,
-    ``n_rows`` values per node.  Each round probes the endpoints of every
-    block not yet negligible there, packed into as few calls as
-    :func:`_sweep` allows, and widens each such block on its own.  The
-    probed ends are the ends :func:`path_integral` integrates over.  A
-    block whose ends are still not negligible (a NaN end never is) in the
-    last of :data:`PROBE_ROUNDS` rounds raises :class:`ConvergenceError`
-    naming it and its window: its numerator grows as fast as the kernel
-    decays, or overflows.
-    """
-    h0 = _coarse_step(settings)
-    s_lo, s_hi = np.reshape(windows, (-1, 2)).T
-    s_lo, s_hi = _on_lattice(s_lo - S_PAD, s_hi + S_PAD, h0)
-    pending = np.arange(s_lo.size)
-    two = np.full(s_lo.size, 2)
-    for round_ in range(PROBE_ROUNDS):
-        edge = np.zeros(s_lo.size)
-        for vals, block, _, seg in _sweep(rows, pending, s_lo, s_hi - s_lo,
-                                          two, n_rows):
-            ends = np.maximum.reduceat(_envelope(vals), seg)
-            edge[block[seg]] = np.maximum(edge[block[seg]], ends)
-        still = pending[~(edge[pending] <= _negligible(tol, s_lo[pending],
-                                                       s_hi[pending]))]
-        if not still.size:
-            return np.column_stack((s_lo, s_hi))
-        if round_ == PROBE_ROUNDS - 1:
-            break
-        pad = np.maximum(4.0 * S_PAD, 0.15 * (s_hi - s_lo)[still])
-        s_lo[still], s_hi[still] = _on_lattice(s_lo[still] - pad,
-                                               s_hi[still] + pad, h0)
-        pending = still
-    i = still[0]
-    raise ConvergenceError(
-        "integrand of block %d is not negligible at the ends of its window "
-        "[%.6g, %.6g] after %d probe rounds (largest end value %.3g, "
-        "threshold %.3g): it grows as fast as the kernel decays or is not "
-        "finite there" % (i, s_lo[i], s_hi[i], PROBE_ROUNDS, edge[i],
-                          _negligible(tol, s_lo[i], s_hi[i])), block=int(i))
+S_PAD = 2.0  # the margin, in s, added on each side of a first window
 
 
 def path_integral(rows, windows, settings: QuadSettings, tol: float,
                   n_rows: int = 1):
     """Integrals of ``rows`` over a batch of windows, one value per row.
 
-    ``windows`` are :func:`path_window`'s, and ``rows(s, block)`` and
-    ``tol`` are as there; the last axis of ``rows``' result runs over the
-    nodes.  Yields ``(block, integral)`` as each block settles, the
-    integral an array of ``n_rows``; a settled block leaves the batch.
+    ``windows`` is ``(s_lo, s_hi)``, one entry per block, as
+    :func:`truncation_window` gives them, and ``rows(s, block)`` evaluates
+    the nodes ``s`` of the blocks ``block``, ``n_rows`` values per node
+    along the last axis.  Yields ``(block, integral)`` as each block
+    settles, the integral an array of ``n_rows``.
 
-    The batch is one array state: per block its window, the ``m`` cells
-    from ``a`` that it halves and its running sum ``acc`` of every row,
-    and one step ``h`` for all blocks, which halve in lockstep.  Windows
-    are rounded outward to the coarse lattice ``h0 Z``
-    (:func:`_coarse_step`), so halving ``l`` adds odd multiples of
-    ``h0 2^-l``: one dyadic s-lattice for every block.  The coarse pass and
-    each halving evaluate the new nodes of all blocks still open, packed
-    by :func:`_sweep`, and reduce each call with one segmented sum, so the
-    nested trapezoid sums ``T(h) = h acc`` cost a fixed number of array
-    operations per call, not per block.  The coarse sum runs over the
-    whole window (ends half-weighted), but halvings add only the midpoints
-    of the block's measured support: the coarse cells from one cell before
-    its first node whose envelope (``max over rows |value|``) exceeds
-    ``tol`` over the window's width to one cell after its last.  The
-    omitted midpoints lie beyond nodes that are negligible in this sense,
-    so, times ``h``, they sum to at most ``tol`` (``0.01 abs_tol`` for the
-    transform blocks), the budget the window's ends already use.
+    Each window is padded by :data:`S_PAD` on both sides and rounded
+    outward to the lattice ``h0 Z`` (:func:`_coarse_step`), and all blocks
+    halve their step in lockstep, so halving ``l`` adds odd multiples of
+    ``h0 2^-l``.  Each round and halving evaluates the new nodes of all
+    blocks still open, packed by :func:`_sweep`, and reduces each call
+    with one segmented sum.  The coarse pass widens its own windows: its
+    first round evaluates every node, and a block whose envelope (``max
+    over rows |value|``) is not below ``tol`` over the window's width at
+    both end nodes (a NaN end never is) widens by ``max(4 S_PAD, 0.15
+    width)`` on each side, onto the lattice; the next round evaluates only
+    the new cells, one sweep per side.  A block still not negligible at
+    its ends in the last of :data:`PROBE_ROUNDS` rounds raises
+    :class:`ConvergenceError` naming it and its window, before any
+    halving.  Halvings add only the midpoints of the block's support, from
+    one cell before its first node above the final window's threshold to
+    one cell after its last: the omitted ones, beyond negligible nodes,
+    sum to at most ``tol`` times ``h``.
 
-    After halving ``l`` a block settles on ``T(h)`` once ``d_l``, the
-    largest change of any row from ``T(2h)``, is below ``abs_tol``, or, from
-    ``l = 2`` on, once ``d_l < d_{l-1}`` and ``d_l^2 < abs_tol d_{l-1}``:
-    on an analytic integrand that is negligible at both ends of the
-    window, as :func:`path_window` makes it, the trapezoid error falls
-    like ``exp(-c / h)``, geometrically or faster from level to level, and
-    then ``d_l^2 / d_{l-1}`` bounds the next change.  A block still open
-    after ``max_halvings`` halvings raises :class:`ConvergenceError` naming
-    it, its window and the halvings, and carrying its last two levels
-    ``T(h)`` and ``T(2h)``, after the blocks settled by then were yielded.
+    After halving ``l`` a block settles on ``T(h) = h acc`` once ``d_l``,
+    the largest change of any row from ``T(2h)``, is below ``abs_tol``, or,
+    from ``l = 2`` on, once ``d_l < d_{l-1}`` and ``d_l^2 < abs_tol
+    d_{l-1}``: on an analytic integrand negligible at both window ends the
+    trapezoid error falls like ``exp(-c / h)``, and then ``d_l^2 /
+    d_{l-1}`` bounds the next change.  A block still open after
+    ``max_halvings`` halvings raises :class:`ConvergenceError` naming it,
+    its window and the halvings, and carrying its last two levels, after
+    the blocks settled by then were yielded.
     """
     abs_tol = settings.abs_tol
     h = _coarse_step(settings)
-    s_lo, s_hi = _on_lattice(*np.reshape(windows, (-1, 2)).T, h)
-    n = s_lo.size
-    m = np.maximum(np.rint((s_hi - s_lo) / h), 1).astype(np.intp)
+    # windows as lattice indices: node j of a block is s = j h
+    j_lo = np.floor((np.ravel(windows[0]) - S_PAD) / h).astype(np.intp)
+    j_hi = np.ceil((np.ravel(windows[1]) + S_PAD) / h).astype(np.intp)
+    n = j_lo.size
+    step = np.full(n, h)
     acc = np.zeros((n_rows, n), dtype=complex)
+    ends = np.zeros((2, n_rows, n), dtype=complex)  # each window's end nodes
+    seen = []  # (envelope, block, j, seg) of each coarse call
+    # (blocks, first node, nodes): whole windows, then each round's new
+    # cells on either side
+    sweeps = [(np.arange(n), j_lo.copy(), j_hi - j_lo + 1)]
+    for round_ in range(PROBE_ROUNDS):
+        edge = np.zeros(n)
+        for blocks, first, count in sweeps:
+            for vals, block, k, seg in _sweep(rows, blocks, first * h, step,
+                                              count, n_rows):
+                env = _envelope(vals)
+                j = first[block] + k
+                seen.append((env, block, j, seg))
+                # a non-finite value fails its block: at the window's ends
+                # below, else in the halvings' stopping test
+                with np.errstate(invalid="ignore", over="ignore"):
+                    acc[:, block[seg]] += np.add.reduceat(vals, seg, axis=-1)
+                for side, j_end in enumerate((j_lo, j_hi)):
+                    at = np.flatnonzero(j == j_end[block])
+                    ends[side][:, block[at]] = vals[:, at]
+                    edge[block[at]] = np.maximum(edge[block[at]], env[at])
+        threshold = _negligible(tol, j_lo * h, j_hi * h)
+        wide = np.flatnonzero(~(edge <= threshold))
+        if not wide.size:
+            break
+        if round_ == PROBE_ROUNDS - 1:
+            i = wide[0]
+            raise ConvergenceError(
+                "integrand of block %d is not negligible at the ends of its "
+                "window [%.6g, %.6g] after %d probe rounds (largest end value "
+                "%.3g, threshold %.3g): it grows as fast as the kernel decays "
+                "or is not finite there" % (i, j_lo[i] * h, j_hi[i] * h,
+                                            PROBE_ROUNDS, edge[i],
+                                            threshold[i]), block=int(i))
+        pad = np.maximum(4.0 * S_PAD, 0.15 * (j_hi - j_lo) * h)
+        new_lo = np.floor((j_lo * h - pad) / h).astype(np.intp)
+        new_hi = np.ceil((j_hi * h + pad) / h).astype(np.intp)
+        sweeps = [(wide, new_lo, j_lo - new_lo),
+                  (wide, j_hi + 1, new_hi - j_hi)]
+        j_lo[wide], j_hi[wide] = new_lo[wide], new_hi[wide]
+    acc -= 0.5 * ends[0]
+    acc -= 0.5 * ends[1]
+    trap, coarse = h * acc, np.zeros_like(acc)
+    # the support on the final windows: the first and last node above
+    # their threshold (none: lo is then beyond hi)
+    s_lo, s_hi, m = j_lo * h, j_hi * h, j_hi - j_lo
     big = np.iinfo(np.intp).max
     lo, hi = np.full(n, big), np.full(n, -1)
-    threshold = _negligible(tol, s_lo, s_hi)
-    for vals, block, k, seg in _sweep(rows, np.arange(n), s_lo, np.full(n, h),
-                                      m + 1, n_rows):
-        b = block[seg]
-        # the support: the first and last node above the threshold
-        above = _envelope(vals) > threshold[block]
+    for env, block, j, seg in seen:
+        b, k = block[seg], j - j_lo[block]
+        above = env > threshold[block]
         lo[b] = np.minimum(lo[b], np.minimum.reduceat(np.where(above, k, big),
                                                       seg))
         hi[b] = np.maximum(hi[b], np.maximum.reduceat(np.where(above, k, -1),
                                                       seg))
-        acc[:, b] += np.add.reduceat(vals, seg, axis=-1)
-        # the trapezoid end weights: half of each block's first and last
-        ends = np.flatnonzero((k == 0) | (k == m[block]))
-        np.subtract.at(acc, (slice(None), block[ends]), 0.5 * vals[:, ends])
-    trap, coarse = h * acc, np.zeros_like(acc)
     # halve only the coarse cells from one before the support to one after
-    # (none without a node above the threshold: lo is then beyond hi)
     lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, m)
     a = s_lo + lo * h
     m = np.maximum(hi - lo, 0)
@@ -328,9 +309,8 @@ def kernel(base: QBase, lams, zs):
     each node is assembled by :func:`log_theta_shifted`, ``m = j - a_b``;
     the anchor ``a_b = floor(log|z_b / lam_b| / log|q|)`` keeps ``m`` small
     where the kernel is large.  Each block's nodes in a call must be one
-    contiguous arithmetic progression, as :func:`_sweep` passes them: if
-    its step ``h`` has ``1 / h`` an integer P, node ``k`` shares the residue
-    of node ``k mod P``, else (an edge probe) each node is its own.
+    progression on the dyadic lattice, of step ``1 / P``, P an integer, as
+    :func:`_sweep` passes them: node ``k`` shares node ``k mod P``'s residue.
     """
     lams = np.asarray(lams, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
@@ -338,13 +318,12 @@ def kernel(base: QBase, lams, zs):
 
     def kern(s: np.ndarray, block: np.ndarray) -> np.ndarray:
         # each block's run of nodes: its start, size and residue period P,
-        # 1 / step where that is an integer (at most the run), else the run
+        # 1 / step (at most the run)
         start = np.flatnonzero(np.concatenate(([True],
                                                block[1:] != block[:-1])))
         size = np.append(start[1:], s.size) - start
         per = 1.0 / (s[start + (size > 1)] - s[start] + (size == 1))
-        period = np.where(per % 1.0 == 0.0, np.minimum(per, size),
-                          size).astype(np.intp)
+        period = np.minimum(per, size).astype(np.intp)
         # node k of a run reads slot (run's first slot + k mod P); the
         # first P nodes of each run are summed, in slot order
         k = np.arange(s.size) - np.repeat(start, size)
@@ -361,29 +340,42 @@ def kernel(base: QBase, lams, zs):
     return kern
 
 
-def _scalar_path(F, lam, z, base, settings):
-    """Integrand rows of the transform of ``F`` and their window."""
-    if not in_theta_safe(z, lam, base, 0.05):
-        raise theta_unsafe(z, lam, 0.05)
+def q_laplace_batch(F, lams, zs, base: QBase,
+                    settings: QuadSettings = QuadSettings(),
+                    n_rows: int = 1) -> np.ndarray:
+    """Transforms of the ``n_rows`` rows of ``F(x, block)``, an ``(n_rows,
+    points)`` array at path points ``x`` of blocks ``block``, one block per
+    direction ``lams[b]`` and point ``zs[b]``, as an ``(n_blocks,
+    n_rows)`` array: one :func:`path_integral` batch at ``tol = abs_tol``,
+    in which a block's rows share nodes and settle together.  A ``z`` not
+    theta-safe for its ``(lam, 0.05)`` raises :class:`DomainError` for the
+    first one before any integration.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    zs = np.asarray(zs, dtype=complex)
+    safe = in_theta_safe(zs, lams, base, 0.05)
+    if not safe.all():
+        i = int(np.argmin(safe))
+        raise theta_unsafe(zs[i], lams[i], 0.05)
     pref = base.log_q / pi_q(base)
-    kern = kernel(base, [lam], [z])
+    kern = kernel(base, lams, zs)
 
     def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
-        num = np.asarray(F(qpow(base, s) * lam), dtype=complex)
+        num = np.asarray(F(qpow(base, s) * lams[block], block), dtype=complex)
         return pref * num * kern(s, block)
 
-    window = truncation_window(lam, z, base, settings.abs_tol)
-    return rows, path_window(rows, [window], settings, settings.abs_tol)[0]
+    out = np.empty((lams.size, n_rows), dtype=complex)
+    for i, value in path_integral(
+            rows, truncation_window(lams, zs, base, settings.abs_tol),
+            settings, settings.abs_tol, n_rows):
+        out[i] = value
+    return out
 
 
 def q_laplace(F, lam: complex, z: complex, base: QBase,
               settings: QuadSettings = QuadSettings()) -> complex:
-    """Transform of ``F`` along direction ``lam``, evaluated at ``z``.
-
-    ``F`` is called with an ndarray of path points.  ``z`` must be
-    theta-safe for ``(lam, 0.05)``; violations raise :class:`DomainError`
-    before any integration.
-    """
-    rows, window = _scalar_path(F, lam, z, base, settings)
-    [(_, value)] = path_integral(rows, [window], settings, settings.abs_tol)
-    return complex(value[0])
+    """Transform of ``F`` (called with an ndarray of path points) along
+    direction ``lam``, evaluated at ``z``: the one-block, one-row
+    :func:`q_laplace_batch`."""
+    return complex(q_laplace_batch(lambda x, block: F(x), [lam], [z], base,
+                                   settings)[0, 0])

@@ -54,8 +54,8 @@ class Report:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            # one write: json.dump issues one per token
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
         return path
 
     def print_summary(self, stream=None):

@@ -10,12 +10,13 @@ chart direction.  All orders at one ``(eps, t)`` pair share one quadrature
 grid, a transform block, and are cached together per pair for reuse by the
 residual and the diagnostics.  Each diagnostic requests all the pairs it
 needs, on all its charts, up front, and they are computed as one batch:
-every probe round and halving level of the path quadrature evaluates the
+every coarse round and halving level of the path quadrature evaluates the
 nodes of all blocks still open in as few integrand calls as fit one memory
 cap, while each block keeps its own direction, window, halvings and
-stopping test.  A batch computes the recursion's eps factors once per eps,
-and its kernel sums the theta series once per block and residue of the
-dyadic s-lattice.
+stopping test.  A batch is set up as arrays: its windows in one
+expression, its eps grouped by chart in one pass, the recursion's eps
+factors once per eps, and a kernel that sums the theta series once per
+block and residue of the dyadic s-lattice.
 
 Quantitative experiments built on top, each an array program over all
 its points: the series of all points are summed as one ``(points,
@@ -48,8 +49,8 @@ from .errors import ConvergenceError, DomainError
 from .problem import CoefficientEvaluator, EpsFactors, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
     in_theta_safe, qpow
-from .qlaplace import QuadSettings, kernel, path_integral, path_window, \
-    theta_unsafe, truncation_window
+from .qlaplace import QuadSettings, kernel, path_integral, theta_unsafe, \
+    truncation_window
 from .theta import log_theta, pi_q  # noqa: F401 (perfbench traces it here)
 
 
@@ -107,55 +108,49 @@ def _transform_blocks(items) -> None:
     A block holds all transforms T_beta(eps, eps t), beta <= beta_max, on
     shared nodes: one path integral whose rows are the orders.  The items
     not yet cached, from any number of charts, form one batch of
-    :mod:`qgevrey.qlaplace`'s window and nested-halving loop, in which each
-    block keeps its own direction, window, halvings and stopping test.  The
-    charts must share problem, initial data, base, ``beta_max`` and
-    ``quad`` (else ``ValueError``).  The windows leave the integrand below
-    ``tol = 0.01 abs_tol`` over their width at both ends, where the
-    trapezoid sums converge exponentially; the halvings add midpoints only
-    where the coarse pass found the integrand above that threshold, within
-    the same ``tol``; and a block returns its sums as soon as it settles
-    by the rules of :func:`qgevrey.qlaplace.path_integral`.  Before
-    any integrand call every eps is tested against its chart's discrete
-    spiral, one array call per chart, and then every ``z = eps t`` for
-    theta-safety, one array call per distinct ``delta``; each error names
-    the first failing key of the first failing chart.  The batch builds the
+    :func:`qgevrey.qlaplace.path_integral` at ``tol = 0.01 abs_tol``, in
+    which each block keeps its own direction, window, halvings and
+    stopping test.  The charts must share problem, initial data, base,
+    ``beta_max`` and ``quad`` (else ``ValueError``).  Before any integrand
+    call every eps is tested against its chart's discrete spiral, one
+    array call per chart, and then every ``z = eps t`` for theta-safety,
+    one array call per distinct ``delta``; each error names the first
+    failing key of the first failing chart.  The batch builds the
     :class:`EpsFactors` of its distinct eps once and one
     :func:`qgevrey.qlaplace.kernel` for its ``(lam, z)``; each ``z`` is a
     Python scalar product, as a one-pair call computes it, so a block's
     values do not depend on the batch around it.  A block whose window the
-    probe cannot close, or that does not settle, raises
+    coarse pass cannot close, or that does not settle, raises
     :class:`ConvergenceError` naming its chart and key; the blocks that
     settled stay cached.
     """
-    new, charts = {}, {}
+    new, charts = {}, {}  # charts: each chart and its new eps, in order
     for sc, (e, t) in items:
         key = (complex(e), complex(t))
-        if key not in sc._cache:
+        if key not in sc._cache and (id(sc), key) not in new:
             new[id(sc), key] = sc, key
-            charts.setdefault(id(sc), sc)
+            charts.setdefault(id(sc), (sc, []))[1].append(key[0])
     if not new:
         return
     new = list(new.values())
-    first = next(iter(charts.values()))
-    for sc in charts.values():
+    first = new[0][0]
+    for sc, eps in charts.values():
         if _shared(sc) != _shared(first):
             raise ValueError("charts %d and %d differ in problem, initial "
                              "data, base, beta_max or quad"
                              % (first.chart_index, sc.chart_index))
-        _require_on_spiral(sc, [e for owner, (e, _) in new if owner is sc])
+        _require_on_spiral(sc, eps)
     base, quad, n_rows = first.base, first.quad, first.beta_max + 1
-    zs = [e * t for _, (e, t) in new]
+    zs = np.array([e * t for _, (e, t) in new])
     lams = np.array([sc.lam for sc, _ in new])
     deltas = np.array([sc.delta for sc, _ in new])
     safe = np.empty(len(new), dtype=bool)
     for delta in dict.fromkeys(deltas.tolist()):
         mine = deltas == delta
-        safe[mine] = in_theta_safe(np.array(zs)[mine], lams[mine], base,
-                                   delta)
+        safe[mine] = in_theta_safe(zs[mine], lams[mine], base, delta)
     if not safe.all():
-        unsafe = [(sc, z) for (sc, _), z, ok in zip(new, zs, safe) if not ok]
-        sc, z = next(p for c in charts.values() for p in unsafe if p[0] is c)
+        bad = [(sc, z) for (sc, _), z, ok in zip(new, zs, safe) if not ok]
+        sc, z = next(p for c, _ in charts.values() for p in bad if p[0] is c)
         raise theta_unsafe(z, sc.lam, sc.delta)
     pref = base.log_q / pi_q(base)
     kern = kernel(base, lams, zs)
@@ -183,7 +178,7 @@ def _transform_blocks(items) -> None:
             factors.at(eps_of[block]), tau, first.beta_max,
             out=buf[:n_rows * s.size].reshape(n_rows, s.size))
         np.multiply(pref, out, out=out)
-        # far out on a window inf times 0 gives NaN, which path_window
+        # far out on a window inf times 0 gives NaN, which path_integral
         # reports as a non-finite end value: numpy need not warn too
         with np.errstate(invalid="ignore"):
             out *= kern(s, block)
@@ -191,11 +186,9 @@ def _transform_blocks(items) -> None:
 
     tol = 0.01 * quad.abs_tol
     try:
-        windows = path_window(
-            rows, [truncation_window(sc.lam, z, base, tol)
-                   for (sc, _), z in zip(new, zs)],
-            quad, tol, n_rows)
-        for i, value in path_integral(rows, windows, quad, tol, n_rows):
+        for i, value in path_integral(
+                rows, truncation_window(lams, zs, base, tol), quad, tol,
+                n_rows):
             sc, key = new[i]
             sc._cache[key] = value
     except ConvergenceError as exc:

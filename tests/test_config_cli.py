@@ -1,3 +1,4 @@
+import cmath
 import copy
 import json
 import math
@@ -337,6 +338,19 @@ class TestCheckCommand:
         assert any(n.startswith("term_exponents") for n in names)
         assert "growth_cap" in names
 
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    def test_report_bytes_equal_json_dump(self, name, tmp_path):
+        # Report.write emits the report in one write: the same bytes as
+        # json.dump into the file followed by a newline
+        cfg = write_config(tmp_path, json.loads(shipped_config_text(name)))
+        out = tmp_path / "out"
+        main(["check", "--config", cfg, "--out-dir", str(out)])
+        data = (out / "check_report.json").read_bytes()
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+            json.dump(json.loads(data), fh, indent=2)
+            fh.write("\n")
+        assert data == (tmp_path / "dumped.json").read_bytes()
+
     def test_strict_config_fails_exit_one(self, tmp_path):
         doc = json.loads(shipped_config_text("strict_exponents_fail"))
         cfg = write_config(tmp_path, doc)
@@ -630,6 +644,89 @@ class TestVerifyCommands:
             assert rows[name]["status"] == "fail"
             assert not rows[name]["worst_rel"] < 1e-10  # inf or NaN
 
+    @pytest.mark.parametrize("q", [2.0, 1.5 * cmath.exp(0.2j),
+                                   math.exp(1.0 / 16.0)],
+                             ids=["2", "1.5e^0.2i", "e^1/16"])
+    def test_properties_direct_sum_keeps_terms_above_underflow(self, q):
+        # the direct sum keeps the terms above e^-690 on the annulus (91 of
+        # 201 at q = 2, all 201 at e^1/16): within 4 ulp of the 201-term
+        # sum, relative to the sum of the terms' magnitudes (the reordered
+        # pairwise sum moves the last bit at the complex base, where the
+        # terms cancel to 1/4000 of that), and bit for bit at q = 2
+        from qgevrey import QBase
+        from qgevrey.cli import _theta_direct
+        base = QBase(q)
+        rng = np.random.default_rng(3)
+        polar = rng.uniform((1.0, 0.0), (abs(q) * 0.999, 2.0 * math.pi),
+                            size=(300, 2))
+        x = polar[:, 0] * np.exp(1j * polar[:, 1])
+        x = x[in_theta_safe(1.0, x, base, 0.2)]
+        k = np.arange(-100.0, 101.0)
+        terms = np.power(base.q, -k * (k - 1.0) / 2.0) * x[:, None] ** k
+        full = terms.sum(axis=1)
+        got = _theta_direct(x, base)
+        ulp = np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(got - full) <= 4.0 * ulp)
+        if q == 2.0:
+            assert np.array_equal(got, full)
+
+    def test_commutation_batch_against_one_row_calls(self, demo_doc):
+        # verify properties' one batch of two blocks and three rows against
+        # each transform's own one-block, one-row call: the rows of a block
+        # share its nodes, and its halvings run on the union of the rows'
+        # supports.  phi_1's is the widest (32 midpoints; phi_2's 30,
+        # phi_3's 28), so its rows agree bit for bit and the others take a
+        # few more negligible midpoints, within 2e-13.  The report's
+        # worst_rel stays bit for bit (PINNED_PROPERTIES).
+        from dataclasses import replace
+        from qgevrey import q_laplace
+        from qgevrey.cli import _commutation_rows
+        from qgevrey.qlaplace import q_laplace_batch
+        cfg = parse_config(demo_doc)
+        settings = replace(cfg.quad, abs_tol=1e-10)
+        lam, base = cfg.lambdas[0], cfg.base
+        t0 = 1.3 * lam / abs(lam)
+        got = q_laplace_batch(_commutation_rows, [lam, lam],
+                              [t0, base.q * t0], base, settings, 3)
+        for r in (1, 2, 3):
+            lhs = q_laplace(lambda x: x * x / (1.0 + x) ** r, lam, t0, base,
+                            settings)
+            rhs = q_laplace(lambda x: x / (1.0 + x) ** r, lam, base.q * t0,
+                            base, settings)
+            if r == 1:
+                assert got[0, 0] == lhs and got[1, 0] == rhs
+            assert abs(got[0, r - 1] - lhs) <= 2e-13, r
+            assert abs(got[1, r - 1] - rhs) <= 2e-13, r
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_residual_draws_lie_in_their_boxes(self, demo_doc, seed):
+        # point i is chart i mod n_charts, its eps in that chart's (u, v)
+        # box with v less a shift in {0, 1, 2}, t in t_set, |z| <= z_max
+        from qgevrey.cli import _residual_draws
+        cfg = parse_config(demo_doc)
+        n, z_max = 250, 0.5
+        idx, eps, t, z = _residual_draws(cfg, np.random.default_rng(seed),
+                                         n, z_max)
+        charts = cfg.covering.charts
+        assert np.array_equal(idx, np.arange(n) % len(charts))
+        log_q = cfg.base.log_q
+        assert log_q.imag == 0.0  # the demo's real base: |q^v| = q^v
+        v = np.log(np.abs(eps)) / log_q.real
+        u = np.angle(eps) / (2.0 * math.pi)
+        shifts = set()
+        for i, ch in zip(idx.tolist(), (charts[i] for i in idx)):
+            lo, hi = ch.i2
+            shift = math.ceil(lo - v[i] - 1e-9)
+            assert lo - 1e-9 <= v[i] + shift <= hi + 1e-9, i
+            shifts.add(shift)
+            turns = (u[i] - ch.i1[0]) % 1.0
+            assert turns <= ch.i1[1] - ch.i1[0] + 1e-9, i
+        assert shifts == {0, 1, 2}
+        ts = cfg.family.t_set
+        assert np.all((ts.mod[0] <= np.abs(t)) & (np.abs(t) <= ts.mod[1]))
+        assert np.all((ts.arg[0] <= np.angle(t)) & (np.angle(t) <= ts.arg[1]))
+        assert np.all(np.abs(z) <= z_max)
+
     def test_properties_zero_direct_sum_fails_without_warning(self,
                                                               tmp_path):
         # near |q| = 1 a theta-safe sample's direct sum can be 0: its
@@ -693,36 +790,49 @@ class TestVerifyCommands:
                     (runs[1] / name).read_bytes(), (mode, name)
 
     def test_demo_integrand_calls_pinned(self, tmp_path, monkeypatch):
-        # CoefficientEvaluator.table calls of each verify mode on the
-        # shipped demo.json: the transform modes make one batch of all the
-        # blocks they read (across charts), so a change that splits the
-        # batches again, or halves beyond each block's support, shows here.
-        # One batch per chart over whole windows took 126, 50 and 58, the
-        # growth-certificate windows 57, 33 and 41, stopping only on a
-        # change below abs_tol (no predicted stop) 56, 32 and 36, and
-        # calls of at most BLOCK // 2 values 50, 28 and 34; verify
+        # CoefficientEvaluator.table calls and integrand calls (the rows
+        # qlaplace._sweep evaluates) of each verify mode on the shipped
+        # demo.json: the transform modes make one batch of all the blocks
+        # they read (across charts), so a change that splits the batches
+        # again, or halves beyond each block's support, shows here.  One
+        # batch per chart over whole windows took 126, 50 and 58 table
+        # calls, the growth-certificate windows 57, 33 and 41, stopping
+        # only on a change below abs_tol (no predicted stop) 56, 32 and 36,
+        # and calls of at most BLOCK // 2 values 50, 28 and 34; verify
         # properties took 80 one-column calls, then one while it compared
         # the recursion with its closed form, and now solves nothing.
         # verify asympt took 7 while it sampled all depth + 1 levels, not
-        # only the 22 its depth schedule reads.
+        # only the 22 its depth schedule reads.  A separate window probe
+        # took one call more per batch (residual 10 with its array draws,
+        # flatness 5, asympt 6), and verify properties' six one-row
+        # transforms 18 integrand calls, against one batch's 2.
+        from qgevrey import qlaplace
         from qgevrey.problem import CoefficientEvaluator
-        table = CoefficientEvaluator.table
-        calls = []
+        table, sweep = CoefficientEvaluator.table, qlaplace._sweep
+        calls, integrand = [], []
 
         def counted(self, eps, tau, beta_max, out=None):
             calls.append(np.size(tau))
             return table(self, eps, tau, beta_max, out=out)
 
+        def counted_sweep(rows, *args):
+            def counted_rows(s, block):
+                integrand.append(s.size)
+                return rows(s, block)
+            return sweep(counted_rows, *args)
+
         monkeypatch.setattr(CoefficientEvaluator, "table", counted)
+        monkeypatch.setattr(qlaplace, "_sweep", counted_sweep)
         cfg = write_config(tmp_path, json.loads(shipped_config_text("demo")))
         counts = {}
         for mode in ("residual", "flatness", "asympt", "properties"):
             calls.clear()
+            integrand.clear()
             assert main(["verify", mode, "--config", cfg, "--out-dir",
                          str(tmp_path / mode)]) == 0
-            counts[mode] = len(calls)
-        assert counts == {"residual": 9, "flatness": 5, "asympt": 6,
-                          "properties": 0}
+            counts[mode] = len(calls), len(integrand)
+        assert counts == {"residual": (9, 9), "flatness": (4, 4),
+                          "asympt": (5, 5), "properties": (0, 2)}
 
     def test_seed_override_changes_samples(self, demo_doc, tmp_path):
         cfg = write_config(tmp_path, trimmed(demo_doc))

@@ -7,6 +7,7 @@ import pytest
 
 from qgevrey import (ConvergenceError, DomainError, QBase, QuadSettings,
                      log_theta, pi_q, q_laplace, truncation_window)
+from qgevrey.qlaplace import q_laplace_batch
 from qgevrey.qlaplace import _negligible
 
 TIGHT = QuadSettings(abs_tol=1e-12)
@@ -57,23 +58,38 @@ class TestTruncationWindow:
 
     def test_growth_past_kernel_limit_raises_before_halving(self, base2):
         # F = exp(log^2 x) outgrows the kernel's exp(-log^2|x| / (2 log 2)):
-        # the probe widens the window every round, then reports the block
-        # instead of handing a window it could not close to the halvings.
-        # Clipped at exp(700) F would stay finite but decay again with the
-        # kernel by s ~ 50, where the probe closes the window; unclipped it
-        # overflows, and the overflowing (NaN) ends count as not negligible.
+        # the coarse pass widens the window every round, then reports the
+        # block instead of handing a window it could not close to the
+        # halvings.  Clipped at exp(700) F would stay finite but decay
+        # again with the kernel by s ~ 50, where the window closes;
+        # unclipped it overflows, and the overflowing (NaN) ends count as
+        # not negligible.
+        from qgevrey.qlaplace import PROBE_ROUNDS
         calls = []
 
         def F(x):
-            calls.append(x.size)
+            calls.append(x.copy())
             return np.exp(np.log(np.abs(x)) ** 2)
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConvergenceError) as err:
                 q_laplace(F, 1.0, 2.0, base2, TIGHT)
         assert err.value.block == 0
-        assert "not negligible at the ends of its window [" in str(err.value)
-        assert calls == [2] * 12  # the probe's ends only: no halving
+        message = str(err.value)
+        assert message.startswith("integrand of block 0 is not negligible at "
+                                  "the ends of its window [")
+        assert ("after %d probe rounds (largest end value nan, threshold "
+                % PROBE_ROUNDS) in message
+        assert message.endswith("): it grows as fast as the kernel decays "
+                                "or is not finite there")
+        # the whole first window, then the new cells on each side of every
+        # widening round, each node once: no halving
+        assert len(calls) == 1 + 2 * (PROBE_ROUNDS - 1)
+        units = 2.0 * np.log2(np.concatenate(calls).real)  # s / h0
+        assert np.max(np.abs(units - np.rint(units))) < 1e-9
+        assert np.array_equal(np.sort(np.rint(units)),
+                              np.arange(units.min().round(),
+                                        units.max().round() + 1))
 
 
 class TestQLaplace:
@@ -110,12 +126,15 @@ class TestQLaplace:
         assert err.value.membership == "theta_safe"
 
 
-def mp_halves(r, lam, z, q):
+def mp_halves(r, lam, z, q, num=None):
     """Independent oracle: the outward (s >= 0) and inward (s <= 0) halves
-    of the transform of ``F(x) = x / (1 + x)^r`` by ``mpmath.quad``
-    (Gauss-Legendre, 20 digits) on half-lines split around the integrand's
-    peak; ``1/theta`` is the series summed around its largest term and
-    ``log q / pi_q`` the product ``prod_{n>=1} (1 - q^{-n})``."""
+    of the transform of ``F(x) = x / (1 + x)^r`` (or of ``num(x)``, an
+    mpmath function) by ``mpmath.quad`` (Gauss-Legendre, 20 digits) on
+    half-lines split around the integrand's peak; ``1/theta`` is the series
+    summed around its largest term and ``log q / pi_q`` the product
+    ``prod_{n>=1} (1 - q^{-n})``."""
+    if num is None:
+        num = lambda x: x / (1 + x) ** r
     with mp.workdps(20):
         q, lam, z = mp.mpf(q), mp.mpc(lam), mp.mpc(z)
         log_q = mp.log(q)
@@ -132,7 +151,7 @@ def mp_halves(r, lam, z, q):
 
         def f(s):
             x = lam * q**s
-            return x / (1 + x) ** r * inv_theta(x / z)
+            return num(x) * inv_theta(x / z)
 
         s0 = float(mp.log(abs(z / lam)) / log_q)
         marks = [s0 + d for d in range(-12, 13, 3)]
@@ -183,35 +202,102 @@ def trapezoid_changes(levels, h0):
     return changes
 
 
+def record_levels(monkeypatch):
+    """The nodes and values of every integrand call :func:`qlaplace._sweep`
+    makes, one row per node: a list of ``(s, values)``."""
+    from qgevrey import qlaplace
+    levels = []
+    original = qlaplace._sweep
+
+    def recorded(rows, *args):
+        def counted(s, block):
+            vals = rows(s, block)
+            levels.append((s.copy(), np.array(vals).reshape(-1)))
+            return vals
+        return original(counted, *args)
+
+    monkeypatch.setattr(qlaplace, "_sweep", recorded)
+    return levels
+
+
 class TestPredictedStop:
     @pytest.mark.parametrize("abs_tol", [1e-8, 1e-10, 1e-12])
     def test_predicted_stop_meets_tolerance(self, demo_cfg, demo_points,
-                                            abs_tol):
+                                            abs_tol, monkeypatch):
         # on the coarse lattice h0 = 1 some blocks settle by d_l^2 < abs_tol
         # d_{l-1} while their last change d_l is still above abs_tol (up
         # to 4.9e-7 at abs_tol 1e-8): the mpmath oracle puts their true
         # error below abs_tol all the same
-        from qgevrey.qlaplace import _coarse_step, _scalar_path, \
-            path_integral
+        from qgevrey.qlaplace import _coarse_step
         settings = QuadSettings(abs_tol=abs_tol, initial_step=0.5)
+        h0 = _coarse_step(settings)
+        levels = record_levels(monkeypatch)
         predicted = 0
         for lam, z, F, p_ref, m_ref in demo_points:
-            rows, window = _scalar_path(F, lam, z, demo_cfg.base, settings)
-            levels = []
-
-            def recorded(s, block):
-                levels.append((s, rows(s, block)))
-                return levels[-1][1]
-
-            [(_, value)] = path_integral(recorded, [window], settings,
-                                         abs_tol)
-            *_, d_prev, d = trapezoid_changes(levels,
-                                              _coarse_step(settings))
+            levels.clear()
+            value = q_laplace(F, lam, z, demo_cfg.base, settings)
+            # one coarse call (no window widens), then one per halving
+            assert np.all(levels[0][0] % h0 == 0)
+            assert not np.any(levels[1][0] % h0 == 0)
+            *_, d_prev, d = trapezoid_changes(levels, h0)
             if d >= abs_tol:
                 assert d < d_prev and d * d < abs_tol * d_prev
                 predicted += 1
-            assert abs(value[0] - (p_ref + m_ref)) <= abs_tol, (lam, z)
+            assert abs(value - (p_ref + m_ref)) <= abs_tol, (lam, z)
         assert predicted >= 2
+
+
+class TestWindowWidening:
+    def test_widened_window_against_mpmath(self, base2, monkeypatch):
+        # F = exp(0.3 log^2|x| / (2 log 2)) grows at 0.3 of the kernel's
+        # limit; at z = 2^8 its amplitude keeps the first window's ends
+        # above the threshold, and the coarse pass widens it once, 16 new
+        # cells on each side.  It evaluates each node of the final window
+        # once, 89 node-columns, where a separate probe of both ends per
+        # round before a coarse pass over the final window took 2 + 2 +
+        # 89; the value agrees with mpmath within abs_tol.
+        from qgevrey.qlaplace import _coarse_step
+        settings = QuadSettings(abs_tol=1e-10)
+        h0 = _coarse_step(settings)
+        log_q = base2.log_abs_q
+        levels = record_levels(monkeypatch)
+        value = q_laplace(lambda x: np.exp(0.3 * np.log(np.abs(x)) ** 2
+                                           / (2.0 * log_q)),
+                          1.0, 256.0, base2, settings)
+        coarse = [s for s, _ in levels if np.all(s % h0 == 0)]
+        assert [s.size for s in coarse] == [57, 16, 16]
+        nodes = np.sort(np.concatenate(coarse))
+        assert np.all(np.diff(nodes) == h0)
+        probe_and_coarse = 2 * 2 + nodes.size
+        assert sum(s.size for s in coarse) < probe_and_coarse
+        num = lambda x: mp.exp(0.3 * mp.log(abs(x)) ** 2 / (2 * mp.log(2)))
+        ref = sum(mp_halves(None, 1.0, 256.0, 2.0, num=num))
+        assert abs(value - ref) <= settings.abs_tol
+
+
+class TestBatch:
+    def test_batch_equals_one_block_calls(self, base2):
+        # two blocks of two rows in one batch: each entry agrees with its
+        # one-block, one-row call within abs_tol (a block's rows settle
+        # together, and its support is the union of its rows')
+        settings = QuadSettings(abs_tol=1e-10)
+        lams = [1.0, cmath.exp(0.3j)]
+        zs = [2.0, 0.7 * cmath.exp(0.3j)]
+        fs = [lambda x: 1.0 / (1.0 + x), lambda x: x / (1.0 + x) ** 2]
+        got = q_laplace_batch(lambda x, block: np.stack([f(x) for f in fs]),
+                              lams, zs, base2, settings, 2)
+        assert got.shape == (2, 2)
+        for b, (lam, z) in enumerate(zip(lams, zs)):
+            for r, f in enumerate(fs):
+                want = q_laplace(f, lam, z, base2, settings)
+                assert abs(got[b, r] - want) <= settings.abs_tol, (b, r)
+
+    def test_unsafe_point_named(self, base2):
+        with pytest.raises(DomainError) as err:
+            q_laplace_batch(lambda x, block: x, [1.0, 1.0], [2.0, -2.0],
+                            base2, TIGHT)
+        assert err.value.membership == "theta_safe"
+        assert str(err.value).startswith("z = (-2+0j) is not theta-safe")
 
 
 class TestCommutation:
@@ -348,32 +434,23 @@ class TestLatticeKernel:
                 rel = np.abs(got[near] / want[near] - 1.0)
                 assert np.max(rel) <= 2e-13, base
 
-    def test_nodes_on_nested_dyadic_lattice(self, base2):
+    def test_nodes_on_nested_dyadic_lattice(self, base2, monkeypatch):
         # every node reaching the integrand is a multiple of h0 2^-l: the
-        # probed ends are the coarse grid's ends (multiples of h0), and
-        # halving l adds the odd multiples of h0 2^-l.  A discontinuous F
-        # keeps the block open through every level: the coarse grid and
-        # max_halvings = 4 halvings.
+        # coarse grid's nodes (and so the window's ends) are multiples of
+        # h0, and halving l adds the odd multiples of h0 2^-l.  A
+        # discontinuous F keeps the block open through every level: the
+        # coarse grid and max_halvings = 4 halvings.
         from qgevrey import ConvergenceError
-        from qgevrey.qlaplace import _scalar_path, path_integral
         settings = QuadSettings(abs_tol=1e-10, initial_step=0.2,
                                 max_halvings=4)
         h0 = 0.25  # the largest power of two at most 2 * 0.2
         F = lambda x: (np.abs(x) > 1.1).astype(float)
-        rows, (s_lo, s_hi) = _scalar_path(F, 1.0, 2.0, base2, settings)
-        assert s_lo / h0 == math.floor(s_lo / h0)
-        assert s_hi / h0 == math.floor(s_hi / h0)
-        seen = []
-
-        def recorded(s, block):
-            seen.append(s.copy())
-            return rows(s, block)
-
+        levels = record_levels(monkeypatch)
         with pytest.raises(ConvergenceError):
-            list(path_integral(recorded, [(s_lo, s_hi)], settings,
-                               settings.abs_tol))
+            q_laplace(F, 1.0, 2.0, base2, settings)
+        seen = [s for s, _ in levels]
         assert len(seen) == 5
-        assert seen[0][0] == s_lo and seen[0][-1] == s_hi
+        assert np.all(np.diff(seen[0]) == h0)
         for level, s in enumerate(seen):
             units = s / (h0 * 2.0 ** -level)
             assert np.array_equal(units, np.round(units))

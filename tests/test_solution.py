@@ -196,14 +196,16 @@ class TestTransformBlockOracle:
 
     def test_node_columns_pinned(self, demo, eps20, monkeypatch):
         # node-columns of one chart-20 block at abs_tol = 1e-8, counted by
-        # wrapping the integrand rows: the window probe (2), the coarse
-        # grid on the h0 = 1/2 lattice (57) and two halvings of the 38
-        # coarse cells of its support (38, 76; 56, 112 over the whole
-        # window).  The change between halvings falls 5.1e-4 -> 2.4e-7,
-        # whose square is below abs_tol times 5.1e-4: the predicted stop
-        # settles the block there.  Waiting for a change below abs_tol took
-        # a third halving (152 nodes; its change is 5.5e-14).  The
-        # growth-certificate windows took a coarse grid of 62.
+        # wrapping the integrand rows: the coarse grid on the h0 = 1/2
+        # lattice (57), whose end nodes show the window closed, and two
+        # halvings of the 38 coarse cells of its support (38, 76; 56, 112
+        # over the whole window).  A separate window probe took 2 more
+        # before the coarse grid.  The change between halvings falls
+        # 5.1e-4 -> 2.4e-7, whose square is below abs_tol times 5.1e-4: the
+        # predicted stop settles the block there.  Waiting for a change
+        # below abs_tol took a third halving (152 nodes; its change is
+        # 5.5e-14).  The growth-certificate windows took a coarse grid of
+        # 62.
         import qgevrey.solution as solution
         columns = []
 
@@ -215,24 +217,24 @@ class TestTransformBlockOracle:
                 return fn(counted, *args, **kwargs)
             return wrapped
 
-        for name in ("path_window", "path_integral"):
-            monkeypatch.setattr(solution, name,
-                                counting(getattr(solution, name)))
+        monkeypatch.setattr(solution, "path_integral",
+                            counting(solution.path_integral))
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
-        assert columns == [2, 57, 38, 76]
+        assert columns == [57, 38, 76]
 
     def test_kernel_points_pinned(self, demo, eps20, monkeypatch):
         # the same block's theta series points, one per residue of s mod 1
-        # and call, not one per node: the probe's two ends, the coarse
-        # grid's residues 0 and 1/2, then 2 and 4 new ones per halving
-        # (a third halving, before the predicted stop, added 8)
+        # and call, not one per node: the coarse grid's residues 0 and
+        # 1/2, then 2 and 4 new ones per halving (a third halving, before
+        # the predicted stop, added 8; a separate window probe 2 for its
+        # two ends before the coarse grid)
         from qgevrey import qlaplace
         from qgevrey.solution import _transform_block
         calls = count_calls(monkeypatch, qlaplace, "log_theta")
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         _transform_block(sc, eps20, 0.7)
-        assert [np.size(x) for x, base in calls] == [2, 2, 2, 4]
+        assert [np.size(x) for x, base in calls] == [2, 2, 4]
 
 
 def mid_eps(demo, sc, level):
@@ -316,8 +318,9 @@ class TestTransformBatch:
         _transform_blocks([(batch, key) for key in keys])
         cap = (1 << 10) // (batch.beta_max + 1)
         assert max(sizes) == cap
-        # a probe round and the coarse pass, then the halvings
-        assert sorted(set(sweeps.values())) == [4, 5, 6, 7]
+        # the coarse pass, then the halvings (a separate window probe
+        # took one sweep more)
+        assert sorted(set(sweeps.values())) == [3, 4, 5, 6]
         monkeypatch.setattr(qlaplace, "_sweep", sweep)
         for eps, t in keys:
             one = demo.chart_solution(20, quad=quad, delta=0.02)
@@ -378,14 +381,15 @@ class TestTransformBatch:
 
     def test_flatness_batch_integrand_calls_pinned(self, demo, monkeypatch):
         # both charts' 26 flatness blocks each (13 eps levels, 2 grid
-        # points) at the demo's flatness settings: one batch, each probe
+        # points) at the demo's flatness settings: one batch, each coarse
         # round and halving level packed into calls of at most 4 BLOCK
         # values, each halving only on its block's support, with the
-        # predicted stop: one call each for the probe round, the coarse
-        # pass and 3 halvings.  One block at a time took 260 calls, one
-        # batch per chart 50, one batch for both charts over whole windows
-        # 46, the growth-certificate windows 33, stopping only on a change
-        # below abs_tol 32, and calls of at most BLOCK // 2 values 28.
+        # predicted stop: one call each for the coarse pass and 3
+        # halvings.  One block at a time took 260 calls, one batch per
+        # chart 50, one batch for both charts over whole windows 46, the
+        # growth-certificate windows 33, stopping only on a change below
+        # abs_tol 32, calls of at most BLOCK // 2 values 28, and a separate
+        # window probe round 5.
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -397,13 +401,14 @@ class TestTransformBatch:
                      demo.gevrey)
         assert len(sc1._cache) == len(sc2._cache) == 26
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
-        assert len(columns) == 5
+        assert len(columns) == 4
         assert max(columns) * (sc1.beta_max + 1) <= 4 * BLOCK
 
     def test_unclosed_window_names_chart_and_key(self, demo, monkeypatch):
-        # NaN integrand values are never negligible: the probe gives up
-        # before any halving, and the error reaches the caller with the
-        # chart and key, carrying no quadrature levels
+        # NaN integrand values are never negligible: the coarse pass gives
+        # up before any halving, and the error reaches the caller with the
+        # chart and key, carrying no quadrature levels.  Its calls: the
+        # first window, then each of the 11 widening rounds' two sides
         from qgevrey import ConvergenceError
         from qgevrey.solution import _transform_blocks
         table = CoefficientEvaluator.table
@@ -423,7 +428,7 @@ class TestTransformBatch:
         assert "not negligible at the ends of its window [" in message
         assert err.value.block == 0
         assert err.value.last is None and err.value.previous is None
-        assert len(calls) == 12 and sc._cache == {}
+        assert len(calls) == 1 + 2 * 11 and sc._cache == {}
 
     def test_failure_names_block_and_keeps_settled(self, demo):
         # a small delta admits t close to the kernel's pole spiral, where
