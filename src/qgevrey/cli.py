@@ -46,6 +46,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _seed(cfg: RunConfig, args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed %d must be nonnegative" % args.seed)
     return cfg.sampling["seed"] if args.seed is None else args.seed
 
 
@@ -141,6 +143,10 @@ def cmd_solve(args) -> int:
     eps = _parse_complex(args.eps)
     t = _parse_complex(args.t)
     z = _parse_complex(args.z)
+    n_charts = len(cfg.covering.charts)
+    if not 0 <= args.chart < n_charts:
+        raise ConfigError("--chart %d is not a chart index in [0, %d)"
+                          % (args.chart, n_charts))
     if not args.force:
         pre = Report(command="check", config=report.config, seed=None)
         run_check(cfg, pre)
@@ -152,8 +158,6 @@ def cmd_solve(args) -> int:
     sc = cfg.chart_solution(args.chart)
     try:
         value = sol.evaluate_solution(sc, eps, t, z)
-        phis = [sol.initial_condition(sc, j, eps, t)
-                for j in range(cfg.problem.s_order)]
     except DomainError as exc:
         print("domain error (%s): %s" % (exc.membership, exc), file=sys.stderr)
         return 1
@@ -163,7 +167,8 @@ def cmd_solve(args) -> int:
     print("quadrature: abs_tol=%g, initial_step=%g, max_halvings=%d"
           % (cfg.quad.abs_tol, cfg.quad.initial_step,
              cfg.quad.max_halvings))
-    for j, phi in enumerate(phis):
+    # the initial conditions: the first S transforms of the summed block
+    for j, phi in enumerate(value.block[:cfg.problem.s_order].tolist()):
         print("initial condition phi_%d(eps, t) = %.17g %+.17gj"
               % (j, phi.real, phi.imag))
     for w in value.warnings:
@@ -264,14 +269,16 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
     rel_match, grid = scfg["rel_match"], scfg["grid"]
     sc1, sc2, eps0 = _chart_pair(cfg, scfg)
     schedule = scfg["depths"] or None
+    q = cfg.base.q
     # both charts' samples as one batch, on the levels the schedule reads
-    # (depth caps them); extraction then reads the cache
-    sol.prefetch_samples((sc1, sc2), sol.eps_sequence(
-        eps0, cfg.base.q, sol.extraction_levels(depth, schedule)), grid)
-    series1 = sol.extract_coefficients(sc1, eps0, k_max, tol, grid,
-                                       depth=depth, depth_override=schedule)
-    series2 = sol.extract_coefficients(sc2, eps0, min(k_max, series1.k_max),
-                                       tol, grid, depth=depth,
+    # (depth caps them); chart 2 replays chart 1's depths, all among them
+    eps_values = sol.eps_sequence(eps0, q,
+                                  sol.extraction_levels(depth, schedule))
+    samples1, samples2 = sol._solution_samples((sc1, sc2), eps_values, grid)
+    series1 = sol.extract_from_samples(samples1, eps_values, q, k_max, tol,
+                                       grid=grid, depth_override=schedule)
+    series2 = sol.extract_from_samples(samples2, eps_values, q,
+                                       series1.k_max, tol, grid=grid,
                                        depth_override=schedule or series1.depths)
     rows = []
     worst_rel = 0.0

@@ -320,6 +320,8 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
     defaults = _sampling_defaults(quad)
     samp = {**defaults, **_fields(doc["sampling"], _SAMPLING_KEYS, set(),
                                   "sampling")}
+    _require(samp["seed"] >= 0, "sampling.seed = %d must be nonnegative"
+             % samp["seed"])
     for name, kinds in _SAMPLING_BLOCKS.items():
         where = "sampling." + name
         block = samp[name] = _fields({**defaults[name], **samp[name]}, kinds,

@@ -7,10 +7,10 @@ coefficients,
 
 where ``T_beta`` is the transform of ``tau -> W_beta(eps, tau)`` along the
 chart direction.  All orders at one ``(eps, t)`` pair share one quadrature
-grid, a transform block, and are cached together per pair for reuse by the
-residual and the diagnostics.  Each diagnostic requests all the pairs it
-needs, on all its charts, up front, and they are computed as one batch:
-every coarse round and halving level of the path quadrature evaluates the
+grid, a transform block.  Each diagnostic requests all the blocks it
+needs, on all its charts, in one call, which computes each distinct pair
+once, as one batch, and returns the blocks in request order: every coarse
+round and halving level of the path quadrature evaluates the
 nodes of all blocks still open in as few integrand calls as fit one memory
 cap, while each block keeps its own direction, window, halvings and
 stopping test.  A batch is set up as arrays: its windows in one
@@ -58,11 +58,9 @@ from .theta import log_theta, pi_q  # noqa: F401 (perfbench traces it here)
 class SolutionChart:
     """One chart's solution evaluator with its direction and quadrature.
 
-    The per-(eps, t) transform cache is single-writer: populate from one
-    thread (or use one chart object per worker) and share read-only
-    afterwards.  Distinct (eps, t) pairs, of this chart and others, are
-    computed in batches (:func:`_transform_blocks`): one integrand call
-    evaluates a halving level of many blocks.
+    Its transform blocks, with other charts', are computed in batches
+    (:func:`_transform_blocks`): one integrand call evaluates a halving
+    level of many blocks.
     """
 
     chart_index: int
@@ -73,7 +71,6 @@ class SolutionChart:
     quad: QuadSettings = field(default_factory=QuadSettings)
     delta: float = 0.1
     t_set: ContinuousBase | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.beta_max < self.evaluator.problem.s_order:
@@ -102,12 +99,13 @@ def _shared(sc: SolutionChart) -> tuple:
     return ev.problem, ev.initial, ev.base, sc.beta_max, sc.quad
 
 
-def _transform_blocks(items) -> None:
-    """Cache the transform block of every ``(chart, (eps, t))`` in ``items``.
+def _transform_blocks(items) -> np.ndarray:
+    """The transform blocks of the ``(chart, (eps, t))`` in ``items``, as a
+    ``(len(items), beta_max + 1)`` array in item order.
 
     A block holds all transforms T_beta(eps, eps t), beta <= beta_max, on
-    shared nodes: one path integral whose rows are the orders.  The items
-    not yet cached, from any number of charts, form one batch of
+    shared nodes: one path integral whose rows are the orders.  The
+    distinct items, from any number of charts, form one batch of
     :func:`qgevrey.qlaplace.path_integral` at ``tol = 0.01 abs_tol``, in
     which each block keeps its own direction, window, halvings and
     stopping test.  The charts must share problem, initial data, base,
@@ -121,18 +119,18 @@ def _transform_blocks(items) -> None:
     Python scalar product, as a one-pair call computes it, so a block's
     values do not depend on the batch around it.  A block whose window the
     coarse pass cannot close, or that does not settle, raises
-    :class:`ConvergenceError` naming its chart and key; the blocks that
-    settled stay cached.
+    :class:`ConvergenceError` naming its chart and key.  An item listed
+    more than once is computed once, and its rows are equal.
     """
-    new, charts = {}, {}  # charts: each chart and its new eps, in order
+    rows_of, new, charts = {}, [], {}  # charts: each chart and its eps
+    index = []  # per item, its row of new
     for sc, (e, t) in items:
         key = (complex(e), complex(t))
-        if key not in sc._cache and (id(sc), key) not in new:
-            new[id(sc), key] = sc, key
+        i = rows_of.setdefault((id(sc), key), len(new))
+        if i == len(new):
+            new.append((sc, key))
             charts.setdefault(id(sc), (sc, []))[1].append(key[0])
-    if not new:
-        return
-    new = list(new.values())
+        index.append(i)
     first = new[0][0]
     for sc, eps in charts.values():
         if _shared(sc) != _shared(first):
@@ -185,31 +183,31 @@ def _transform_blocks(items) -> None:
         return out
 
     tol = 0.01 * quad.abs_tol
+    out = np.empty((len(new), n_rows), dtype=complex)
     try:
         for i, value in path_integral(
                 rows, truncation_window(lams, zs, base, tol), quad, tol,
                 n_rows):
-            sc, key = new[i]
-            sc._cache[key] = value
+            out[i] = value
     except ConvergenceError as exc:
         sc, (eps, t) = new[exc.block]
         raise ConvergenceError(
             "chart %d, transform block (eps, t) = (%s, %s): %s"
             % (sc.chart_index, eps, t, exc),
             last=exc.last, previous=exc.previous, block=exc.block) from exc
+    return out[index]
 
 
 def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
-    """The cached transform block of one ``(eps, t)``: a one-key batch."""
-    key = (complex(eps), complex(t))
-    _transform_blocks([(sc, key)])
-    return sc._cache[key]
+    """The transform block of one ``(eps, t)``: a one-key batch."""
+    return _transform_blocks([(sc, (eps, t))])[0]
 
 
 @dataclass(frozen=True)
 class SolutionValue:
     value: complex
     tail_estimate: float
+    block: np.ndarray = field(repr=False, compare=False)  # the summed T_beta
     warnings: tuple[str, ...] = ()
 
 
@@ -265,8 +263,8 @@ def check_point(sc: SolutionChart, eps: complex, t: complex) -> list[str]:
 
     The hard failures come from the transform blocks every caller reads:
     :func:`_transform_blocks` tests each eps against the chart's discrete
-    spiral before it computes a block, or tested it when the block was
-    cached, so the point is not tested again here.
+    spiral before it computes a block, so the point is not tested again
+    here.
     """
     warns = []
     if sc.t_set is not None:
@@ -293,15 +291,16 @@ def evaluate_solution(sc: SolutionChart, eps: complex, t: complex,
                      "tolerance; consider raising beta_max" % tail)
     value = _series_values(coeffs[None], np.array([z], dtype=complex))[0]
     return SolutionValue(value=complex(value), tail_estimate=tail,
-                         warnings=tuple(warns))
+                         block=coeffs, warnings=tuple(warns))
 
 
 def initial_condition(sc: SolutionChart, j: int, eps: complex,
                       t: complex) -> complex:
     """The j-th prescribed z-derivative at z = 0: the order-j transform.
 
-    Shares the cache with :func:`evaluate_solution`, so the value is
-    bit-identical to the series coefficient used there.
+    It reads the block :func:`evaluate_solution` sums at the same ``(eps,
+    t)``, and a block does not depend on its batch, so the value is
+    bit-identical to ``SolutionValue.block[j]``.
     """
     if not 0 <= j < sc.evaluator.problem.s_order:
         raise ValueError("initial index j must satisfy 0 <= j < S")
@@ -312,8 +311,9 @@ def _residual_keys(sc: SolutionChart, eps: complex, t: complex) -> list:
     """The ``(eps, t)`` keys :func:`equation_residual` reads: ``t``, ``q t``
     and ``q**m0 * t`` per term, in that order.
 
-    Exact integer powers of q keep the t-dilations cache-coherent with the
-    left side (``q**1 * t`` is the same float as ``q * t``).
+    Exact integer powers of q make a t-dilation that equals a left-side
+    key the same key (``q**1 * t`` is the same float as ``q * t``), which a
+    batch computes once.
     """
     q = sc.base.q
     return [(complex(eps), complex(t_key)) for t_key in
@@ -321,35 +321,21 @@ def _residual_keys(sc: SolutionChart, eps: complex, t: complex) -> list:
                           for term in sc.evaluator.problem.terms]]
 
 
-def prefetch_residuals(points) -> None:
-    """Compute every transform block :func:`equation_residual` needs at the
-    ``(chart, eps, t)`` points, of any charts, as one batch."""
-    _transform_blocks([(sc, key) for sc, eps, t in points
-                       for key in _residual_keys(sc, eps, t)])
-
-
 def eps_sequence(eps0: complex, q: complex, n: int) -> list:
     """``eps0 q^-i`` for ``i < n``: the sequence the diagnostics sample."""
     return [eps0 * q ** (-i) for i in range(n)]
 
 
-def prefetch_samples(charts, eps_values, grid) -> None:
-    """Compute the transform block of every chart at every ``(eps, t)``,
-    ``t`` from the ``(t, z)`` grid, as one batch."""
-    _transform_blocks([(sc, (eps, t)) for sc in charts
-                       for eps in eps_values for t, _ in grid])
-
-
-def _solution_samples(sc: SolutionChart, eps_values, grid) -> np.ndarray:
-    """:func:`evaluate_solution`'s values (no tail estimates) at every eps
-    of ``eps_values`` and ``(t, z)`` of ``grid``, as an ``(eps, grid)``
-    array."""
-    prefetch_samples((sc,), eps_values, grid)
-    blocks = np.array([sc._cache[complex(eps), complex(t)]
-                       for eps in eps_values for t, _ in grid])
-    z = np.array([z for _ in eps_values for _, z in grid], dtype=complex)
-    return _series_values(blocks.reshape(z.size, sc.beta_max + 1),
-                          z).reshape(len(eps_values), len(grid))
+def _solution_samples(charts, eps_values, grid) -> np.ndarray:
+    """:func:`evaluate_solution`'s values (no tail estimates) of every chart
+    at every eps of ``eps_values`` and ``(t, z)`` of ``grid``, from one
+    batch, as a ``(charts, eps, grid)`` array."""
+    blocks = _transform_blocks([(sc, (eps, t)) for sc in charts
+                                for eps in eps_values for t, _ in grid])
+    z = np.array([z for _ in charts for _ in eps_values for _, z in grid],
+                 dtype=complex)
+    return _series_values(blocks, z).reshape(len(charts), len(eps_values),
+                                             len(grid))
 
 
 @dataclass(frozen=True)
@@ -365,8 +351,8 @@ def equation_residuals(points) -> list[ResidualValue]:
     every ``(chart, eps, t, z)`` of ``points``.
 
     z-derivatives shift the coefficient index, the z-dilation multiplies
-    order beta by q^{-m1 beta}, and the (t sigma_q)-power re-evaluates the
-    cached transforms at the dilated t.  Both sides are truncated at the
+    order beta by q^{-m1 beta}, and the (t sigma_q)-power reads the
+    transforms at the dilated t.  Both sides are truncated at the
     same z-order, so the residual measures quadrature plus truncation
     error only.  Points whose t-dilations leave the validated evaluation
     patch are computed anyway and flagged.
@@ -381,7 +367,6 @@ def equation_residuals(points) -> list[ResidualValue]:
               for sc, eps, t, z in points]
     if not points:
         return []
-    prefetch_residuals([p[:3] for p in points])
     first = points[0][0]
     q = first.base.q
     S = first.evaluator.problem.s_order
@@ -389,8 +374,10 @@ def equation_residuals(points) -> list[ResidualValue]:
     n_z = first.beta_max - S
     eps, t, z = (np.array([p[i] for p in points]) for i in (1, 2, 3))
     # per point: the blocks at t, q t and q^m0 t per term (_residual_keys)
-    blocks = np.array([[sc._cache[key] for key in _residual_keys(sc, e, tt)]
-                       for sc, e, tt, _ in points])
+    blocks = _transform_blocks(
+        [(sc, key) for sc, e, tt, _ in points
+         for key in _residual_keys(sc, e, tt)]).reshape(
+             len(points), 2 + len(terms), first.beta_max + 1)
     zf = _taylor_weights(z, n_z)
     lhs = (((eps * t)[:, None] * blocks[:, 1, S:] + blocks[:, 0, S:])
            * zf).sum(axis=1)
@@ -469,10 +456,8 @@ def flatness_fit(sc1: SolutionChart, sc2: SolutionChart, eps0: complex,
             "flatness exponent 1/A = %g is nonpositive; the constant pack "
             "admits no decay" % one_over_a)
     eps_values = eps_sequence(eps0, sc1.base.q, n_points)
-    prefetch_samples((sc1, sc2), eps_values, grid)
-    d_sup = np.abs(_solution_samples(sc1, eps_values, grid)
-                   - _solution_samples(sc2, eps_values, grid)).max(
-                       axis=1, initial=0.0).tolist()
+    x1, x2 = _solution_samples((sc1, sc2), eps_values, grid)
+    d_sup = np.abs(x1 - x2).max(axis=1, initial=0.0).tolist()
     log2_eps = [math.log(abs(eps)) ** 2 for eps in eps_values]
     slope, intercept, r2, n_used = fit_log_decay(log2_eps, d_sup)
     return FlatnessFit(slope=slope, intercept=intercept, r2=r2,
@@ -543,7 +528,7 @@ def extract_coefficients(sc: SolutionChart, eps0: complex, k_max: int,
     q = sc.base.q
     eps_values = eps_sequence(eps0, q, extraction_levels(depth,
                                                          depth_override))
-    samples = _solution_samples(sc, eps_values, grid)
+    samples = _solution_samples((sc,), eps_values, grid)[0]
     return extract_from_samples(samples, eps_values, q, k_max, tol,
                                 grid=grid, depth_override=depth_override)
 

@@ -130,6 +130,8 @@ NAMED_BAD_VALUES = [
      "sampling.residual.abs_tol"),
     (("sampling", "flatness", "abs_tol"), 0, "verify flatness",
      "sampling.flatness.abs_tol"),
+    # numpy's generators take no negative seed
+    (("sampling", "seed"), -5, "verify residual", "sampling.seed"),
     # 100,000 x 5 charts: the covering decision would ask for 931 GiB
     (("covering", "n_u"), 100000, "check", "covering: n_u * n_v"),
 ]
@@ -482,6 +484,46 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert "X(" not in captured.out
+
+    @pytest.mark.parametrize("chart", ["25", "-1"])
+    def test_chart_outside_covering_exit_two(self, demo_doc, tmp_path,
+                                             capsys, monkeypatch, chart):
+        # refused before the pre-check: the demo has charts 0 to 24
+        import qgevrey.cli as cli
+        checks = []
+        monkeypatch.setattr(cli, "run_check",
+                            lambda *args: checks.append(args))
+        cfg = write_config(tmp_path, trimmed(demo_doc))
+        code = main(["solve", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out"),
+                     "--chart", chart, "--eps=-0.58249,0.70411",
+                     "--t", "0.7", "--z", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and checks == []
+        assert ("configuration error: --chart %s is not a chart index in "
+                "[0, 25)" % chart) in captured.err
+        assert "X(" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_solve_builds_one_transform_block(self, demo_doc, tmp_path,
+                                              monkeypatch):
+        # the value and the initial condition read one block, counted from
+        # the directions of the batch's windows
+        from qgevrey import solution
+        sizes = []
+        window = solution.truncation_window
+
+        def counted(lams, *args):
+            sizes.append(np.size(lams))
+            return window(lams, *args)
+
+        monkeypatch.setattr(solution, "truncation_window", counted)
+        cfg = write_config(tmp_path, trimmed(demo_doc))
+        assert main(["solve", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out"),
+                     "--chart", "20", "--eps=-0.58249,0.70411",
+                     "--t", "0.7", "--z", "0.3", "--force"]) == 0
+        assert sizes == [1]
 
     def test_domain_violation_named(self, demo_doc, tmp_path, capsys):
         cfg = write_config(tmp_path, trimmed(demo_doc))
@@ -843,6 +885,22 @@ class TestVerifyCommands:
                      "--out-dir", out2, "--seed", "7"]) == 0
         assert (tmp_path / "a" / "residual.csv").read_text() != \
             (tmp_path / "b" / "residual.csv").read_text()
+
+    def test_negative_seed_exit_two(self, demo_doc, tmp_path, capsys,
+                                    monkeypatch):
+        # refused before the pre-check: numpy's generators take no
+        # negative seed
+        import qgevrey.cli as cli
+        checks = []
+        monkeypatch.setattr(cli, "run_check",
+                            lambda *args: checks.append(args))
+        cfg = write_config(tmp_path, trimmed(demo_doc))
+        assert main(["verify", "residual", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --seed -1 must be nonnegative" in err
+        assert checks == [] and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDemoCommand:

@@ -490,15 +490,14 @@ class TestSweepCap:
         whole = demo_cfg.chart_solution(20)
         cap = (1 << 10) // (whole.beta_max + 1)
         sizes = record_sweep_calls(monkeypatch)
-        _transform_blocks([(whole, key) for key in keys])
+        wants = _transform_blocks([(whole, key) for key in keys])
         assert max(sizes) > cap
         sizes.clear()
         monkeypatch.setattr(qlaplace, "BLOCK", 1 << 8)
         split = demo_cfg.chart_solution(20)
-        _transform_blocks([(split, key) for key in keys])
+        gots = _transform_blocks([(split, key) for key in keys])
         assert max(sizes) <= cap
-        for key, want in whole._cache.items():
-            got = split._cache[key]
+        for got, want in zip(gots, wants):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_unsettled_block_stays_under_cap(self, demo_cfg, monkeypatch):

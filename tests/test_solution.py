@@ -16,7 +16,8 @@ from qgevrey.config import load_shipped_config
 from qgevrey.covering import overlap_point
 from qgevrey.problem import CauchyProblem, ProblemTerm
 from qgevrey.solution import _residual_keys, _solution_samples, \
-    check_point, eps_sequence, extract_from_samples, extraction_levels
+    _transform_blocks, check_point, eps_sequence, extract_from_samples, \
+    extraction_levels
 
 TIGHT = QuadSettings(abs_tol=1e-12, max_halvings=16)
 
@@ -50,7 +51,7 @@ class TestEvaluateSolution:
     def test_z_zero_is_order_zero_transform(self, demo, chart20, eps20):
         val = evaluate_solution(chart20, eps20, 0.7, 0.0)
         phi0 = initial_condition(chart20, 0, eps20, 0.7)
-        assert val.value == phi0  # same cached transform entry
+        assert val.value == phi0  # the same transform block
 
     def test_zero_data_gives_zero(self, demo, eps20):
         problem = demo.problem
@@ -93,10 +94,11 @@ class TestEvaluateSolution:
     @pytest.mark.parametrize("call", ["evaluate_solution",
                                       "equation_residual",
                                       "initial_condition"])
-    def test_off_spiral_eps_names_the_chart(self, demo, call):
+    def test_off_spiral_eps_names_the_chart(self, demo, monkeypatch, call):
         # the spiral test runs once, in the transform batch every caller
         # reads, before any block is computed
         sc = demo.chart_solution(20, quad=TIGHT)
+        calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
         fn = {"evaluate_solution": evaluate_solution,
               "equation_residual": equation_residual,
               "initial_condition": lambda sc, eps, t, z:
@@ -105,7 +107,7 @@ class TestEvaluateSolution:
             fn(sc, 0.9, 0.7, 0.3)
         assert err.value.membership == "discrete_spiral"
         assert "discrete spiral of chart 20" in str(err.value)
-        assert sc._cache == {}
+        assert calls == []
 
     def test_verify_residual_tests_each_chart_once(self, tmp_path,
                                                    monkeypatch):
@@ -264,11 +266,11 @@ class TestTransformBatch:
             batch = demo.chart_solution(idx, quad=quad)
             keys = [(mid_eps(demo, batch, level), t)
                     for level in (0, 2) for t in (0.7, 0.6 - 0.2j)]
-            _transform_blocks([(batch, key) for key in keys])
-            for eps, t in keys:
+            blocks = _transform_blocks([(batch, key) for key in keys])
+            assert blocks.shape == (len(keys), batch.beta_max + 1)
+            for (eps, t), got in zip(keys, blocks):
                 one = demo.chart_solution(idx, quad=quad)
                 want = _transform_block(one, eps, t)
-                got = batch._cache[complex(eps), complex(t)]
                 assert np.array_equal(got, want), (idx, eps, t)
 
     @pytest.mark.parametrize("abs_tol", [1e-8, 1e-12])
@@ -279,15 +281,15 @@ class TestTransformBatch:
         charts = [demo.chart_solution(idx, quad=quad) for idx in (20, 21, 0)]
         items = [(sc, (mid_eps(demo, sc, level), t)) for sc in charts
                  for level in (0, 2) for t in (0.7, 0.6 - 0.2j)]
-        _transform_blocks(items)
+        blocks = _transform_blocks(items)
         for sc in charts:
+            mine = [i for i, (owner, _) in enumerate(items) if owner is sc]
             one = demo.chart_solution(sc.chart_index, quad=quad)
-            _transform_blocks([(one, key) for owner, key in items
-                               if owner is sc])
-            assert len(one._cache) == 4
-            for key, want in one._cache.items():
-                assert np.array_equal(sc._cache[key], want), \
-                    (sc.chart_index, key)
+            wants = _transform_blocks([(one, items[i][1]) for i in mine])
+            assert len(wants) == 4
+            for i, want in zip(mine, wants):
+                assert np.array_equal(blocks[i], want), \
+                    (sc.chart_index, items[i][1])
 
     def test_split_and_mixed_halvings_equal_one_block_calls_bitwise(
             self, demo, monkeypatch):
@@ -315,18 +317,17 @@ class TestTransformBatch:
             return sweep(counted, blocks, *args)
 
         monkeypatch.setattr(qlaplace, "_sweep", recorded)
-        _transform_blocks([(batch, key) for key in keys])
+        blocks = _transform_blocks([(batch, key) for key in keys])
         cap = (1 << 10) // (batch.beta_max + 1)
         assert max(sizes) == cap
         # the coarse pass, then the halvings (a separate window probe
         # took one sweep more)
         assert sorted(set(sweeps.values())) == [3, 4, 5, 6]
         monkeypatch.setattr(qlaplace, "_sweep", sweep)
-        for eps, t in keys:
+        for (eps, t), got in zip(keys, blocks):
             one = demo.chart_solution(20, quad=quad, delta=0.02)
             want = _transform_block(one, eps, t)
-            assert np.array_equal(batch._cache[complex(eps), complex(t)],
-                                  want), (eps, t)
+            assert np.array_equal(got, want), (eps, t)
 
     def test_calls_shrinking_after_a_large_one_equal_one_block_calls_bitwise(
             self, demo, monkeypatch):
@@ -355,7 +356,7 @@ class TestTransformBatch:
             return sweep(counted, *args)
 
         monkeypatch.setattr(qlaplace, "_sweep", recorded)
-        _transform_blocks([(batch, key) for key in keys])
+        blocks = _transform_blocks([(batch, key) for key in keys])
         monkeypatch.setattr(qlaplace, "_sweep", sweep)
         shrunk = [i for i in range(1, len(sizes))
                   if sizes[i] < max(sizes[:i])]
@@ -363,11 +364,10 @@ class TestTransformBatch:
         for i in shrunk:
             grown = max(j for j in range(i) if sizes[j] == max(sizes[:i]))
             assert data[i] == data[grown]
-        for eps, t in keys:
+        for (eps, t), got in zip(keys, blocks):
             one = demo.chart_solution(20, quad=quad, delta=0.02)
             want = _transform_block(one, eps, t)
-            assert np.array_equal(batch._cache[complex(eps), complex(t)],
-                                  want), (eps, t)
+            assert np.array_equal(got, want), (eps, t)
 
     def test_batch_rejects_charts_that_differ(self, demo, monkeypatch):
         from qgevrey.solution import _transform_blocks
@@ -377,7 +377,25 @@ class TestTransformBatch:
         with pytest.raises(ValueError, match="charts 20 and 21 differ"):
             _transform_blocks([(sc20, (mid_eps(demo, sc20, 0), 0.7)),
                                (sc21, (mid_eps(demo, sc21, 0), 0.7))])
-        assert calls == [] and sc20._cache == {} == sc21._cache
+        assert calls == []
+
+    def test_repeated_key_computed_once(self, demo, monkeypatch):
+        # a key listed three times, once as a Python complex, and a second
+        # key twice: one batch of the two distinct blocks, and the rows of
+        # one key are equal, in item order
+        from qgevrey import solution
+        sc = demo.chart_solution(20, quad=TIGHT)
+        eps = mid_eps(demo, sc, 0)
+        keys = [(eps, 0.7), (eps, 0.6), (complex(eps), 0.7 + 0j), (eps, 0.6),
+                (eps, 0.7)]
+        windows = count_calls(monkeypatch, solution, "truncation_window")
+        blocks = _transform_blocks([(sc, key) for key in keys])
+        assert [np.size(lam) for lam, *_ in windows] == [2]
+        assert blocks.shape == (5, sc.beta_max + 1)
+        for i, j in ((0, 2), (0, 4), (1, 3)):
+            assert np.array_equal(blocks[i], blocks[j])
+        assert not np.array_equal(blocks[0], blocks[1])
+        assert np.array_equal(blocks[1], _transform_blocks([(sc, keys[1])])[0])
 
     def test_flatness_batch_integrand_calls_pinned(self, demo, monkeypatch):
         # both charts' 26 flatness blocks each (13 eps levels, 2 grid
@@ -390,6 +408,7 @@ class TestTransformBatch:
         # growth-certificate windows 33, stopping only on a change below
         # abs_tol 32, calls of at most BLOCK // 2 values 28, and a separate
         # window probe round 5.
+        from qgevrey import solution
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -397,9 +416,10 @@ class TestTransformBatch:
         sc2 = demo.chart_solution(cfg["pair"][1], quad=quad)
         eps0 = overlap_point(sc1.chart, sc2.chart, demo.base)
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
+        windows = count_calls(monkeypatch, solution, "truncation_window")
         flatness_fit(sc1, sc2, eps0, cfg["n_points"], cfg["grid"],
                      demo.gevrey)
-        assert len(sc1._cache) == len(sc2._cache) == 26
+        assert [np.size(lam) for lam, *_ in windows] == [2 * 26]
         columns = [np.size(tau) for ev, eps, tau, beta_max in calls]
         assert len(columns) == 4
         assert max(columns) * (sc1.beta_max + 1) <= 4 * BLOCK
@@ -428,14 +448,13 @@ class TestTransformBatch:
         assert "not negligible at the ends of its window [" in message
         assert err.value.block == 0
         assert err.value.last is None and err.value.previous is None
-        assert len(calls) == 1 + 2 * 11 and sc._cache == {}
+        assert len(calls) == 1 + 2 * 11
 
-    def test_failure_names_block_and_keeps_settled(self, demo):
+    def test_failure_names_block_and_its_levels(self, demo):
         # a small delta admits t close to the kernel's pole spiral, where
         # the trapezoid sums converge slowly: that block cannot settle in
         # 3 halvings, the ones at t = 0.7 and 0.6 do
         from qgevrey import ConvergenceError
-        from qgevrey.solution import _transform_block, _transform_blocks
         quad = QuadSettings(abs_tol=1e-10, max_halvings=3)
         sc = demo.chart_solution(20, quad=quad, delta=0.02)
         eps = mid_eps(demo, sc, 0)
@@ -450,12 +469,6 @@ class TestTransformBatch:
         assert "within 3 halvings" in message
         assert err.value.last is not None and err.value.previous is not None
         assert np.max(np.abs(err.value.last - err.value.previous)) >= 1e-10
-        assert set(sc._cache) == {(complex(eps), 0.7 + 0j),
-                                  (complex(eps), 0.6 + 0j)}
-        for t in (0.7, 0.6):
-            one = demo.chart_solution(20, quad=quad, delta=0.02)
-            assert np.array_equal(sc._cache[complex(eps), complex(t)],
-                                  _transform_block(one, eps, t))
 
     @pytest.mark.parametrize("bad", ["discrete_spiral", "theta_safe"])
     def test_bad_input_raises_before_any_integrand_call(self, demo, chart20,
@@ -476,7 +489,7 @@ class TestTransformBatch:
             _transform_blocks([(sc, key) for key in
                                [(eps20, 0.7), bad_key, (eps20, 0.6)]])
         assert err.value.membership == bad
-        assert calls == [] and sc._cache == {}
+        assert calls == []
 
     def test_first_unsafe_z_in_key_order_named(self, demo, chart20, eps20,
                                                monkeypatch):
@@ -495,7 +508,7 @@ class TestTransformBatch:
         assert err.value.membership == "theta_safe"
         z = complex(eps20) * complex(0.65 * unit)
         assert str(err.value).startswith("z = %s is not theta-safe" % z)
-        assert len(tests) == 1 and calls == [] and sc._cache == {}
+        assert len(tests) == 1 and calls == []
 
 
 class TestInitialCondition:
@@ -549,28 +562,28 @@ class TestEquationResidual:
         res = equation_residual(chart20, eps20, 0.9, 0.3)
         assert any("patch" in w for w in res.warnings)
 
-    def test_prefetch_covers_every_residual_block(self, demo, eps20,
+    def test_one_batch_reads_every_residual_block(self, demo, eps20,
                                                   monkeypatch):
+        # the demo's one term has m0 = 1: its dilated key q^1 t is the left
+        # side's q t, so each point reads two distinct blocks, all of them
+        # computed in one batch
         import qgevrey.solution as solution
         sc = demo.chart_solution(20, quad=TIGHT)
         points = [(eps20, 0.7), (eps20 / demo.base.q, 0.55), (eps20, 0.85)]
-        solution.prefetch_residuals([(sc, eps, t) for eps, t in points])
-        cached = len(sc._cache)
         windows = count_calls(monkeypatch, solution, "truncation_window")
-        for eps, t in points:
-            equation_residual(sc, eps, t, 0.3)
-        assert windows == [] and len(sc._cache) == cached
+        equation_residuals([(sc, eps, t, 0.3) for eps, t in points])
+        assert [np.size(lam) for lam, *_ in windows] == [2 * len(points)]
 
 
 def per_point_residual(sc, eps, t, z):
     """The residual of one point as scalar loops over the orders, from its
-    cached blocks: the per-point form the array sums replace."""
+    own batch of blocks: the per-point form the array sums replace."""
     q = sc.base.q
     S = sc.evaluator.problem.s_order
     n_z = sc.beta_max - S
     warns = list(check_point(sc, eps, t))
-    c_t, c_qt, *c_dils = [sc._cache[key]
-                          for key in _residual_keys(sc, eps, t)]
+    c_t, c_qt, *c_dils = _transform_blocks(
+        [(sc, key) for key in _residual_keys(sc, eps, t)])
     if sc.t_set is not None and abs(q * t) > sc.t_set.mod[1]:
         warns.append("q*t leaves the validated evaluation patch")
     lhs = 0j
@@ -690,12 +703,14 @@ class TestSeriesValues:
         grid = [(complex(t), complex(z))
                 for t in (0.45, 0.6, 0.75, 0.9, 0.62 + 0.003j)
                 for z in (0.3, -0.45j)]
-        values = _solution_samples(chart20, eps_values, grid)
-        assert values.shape == (10, 10)
-        for i, eps in enumerate(eps_values):
-            for g, (t, z) in enumerate(grid):
-                alone = evaluate_solution(chart20, eps, t, z).value
-                assert bits(alone) == bits(complex(values[i, g]))
+        chart21 = demo.chart_solution(21, quad=TIGHT)
+        values = _solution_samples((chart20, chart21), eps_values, grid)
+        assert values.shape == (2, 10, 10)
+        for c, sc in enumerate((chart20, chart21)):
+            for i, eps in enumerate(eps_values):
+                for g, (t, z) in enumerate(grid):
+                    alone = evaluate_solution(sc, eps, t, z).value
+                    assert bits(alone) == bits(complex(values[c, i, g]))
 
 
 class TestCommutationAtSolutionLevel:
@@ -868,7 +883,7 @@ class TestExtraction:
         assert len(series.eps_values) == series.samples.shape[0] == 22
         eps_values = eps_sequence(eps20, demo.base.q, 31)
         full = extract_from_samples(
-            _solution_samples(chart20, eps_values, grid), eps_values,
+            _solution_samples((chart20,), eps_values, grid)[0], eps_values,
             demo.base.q, 3, 0.05, grid=grid, depth_override=schedule)
         assert all(np.array_equal(a, b)
                    for a, b in zip(series.coeffs, full.coeffs))
