@@ -16,11 +16,11 @@ from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
 from .covering import (AssociatedFamily, GoodCovering, build_covering,
                        covering_report, overlap_point, pick_lambda,
                        validate_family)
-from .solution import (AsymptoticSeries, FlatnessFit, GevreyFit, SolutionChart,
+from .solution import (AsymptoticSeries, FlatnessFit, SolutionChart,
                        equation_residual, equation_residuals,
                        evaluate_solution,
                        extract_coefficients, fit_log_decay, flatness_fit,
-                       flatness_from_null_expansion, gevrey_fit,
+                       flatness_from_null_expansion,
                        initial_condition, null_expansion_envelope,
                        transform_decay_fit, young_conjugate)
 

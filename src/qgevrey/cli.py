@@ -147,6 +147,12 @@ def cmd_solve(args) -> int:
     if not 0 <= args.chart < n_charts:
         raise ConfigError("--chart %d is not a chart index in [0, %d)"
                           % (args.chart, n_charts))
+    # the series sums z^beta / beta!, beta <= beta_max, and its tail
+    # estimate |z|^(beta_max + 1): beyond e^700 they are no doubles
+    if abs(z) > 1.0 and (cfg.beta_max + 1) * math.log(abs(z)) > 700.0:
+        raise ConfigError("--z %s is too large for beta_max = %d: |z|^%d "
+                          "exceeds e^700, near the largest double"
+                          % (args.z, cfg.beta_max, cfg.beta_max + 1))
     if not args.force:
         pre = Report(command="check", config=report.config, seed=None)
         run_check(cfg, pre)
@@ -304,17 +310,6 @@ def _verify_asympt(cfg: RunConfig, seed: int, report: Report,
                "pass" if worst_rel <= rel_match else "fail",
                "config.sampling.asympt.rel_match",
                worst_rel=worst_rel, rel_match=rel_match)
-    if len(series1.coeffs) < sol.GEVREY_FIT_ORDERS:
-        report.add("gevrey_type", "fail", "least squares on remainder growth",
-                   note="the type fit needs %d extracted orders, got %d"
-                   % (sol.GEVREY_FIT_ORDERS, len(series1.coeffs)))
-        return
-    gf = sol.gevrey_fit(series1, cfg.base)
-    report.add("gevrey_type",
-               "pass" if (gf.degenerate or gf.b_type > 0) else "warn",
-               "least squares on remainder growth",
-               b_type=gf.b_type, c1=gf.c1, h=gf.h, r2=gf.r2,
-               degenerate=gf.degenerate)
 
 
 def _theta_direct(x: np.ndarray, base: qg.QBase) -> np.ndarray:

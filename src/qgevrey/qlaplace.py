@@ -13,10 +13,12 @@ negligible far enough out on both sides, which is all the window needs.
 Nothing here takes ``mbar`` as an input.  Beyond that limit the integrand
 is not negligible at any window's ends (or not finite there), and
 :func:`path_integral` raises :class:`ConvergenceError` before any
-halving.  One core serves array functions ``F`` here
+halving.  One driver, :func:`transform`, runs every transform: it tests
+theta-safety and builds the prefactor, the kernel and the integrand
+buffer for any numerator rows, those of array functions ``F`` here
 (:func:`q_laplace_batch`, several rows on several blocks, and
 :func:`q_laplace`, its one-block, one-row call) and the all-orders blocks
-in :mod:`qgevrey.solution`.  :func:`truncation_window` starts all of a
+of :mod:`qgevrey.solution`.  :func:`truncation_window` starts all of a
 batch's windows from the kernel's own Gaussian in one array expression;
 :func:`path_integral` pads them by :data:`S_PAD`, its coarse pass widens a
 window, evaluating only the new cells, until the integrand is negligible
@@ -94,13 +96,6 @@ def truncation_window(lam, z, base: QBase, tol: float):
         u += 0.5  # swallow the fixed-point slack
     x_c = np.log(np.abs(z)) - np.log(np.abs(lam))
     return (x_c - u) / L, (x_c + u) / L
-
-
-def theta_unsafe(z, lam, delta: float) -> DomainError:
-    """The :class:`DomainError` for a ``z`` that is not theta-safe for
-    ``(lam, delta)``."""
-    return DomainError("z = %s is not theta-safe for direction %s at delta "
-                       "= %g" % (z, lam, delta), membership="theta_safe")
 
 
 def _sweep(rows, blocks, start, step, count, n_rows: int):
@@ -340,36 +335,76 @@ def kernel(base: QBase, lams, zs):
     return kern
 
 
+def transform(numerator, lams, zs, deltas, base: QBase,
+              settings: QuadSettings, tol: float, n_rows: int) -> np.ndarray:
+    """Transforms of the ``n_rows`` rows of ``numerator``, one block per
+    direction ``lams[b]`` and point ``zs[b]``, as an ``(n_blocks, n_rows)``
+    array: one :func:`path_integral` batch at ``tol``, in which a block's
+    rows share nodes and settle together.  ``numerator(tau, block, out)``
+    writes the rows at path points ``tau`` of blocks ``block`` into the
+    ``(n_rows, points)`` array ``out`` and returns it.  A ``z`` not
+    theta-safe for its ``(lam, delta)`` (``deltas`` one per block or one
+    for all, one :func:`in_theta_safe` call per distinct delta) raises
+    :class:`DomainError` for the first one before any integration.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    zs = np.asarray(zs, dtype=complex)
+    deltas = np.broadcast_to(deltas, zs.shape)
+    safe = np.empty(zs.size, dtype=bool)
+    for delta in dict.fromkeys(deltas.tolist()):
+        mine = deltas == delta
+        safe[mine] = in_theta_safe(zs[mine], lams[mine], base, delta)
+    if not safe.all():
+        i = int(np.argmin(safe))
+        raise DomainError("z = %s is not theta-safe for direction %s at "
+                          "delta = %g" % (zs[i], lams[i], deltas[i]),
+                          membership="theta_safe")
+    pref = base.log_q / pi_q(base)
+    kern = kernel(base, lams, zs)
+    # one buffer per batch, grown to the largest call: values never
+    # outlive their call, and a fresh 2 MiB array per call is mapped and
+    # page-faulted anew.  Powers of two allocate the 2 MiB cap only once
+    buf = np.empty(0, dtype=complex)
+
+    def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
+        nonlocal buf
+        size = n_rows * s.size
+        if buf.size < size:
+            buf = np.empty(1 << (size - 1).bit_length(), dtype=complex)
+        out = numerator(qpow(base, s) * lams[block], block,
+                        buf[:size].reshape(n_rows, s.size))
+        # pref * numerator * kern in place: complex products are not
+        # bitwise commutative (fused multiply-add), so pref stays left
+        np.multiply(pref, out, out=out)
+        # far out on a window inf times 0 gives NaN, which path_integral
+        # reports as a non-finite end value: numpy need not warn too
+        with np.errstate(invalid="ignore"):
+            out *= kern(s, block)
+        return out
+
+    out = np.empty((lams.size, n_rows), dtype=complex)
+    for i, value in path_integral(
+            rows, truncation_window(lams, zs, base, tol), settings, tol,
+            n_rows):
+        out[i] = value
+    return out
+
+
 def q_laplace_batch(F, lams, zs, base: QBase,
                     settings: QuadSettings = QuadSettings(),
                     n_rows: int = 1) -> np.ndarray:
     """Transforms of the ``n_rows`` rows of ``F(x, block)``, an ``(n_rows,
     points)`` array at path points ``x`` of blocks ``block``, one block per
     direction ``lams[b]`` and point ``zs[b]``, as an ``(n_blocks,
-    n_rows)`` array: one :func:`path_integral` batch at ``tol = abs_tol``,
-    in which a block's rows share nodes and settle together.  A ``z`` not
-    theta-safe for its ``(lam, 0.05)`` raises :class:`DomainError` for the
-    first one before any integration.
+    n_rows)`` array: :func:`transform` at ``tol = abs_tol``, every ``z``
+    tested for theta-safety at ``delta = 0.05``.
     """
-    lams = np.asarray(lams, dtype=complex)
-    zs = np.asarray(zs, dtype=complex)
-    safe = in_theta_safe(zs, lams, base, 0.05)
-    if not safe.all():
-        i = int(np.argmin(safe))
-        raise theta_unsafe(zs[i], lams[i], 0.05)
-    pref = base.log_q / pi_q(base)
-    kern = kernel(base, lams, zs)
+    def numerator(x, block, out):
+        out[...] = F(x, block)
+        return out
 
-    def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
-        num = np.asarray(F(qpow(base, s) * lams[block], block), dtype=complex)
-        return pref * num * kern(s, block)
-
-    out = np.empty((lams.size, n_rows), dtype=complex)
-    for i, value in path_integral(
-            rows, truncation_window(lams, zs, base, settings.abs_tol),
-            settings, settings.abs_tol, n_rows):
-        out[i] = value
-    return out
+    return transform(numerator, lams, zs, 0.05, base, settings,
+                     settings.abs_tol, n_rows)
 
 
 def q_laplace(F, lam: complex, z: complex, base: QBase,

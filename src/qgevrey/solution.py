@@ -9,14 +9,14 @@ where ``T_beta`` is the transform of ``tau -> W_beta(eps, tau)`` along the
 chart direction.  All orders at one ``(eps, t)`` pair share one quadrature
 grid, a transform block.  Each diagnostic requests all the blocks it
 needs, on all its charts, in one call, which computes each distinct pair
-once, as one batch, and returns the blocks in request order: every coarse
-round and halving level of the path quadrature evaluates the
-nodes of all blocks still open in as few integrand calls as fit one memory
-cap, while each block keeps its own direction, window, halvings and
-stopping test.  A batch is set up as arrays: its windows in one
-expression, its eps grouped by chart in one pass, the recursion's eps
-factors once per eps, and a kernel that sums the theta series once per
-block and residue of the dyadic s-lattice.
+once, as one :func:`qgevrey.qlaplace.transform` batch, and returns the
+blocks in request order: every coarse round and halving level of the
+path quadrature evaluates the nodes of all blocks still open in as few
+integrand calls as fit one memory cap, while each block keeps its own
+direction, window, halvings and stopping test.  What this module adds to
+the transform is what is specific to solution blocks: the spiral test of
+each chart's eps, the recursion's eps factors once per eps, and a
+numerator that writes the coefficient table into the transform's buffer.
 
 Quantitative experiments built on top, each an array program over all
 its points: the series of all points are summed as one ``(points,
@@ -28,10 +28,9 @@ points around it.
   truncated series coefficients;
 * ``flatness_fit`` - decay of sup-differences of two chart solutions
   against log^2|eps| along a q-geometric sequence;
-* ``extract_coefficients`` / ``gevrey_fit`` - stabilized limits of
-  successive-subtraction quotients along the same sequence (with a depth
-  schedule, on the levels it reads only), and the remainder-growth fit
-  estimating the expansion type;
+* ``extract_coefficients`` - stabilized limits of successive-subtraction
+  quotients along the same sequence (with a depth schedule, on the levels
+  it reads only);
 * ``young_conjugate`` / ``flatness_from_null_expansion`` - the closed
   forms tying weight functions to flatness exponents.
 """
@@ -47,11 +46,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .problem import CoefficientEvaluator, EpsFactors, GevreyParams
-from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral, \
-    in_theta_safe, qpow
-from .qlaplace import QuadSettings, kernel, path_integral, theta_unsafe, \
-    truncation_window
-from .theta import log_theta, pi_q  # noqa: F401 (perfbench traces it here)
+from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral
+from .qlaplace import QuadSettings, transform
+from .theta import log_theta  # noqa: F401 (perfbench traces it here)
 
 
 @dataclass
@@ -105,22 +102,22 @@ def _transform_blocks(items) -> np.ndarray:
 
     A block holds all transforms T_beta(eps, eps t), beta <= beta_max, on
     shared nodes: one path integral whose rows are the orders.  The
-    distinct items, from any number of charts, form one batch of
-    :func:`qgevrey.qlaplace.path_integral` at ``tol = 0.01 abs_tol``, in
-    which each block keeps its own direction, window, halvings and
+    distinct items, from any number of charts, form one
+    :func:`qgevrey.qlaplace.transform` batch at ``tol = 0.01 abs_tol``,
+    in which each block keeps its own direction, window, halvings and
     stopping test.  The charts must share problem, initial data, base,
     ``beta_max`` and ``quad`` (else ``ValueError``).  Before any integrand
     call every eps is tested against its chart's discrete spiral, one
-    array call per chart, and then every ``z = eps t`` for theta-safety,
-    one array call per distinct ``delta``; each error names the first
-    failing key of the first failing chart.  The batch builds the
-    :class:`EpsFactors` of its distinct eps once and one
-    :func:`qgevrey.qlaplace.kernel` for its ``(lam, z)``; each ``z`` is a
-    Python scalar product, as a one-pair call computes it, so a block's
-    values do not depend on the batch around it.  A block whose window the
-    coarse pass cannot close, or that does not settle, raises
-    :class:`ConvergenceError` naming its chart and key.  An item listed
-    more than once is computed once, and its rows are equal.
+    array call per chart, naming the first failing eps of the first
+    failing chart; then the transform tests every ``z = eps t`` for
+    theta-safety at its chart's ``delta`` and names the first unsafe key
+    in item order.  The batch builds the :class:`EpsFactors` of its
+    distinct eps once; each ``z`` is a Python scalar product, as a
+    one-pair call computes it, so a block's values do not depend on the
+    batch around it.  A block whose window the coarse pass cannot close,
+    or that does not settle, raises :class:`ConvergenceError` naming its
+    chart and key.  An item listed more than once is computed once, and
+    its rows are equal.
     """
     rows_of, new, charts = {}, [], {}  # charts: each chart and its eps
     index = []  # per item, its row of new
@@ -138,57 +135,21 @@ def _transform_blocks(items) -> np.ndarray:
                              "data, base, beta_max or quad"
                              % (first.chart_index, sc.chart_index))
         _require_on_spiral(sc, eps)
-    base, quad, n_rows = first.base, first.quad, first.beta_max + 1
-    zs = np.array([e * t for _, (e, t) in new])
-    lams = np.array([sc.lam for sc, _ in new])
-    deltas = np.array([sc.delta for sc, _ in new])
-    safe = np.empty(len(new), dtype=bool)
-    for delta in dict.fromkeys(deltas.tolist()):
-        mine = deltas == delta
-        safe[mine] = in_theta_safe(zs[mine], lams[mine], base, delta)
-    if not safe.all():
-        bad = [(sc, z) for (sc, _), z, ok in zip(new, zs, safe) if not ok]
-        sc, z = next(p for c, _ in charts.values() for p in bad if p[0] is c)
-        raise theta_unsafe(z, sc.lam, sc.delta)
-    pref = base.log_q / pi_q(base)
-    kern = kernel(base, lams, zs)
     eps_index = {e: i for i, e in
                  enumerate(dict.fromkeys(key[0] for _, key in new))}
     factors = EpsFactors(first.evaluator.initial,
                          first.evaluator.problem.terms, list(eps_index))
     eps_of = np.array([eps_index[key[0]] for _, key in new])
-    # one buffer per batch, grown to the largest call: values never
-    # outlive their call, and a fresh 2 MiB array per call is mapped and
-    # page-faulted anew.  It grows in powers of two, so the 2 MiB cap is
-    # allocated once (the last call's values, in the old buffer, are
-    # still referenced while the new one is made)
-    buf = np.empty(0, dtype=complex)
 
-    def rows(s: np.ndarray, block: np.ndarray) -> np.ndarray:
-        nonlocal buf
-        if buf.size < n_rows * s.size:
-            buf = np.empty(1 << (n_rows * s.size - 1).bit_length(),
-                           dtype=complex)
-        tau = qpow(base, s) * lams[block]
-        # pref * table * kern in place: complex products are not
-        # bitwise commutative (fused multiply-add), so pref stays left
-        out = first.evaluator.table(
-            factors.at(eps_of[block]), tau, first.beta_max,
-            out=buf[:n_rows * s.size].reshape(n_rows, s.size))
-        np.multiply(pref, out, out=out)
-        # far out on a window inf times 0 gives NaN, which path_integral
-        # reports as a non-finite end value: numpy need not warn too
-        with np.errstate(invalid="ignore"):
-            out *= kern(s, block)
-        return out
+    def numerator(tau, block, out):
+        return first.evaluator.table(factors.at(eps_of[block]), tau,
+                                     first.beta_max, out=out)
 
-    tol = 0.01 * quad.abs_tol
-    out = np.empty((len(new), n_rows), dtype=complex)
     try:
-        for i, value in path_integral(
-                rows, truncation_window(lams, zs, base, tol), quad, tol,
-                n_rows):
-            out[i] = value
+        out = transform(numerator, [sc.lam for sc, _ in new],
+                        [e * t for _, (e, t) in new],
+                        [sc.delta for sc, _ in new], first.base, first.quad,
+                        0.01 * first.quad.abs_tol, first.beta_max + 1)
     except ConvergenceError as exc:
         sc, (eps, t) = new[exc.block]
         raise ConvergenceError(
@@ -249,12 +210,19 @@ BETA_MAX_LIMIT = 169
 
 
 def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:
+    """``2 |T_b1| |z|^b1 / b1!``, ``b1 = beta_max + 1``, with ``|T_b1|``
+    from the decay fit: in logs where ``|z|^b1`` is no double, and ``inf``
+    where the estimate is none either."""
     slope, intercept = _decay_fit(np.abs(coeffs))
     if not math.isfinite(intercept):
         return 0.0
     b1 = len(coeffs)
-    term = math.exp(min(slope * b1 * b1 + intercept, 700.0))
-    return 2.0 * term * abs(z) ** b1 / math.factorial(b1)
+    log_term = min(slope * b1 * b1 + intercept, 700.0)
+    if abs(z) > 1.0 and b1 * math.log(abs(z)) > 700.0:
+        log_tail = (math.log(2.0) + log_term + b1 * math.log(abs(z))
+                    - math.lgamma(b1 + 1))
+        return math.exp(log_tail) if log_tail < 709.0 else math.inf
+    return 2.0 * math.exp(log_term) * abs(z) ** b1 / math.factorial(b1)
 
 
 def check_point(sc: SolutionChart, eps: complex, t: complex) -> list[str]:
@@ -489,7 +457,7 @@ def fit_log_decay(log2_eps, d_values) -> tuple[float, float, float, int]:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic coefficient extraction and type fit
+# asymptotic coefficient extraction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -598,73 +566,6 @@ def extract_from_samples(samples: np.ndarray, eps_values, q: complex,
                             depths=tuple(depths),
                             eps_values=tuple(eps_values), samples=samples,
                             grid=tuple(grid))
-
-
-#: Fewest extracted orders :func:`gevrey_fit` takes: it fits three
-#: parameters to one remainder per order.
-GEVREY_FIT_ORDERS = 3
-
-
-@dataclass(frozen=True)
-class GevreyFit:
-    c1: float
-    h: float
-    b_type: float
-    r2: float
-    degenerate: bool
-    remainders: tuple[float, ...]
-
-
-def gevrey_fit(series: AsymptoticSeries, base: QBase) -> GevreyFit:
-    """Estimate the expansion type from normalized remainder growth.
-
-    For each truncation order N the remainder sup over the stored samples,
-    normalized by ``|eps|^{N+1} / (N+1)!``, is regressed (log scale)
-    against (N, N^2); the N^2 coefficient equals ``log|q| * type / 2``.
-    Remainders at the numeric floor flag the fit degenerate (the input was
-    an exact polynomial).
-    """
-    n_orders = len(series.coeffs)
-    if n_orders < GEVREY_FIT_ORDERS:
-        raise ValueError("need at least %d extracted orders"
-                         % GEVREY_FIT_ORDERS)
-    L = base.log_abs_q
-    remainders = []
-    for N in range(n_orders):
-        # restrict the sup to the range where the genuine order-(N+1) term
-        # dominates the extraction error of the subtracted coefficients:
-        # past the next order's own stabilization depth, the normalized
-        # remainder is pure amplified noise
-        n_cap = series.depths[N + 1] if N + 1 < n_orders else series.depths[N]
-        worst = 0.0
-        for i, eps in enumerate(series.eps_values[:n_cap + 1]):
-            partial = np.zeros_like(series.samples[i], dtype=complex)
-            for p in range(N + 1):
-                partial += series.coeffs[p] * eps**p / math.factorial(p)
-            rem = np.max(np.abs(series.samples[i] - partial))
-            worst = max(worst, float(rem) * math.factorial(N + 1)
-                        / abs(eps) ** (N + 1))
-        remainders.append(worst)
-    rema = np.array(remainders)
-    # a drop of many orders past some degree signals an exact polynomial:
-    # the surviving "remainders" are extraction noise, not genuine tails
-    degenerate = bool(np.any(rema < NUMERIC_FLOOR)
-                      or rema.min() < 1e-6 * rema.max())
-    usable = rema > max(NUMERIC_FLOOR, 1e-6 * float(rema.max()))
-    if usable.sum() < 3:
-        return GevreyFit(c1=0.0, h=0.0, b_type=0.0, r2=0.0, degenerate=True,
-                         remainders=tuple(remainders))
-    nn = np.arange(n_orders, dtype=float)[usable]
-    y = np.log(rema[usable])
-    A = np.vstack([np.ones(len(nn)), nn, nn**2]).T
-    sol, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(np.sum((y - A @ sol) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return GevreyFit(c1=float(math.exp(min(sol[0], 700.0))),
-                     h=float(math.exp(min(sol[1], 700.0))),
-                     b_type=float(2.0 * sol[2] / L), r2=r2,
-                     degenerate=degenerate, remainders=tuple(remainders))
 
 
 # ---------------------------------------------------------------------------

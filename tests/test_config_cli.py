@@ -509,21 +509,38 @@ class TestSolveCommand:
                                               monkeypatch):
         # the value and the initial condition read one block, counted from
         # the directions of the batch's windows
-        from qgevrey import solution
+        from qgevrey import qlaplace
         sizes = []
-        window = solution.truncation_window
+        window = qlaplace.truncation_window
 
         def counted(lams, *args):
             sizes.append(np.size(lams))
             return window(lams, *args)
 
-        monkeypatch.setattr(solution, "truncation_window", counted)
+        monkeypatch.setattr(qlaplace, "truncation_window", counted)
         cfg = write_config(tmp_path, trimmed(demo_doc))
         assert main(["solve", "--config", cfg,
                      "--out-dir", str(tmp_path / "out"),
                      "--chart", "20", "--eps=-0.58249,0.70411",
                      "--t", "0.7", "--z", "0.3", "--force"]) == 0
         assert sizes == [1]
+
+    @pytest.mark.parametrize("z", ["1e30", "1e300", "0,1e12"])
+    def test_z_beyond_double_range_exit_two(self, demo_doc, tmp_path,
+                                            capsys, z):
+        # |z|^26 would overflow in the series and its tail estimate: the
+        # --z is refused before anything is computed, with no traceback
+        cfg = write_config(tmp_path, trimmed(demo_doc))
+        code = main(["solve", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out"),
+                     "--chart", "20", "--eps=-0.58249,0.70411",
+                     "--t", "0.7", "--z=" + z, "--force"])
+        captured = capsys.readouterr()
+        assert code == 2 and "Traceback" not in captured.err
+        assert ("configuration error: --z %s is too large for beta_max = 25"
+                % z) in captured.err
+        assert "X(" not in captured.out
+        assert not (tmp_path / "out").exists()
 
     def test_domain_violation_named(self, demo_doc, tmp_path, capsys):
         cfg = write_config(tmp_path, trimmed(demo_doc))
@@ -604,8 +621,8 @@ class TestVerifyCommands:
 
     def test_asympt_too_few_orders_for_the_type_fit(self, demo_doc, tmp_path,
                                                     capsys):
-        # an extraction that stops before order 2 leaves the type fit too
-        # few orders: a failed row with a note and a report, no traceback
+        # an extraction that stops before order 2 fails asympt_orders, with
+        # a report and no traceback; the report has no type-fit row
         doc = trimmed(demo_doc)
         doc["sampling"]["asympt"].update(depths=[], tol=1e-5)
         cfg = write_config(tmp_path, doc)
@@ -617,8 +634,7 @@ class TestVerifyCommands:
         rows = {c["name"]: c for c in report["checks"]}
         assert rows["asympt_orders"]["status"] == "fail"
         assert rows["asympt_orders"]["extracted"] < 2
-        assert rows["gevrey_type"]["status"] == "fail"
-        assert "needs 3 extracted orders" in rows["gevrey_type"]["note"]
+        assert list(rows) == ["asympt_orders", "asympt_agreement"]
 
     def test_properties_mode(self, demo_doc, tmp_path):
         cfg = write_config(tmp_path, trimmed(demo_doc))

@@ -9,7 +9,7 @@ from qgevrey import (CoefficientEvaluator, DomainError,
                      InitialData, InitialTerm, QBase, QuadSettings,
                      equation_residual, equation_residuals, evaluate_solution,
                      extract_coefficients, fit_log_decay, flatness_fit,
-                     flatness_from_null_expansion, gevrey_fit,
+                     flatness_from_null_expansion,
                      initial_condition, log_theta, null_expansion_envelope,
                      pi_q, qpow, transform_decay_fit, young_conjugate)
 from qgevrey.config import load_shipped_config
@@ -208,6 +208,7 @@ class TestTransformBlockOracle:
         # below abs_tol took a third halving (152 nodes; its change is
         # 5.5e-14).  The growth-certificate windows took a coarse grid of
         # 62.
+        import qgevrey.qlaplace as qlaplace
         import qgevrey.solution as solution
         columns = []
 
@@ -219,8 +220,8 @@ class TestTransformBlockOracle:
                 return fn(counted, *args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(solution, "path_integral",
-                            counting(solution.path_integral))
+        monkeypatch.setattr(qlaplace, "path_integral",
+                            counting(qlaplace.path_integral))
         sc = demo.chart_solution(20, quad=QuadSettings(abs_tol=1e-8))
         solution._transform_block(sc, eps20, 0.7)
         assert columns == [57, 38, 76]
@@ -383,12 +384,12 @@ class TestTransformBatch:
         # a key listed three times, once as a Python complex, and a second
         # key twice: one batch of the two distinct blocks, and the rows of
         # one key are equal, in item order
-        from qgevrey import solution
+        from qgevrey import qlaplace
         sc = demo.chart_solution(20, quad=TIGHT)
         eps = mid_eps(demo, sc, 0)
         keys = [(eps, 0.7), (eps, 0.6), (complex(eps), 0.7 + 0j), (eps, 0.6),
                 (eps, 0.7)]
-        windows = count_calls(monkeypatch, solution, "truncation_window")
+        windows = count_calls(monkeypatch, qlaplace, "truncation_window")
         blocks = _transform_blocks([(sc, key) for key in keys])
         assert [np.size(lam) for lam, *_ in windows] == [2]
         assert blocks.shape == (5, sc.beta_max + 1)
@@ -408,7 +409,7 @@ class TestTransformBatch:
         # growth-certificate windows 33, stopping only on a change below
         # abs_tol 32, calls of at most BLOCK // 2 values 28, and a separate
         # window probe round 5.
-        from qgevrey import solution
+        from qgevrey import qlaplace
         from qgevrey.qgeometry import BLOCK
         cfg = demo.sampling["flatness"]
         quad = QuadSettings(abs_tol=cfg["abs_tol"], max_halvings=16)
@@ -416,7 +417,7 @@ class TestTransformBatch:
         sc2 = demo.chart_solution(cfg["pair"][1], quad=quad)
         eps0 = overlap_point(sc1.chart, sc2.chart, demo.base)
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
-        windows = count_calls(monkeypatch, solution, "truncation_window")
+        windows = count_calls(monkeypatch, qlaplace, "truncation_window")
         flatness_fit(sc1, sc2, eps0, cfg["n_points"], cfg["grid"],
                      demo.gevrey)
         assert [np.size(lam) for lam, *_ in windows] == [2 * 26]
@@ -495,12 +496,12 @@ class TestTransformBatch:
                                                monkeypatch):
         # two unsafe z behind a safe key: one array test raises for the
         # first of them in key order, before any integrand call
-        from qgevrey import solution
+        from qgevrey import qlaplace
         from qgevrey.solution import _transform_blocks
         unit = -chart20.lam / abs(chart20.lam) / (eps20 / abs(eps20))
         keys = [(eps20, 0.7), (eps20, 0.65 * unit), (eps20, 0.6),
                 (eps20, 0.7 * unit)]
-        tests = count_calls(monkeypatch, solution, "in_theta_safe")
+        tests = count_calls(monkeypatch, qlaplace, "in_theta_safe")
         calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
         sc = demo.chart_solution(20, quad=TIGHT)
         with pytest.raises(DomainError) as err:
@@ -509,6 +510,27 @@ class TestTransformBatch:
         z = complex(eps20) * complex(0.65 * unit)
         assert str(err.value).startswith("z = %s is not theta-safe" % z)
         assert len(tests) == 1 and calls == []
+
+    def test_first_unsafe_key_in_item_order_across_charts(self, demo, eps20,
+                                                          monkeypatch):
+        # chart 20's unsafe key comes after chart 21's in item order: the
+        # error names chart 21's z, although chart 20 comes first
+        from qgevrey.solution import _transform_blocks
+        c20, c21 = (demo.chart_solution(i, quad=TIGHT) for i in (20, 21))
+
+        def unsafe_t(sc, r):
+            return -r * sc.lam / abs(sc.lam) / (eps20 / abs(eps20))
+
+        items = [(c20, (eps20, 0.7)), (c21, (eps20, unsafe_t(c21, 0.65))),
+                 (c20, (eps20, unsafe_t(c20, 0.7)))]
+        calls = count_calls(monkeypatch, CoefficientEvaluator, "table")
+        with pytest.raises(DomainError) as err:
+            _transform_blocks(items)
+        assert err.value.membership == "theta_safe"
+        z = complex(eps20) * complex(unsafe_t(c21, 0.65))
+        assert str(err.value).startswith("z = %s is not theta-safe for "
+                                         "direction %s" % (z, c21.lam))
+        assert calls == []
 
 
 class TestInitialCondition:
@@ -567,10 +589,10 @@ class TestEquationResidual:
         # the demo's one term has m0 = 1: its dilated key q^1 t is the left
         # side's q t, so each point reads two distinct blocks, all of them
         # computed in one batch
-        import qgevrey.solution as solution
+        import qgevrey.qlaplace as qlaplace
         sc = demo.chart_solution(20, quad=TIGHT)
         points = [(eps20, 0.7), (eps20 / demo.base.q, 0.55), (eps20, 0.85)]
-        windows = count_calls(monkeypatch, solution, "truncation_window")
+        windows = count_calls(monkeypatch, qlaplace, "truncation_window")
         equation_residuals([(sc, eps, t, 0.3) for eps, t in points])
         assert [np.size(lam) for lam, *_ in windows] == [2 * len(points)]
 
@@ -754,6 +776,20 @@ class TestDecayFit:
             assert abs(slope / want[0] - 1.0) <= 1e-12
             assert abs(intercept / want[1] - 1.0) <= 1e-12
 
+    def test_tail_estimate_in_logs_beyond_double_powers(self):
+        # |z|^26 is no double from |z| ~ 5e11: the estimate is then summed
+        # in logs, continuous across the switch, and inf only where it is
+        # no double itself, never an OverflowError
+        from qgevrey.solution import _tail_estimate
+        coeffs = np.exp(-0.3 * np.arange(26.0) ** 2)
+        z_switch = math.exp(700.0 / 26)
+        below, above = (_tail_estimate(coeffs, f * z_switch)
+                        for f in (1.0 - 1e-9, 1.0 + 1e-9))
+        assert math.isfinite(above) and abs(above / below - 1.0) < 1e-6
+        assert _tail_estimate(coeffs, 1e30) == math.inf
+        assert _tail_estimate(coeffs, 1e300j) == math.inf
+        assert _tail_estimate(coeffs, 0.0) == 0.0
+
 
 class TestFlatness:
     def test_identical_charts_degenerate(self, demo, chart20, eps20):
@@ -892,45 +928,6 @@ class TestExtraction:
     def test_depth_cap(self, demo, chart20, eps20):
         with pytest.raises(ValueError):
             extract_coefficients(chart20, eps20, 5, 1e-3, [(0.7, 0.3)])
-
-
-class TestGevreyFit:
-    def test_exact_polynomial_degenerate(self):
-        q = 2.0
-        eps = [0.8 * q ** (-n) for n in range(21)]
-        samples = np.array([[1.0 + 2.0 * e + 3.0 * e * e] for e in eps])
-        s = extract_from_samples(samples, eps, q, 3, 1e-9)
-        fit = gevrey_fit(s, QBase(q))
-        assert fit.degenerate
-
-    def test_synthetic_type_recovered(self):
-        # synthetic generator with exactly type-B remainder growth: the
-        # remainder-bound family carries eps^{N+1}/(N+1)!, so the matching
-        # coefficient family is q^{B k^2/2} eps^k / k!; the generator
-        # supplies the function samples and its exact truncations
-        q, B, K = 2.0, 1.4, 9
-        coef = [q ** (B * k * k / 2.0) / math.factorial(k)
-                for k in range(K + 1)]
-        eps = [5e-3 * q ** (-n) for n in range(12)]
-        samples = np.array([[sum(c * e**k for k, c in enumerate(coef))]
-                            for e in eps])
-        from qgevrey import AsymptoticSeries
-        series = AsymptoticSeries(
-            coeffs=tuple(np.array([math.factorial(k) * coef[k]],
-                                  dtype=complex) for k in range(5)),
-            stab=(0.0,) * 5, depths=(11,) * 5,
-            eps_values=tuple(eps), samples=samples, grid=((0.0, 0.0),))
-        fit = gevrey_fit(series, QBase(q))
-        assert not fit.degenerate
-        assert abs(fit.b_type - B) <= 0.15 * B
-
-    def test_requires_three_orders(self):
-        q = 2.0
-        eps = [0.8 * q ** (-n) for n in range(10)]
-        samples = np.array([[1.0 + 0.3 * e] for e in eps])
-        s = extract_from_samples(samples, eps, q, 1, 1e-9)
-        with pytest.raises(ValueError):
-            gevrey_fit(s, QBase(q))
 
 
 class TestClosedForms:

@@ -22,9 +22,12 @@ With ``--against PATH`` the checkout at PATH is loaded too, side by side
 under another package name, and both are measured in one process: each
 command runs on both checkouts back to back, the order alternating from
 pass to pass, so host load that drifts over the run falls on both alike.
-``counts`` and ``ms`` then hold ``this`` and ``against``, and ``ratio``
+``counts`` and ``ms`` then hold ``this`` and ``against``, ``ratio``
 the median over passes of each command's (and the pass's) paired wall
-time ratio, this checkout over PATH's.
+time ratio, this checkout over PATH's, and ``differ`` the names of the
+reports and CSV files whose bytes differ between the two checkouts (a
+file only one of them wrote differs): empty for a refactor that keeps
+every output byte-identical.
 """
 
 from __future__ import annotations
@@ -178,6 +181,18 @@ def medians(samples: dict) -> dict:
             for k, v in samples.items()}
 
 
+def differ(this_dir: str, against_dir: str) -> list[str]:
+    """The file names whose bytes differ between two output directories."""
+    def read(path):
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                return fh.read()
+    names = set(os.listdir(this_dir)) | set(os.listdir(against_dir))
+    return sorted(n for n in names
+                  if read(os.path.join(this_dir, n))
+                  != read(os.path.join(against_dir, n)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=20)
@@ -200,7 +215,8 @@ def main() -> None:
                    "ms": {"this": medians(mine), "against": medians(theirs)},
                    "ratio": {k: round(statistics.median(
                        a / b for a, b in zip(mine[k], theirs[k])), 4)
-                       for k in mine}}
+                       for k in mine},
+                   "differ": differ(this.out_dir, other.out_dir)}
     print(json.dumps(out, indent=1))
 
 
