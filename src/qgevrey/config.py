@@ -180,8 +180,8 @@ def _sampling_defaults(quad: QuadSettings) -> dict:
 
 # the range of each sampling count, by its block and key under "sampling":
 # a verification on fewer points checks nothing or fails inside a fit
-# (the flatness fit takes 8 levels, the type fit 3 orders, an extraction
-# step 3 levels), and extraction stops at order 4
+# (the flatness fit takes 8 levels, an extraction step 3 levels), and
+# extraction stops at order 4
 _SAMPLING_RANGES = {("residual", "n_points"): (1, math.inf),
                     ("flatness", "n_points"): (8, math.inf),
                     ("asympt", "k_max"): (2, 4),
