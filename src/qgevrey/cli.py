@@ -12,7 +12,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from . import problem as pb
 from . import qgeometry as qg
 from . import solution as sol
 from . import qlaplace as ql
+from .records import replace
 from .theta import log_theta
 from .config import RunConfig, load_config, shipped_config_text
 from .errors import ConfigError, DomainError, QGevreyError
@@ -115,7 +115,7 @@ def run_check(cfg: RunConfig, report: Report) -> None:
             fit = pfits[j]
             report.add("admissibility[j=%d,%s]" % (j, pname),
                        "pass" if fit.passed else "fail",
-                       "10%% stability under grid refinement",
+                       "10% stability under grid refinement",
                        envelope=fit.delta, m_used=fit.m_used)
 
 
@@ -147,12 +147,10 @@ def cmd_solve(args) -> int:
     if not 0 <= args.chart < n_charts:
         raise ConfigError("--chart %d is not a chart index in [0, %d)"
                           % (args.chart, n_charts))
-    # the series sums z^beta / beta!, beta <= beta_max, and its tail
-    # estimate |z|^(beta_max + 1): beyond e^700 they are no doubles
-    if abs(z) > 1.0 and (cfg.beta_max + 1) * math.log(abs(z)) > 700.0:
-        raise ConfigError("--z %s is too large for beta_max = %d: |z|^%d "
-                          "exceeds e^700, near the largest double"
-                          % (args.z, cfg.beta_max, cfg.beta_max + 1))
+    try:
+        sol.require_z_in_range(z, cfg.beta_max, "--z " + args.z)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     if not args.force:
         pre = Report(command="check", config=report.config, seed=None)
         run_check(cfg, pre)

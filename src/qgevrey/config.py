@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from importlib import resources
 
 from .covering import (AssociatedFamily, GoodCovering, build_covering,
@@ -31,6 +30,7 @@ from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm)
 from .qgeometry import ContinuousBase, QBase, in_discrete_spiral
 from .qlaplace import QuadSettings
+from .records import record, replace
 from .solution import BETA_MAX_LIMIT, SolutionChart
 
 TWO_PI = 2.0 * math.pi
@@ -124,7 +124,7 @@ def _patch(obj: dict, where: str) -> ContinuousBase:
     return ContinuousBase(mod=mod, arg=(arg[0] * TWO_PI, arg[1] * TWO_PI))
 
 
-@dataclass
+@record
 class RunConfig:
     description: str
     base: QBase

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .qgeometry import (ChartBase, ContinuousBase, QBase, _frac, qpow,
                         spiral_min_distance)
+from .records import record
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,13 +41,13 @@ _ARG_MARGIN = 2.0 ** -48
 MAX_CHARTS = 1000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GoodCovering:
     charts: tuple[ChartBase, ...]
     n_u: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AssociatedFamily:
     """Per-chart direction patches V_I, shared t-patch, radius and clearance."""
 
@@ -110,7 +110,7 @@ def build_covering(n_u: int, n_v: int, overlap: float,
     return GoodCovering(charts=tuple(charts), n_u=n_u)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoveringReport:
     """Counts of torus cells (see :func:`covering_report`)."""
 
@@ -196,7 +196,7 @@ def pick_lambda(v: ContinuousBase, rho0: float) -> complex:
     return mod * cmath.exp(1j * arg)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilyReport:
     v_clearance: float      # item: min over V_I q^R of |tau + 1|, vs delta
     v_clearance_ok: bool

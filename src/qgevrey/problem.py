@@ -19,15 +19,15 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .qgeometry import BLOCK, ContinuousBase, QBase, qpow
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProblemTerm:
     """One right-hand-side term: index k, dilation orders, z-polynomial."""
 
@@ -60,7 +60,7 @@ class ProblemTerm:
         return tuple(sorted(s for s, _ in self.coeffs))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CauchyProblem:
     s_order: int
     terms: tuple[ProblemTerm, ...]
@@ -75,7 +75,7 @@ class CauchyProblem:
             raise ValueError("derivative indices must satisfy 0 <= k < S")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GevreyParams:
     """Constant pack governing every quantitative bound check."""
 
@@ -107,7 +107,7 @@ class GevreyParams:
             self.xi / (2.0 * base.log_abs_q) - self.m_big)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialTerm:
     """One building block ``c * tau^a * eps^-b * (1 + tau)^-r``."""
 
@@ -121,7 +121,7 @@ class InitialTerm:
             raise ValueError("exponents a, b, r must be natural numbers")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialData:
     """Initial z-derivatives: components[j] defines W_j(eps, tau)."""
 
@@ -177,7 +177,7 @@ class EpsFactors:
 # hypothesis checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentRow:
     k: int
     s: int
@@ -187,7 +187,7 @@ class ExponentRow:
     high_slack: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentReport:
     rows: tuple[ExponentRow, ...]
 
@@ -216,7 +216,7 @@ def check_growth_cap(g: GevreyParams, base: QBase) -> tuple[bool, float]:
     return g.m_big <= cap, cap - g.m_big
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstantSystemReport:
     c1_ok: bool
     c1_slack: float
@@ -272,7 +272,7 @@ def _scales(q: complex, m1s: tuple, n_h: int) -> tuple:
                  for m1 in m1s)
 
 
-@dataclass
+@record
 class CoefficientEvaluator:
     """Evaluator of the z-series coefficients W_beta(eps, tau).
 
@@ -451,7 +451,7 @@ def apply_shift_operator(tau_grid: np.ndarray, coeff_values: np.ndarray,
 # admissibility of initial data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdmissibilityFit:
     delta: float
     m_used: float

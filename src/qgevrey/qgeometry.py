@@ -54,11 +54,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .records import record
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,7 +85,7 @@ _REFINE_LEVELS = 4
 _RAY_MARGIN = 3.0 * 2.0 ** -52
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QBase:
     """Deformation parameter ``q`` (``|q| > 1``) with its fixed logarithm."""
 
@@ -107,7 +107,7 @@ class QBase:
         return self.log_q.real
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChartBase:
     """Patch ``{exp(2*pi*i*u) q^v : u in i1, v in i2}``, intervals in turns/levels.
 
@@ -133,7 +133,7 @@ class ChartBase:
         return 0.5 * (self.i2[0] + self.i2[1])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContinuousBase:
     """Bounded patch in C*: modulus interval x argument interval (radians)."""
 

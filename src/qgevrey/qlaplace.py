@@ -39,16 +39,16 @@ sum: a fixed number of array operations per call, not per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .qgeometry import BLOCK, QBase, in_theta_safe, qpow
+from .records import record
 from .theta import log_theta, log_theta_shifted, pi_q
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuadSettings:
     """Controls for the path integral: the tolerance on the change between
     trapezoid halvings, the largest first step and the number of

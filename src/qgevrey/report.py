@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+
+from .records import field, record
 
 
 def fmt(x) -> str:
@@ -19,7 +20,7 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-@dataclass
+@record
 class Report:
     command: str
     config: str

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +46,11 @@ from .errors import ConvergenceError, DomainError
 from .problem import CoefficientEvaluator, EpsFactors, GevreyParams
 from .qgeometry import ChartBase, ContinuousBase, QBase, in_discrete_spiral
 from .qlaplace import QuadSettings, transform
+from .records import field, record
 from .theta import log_theta  # noqa: F401 (perfbench traces it here)
 
 
-@dataclass
+@record
 class SolutionChart:
     """One chart's solution evaluator with its direction and quadrature.
 
@@ -164,7 +163,7 @@ def _transform_block(sc: SolutionChart, eps: complex, t: complex) -> np.ndarray:
     return _transform_blocks([(sc, (eps, t))])[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolutionValue:
     value: complex
     tail_estimate: float
@@ -209,6 +208,23 @@ def _decay_fit(mags: np.ndarray) -> tuple[float, float]:
 BETA_MAX_LIMIT = 169
 
 
+def _beyond_doubles(z: complex, b1: int) -> bool:
+    """Whether ``|z|^b1`` exceeds e^700, near the largest double."""
+    return abs(z) > 1.0 and b1 * math.log(abs(z)) > 700.0
+
+
+def require_z_in_range(z: complex, beta_max: int, name: str) -> None:
+    """Raise :class:`DomainError` for a ``z`` at which the series cannot be
+    summed in doubles: where ``|z|^(beta_max + 1)`` exceeds e^700, the
+    powers ``z^beta`` and the tail term overflow, and the value would be
+    NaN.  ``name`` labels ``z`` in the message."""
+    if _beyond_doubles(z, beta_max + 1):
+        raise DomainError("%s is too large for beta_max = %d: |z|^%d exceeds "
+                          "e^700, near the largest double"
+                          % (name, beta_max, beta_max + 1),
+                          membership="z_range")
+
+
 def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:
     """``2 |T_b1| |z|^b1 / b1!``, ``b1 = beta_max + 1``, with ``|T_b1|``
     from the decay fit: in logs where ``|z|^b1`` is no double, and ``inf``
@@ -218,7 +234,7 @@ def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:
         return 0.0
     b1 = len(coeffs)
     log_term = min(slope * b1 * b1 + intercept, 700.0)
-    if abs(z) > 1.0 and b1 * math.log(abs(z)) > 700.0:
+    if _beyond_doubles(z, b1):
         log_tail = (math.log(2.0) + log_term + b1 * math.log(abs(z))
                     - math.lgamma(b1 + 1))
         return math.exp(log_tail) if log_tail < 709.0 else math.inf
@@ -249,8 +265,10 @@ def evaluate_solution(sc: SolutionChart, eps: complex, t: complex,
 
     The tail estimate extrapolates the fitted quadratic-exponent decay of
     the computed transform magnitudes past beta_max; exceeding a caller's
-    tolerance is a warning, never a failure.
+    tolerance is a warning, never a failure.  A ``z`` beyond
+    :func:`require_z_in_range` raises :class:`DomainError`.
     """
+    require_z_in_range(z, sc.beta_max, "z = %s" % (z,))
     warns = check_point(sc, eps, t)
     coeffs = _transform_block(sc, eps, t)
     tail = _tail_estimate(coeffs, z)
@@ -306,7 +324,7 @@ def _solution_samples(charts, eps_values, grid) -> np.ndarray:
                                              len(grid))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResidualValue:
     value: complex
     lhs: complex
@@ -393,7 +411,7 @@ def transform_decay_fit(sc: SolutionChart, eps: complex, t: complex
 # flatness of chart differences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlatnessFit:
     slope: float
     intercept: float
@@ -460,7 +478,7 @@ def fit_log_decay(log2_eps, d_values) -> tuple[float, float, float, int]:
 # asymptotic coefficient extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AsymptoticSeries:
     coeffs: tuple[np.ndarray, ...]   # per k: values on the (t, z) grid
     stab: tuple[float, ...]          # per k: stabilization residual
@@ -572,7 +590,8 @@ def extract_from_samples(samples: np.ndarray, eps_values, q: complex,
 # closed forms: weight conjugate and null-expansion conversion
 # ---------------------------------------------------------------------------
 
-class YoungConjugate(NamedTuple):
+@record(frozen=True)
+class YoungConjugate:
     numeric: float
     closed_form: float
 

@@ -736,7 +736,7 @@ class TestVerifyCommands:
         # phi_3's 28), so its rows agree bit for bit and the others take a
         # few more negligible midpoints, within 2e-13.  The report's
         # worst_rel stays bit for bit (PINNED_PROPERTIES).
-        from dataclasses import replace
+        from qgevrey.records import replace
         from qgevrey import q_laplace
         from qgevrey.cli import _commutation_rows
         from qgevrey.qlaplace import q_laplace_batch
@@ -917,6 +917,27 @@ class TestVerifyCommands:
         assert "configuration error: --seed -1 must be nonnegative" in err
         assert checks == [] and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check"], "demo"), (["check"], "strict_exponents_fail"),
+    (["verify", "residual"], "demo"), (["verify", "flatness"], "demo"),
+    (["verify", "asympt"], "demo"), (["verify", "properties"], "demo")],
+    ids=["check-demo", "check-strict", "residual", "flatness", "asympt",
+         "properties"])
+def test_no_provenance_has_a_doubled_percent(demo_doc, tmp_path, argv, name):
+    # a provenance is a literal, never %-formatted: a "%%" in it is
+    # written to the report as two percent signs
+    doc = (trimmed(demo_doc) if name == "demo"
+           else json.loads(shipped_config_text(name)))
+    out = tmp_path / "out"
+    main(argv + ["--config", write_config(tmp_path, doc),
+                 "--out-dir", str(out)])
+    label = argv[-1] if argv[0] == "check" else "verify_" + argv[-1]
+    report = json.loads((out / ("%s_report.json" % label)).read_text())
+    assert report["checks"]
+    for row in report["checks"]:
+        assert "%%" not in row["tolerance_provenance"], row["name"]
 
 
 class TestDemoCommand:

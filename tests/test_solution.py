@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,27 @@ class TestEvaluateSolution:
     def test_t_patch_warning(self, demo, chart20, eps20):
         val = evaluate_solution(chart20, eps20, 0.2, 0.3)  # |t| below patch
         assert any("patch" in w for w in val.warnings)
+
+    # the README's solve point: demo chart 20 with its shipped quadrature
+    README_EPS = -0.58249 + 0.70411j
+
+    def test_z_beyond_double_powers_raises(self, demo):
+        # |z|^26 = 1e338 at beta_max = 25: summed, the powers z^beta would
+        # overflow to nan+nanj with numpy RuntimeWarnings
+        sc = demo.chart_solution(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1e13, 1e30j):
+                with pytest.raises(DomainError, match="beta_max = 25") as err:
+                    evaluate_solution(sc, self.README_EPS, 0.7, z)
+                assert err.value.membership == "z_range"
+                assert "z = %s" % (z,) in str(err.value)
+
+    def test_value_at_readme_point_pinned(self, demo):
+        value = evaluate_solution(demo.chart_solution(20), self.README_EPS,
+                                  0.7, 0.3).value
+        assert (value.real.hex(), value.imag.hex()) == (
+            "0x1.496a7691e1826p-2", "-0x1.6052edb4f866cp-5")
 
 
 def oracle_block(demo, lam, eps, t, step=1.0 / 32.0, s_max=30.0):

@@ -26,7 +26,16 @@ Run from the root of a source checkout (the program is imported from the
 * ``check_ms``: on each shipped config, the median over N in-process
   ``check`` runs (after three warm-up runs) of the ms spent in
   ``spiral_min_distance``, ``covering_report``, ``validate_family`` and
-  ``admissibility_fits``, and of the whole ``run_check``.
+  ``admissibility_fits``, and of the whole ``run_check``;
+* ``import_ms``: the median over N fresh processes of the ms ``import
+  qgevrey.cli`` takes after ``import numpy``, compiling every source
+  (``no_bytecode``, ``PYTHONDONTWRITEBYTECODE=1``, as each benchmark
+  set-up does) and reading bytecode that a first, untimed process cached
+  under a temporary ``PYTHONPYCACHEPREFIX`` (``bytecode_cached``; no
+  ``__pycache__`` lands in the checkout); the two alternate;
+* ``generated_methods``: the methods of the package's classes whose code
+  was compiled from a source string (``co_filename`` such as
+  ``<string>``), as ``dataclasses`` and ``typing.NamedTuple`` make them.
 """
 
 from __future__ import annotations
@@ -38,7 +47,9 @@ import json
 import math
 import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -57,6 +68,11 @@ BASES = {"2": 2.0, "e^(1/16)": math.exp(1.0 / 16.0),
 CONFIGS = ("demo", "strict_exponents_fail")
 #: points of every timed or counted spiral_min_distance call
 POINTS = 1200
+#: what each process of import_ms runs: it prints the ms of the import
+IMPORT_PROBE = ("import time, numpy\n"
+                "t0 = time.perf_counter()\n"
+                "import qgevrey.cli\n"
+                "print(1e3 * (time.perf_counter() - t0))\n")
 
 
 def patched(owner, name, wrap):
@@ -258,6 +274,40 @@ def check_ms(runs: int) -> dict:
     return out
 
 
+def import_ms(runs: int) -> dict:
+    """Median ms of a fresh process's ``import qgevrey.cli`` after numpy,
+    without bytecode and with it cached."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def probe(env):
+        return float(subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+            capture_output=True, text=True).stdout)
+
+    with tempfile.TemporaryDirectory() as cache:
+        envs = {"no_bytecode": dict(env, PYTHONDONTWRITEBYTECODE="1"),
+                "bytecode_cached": dict(env, PYTHONPYCACHEPREFIX=cache)}
+        probe(envs["bytecode_cached"])  # writes the cache, untimed
+        samples = {label: [] for label in envs}
+        for _ in range(runs):
+            for label, e in envs.items():
+                samples[label].append(probe(e))
+    return {label: round(statistics.median(v), 2)
+            for label, v in samples.items()}
+
+
+def generated_methods() -> int:
+    """Methods of the package's classes compiled from a source string."""
+    return sum(getattr(fn, "__code__", None) is not None
+               and fn.__code__.co_filename.startswith("<")
+               for name, module in list(sys.modules.items())
+               if name.partition(".")[0] == "qgevrey"
+               for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == name
+               for fn in vars(cls).values())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=30)
@@ -272,7 +322,9 @@ def main() -> None:
                       "family_ms": call_ms_per_config(
                           args.runs, covering.validate_family,
                           lambda cfg: (cfg.family, cfg.covering, cfg.base)),
-                      "check_ms": check_ms(args.runs)}, indent=1))
+                      "check_ms": check_ms(args.runs),
+                      "import_ms": import_ms(args.runs),
+                      "generated_methods": generated_methods()}, indent=1))
 
 
 if __name__ == "__main__":
