@@ -23,15 +23,17 @@ import sys
 from contextlib import contextmanager
 from importlib import resources
 
+import numpy as np
+
 from .covering import (AssociatedFamily, GoodCovering, build_covering,
-                       overlap_point, pick_lambda)
-from .errors import ConfigError
+                       direction_clearances, overlap_point, pick_lambda)
+from .errors import ConfigError, DomainError
 from .problem import (CauchyProblem, CoefficientEvaluator, GevreyParams,
                       InitialData, InitialTerm, ProblemTerm)
-from .qgeometry import ContinuousBase, QBase, in_discrete_spiral
+from .qgeometry import ContinuousBase, QBase
 from .qlaplace import QuadSettings
 from .records import record, replace
-from .solution import BETA_MAX_LIMIT, SolutionChart
+from .solution import BETA_MAX_LIMIT, SolutionChart, require_z_in_range
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,11 +45,11 @@ def _require(cond: bool, msg: str):
 
 @contextmanager
 def _field(where: str):
-    """A ValueError or TypeError raised in the block, as a
+    """A ValueError, TypeError or DomainError raised in the block, as a
     :class:`ConfigError` that names the field ``where``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError("%s: %s" % (where, exc)) from None
 
 
@@ -191,21 +193,15 @@ _SAMPLING_RANGES = {("residual", "n_points"): (1, math.inf),
 
 def _check_pair(pair: tuple[int, ...], covering: GoodCovering, base: QBase,
                 where: str) -> None:
-    """Require two distinct charts of ``covering`` whose
+    """Require two distinct charts of ``covering`` that intersect, so that
     :func:`~qgevrey.covering.overlap_point`, the point the chart-pair
-    diagnostics start from, lies on both discrete spirals."""
+    diagnostics start from, exists."""
     n = len(covering.charts)
     _require(len(pair) == 2 and all(0 <= i < n for i in pair),
              "%s must be two chart indices below %d" % (where, n))
     _require(pair[0] != pair[1], "%s names chart %d twice" % (where, pair[0]))
-    charts = [covering.charts[i] for i in pair]
-    try:
-        eps = overlap_point(*charts, base)
-        ok = all(in_discrete_spiral(eps, ch, base) for ch in charts)
-    except ValueError:  # no u-overlap
-        ok = False
-    _require(ok, "%s: charts %d and %d have no overlap point on both "
-             "discrete spirals" % ((where,) + tuple(pair)))
+    with _field(where):
+        overlap_point(*(covering.charts[i] for i in pair), base)
 
 
 def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
@@ -214,35 +210,31 @@ def _build_directions(covering: GoodCovering, fam_cfg: dict, base: QBase
 
     The offset alternates sign with the chart's angular index, so the
     sector between adjacent directions straddles the kernel's pole spiral
-    (giving the flatness experiment a genuinely nonzero difference), while
-    each direction keeps a guarded angular distance from the pole spiral
-    of its own chart (and its patch's two-sided spiral avoids ``-1``).
+    (giving the flatness experiment a genuinely nonzero difference).  A
+    chart takes the other sign where its patch's two-sided spiral does
+    not clear -1 by more than ``delta``
+    (:func:`~qgevrey.covering.direction_clearances`, decided exactly).
     """
     psi = fam_cfg["lambda_offset_turns"] * TWO_PI
     hw = fam_cfg["v_arg_halfwidth_turns"] * TWO_PI
     mod, delta, rho0 = fam_cfg["v_mod"], fam_cfg["delta"], fam_cfg["rho0"]
     _require(0.0 < delta < 1.0, "family.delta must lie in (0, 1)")
-    guard = math.asin(min(1.5 * delta, 0.99)) + hw + 0.05
-    n_u = covering.n_u
-    v_sets, lams = [], []
-    for idx, chart in enumerate(covering.charts):
-        i = idx % n_u
-        sign = 1.0 if i % 2 == 0 else -1.0
-        center = None
-        for attempt in (sign, -sign):
-            cand = math.pi + TWO_PI * chart.u_mid + attempt * psi
-            dd = (cand - math.pi) % TWO_PI
-            if min(dd, TWO_PI - dd) > guard:
-                center = cand
-                break
-        if center is None:
-            raise ConfigError(
-                "chart %d: no direction offset clears the -1 spiral; "
-                "adjust lambda_offset_turns or delta" % idx)
-        patch = ContinuousBase(mod=mod, arg=(center - hw, center + hw))
-        v_sets.append(patch)
-        lams.append(pick_lambda(patch, rho0))
-    return tuple(v_sets), tuple(lams)
+    # bad moduli or width fail by the patch's own rule, before the logs
+    ContinuousBase(mod=mod, arg=(-hw, hw))
+    n = len(covering.charts)
+    sign = 1.0 - 2.0 * (np.arange(n) % covering.n_u % 2)
+    # the centres of both candidates of every chart, the alternating first
+    u_mid = np.array([ch.u_mid for ch in covering.charts])
+    centers = math.pi + TWO_PI * u_mid + np.multiply.outer((1.0, -1.0),
+                                                           sign) * psi
+    args = centers[..., None] + (-hw, hw)
+    clear = direction_clearances(mod, args, base, delta) > delta
+    either = clear.any(axis=0)
+    _require(either.all(), "chart %d: no direction offset clears the -1 "
+             "spiral; adjust lambda_offset_turns or delta" % either.argmin())
+    v_sets = tuple(ContinuousBase(mod=mod, arg=tuple(a)) for a in
+                   args[np.where(clear[0], 0, 1), np.arange(n)].tolist())
+    return v_sets, tuple(pick_lambda(v, rho0) for v in v_sets)
 
 
 def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
@@ -342,6 +334,8 @@ def parse_config(doc: dict, source: str = "<config>") -> RunConfig:
             _check_keys(entry, {"t", "z"}, {"t", "z"}, gw)
             grid[gi] = (_complex(entry["t"], gw + ".t"),
                         _complex(entry["z"], gw + ".z"))
+            with _field(gw + ".z"):
+                require_z_in_range(grid[gi][1], beta_max, "z")
     for path, (lo, hi) in _SAMPLING_RANGES.items():
         value = samp[path[0]][path[1]]
         _require(lo <= value <= hi, "sampling.%s = %d must be %s"

@@ -10,11 +10,13 @@ gaps.  Triple overlaps survive; quadruple ones are excluded by the
 stagger.  Both are decided exactly, on the cells the chart endpoints cut
 the torus of spiral coordinates into (:func:`covering_report`).
 
-The companion family supplies, per chart, a base patch for the transform
-directions plus a shared evaluation patch, a radius and a clearance
-``delta``; validity reduces to distance-to(-1) checks on the relevant
-spirals, decided exactly on one interval of the argument at which they
-cross the unit circle per chart (:func:`validate_family`).
+Two charts intersect iff they share a torus cell; :func:`overlap_point`
+returns a point of every such pair.  The companion family supplies, per
+chart, a base patch for the transform directions plus a shared
+evaluation patch, a radius and a clearance ``delta``; validity reduces to
+distance-to(-1) checks on the relevant spirals, decided exactly on one
+interval of the argument at which they cross the unit circle per chart
+(:func:`direction_clearances` at parse time, :func:`validate_family`).
 """
 
 from __future__ import annotations
@@ -196,24 +198,9 @@ def pick_lambda(v: ContinuousBase, rho0: float) -> complex:
     return mod * cmath.exp(1j * arg)
 
 
-@record(frozen=True)
-class FamilyReport:
-    v_clearance: float      # item: min over V_I q^R of |tau + 1|, vs delta
-    v_clearance_ok: bool
-    kernel_clearance: float  # min over (eps, t, lam_v, r) of |1 + lam/(eps t q^r)|
-    kernel_clearance_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.v_clearance_ok and self.kernel_clearance_ok
-
-
-def validate_family(f: AssociatedFamily, c: GoodCovering,
-                    base: QBase) -> FamilyReport:
-    """Decide exactly whether the two-sided spirals of the direction
-    patches, and of every ``lam / (eps t)`` (chart point ``eps``, t-point,
-    ``lam`` in its patch with ``1 < |lam| < rho0``), keep distance
-    > delta from -1.
+def _theta_clearances(box: np.ndarray, base: QBase,
+                      delta: float) -> np.ndarray:
+    """Least distance from -1 of the two-sided spirals through each box.
 
     The spiral ``{w q^-k : k real}`` crosses the unit circle at the
     arguments ``theta(w) = arg w - kappa log|w|`` (mod 2 pi),
@@ -225,28 +212,16 @@ def validate_family(f: AssociatedFamily, c: GoodCovering,
     ``pi + 2 pi n``: its least value on an interval is 0 if the interval
     holds some ``pi + 2 pi n``, else the lesser end value.
 
-    ``theta`` is linear in each chart's box: ``arg v - kappa log|v|`` on a
-    direction patch, and ``arg lam - 2 pi u - arg t - kappa (log|lam| -
-    log|t|)`` for ``eps = exp(2 pi i u) q^v``, where ``v`` cancels.  Each
-    chart thus gives one interval per clearance, its ends at box corners,
+    ``box[..., i, :]`` holds the ends of the ``i``-th coordinate of a box
+    on which ``theta`` is linear: ``log|w|`` and ``arg w``, then, for the
+    kernel points ``w = lam / (eps t)`` of :func:`validate_family`, ``u``,
+    ``log|t|`` and ``arg t``.  Its range is exact from the corner terms,
     widened by ``_ARG_MARGIN``; all ends take one
     :func:`spiral_min_distance` call (the closed form at a real base,
     where ``theta = arg w``).
     """
-    if len(f.v_sets) != len(c.charts):
-        raise ValueError("need one direction patch per chart")
     kappa = base.log_q.imag / base.log_q.real
-    # the ends of log|.| and arg of v (row 0) or lam (row 1), then of u,
-    # log|t| and arg t (0 for v), per chart
-    mod = np.array([v.mod for v in f.v_sets])
-    box = np.zeros((2, len(c.charts), 5, 2))
-    box[:, :, 0] = np.log([mod, np.stack([np.maximum(mod[:, 0], 1.0),
-                                          np.minimum(mod[:, 1], f.rho0)], -1)])
-    box[:, :, 1] = [v.arg for v in f.v_sets]
-    box[1, :, 2] = [ch.i1 for ch in c.charts]
-    box[1, :, 3] = np.log(f.t_set.mod)
-    box[1, :, 4] = f.t_set.arg
-    coef = np.array([-kappa, 1.0, -TWO_PI, kappa, -1.0])
+    coef = np.array([-kappa, 1.0, -TWO_PI, kappa, -1.0])[:box.shape[-2]]
     # each term's lesser and greater end: their sums are theta's range
     terms = np.sort(box * coef[:, None])
     arcs = terms.sum(axis=-2)
@@ -254,30 +229,61 @@ def validate_family(f: AssociatedFamily, c: GoodCovering,
         1.0 + abs(kappa) + np.abs(terms).sum(axis=(-2, -1))), (-1.0, 1.0))
     n = np.floor((arcs - math.pi) / TWO_PI)
     pole = n[..., 0] < n[..., 1]  # some pi + 2 pi n in (lo, hi]
-    ends = spiral_min_distance(np.exp(1j * arcs), base, f.delta)
-    v_clear, k_clear = (float(d.min())
-                        for d in np.where(pole, 0.0, ends.min(axis=-1)))
-    return FamilyReport(
-        v_clearance=v_clear, v_clearance_ok=v_clear > f.delta,
-        kernel_clearance=k_clear, kernel_clearance_ok=k_clear > f.delta)
+    ends = spiral_min_distance(np.exp(1j * arcs), base, delta)
+    return np.where(pole, 0.0, ends.min(axis=-1))
 
 
-def overlap_point(c1: ChartBase, c2: ChartBase, base: QBase,
-                  v_level: float = None) -> complex:
-    """A point lying in both chart spirals (u in both intervals mod 1).
+def direction_clearances(mod, arg, base: QBase, delta: float) -> np.ndarray:
+    """The least distance from -1 of the two-sided spiral ``V q^R`` of each
+    direction patch ``V``, of argument ends ``arg`` (shape ``(..., 2)``)
+    and modulus ends ``mod`` (broadcast against them), decided exactly on
+    the interval of ``theta = arg v - kappa log|v|``
+    (:func:`_theta_clearances`)."""
+    box = np.empty(np.shape(arg)[:-1] + (2, 2))
+    box[..., 0, :], box[..., 1, :] = np.log(mod), arg
+    return _theta_clearances(box, base, delta)
 
-    Charts of one row overlap in u; the returned point takes the middle of
-    the u-overlap and the deeper chart middle in v (spiral membership only
-    needs v below the interval).
+
+def validate_family(f: AssociatedFamily, c: GoodCovering,
+                    base: QBase) -> float:
+    """The least distance from -1 of the two-sided spirals of every
+    ``lam / (eps t)`` (chart point ``eps``, t-point, ``lam`` in its patch
+    with ``1 < |lam| < rho0``), decided exactly: the family is valid where
+    it exceeds ``delta``.  For ``eps = exp(2 pi i u) q^v``, ``theta = arg
+    lam - 2 pi u - arg t - kappa (log|lam| - log|t|)``, where ``v``
+    cancels: each chart gives one interval (:func:`_theta_clearances`).
     """
-    u = None
-    for k in (-1, 0, 1):
-        lo = max(c1.i1[0], c2.i1[0] + k)
-        hi = min(c1.i1[1], c2.i1[1] + k)
-        if hi > lo:
-            u = 0.5 * (lo + hi)
-            break
-    if u is None:
-        raise ValueError("charts do not overlap in u")
-    v = min(c1.v_mid, c2.v_mid) if v_level is None else v_level
+    if len(f.v_sets) != len(c.charts):
+        raise ValueError("need one direction patch per chart")
+    # the ends of log|lam|, arg lam, u, log|t| and arg t, per chart
+    box = np.zeros((len(c.charts), 5, 2))
+    # max(1, lo) < min(rho0, hi) (AssociatedFamily): a clip of both ends
+    box[:, 0] = np.log(np.clip([v.mod for v in f.v_sets], 1.0, f.rho0))
+    box[:, 1] = [v.arg for v in f.v_sets]
+    box[:, 2] = [ch.i1 for ch in c.charts]
+    box[:, 3] = np.log(f.t_set.mod)
+    box[:, 4] = f.t_set.arg
+    return float(_theta_clearances(box, base, f.delta).min())
+
+
+def _overlap_mod_one(a, b, axis: str) -> tuple[float, int]:
+    """The middle of the overlap of intervals ``a`` and ``b + k`` and the
+    shift ``k``: the least with ``b[1] + k > a[0]``, the only one at which
+    two intervals shorter than 1/2 each can overlap."""
+    k = math.floor(a[0] - b[1]) + 1
+    lo, hi = max(a[0], b[0] + k), min(a[1], b[1] + k)
+    if not hi > lo:
+        raise ValueError("charts do not overlap in %s" % axis)
+    return 0.5 * (lo + hi), k
+
+
+def overlap_point(c1: ChartBase, c2: ChartBase, base: QBase) -> complex:
+    """A point on both charts' discrete spirals, or ``ValueError`` where
+    they share no torus cell (:func:`covering_report`): ``u`` is the middle
+    of the overlap of the ``i1`` modulo one, and with ``w`` that of
+    ``c1.i2`` and ``c2.i2 + k``, ``v = w - max(k, 0)`` reaches ``c1.i2``
+    after ``max(k, 0)`` steps and ``c2.i2`` after ``max(-k, 0)``."""
+    u, _ = _overlap_mod_one(c1.i1, c2.i1, "u")
+    w, k = _overlap_mod_one(c1.i2, c2.i2, "v")
+    v = w - max(k, 0)
     return cmath.exp(2j * math.pi * u) * complex(qpow(base, v))

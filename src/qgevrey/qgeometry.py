@@ -9,7 +9,7 @@ of ``log q``.  Three families of domains appear:
 * continuous q-spirals ``V q^R = {v q^l : v in V, l real}`` through a
   direction patch ``V``: no membership test here, they enter only through
   the arguments at which they cross the unit circle
-  (:func:`qgevrey.covering.validate_family`),
+  (:mod:`qgevrey.covering`: ``direction_clearances``, ``validate_family``),
 * the theta-safe set of a direction ``lam``: the z for which the two-sided
   spiral ``{lam q^-k / z : k in R}`` keeps distance > delta from ``-1``,
   i.e. where the reciprocal theta kernel stays controlled.

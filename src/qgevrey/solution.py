@@ -208,17 +208,12 @@ def _decay_fit(mags: np.ndarray) -> tuple[float, float]:
 BETA_MAX_LIMIT = 169
 
 
-def _beyond_doubles(z: complex, b1: int) -> bool:
-    """Whether ``|z|^b1`` exceeds e^700, near the largest double."""
-    return abs(z) > 1.0 and b1 * math.log(abs(z)) > 700.0
-
-
 def require_z_in_range(z: complex, beta_max: int, name: str) -> None:
     """Raise :class:`DomainError` for a ``z`` at which the series cannot be
     summed in doubles: where ``|z|^(beta_max + 1)`` exceeds e^700, the
     powers ``z^beta`` and the tail term overflow, and the value would be
     NaN.  ``name`` labels ``z`` in the message."""
-    if _beyond_doubles(z, beta_max + 1):
+    if abs(z) > 1.0 and (beta_max + 1) * math.log(abs(z)) > 700.0:
         raise DomainError("%s is too large for beta_max = %d: |z|^%d exceeds "
                           "e^700, near the largest double"
                           % (name, beta_max, beta_max + 1),
@@ -227,17 +222,13 @@ def require_z_in_range(z: complex, beta_max: int, name: str) -> None:
 
 def _tail_estimate(coeffs: np.ndarray, z: complex) -> float:
     """``2 |T_b1| |z|^b1 / b1!``, ``b1 = beta_max + 1``, with ``|T_b1|``
-    from the decay fit: in logs where ``|z|^b1`` is no double, and ``inf``
-    where the estimate is none either."""
+    from the decay fit; ``z`` is within :func:`require_z_in_range`, so
+    ``|z|^b1`` is a double."""
     slope, intercept = _decay_fit(np.abs(coeffs))
     if not math.isfinite(intercept):
         return 0.0
     b1 = len(coeffs)
     log_term = min(slope * b1 * b1 + intercept, 700.0)
-    if _beyond_doubles(z, b1):
-        log_tail = (math.log(2.0) + log_term + b1 * math.log(abs(z))
-                    - math.lgamma(b1 + 1))
-        return math.exp(log_tail) if log_tail < 709.0 else math.inf
     return 2.0 * math.exp(log_term) * abs(z) ** b1 / math.factorial(b1)
 
 
@@ -432,7 +423,9 @@ def flatness_fit(sc1: SolutionChart, sc2: SolutionChart, eps0: complex,
     ``d_n`` is the max over the (t, z) grid of |X_1 - X_2| at
     ``eps0 q^-n``; points below the numeric floor are excluded.  The
     predicted exponent is ``-1/A`` from the constant pack; a nonpositive
-    ``1/A`` or a fully floored difference sequence is rejected.
+    ``1/A`` is rejected.  A sequence with fewer than 3 points above the
+    floor (two charts whose directions do not straddle ``-eps t``) gives
+    ``n_used`` 0 and NaN fit values.
     """
     if n_points < 8:
         raise ValueError("need at least 8 sequence points")
@@ -445,7 +438,11 @@ def flatness_fit(sc1: SolutionChart, sc2: SolutionChart, eps0: complex,
     x1, x2 = _solution_samples((sc1, sc2), eps_values, grid)
     d_sup = np.abs(x1 - x2).max(axis=1, initial=0.0).tolist()
     log2_eps = [math.log(abs(eps)) ** 2 for eps in eps_values]
-    slope, intercept, r2, n_used = fit_log_decay(log2_eps, d_sup)
+    if sum(d > NUMERIC_FLOOR for d in d_sup) < 3:  # fit_log_decay's least
+        slope = intercept = r2 = math.nan
+        n_used = 0
+    else:
+        slope, intercept, r2, n_used = fit_log_decay(log2_eps, d_sup)
     return FlatnessFit(slope=slope, intercept=intercept, r2=r2,
                        predicted=-one_over_a, n_used=n_used,
                        log2_eps=tuple(log2_eps), d_sup=tuple(d_sup))

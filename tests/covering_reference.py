@@ -5,9 +5,11 @@
   below the lowest chart bottom, adds three seam probes per chart, and
   tests every point against every chart with ``in_discrete_spiral``: the
   Monte Carlo covering check the exact decision replaced.
-* :func:`cell_multiplicity` maps one representative of every torus cell
-  to a complex point deep in the disc and tests it against every chart
-  with ``in_discrete_spiral``.
+* :func:`cell_members` maps one representative of every torus cell to a
+  complex point deep in the disc and tests it against every chart with
+  ``in_discrete_spiral``; :func:`cell_multiplicity` counts the charts of
+  each cell, and :func:`intersecting_pairs` lists the chart pairs that
+  share one.
 * :func:`grid_family_clearances` takes the least clearance over a grid of
   every chart's box of direction-patch points and kernel points
   ``lam / (eps t)``, each point built as a complex product and tested by
@@ -104,8 +106,9 @@ def _circle(ends):
     return cuts, reps
 
 
-def cell_multiplicity(c, base) -> np.ndarray:
-    """Multiplicity of every torus cell, ``(u classes, v classes)``.
+def cell_members(c, base) -> np.ndarray:
+    """Which charts hold every torus cell: a boolean array of shape
+    ``(charts, u classes, v classes)``.
 
     A representative ``(u, v)`` of each cell, with ``v`` moved by whole
     levels below every chart's ``i2``, becomes the point
@@ -124,13 +127,27 @@ def cell_multiplicity(c, base) -> np.ndarray:
     pts = np.exp(TWO_PI * 1j * u) * qpow(base, v)
     u_cls = np.repeat(np.arange(len(u_reps)), len(v_reps))
     v_cls = np.tile(np.arange(len(v_reps)), len(u_reps))
-    mult = np.zeros(pts.size, dtype=np.int64)
+    members = []
     for ch in c.charts:
         own_u = [2 * u_cuts.index(_mod1(x)) for x in ch.i1]
         own_v = [2 * v_cuts.index(_mod1(x)) for x in ch.i2]
         on_edge = np.isin(u_cls, own_u) | np.isin(v_cls, own_v)
-        mult += in_discrete_spiral(pts, ch, base) & ~on_edge
-    return mult.reshape(len(u_reps), len(v_reps))
+        members.append(in_discrete_spiral(pts, ch, base) & ~on_edge)
+    return np.reshape(members, (len(c.charts), len(u_reps), len(v_reps)))
+
+
+def cell_multiplicity(c, base) -> np.ndarray:
+    """Multiplicity of every torus cell, ``(u classes, v classes)``: the
+    number of charts that hold it (:func:`cell_members`)."""
+    return cell_members(c, base).sum(axis=0)
+
+
+def intersecting_pairs(c, base) -> set:
+    """The ordered pairs of distinct charts that share a torus cell
+    (:func:`cell_members`)."""
+    members = cell_members(c, base).reshape(len(c.charts), -1)
+    shared = members.astype(np.int64) @ members.T.astype(np.int64)
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(shared)) if i != j}
 
 
 def _axis(lo, hi, n, log=False):

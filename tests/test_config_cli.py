@@ -1,16 +1,22 @@
 import cmath
 import copy
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from covering_reference import grid_family_clearances, intersecting_pairs
+from qgevrey import solution as sol
 from qgevrey.cli import main
-from qgevrey.config import (load_config, load_shipped_config, parse_config,
-                            shipped_config_text)
+from qgevrey.config import (_check_pair, load_config, load_shipped_config,
+                            parse_config, shipped_config_text)
+from qgevrey.covering import direction_clearances
 from qgevrey.errors import ConfigError
 from qgevrey.qgeometry import in_theta_safe
+
+TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +117,14 @@ NAMED_BAD_VALUES = [
     (("family", "rho0"), math.inf, "check", "family.rho0"),
     (("sampling", "asympt", "rel_match"), math.inf, "verify asympt",
      "sampling.asympt.rel_match"),
-    # sampling blocks verify cannot run: charts with no common point, one
-    # chart twice, an overlap point off one chart's spiral, no grid point,
-    # no z range, a tolerance that stops no quadrature
+    # sampling blocks verify cannot run: charts with no common point (in
+    # u, then in v: rows 4 and 2 do not meet), one chart twice, no grid
+    # point, no z range, a tolerance that stops no quadrature
     (("sampling", "flatness", "pair"), [0, 12], "verify flatness",
      "sampling.flatness.pair"),
     (("sampling", "flatness", "pair"), [20, 20], "verify flatness",
      "sampling.flatness.pair"),
-    (("sampling", "flatness", "pair"), [20, 15], "verify flatness",
+    (("sampling", "flatness", "pair"), [20, 10], "verify flatness",
      "sampling.flatness.pair"),
     (("sampling", "flatness", "grid"), [], "verify flatness",
      "sampling.flatness.grid"),
@@ -130,6 +136,12 @@ NAMED_BAD_VALUES = [
      "sampling.residual.abs_tol"),
     (("sampling", "flatness", "abs_tol"), 0, "verify flatness",
      "sampling.flatness.abs_tol"),
+    # a grid z whose powers z^beta overflow (|z|^26 > e^700)
+    (("sampling", "flatness", "grid"), [{"t": [0.7, 0.0], "z": [1e13, 0.0]}],
+     "verify flatness", "sampling.flatness.grid[0].z"),
+    (("sampling", "asympt", "grid"), [{"t": [0.7, 0.0], "z": [0.3, 0.0]},
+                                      {"t": [0.7, 0.0], "z": [0.0, 1e13]}],
+     "verify asympt", "sampling.asympt.grid[1].z"),
     # numpy's generators take no negative seed
     (("sampling", "seed"), -5, "verify residual", "sampling.seed"),
     # 100,000 x 5 charts: the covering decision would ask for 931 GiB
@@ -431,8 +443,13 @@ class TestCheckCommand:
         assert rows["covering_multiplicity"]["max_multiplicity"] == 3
         assert rows["covering_multiplicity"]["n_quadruple"] == 0
         v_clear, k_clear = self.PINNED_CLEARANCES[name]
-        assert abs(rows["family_minus_one_clearance"]["clearance"]
-                   - v_clear) <= 1e-12
+        # parsing decides the direction patches' clearance: no row
+        shipped = load_shipped_config(name)
+        fam = shipped.family
+        assert "family_minus_one_clearance" not in rows
+        assert abs(direction_clearances(
+            [v.mod for v in fam.v_sets], [v.arg for v in fam.v_sets],
+            shipped.base, fam.delta).min() - v_clear) <= 1e-12
         assert abs(rows["family_kernel_clearance"]["clearance"]
                    - k_clear) <= 1e-12
         envelopes = {n: c["envelope"] for n, c in rows.items()
@@ -451,6 +468,66 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, {"nonsense": True})
         assert main(["check", "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2
+
+
+class TestParsedGeometry:
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    def test_pair_accepted_iff_charts_intersect(self, name):
+        # the pairs of the torus-cell point oracle, and no other
+        cfg = load_shipped_config(name)
+        pairs = intersecting_pairs(cfg.covering, cfg.base)
+        accepted = set()
+        for pair in itertools.permutations(range(len(cfg.covering.charts)),
+                                           2):
+            try:
+                _check_pair(pair, cfg.covering, cfg.base, "pair")
+                accepted.add(pair)
+            except ConfigError as exc:
+                assert str(exc).startswith("pair: charts do not overlap")
+        assert accepted == pairs and len(pairs) == 150
+
+    @pytest.mark.parametrize("offset", [0.1671, 0.1, 0.22, 0.3])
+    def test_directions_clear_minus_one_at_a_complex_base(self, demo_doc,
+                                                          offset):
+        # q = 2 e^{0.3i}: each chosen direction patch clears -1 by more
+        # than delta on the dense grid too, and a chart leaves the
+        # alternating sign only where that sign does not clear
+        doc = copy.deepcopy(demo_doc)
+        q = 2.0 * cmath.exp(0.3j)
+        doc["base"]["q"] = [q.real, q.imag]
+        doc["family"]["lambda_offset_turns"] = offset
+        cfg = parse_config(doc)
+        fam, charts = cfg.family, cfg.covering.charts
+        grid, _ = grid_family_clearances(fam, cfg.covering, cfg.base)
+        assert grid > fam.delta
+        exact = direction_clearances([v.mod for v in fam.v_sets],
+                                     [v.arg for v in fam.v_sets], cfg.base,
+                                     fam.delta)
+        assert (exact > fam.delta).all()
+        hw = 0.005 * TWO_PI
+        for idx, (chart, v) in enumerate(zip(charts, fam.v_sets)):
+            sign = 1.0 if idx % cfg.covering.n_u % 2 == 0 else -1.0
+            center = math.pi + TWO_PI * chart.u_mid + sign * offset * TWO_PI
+            alternating = (center - hw, center + hw)
+            if direction_clearances(v.mod, alternating, cfg.base,
+                                    fam.delta) > fam.delta:
+                assert v.arg == alternating
+
+    @pytest.mark.parametrize("q", [2.0, 2.0 * cmath.exp(0.2j)],
+                             ids=["2", "2e^0.2i"])
+    def test_no_clearing_direction_exits_two(self, demo_doc, tmp_path,
+                                             capsys, q):
+        # offset 0 puts both candidates of a chart at pi + 2 pi u_mid; the
+        # first chart with u_mid near 0 mod 1 is chart 14 (u_mid = 0.98),
+        # whose patch then lies within about 0.13 rad of -1
+        doc = copy.deepcopy(demo_doc)
+        doc["base"]["q"] = [q.real, q.imag]
+        doc["family"]["lambda_offset_turns"] = 0.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "chart 14: no direction offset clears the -1 spiral" in err
 
 
 class TestSolveCommand:
@@ -608,6 +685,52 @@ class TestVerifyCommands:
         assert code == 1 and row["status"] == "fail"
         assert row["worst_rel"] > row["rel_match"] == 1e-12
         assert rows["asympt_orders"]["status"] == "pass"
+
+    def test_flatness_on_a_cross_row_pair(self, demo_doc, tmp_path):
+        # charts 20 and 1 (rows 4 and 0, adjacent modulo one) share a
+        # torus cell, and their directions straddle the pole spiral
+        doc = trimmed(demo_doc)
+        doc["sampling"]["flatness"]["pair"] = [20, 1]
+        code, rows = self.verify_rows(tmp_path, doc, "flatness")
+        row = rows["flatness_slope"]
+        assert code == 0 and row["status"] == "pass"
+        assert row["slope"] <= row["threshold"] and row["n_used"] >= 3
+
+    @pytest.mark.parametrize("pair", [[23, 24], [20, 0]],
+                             ids=["23-24", "20-0"])
+    def test_flatness_at_the_numeric_floor_fails(self, demo_doc, tmp_path,
+                                                 capsys, pair):
+        # directions on one side of -eps t: the charts agree to rounding,
+        # so no point is left to fit
+        doc = trimmed(demo_doc)
+        doc["sampling"]["flatness"]["pair"] = pair
+        code, rows = self.verify_rows(tmp_path, doc, "flatness")
+        row = rows["flatness_slope"]
+        assert code == 1 and row["status"] == "fail"
+        assert row["n_used"] == 0 and "slope" not in row
+        assert "do not straddle -eps t" in row["note"]
+        assert "Traceback" not in capsys.readouterr().err
+        csv_rows = (tmp_path / "out" / "flatness.csv").read_text().split()
+        assert len(csv_rows) == 1 + 8
+        assert all(float(r.split(",")[3]) <= 1e-14 for r in csv_rows[1:])
+
+    def test_asympt_non_finite_coefficient_fails(self, demo_doc, tmp_path,
+                                                 monkeypatch):
+        # one NaN sample of the second chart makes its coefficients NaN
+        # there: the comparison cannot pass
+        samples = sol._solution_samples
+
+        def one_nan(charts, eps_values, grid):
+            x1, x2 = samples(charts, eps_values, grid)
+            x2 = x2.copy()
+            x2[:, -1] = math.nan
+            return x1, x2
+
+        monkeypatch.setattr(sol, "_solution_samples", one_nan)
+        code, rows = self.verify_rows(tmp_path, trimmed(demo_doc), "asympt")
+        row = rows["asympt_agreement"]
+        assert code == 1 and row["status"] == "fail"
+        assert row["worst_rel"] == math.inf
 
     def test_flatness_slope_above_threshold_fails(self, demo_doc, tmp_path):
         # these constants promise decay at 1/A = 0.63; the charts differ

@@ -1,15 +1,18 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from covering_reference import (cell_multiplicity, full_covering_report,
-                                grid_family_clearances, seam_probes)
+                                grid_family_clearances, intersecting_pairs,
+                                seam_probes)
 from qgevrey import (AssociatedFamily, ChartBase, ContinuousBase, GoodCovering,
                      QBase, build_covering, covering_report,
                      in_discrete_spiral, overlap_point, pick_lambda,
-                     validate_family)
+                     spiral_coordinates, validate_family)
+from qgevrey.covering import direction_clearances
 from qgevrey.config import load_shipped_config
 from qgevrey.covering import _arc_classes
 from qgevrey import covering
@@ -267,17 +270,28 @@ def theta_step(f, c, base, n):
     return max(steps)
 
 
+def patch_clearances(v_sets, base, delta):
+    """:func:`direction_clearances` of the patches ``v_sets``."""
+    return direction_clearances([v.mod for v in v_sets],
+                                [v.arg for v in v_sets], base, delta)
+
+
+def exact_clearances(f, c, base):
+    """The least direction-patch clearance and the kernel clearance."""
+    return (float(patch_clearances(f.v_sets, base, f.delta).min()),
+            validate_family(f, c, base))
+
+
 def assert_against_grid(f, c, base, n=(2, 3, 17, 2, 2, 3)):
     """The exact clearances are never above the dense-grid oracle's; they
     match it within 1e-12 (the grid holds every box corner) or are 0 with
-    the oracle within :func:`theta_step`.  Returns the exact report."""
-    rep = validate_family(f, c, base)
-    exact = rep.v_clearance, rep.kernel_clearance
+    the oracle within :func:`theta_step`.  Returns the exact clearances."""
+    exact = exact_clearances(f, c, base)
     grid = grid_family_clearances(f, c, base, n)
     for e, g in zip(exact, grid):
         assert e <= g
         assert g - e <= (1e-12 if e > 0.0 else theta_step(f, c, base, n))
-    return rep
+    return exact
 
 
 class TestValidateFamily:
@@ -291,9 +305,9 @@ class TestValidateFamily:
     def test_never_above_dense_grid(self, name, q):
         cfg = load_shipped_config(name)
         base = cfg.base if q is None else QBase(q)
-        rep = assert_against_grid(cfg.family, cfg.covering, base)
+        exact = assert_against_grid(cfg.family, cfg.covering, base)
         if q is None:
-            assert (rep.v_clearance, rep.kernel_clearance) == self.EXACT
+            assert exact == self.EXACT
 
     @pytest.mark.parametrize("q", list(FAMILY_BASES.values()),
                              ids=list(FAMILY_BASES))
@@ -303,8 +317,8 @@ class TestValidateFamily:
         base = QBase(q)
         for _ in range(6):
             c, f = random_family(rng, base)
-            rep = assert_against_grid(f, c, base, RANDOM_GRID)
-            zeros += rep.kernel_clearance == 0.0
+            _, kernel = assert_against_grid(f, c, base, RANDOM_GRID)
+            zeros += kernel == 0.0
         assert zeros < 6  # most kernel minima sit at an interval end
 
     @pytest.mark.parametrize("q", [1.5 * cmath.exp(0.2j),
@@ -323,9 +337,8 @@ class TestValidateFamily:
                                    arg=(center - 0.3, center + 0.3)),),
             t_set=ContinuousBase(mod=(0.5, 0.9), arg=(-0.05, 0.05)),
             rho0=2.0, delta=0.2)
-        rep = assert_against_grid(f, c, base, (2, 17, 9, 2, 2, 5))
-        assert rep.v_clearance == 0.0 and rep.kernel_clearance == 0.0
-        assert not rep.ok
+        exact = assert_against_grid(f, c, base, (2, 17, 9, 2, 2, 5))
+        assert exact == (0.0, 0.0)
 
     def test_one_clearance_call(self, demo_cfg, monkeypatch):
         calls = []
@@ -336,22 +349,20 @@ class TestValidateFamily:
 
         monkeypatch.setattr(covering, "spiral_min_distance", scan)
         validate_family(demo_cfg.family, demo_cfg.covering, demo_cfg.base)
-        # both clearances' interval ends, per chart
-        assert calls == [(2, len(demo_cfg.covering.charts), 2)]
+        # the kernel interval's ends, per chart
+        assert calls == [(len(demo_cfg.covering.charts), 2)]
 
     def test_demo_family_passes(self, demo_cfg):
-        rep = validate_family(demo_cfg.family, demo_cfg.covering,
-                              demo_cfg.base)
-        assert rep.ok
-        assert rep.v_clearance > demo_cfg.family.delta
-        assert rep.kernel_clearance > demo_cfg.family.delta
+        exact = exact_clearances(demo_cfg.family, demo_cfg.covering,
+                                 demo_cfg.base)
+        assert min(exact) > demo_cfg.family.delta
 
     def test_huge_delta_fails_kernel_clearance(self, demo_cfg):
         fam = AssociatedFamily(v_sets=demo_cfg.family.v_sets,
                                t_set=demo_cfg.family.t_set,
                                rho0=demo_cfg.family.rho0, delta=0.999)
-        rep = validate_family(fam, demo_cfg.covering, demo_cfg.base)
-        assert not rep.kernel_clearance_ok
+        assert not validate_family(fam, demo_cfg.covering,
+                                   demo_cfg.base) > fam.delta
 
     def test_patch_on_negative_axis_fails(self, base2, demo_cfg):
         # direction patches straddling -1's ray violate the distance bound
@@ -359,11 +370,7 @@ class TestValidateFamily:
             ContinuousBase(mod=(1.1, 1.4), arg=(math.pi - 0.02,
                                                 math.pi + 0.02))
             for _ in demo_cfg.covering.charts)
-        fam = AssociatedFamily(v_sets=bad_sets, t_set=demo_cfg.family.t_set,
-                               rho0=2.0, delta=0.2)
-        rep = validate_family(fam, demo_cfg.covering, base2)
-        assert rep.v_clearance == 0.0
-        assert not rep.v_clearance_ok
+        assert not patch_clearances(bad_sets, base2, 0.2).any()
 
     @pytest.mark.parametrize("mod", [(0.5, 0.9), (2.5, 3.0)])
     def test_direction_patch_needs_a_modulus_in_1_rho0(self, demo_cfg, mod):
@@ -383,6 +390,16 @@ class TestValidateFamily:
 
 
 class TestOverlapPoint:
+    # the points of the demo's flatness and asympt pairs, within a row
+    WITHIN_ROW = {
+        ("demo", 20, 21): -0.5824980889630557 + 0.7041192340667576j,
+        ("demo", 24, 20): 0.48965537712742796 + 0.7715734126306878j,
+        ("strict_exponents_fail", 20, 21):
+            -0.6322659029358214 + 0.7642781868936454j,
+        ("strict_exponents_fail", 24, 20):
+            0.5314908409364566 + 0.8374955551985607j,
+    }
+
     def test_point_in_both_spirals(self, demo_cfg):
         base = demo_cfg.base
         for i, j in ((20, 21), (24, 20), (0, 1)):
@@ -392,8 +409,61 @@ class TestOverlapPoint:
             assert in_discrete_spiral(pt, c1, base)
             assert in_discrete_spiral(pt, c2, base)
 
+    @pytest.mark.parametrize("name", ["demo", "strict_exponents_fail"])
+    def test_every_intersecting_pair_and_no_other(self, name):
+        # the pairs that share a cell of the point oracle get a point on
+        # both discrete spirals (75 unordered pairs: 25 within a row, 50
+        # across adjacent rows); every other pair raises
+        cfg = load_shipped_config(name)
+        charts, base = cfg.covering.charts, cfg.base
+        pairs = intersecting_pairs(cfg.covering, base)
+        assert len(pairs) == 150
+        for i, j in itertools.permutations(range(len(charts)), 2):
+            if (i, j) in pairs:
+                pt = overlap_point(charts[i], charts[j], base)
+                assert in_discrete_spiral(pt, charts[i], base)
+                assert in_discrete_spiral(pt, charts[j], base)
+            else:
+                with pytest.raises(ValueError, match="do not overlap"):
+                    overlap_point(charts[i], charts[j], base)
+
+    @pytest.mark.parametrize("key", sorted(WITHIN_ROW))
+    def test_within_row_points_pinned(self, key):
+        cfg = load_shipped_config(key[0])
+        c1, c2 = (cfg.covering.charts[i] for i in key[1:])
+        assert overlap_point(c1, c2, cfg.base) == self.WITHIN_ROW[key]
+
+    @pytest.mark.parametrize("q", [2.0, 1.5 * cmath.exp(0.2j)],
+                             ids=["2", "1.5e^0.2i"])
+    def test_cross_row_point_level(self, q):
+        # c2 lies a level below c1: v is the middle of the overlap of
+        # c1.i2 and c2.i2 + 1, less one, in c2.i2 and one step below c1.i2
+        base = QBase(q)
+        c1 = ChartBase(i1=(0.1, 0.3), i2=(-0.45, -0.25))
+        c2 = ChartBase(i1=(0.2, 0.4), i2=(-1.3, -1.1))
+        pt = overlap_point(c1, c2, base)
+        u, v = spiral_coordinates(pt, base)
+        assert abs(u - 0.25) < 1e-12 and abs(v + 1.275) < 1e-12
+        for a, b in ((c1, c2), (c2, c1)):
+            assert in_discrete_spiral(overlap_point(a, b, base), a, base)
+            assert in_discrete_spiral(overlap_point(a, b, base), b, base)
+
+    def test_charts_turns_and_levels_apart(self, base2):
+        # i1 two turns apart and i2 three levels apart: the charts share
+        # a torus cell, and the point lies on both spirals
+        c = GoodCovering(charts=(ChartBase(i1=(2.1, 2.2), i2=(-0.4, -0.2)),
+                                 ChartBase(i1=(0.12, 0.22),
+                                           i2=(-3.35, -3.15))))
+        assert intersecting_pairs(c, base2) == {(0, 1), (1, 0)}
+        for a, b in ((0, 1), (1, 0)):
+            pt = overlap_point(c.charts[a], c.charts[b], base2)
+            assert all(in_discrete_spiral(pt, ch, base2) for ch in c.charts)
+
     def test_disjoint_charts_rejected(self, base2):
         c1 = ChartBase(i1=(0.1, 0.3), i2=(-0.4, -0.2))
         c2 = ChartBase(i1=(0.5, 0.7), i2=(-0.4, -0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="in u"):
             overlap_point(c1, c2, base2)
+        c3 = ChartBase(i1=(0.2, 0.4), i2=(-0.7, -0.5))
+        with pytest.raises(ValueError, match="in v"):
+            overlap_point(c1, c3, base2)

@@ -798,26 +798,28 @@ class TestDecayFit:
             assert abs(slope / want[0] - 1.0) <= 1e-12
             assert abs(intercept / want[1] - 1.0) <= 1e-12
 
-    def test_tail_estimate_in_logs_beyond_double_powers(self):
-        # |z|^26 is no double from |z| ~ 5e11: the estimate is then summed
-        # in logs, continuous across the switch, and inf only where it is
-        # no double itself, never an OverflowError
-        from qgevrey.solution import _tail_estimate
+    def test_tail_estimate_finite_up_to_the_z_range(self):
+        # every z that require_z_in_range admits (|z|^26 <= e^700 at
+        # beta_max = 25) has |z|^26 a double: a finite estimate, never an
+        # OverflowError
+        from qgevrey.solution import _tail_estimate, require_z_in_range
         coeffs = np.exp(-0.3 * np.arange(26.0) ** 2)
-        z_switch = math.exp(700.0 / 26)
-        below, above = (_tail_estimate(coeffs, f * z_switch)
-                        for f in (1.0 - 1e-9, 1.0 + 1e-9))
-        assert math.isfinite(above) and abs(above / below - 1.0) < 1e-6
-        assert _tail_estimate(coeffs, 1e30) == math.inf
-        assert _tail_estimate(coeffs, 1e300j) == math.inf
+        z_top = math.exp(700.0 / 26) * (1.0 - 1e-9)
+        for z in (z_top, 1j * z_top):
+            require_z_in_range(z, 25, "z")
+            assert math.isfinite(_tail_estimate(coeffs, z))
+        with pytest.raises(DomainError):
+            require_z_in_range(z_top * (1.0 + 2e-9), 25, "z")
         assert _tail_estimate(coeffs, 0.0) == 0.0
 
 
 class TestFlatness:
     def test_identical_charts_degenerate(self, demo, chart20, eps20):
+        # a zero difference: no fit, which no slope threshold passes
         grid = [(0.7, 0.3)]
-        with pytest.raises(ValueError):
-            flatness_fit(chart20, chart20, eps20, 8, grid, demo.gevrey)
+        fit = flatness_fit(chart20, chart20, eps20, 8, grid, demo.gevrey)
+        assert fit.d_sup == (0.0,) * 8 and fit.n_used == 0
+        assert all(math.isnan(x) for x in (fit.slope, fit.intercept, fit.r2))
 
     def test_same_ray_direction_at_quadrature_floor(self, demo, eps20):
         sc1 = demo.chart_solution(20, quad=TIGHT)
